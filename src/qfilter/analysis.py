@@ -22,16 +22,12 @@ from .linalg import (
 )
 from .models import ModelSpec
 from .noise import coarsen_noise, generate_noise
-from .solvers import DensityTrajectory, TrajectoryResult, run_trajectory
+from .solvers import DensityTrajectory, TrajectoryResult, run_trajectory, time_index
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-
-def _index_of(times: np.ndarray, t: float) -> int:
-    hits = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
-    if hits.size == 0:
-        raise ValueError(f"time {t} is not a stored snapshot")
-    return int(hits[0])
+# amplitudes stacked per product in ensemble_average (256 KiB of complex128)
+_STACK_ENTRIES = 1 << 14
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -76,15 +72,19 @@ class EnsembleSummary:
         return DensityMatrix(self.basis, self.mean_density[index])
 
     def density_at(self, t: float) -> DensityMatrix:
-        return self.density(_index_of(self.times, t))
+        return self.density(time_index(self.times, t))
 
 
 def ensemble_average(results: list[TrajectoryResult]) -> EnsembleSummary:
+    """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
+
+    S stacks the trajectories' amplitudes at one snapshot as rows, at most
+    _STACK_ENTRIES amplitudes at a time, so the memory added to the result
+    stays bounded however large the ensemble.
+    """
     if not results:
         raise ValueError("no trajectories supplied")
     first = results[0]
-    dim = first.model.dim
-    acc = np.zeros((len(first.states), dim, dim), dtype=complex)
     for r in results:
         if r.model.basis != first.model.basis:
             raise BasisMismatchError("trajectories live on different bases")
@@ -92,8 +92,13 @@ def ensemble_average(results: list[TrajectoryResult]) -> EnsembleSummary:
                 not np.array_equal(r.snapshot_steps, first.snapshot_steps) or \
                 r.dt != first.dt:
             raise ValueError("trajectories store different snapshot grids")
-        for i, st in enumerate(r.states):
-            acc[i] += np.outer(st.amplitudes, st.amplitudes.conj())
+    dim = first.model.dim
+    rows = max(1, _STACK_ENTRIES // dim)
+    acc = np.zeros((len(first.states), dim, dim), dtype=complex)
+    for i in range(len(first.states)):
+        for lo in range(0, len(results), rows):
+            stack = np.array([r.states[i].amplitudes for r in results[lo:lo + rows]])
+            acc[i] += stack.T @ stack.conj()
     acc /= len(results)
     return EnsembleSummary(first.model.basis, first.times.copy(), acc, len(results))
 

@@ -177,22 +177,18 @@ def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult]
 def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
     writer = ArtifactWriter(out_dir)
     dim = dtraj.matrices.shape[1]
-    header = ["t"]
-    for i in range(dim):
-        for j in range(dim):
-            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
-    header.append("trace")
+    header = (["t"] + [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim)
+                       for part in ("re", "im")] + ["trace"])
     traces = dtraj.trace_series()
-    rows = []
-    for k, t in enumerate(dtraj.times):
-        row = [format_float(t)]
-        mat = dtraj.matrices[k]
-        for i in range(dim):
-            for j in range(dim):
-                row += [format_float(mat[i, j].real), format_float(mat[i, j].imag)]
-        row.append(format_float(traces[k]))
-        rows.append(row)
-    writer.write_csv("master.csv", header, rows)
+
+    def rows():
+        # row-major entries with re/im interleaved, as the header names them;
+        # one row at a time, so only the joined lines are held
+        for t, mat, tr in zip(dtraj.times, dtraj.matrices, traces):
+            entries = np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
+            yield [format_float(t), *map(format_float, entries), format_float(tr)]
+
+    writer.write_csv("master.csv", header, rows())
     writer.write_manifest("master", config_echo)
     return writer.directory
 

@@ -38,9 +38,14 @@ only up to a quadratic-variation remainder.
 
 Ensemble averages of the conditioned projectors obey the averaged equation
   d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag,
-integrated here with fixed-step RK4 (`solve_master`). `solve_unitary` covers
-the lambda = 0 limit: dense exponentiation on finite bases, Crank-Nicolson
-on grids.
+integrated here with fixed-step RK4 (`solve_master`). Its right-hand side is
+chosen once per solve from the `Operator.structure` tags: when K is diagonal
+or tridiagonal and every L_j is diagonal (grid models under position
+observation, and the qubit under a sigma_z channel), it is one elementwise
+product with a precomputed coefficient matrix plus the four shifted band
+terms of K, O(n^2) per stage; any other operator keeps the dense O(n^3)
+matmul form. `solve_unitary` covers the lambda = 0 limit: dense
+exponentiation on finite bases, Crank-Nicolson on grids.
 """
 
 from __future__ import annotations
@@ -78,6 +83,14 @@ from .noise import MeasurementRecord, NoisePath, generate_noise
 SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
+
+
+def time_index(times: np.ndarray, t: float) -> int:
+    """Index of the first stored time within 1e-9 + 1e-12 |t| of `t`."""
+    hits = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
+    if hits.size == 0:
+        raise ValueError(f"time {t} is not a stored snapshot")
+    return int(hits[0])
 
 
 def _require_basis(model: ModelSpec, state: StateVector) -> None:
@@ -254,10 +267,7 @@ class TrajectoryResult:
     model: ModelSpec
 
     def index_of_time(self, t: float) -> int:
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t} is not a stored snapshot")
-        return int(hits[0])
+        return time_index(self.times, t)
 
     def state_at(self, t: float) -> StateVector:
         return self.states[self.index_of_time(t)]
@@ -525,10 +535,7 @@ class DensityTrajectory:
         return DensityMatrix(self.basis, self.matrices[index])
 
     def index_of_time(self, t: float) -> int:
-        hits = np.nonzero(np.isclose(self.times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t} is not stored")
-        return int(hits[0])
+        return time_index(self.times, t)
 
     def density_at(self, t: float) -> DensityMatrix:
         return self.density(self.index_of_time(t))
@@ -537,9 +544,58 @@ class DensityTrajectory:
         return np.einsum("kii->k", self.matrices).real * self.basis.weight
 
 
+def _banded_rhs(generator: Operator, channels):
+    """O(n^2) right-hand side for a diagonal/tridiagonal K and diagonal L_j.
+
+    -(K r + r K^dag) + sum_j L_j r L_j^dag is coef * r with
+    coef_ik = -(K_ii + conj(K_kk)) + sum_j l_ji conj(l_jk), plus the
+    row-shifted off-diagonal bands of K r and the column-shifted conjugate
+    bands of r K^dag. r is not assumed hermitian (RK4 stage matrices are not
+    bitwise hermitian), so r K^dag is formed from r itself.
+    """
+    lo, d, up = generator._bands
+    coef = -(d[:, None] + d.conj()[None, :])
+    for ch in channels:
+        coef += np.outer(ch._diag, ch._diag.conj())
+    lo_col, up_col = lo[:, None], up[:, None]
+    lo_row, up_row = lo.conj()[None, :], up.conj()[None, :]
+
+    def rhs(r: np.ndarray) -> np.ndarray:
+        out = coef * r
+        out[:-1] -= up_col * r[1:]
+        out[1:] -= lo_col * r[:-1]
+        out[:, :-1] -= r[:, 1:] * up_row
+        out[:, 1:] -= r[:, :-1] * lo_row
+        return out
+
+    return rhs
+
+
+def _dense_rhs(generator: Operator, channels):
+    """O(n^3) right-hand side by dense matmuls, for any operator structure."""
+    kmat = generator.matrix
+    kdag = kmat.conj().T
+    ls = [ch.matrix for ch in channels]
+    lds = [m.conj().T for m in ls]
+
+    def rhs(r: np.ndarray) -> np.ndarray:
+        out = -(kmat @ r + r @ kdag)
+        for lmat, ldag in zip(ls, lds):
+            out = out + lmat @ r @ ldag
+        return out
+
+    return rhs
+
+
 def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
                  store_stride: int = 1) -> DensityTrajectory:
-    """Fixed-step RK4 for d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag."""
+    """Fixed-step RK4 for d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag.
+
+    When the generator K is tagged diagonal or tridiagonal and every channel
+    is tagged diagonal, each stage costs O(n^2) elementwise work and no
+    matmul; any other structure keeps the dense O(n^3) matmul form. Both
+    forms refuse dimensions above the dense cap.
+    """
     if model.dim > DEFAULT_ORACLE_CAP:
         raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
     if rho0.basis != model.basis:
@@ -551,16 +607,9 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     if store_stride < 1:
         raise ValueError("store_stride must be at least 1")
 
-    kmat = model.generator.matrix
-    kdag = kmat.conj().T
-    ls = [ch.matrix for ch in model.channels]
-    lds = [m.conj().T for m in ls]
-
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = -(kmat @ r + r @ kdag)
-        for lmat, ldag in zip(ls, lds):
-            out = out + lmat @ r @ ldag
-        return out
+    banded = model.generator.structure in ("diagonal", "tridiagonal") and all(
+        ch.structure == "diagonal" for ch in model.channels)
+    rhs = (_banded_rhs if banded else _dense_rhs)(model.generator, model.channels)
 
     stored_steps = np.arange(0, n_steps + 1, store_stride)
     if stored_steps[-1] != n_steps:

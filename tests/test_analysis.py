@@ -99,6 +99,20 @@ def test_ensemble_average_at_time_zero():
     assert trace_distance(rho0, projector(_ket(0.6, 0.8))) < 1e-12
 
 
+def test_ensemble_average_matches_the_outer_product_loop():
+    # 256 points stack 64 trajectories per product, so 70 take two products
+    model = build_grid_model(GridSpec(-10.0, 10.0, 256), lam=1.0)
+    runs = run_ensemble(model, gaussian_packet(model.basis, x0=1.0), 1e-4, 20, 9, 70,
+                        record_stride=10, workers=1)
+    summary = ensemble_average(runs)
+    want = np.zeros_like(summary.mean_density)
+    for r in runs:
+        for i, st in enumerate(r.states):
+            want[i] += np.outer(st.amplitudes, st.amplitudes.conj())
+    want /= len(runs)
+    assert np.abs(summary.mean_density - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_ensemble_average_rejects_mixed_grids():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     a = run_trajectory(model, KET0, 1e-3, 20, 4, 0, record_stride=5)

@@ -166,6 +166,28 @@ def test_master_csv_keeps_a_unit_trace_column(tmp_path):
     assert np.max(np.abs(data[:, -1] - 1.0)) < 1e-9, "trace drifted in the export"
 
 
+def test_master_csv_matches_the_per_element_formatter(tmp_path):
+    mats = np.array([
+        [[-0.0 + 1e-300j, 0.1 - 0.0j], [1.0 / 3.0 + 2e-17j, complex(-0.0, -0.0)]],
+        [[0.5, -1e300 + 0.1j], [5e-324 - 1.0j, 0.5 + 0.0j]],
+    ])
+    dtraj = qf.DensityTrajectory(qf.Basis.finite(2), 0.1, 1, np.array([0.0, 0.1]), mats)
+    out = qf.write_master(tmp_path / "run", {}, dtraj)
+    header = ["t"]
+    for i in range(2):
+        for j in range(2):
+            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
+    lines = [",".join(header + ["trace"])]
+    traces = dtraj.trace_series()
+    for k, t in enumerate(dtraj.times):
+        row = [format_float(t)]
+        for i in range(2):
+            for j in range(2):
+                row += [format_float(mats[k, i, j].real), format_float(mats[k, i, j].imag)]
+        lines.append(",".join(row + [format_float(traces[k])]))
+    assert (out / "master.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
+
+
 def test_report_round_trip(tmp_path):
     report = {"suite": "gauge", "passed": True,
               "checks": [{"name": "a", "measured": 0.5, "bound": [0.0, 1.0], "pass": True}],

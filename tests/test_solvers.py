@@ -7,11 +7,14 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import (
     Basis,
     DensityMatrix,
+    GridPotential,
     GridSpec,
     ModelSpec,
     Operator,
@@ -22,6 +25,7 @@ from qfilter import (
     expectation,
     gaussian_packet,
     generate_noise,
+    momentum_operator,
     named_observable,
     projector,
     reconstruct_posterior,
@@ -44,6 +48,7 @@ from qfilter.errors import (
     OracleSizeError,
     UnsupportedConfigurationError,
 )
+from qfilter import solvers
 
 B2 = Basis.finite(2)
 
@@ -444,6 +449,105 @@ def test_master_solver_flags_blowup():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(InstabilityError):
             solve_master(model, projector(plus), 1e3, 50)
+
+
+def _dense_master_rhs(model, r):
+    """-(K r + r K^dag) + sum_j L_j r L_j^dag by dense products."""
+    kmat = model.generator.matrix
+    out = -(kmat @ r + r @ kmat.conj().T)
+    for ch in model.channels:
+        out = out + ch.matrix @ r @ ch.matrix.conj().T
+    return out
+
+
+def _dense_master_reference(model, rho0, dt, n_steps):
+    """Every RK4 state of the averaged equation, built from dense products."""
+    rho = rho0.entries.astype(complex)
+    out = [rho]
+    for _ in range(n_steps):
+        k1 = _dense_master_rhs(model, rho)
+        k2 = _dense_master_rhs(model, rho + (0.5 * dt) * k1)
+        k3 = _dense_master_rhs(model, rho + (0.5 * dt) * k2)
+        k4 = _dense_master_rhs(model, rho + dt * k3)
+        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out.append(rho)
+    return np.array(out)
+
+
+def _banded_master_models():
+    models = {}
+    for n in (8, 16, 33):
+        grid = GridSpec(-5.0, 5.0, n)
+        models[f"harmonic{n}"] = build_grid_model(
+            grid, GridPotential.harmonic(grid, omega=1.3), lam=0.7)
+        models[f"barrier{n}"] = build_grid_model(
+            grid, GridPotential.barrier(grid, height=4.0, width=2.0), lam=1.9)
+    grid = GridSpec(-5.0, 5.0, 16)
+    models["unobserved"] = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0),
+                                            lam=0.0)
+    basis = Basis.from_grid(grid)
+    x = grid.points
+    position = Operator.diagonal(basis, math.sqrt(2.0 * 0.4) * x)
+    phase = Operator.diagonal(basis, 0.3 * np.exp(1j * x) + 0.1 * x**2)
+    models["two_channels"] = ModelSpec.assemble(
+        models["unobserved"].hamiltonian, (position, phase), lam=0.4)
+    models["qubit"] = build_qubit_model((0.5, 0.2, -0.4), channel="sigma_z", lam=0.7)
+    models["qubit_diagonal_K"] = build_qubit_model((0.0, 0.0, 1.1), channel="sigma_z",
+                                                   lam=0.3)
+    return models
+
+
+BANDED_MASTER_MODELS = _banded_master_models()
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(sorted(BANDED_MASTER_MODELS)),
+       seed=st.integers(0, 2**32 - 1),
+       scale=st.floats(1e-3, 1e3))
+def test_banded_master_rhs_matches_dense_products(name, seed, scale):
+    """The O(n^2) right-hand side equals the dense definition on any r,
+    hermitian or not."""
+    model = BANDED_MASTER_MODELS[name]
+    assert model.generator.structure in ("diagonal", "tridiagonal")
+    assert all(ch.structure == "diagonal" for ch in model.channels)
+    rng = np.random.default_rng(seed)
+    n = model.dim
+    r = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+    want = _dense_master_rhs(model, r)
+    got = solvers._banded_rhs(model.generator, model.channels)(r)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def _forbid(monkeypatch, rhs_name):
+    """Make solve_master fail if it picks the named right-hand side."""
+    def refuse(*args):
+        raise AssertionError(f"solve_master picked {rhs_name} for this model")
+
+    monkeypatch.setattr(solvers, rhs_name, refuse)
+
+
+def test_master_solver_grid128_matches_dense_rk4(monkeypatch):
+    grid = GridSpec(-10.0, 10.0, 128)
+    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0), lam=1.0)
+    rho0 = projector(gaussian_packet(model.basis, x0=1.0, sigma=1.0))
+    _forbid(monkeypatch, "_dense_rhs")
+    traj = solve_master(model, rho0, 1e-3, 50)
+    want = _dense_master_reference(model, rho0, 1e-3, 50)
+    assert np.abs(traj.matrices - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_master_solver_dense_fallback_for_a_momentum_channel(monkeypatch):
+    grid = GridSpec(-5.0, 5.0, 16)
+    basis = Basis.from_grid(grid)
+    ham = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0)).hamiltonian
+    channel = Operator.from_matrix(basis, math.sqrt(2.0 * 0.5) * momentum_operator(basis).matrix)
+    model = ModelSpec.assemble(ham, (channel,), lam=0.5)
+    assert model.generator.structure == "dense"
+    rho0 = projector(gaussian_packet(basis, x0=0.5, sigma=1.0))
+    _forbid(monkeypatch, "_banded_rhs")
+    traj = solve_master(model, rho0, 1e-3, 40, store_stride=10)
+    want = _dense_master_reference(model, rho0, 1e-3, 40)[::10]
+    assert np.abs(traj.matrices - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_unitary_solver_qubit():
