@@ -44,7 +44,6 @@ from .models import (
     SIGMA_Z,
     GridPotential,
     ModelSpec,
-    assemble_K,
     assemble_generator,
     build_grid_model,
     build_qubit_model,
@@ -58,22 +57,16 @@ from .noise import (
     coarsen_noise,
     coarsen_record,
     generate_noise,
-    record_from_innovation,
 )
 from .solvers import (
     SCHEMES,
     DensityTrajectory,
     TrajectoryResult,
-    reconstruct_posterior,
     resolve_workers,
     run_ensemble,
     run_trajectory,
     solve_master,
     solve_unitary,
-    step_amplitude,
-    step_gauge,
-    step_linear,
-    step_nonlinear,
 )
 from .analysis import (
     CollapseReport,
@@ -82,7 +75,6 @@ from .analysis import (
     LocalizationSeries,
     OrderReport,
     ResidualReport,
-    amplitude_identity_error,
     collapse_statistics,
     ensemble_average,
     ensemble_vs_master,
@@ -123,19 +115,16 @@ __all__ = [
     "GridSpec", "Basis", "StateVector", "Operator", "DensityMatrix",
     "expectation", "projector", "trace_distance", "matrix_exp",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
-    "ModelSpec", "GridPotential", "assemble_generator", "assemble_K",
+    "ModelSpec", "GridPotential", "assemble_generator",
     "build_qubit_model", "build_grid_model", "gaussian_packet",
     "momentum_operator", "named_observable",
     "NoisePath", "MeasurementRecord", "generate_noise", "coarsen_noise",
     "coarsen_record",
-    "record_from_innovation",
-    "SCHEMES", "TrajectoryResult", "DensityTrajectory",
-    "step_nonlinear", "step_linear", "step_amplitude", "step_gauge",
-    "reconstruct_posterior", "run_trajectory", "run_ensemble",
-    "resolve_workers", "solve_master", "solve_unitary",
+    "SCHEMES", "TrajectoryResult", "DensityTrajectory", "run_trajectory",
+    "run_ensemble", "resolve_workers", "solve_master", "solve_unitary",
     "EnsembleSummary", "ComparisonReport", "CollapseReport",
     "LocalizationSeries", "ResidualReport", "OrderReport",
-    "fidelity", "pure_state_trace_distance", "amplitude_identity_error",
+    "fidelity", "pure_state_trace_distance",
     "ensemble_average", "ensemble_vs_master", "collapse_statistics",
     "variance_series", "time_average", "localization_metrics",
     "filtering_residual", "strong_order_estimate",

@@ -44,21 +44,6 @@ def pure_state_trace_distance(a: StateVector, b: StateVector) -> float:
     return float(np.sqrt(1.0 - ov))
 
 
-def amplitude_identity_error(traj: TrajectoryResult) -> np.ndarray:
-    """|exp(record-driven ln c - solver ln c) - 1| per snapshot, within one run.
-
-    For the nonlinear and linear schemes the two series coincide by
-    construction and this is a consistency tautology. For the gauge scheme
-    the solver norm comes from the reconstruction map while the record-driven
-    series is re-accumulated at the reconstructed posterior, so their gap is
-    a scalar discretization effect of order sqrt(dt): a within-run
-    diagnostic, not the cross-scheme amplitude check. Comparing a run's
-    log_amplitude against a linear run's log_norm on the same record is the
-    meaningful identity; the verification suites do that directly.
-    """
-    return np.abs(np.exp(traj.log_amplitude - traj.log_norm) - 1.0)
-
-
 @dataclass
 class EnsembleSummary:
     """Mean projector of an ensemble at each stored snapshot."""

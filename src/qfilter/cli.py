@@ -134,19 +134,13 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (UnsupportedConfigurationError, OracleSizeError,
-            ArtifactMismatchError, BasisMismatchError, ValueError) as exc:
+    except (ConfigError, UnsupportedConfigurationError, OracleSizeError,
+            ArtifactMismatchError, BasisMismatchError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (StepFailureError, InstabilityError, NormalizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -22,10 +22,12 @@ class OracleSizeError(QFilterError):
 class StepFailureError(QFilterError):
     """An integrator produced a non-finite state."""
 
-    def __init__(self, message: str, step_index: int | None = None, scheme: str | None = None):
+    def __init__(self, message: str, step_index: int | None = None, scheme: str | None = None,
+                 trajectory_index: int | None = None):
         super().__init__(message)
         self.step_index = step_index
         self.scheme = scheme
+        self.trajectory_index = trajectory_index
 
 
 class InstabilityError(QFilterError):

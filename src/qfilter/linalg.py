@@ -206,10 +206,6 @@ class Operator:
             self.matrix.diagonal(1).copy(),
         )
 
-    @cached_property
-    def _adjoint_matrix(self) -> np.ndarray:
-        return _frozen_array(self.matrix.conj().T)
-
     def apply(self, vec: np.ndarray) -> np.ndarray:
         if self.structure == "diagonal":
             return self._diag * vec
@@ -220,20 +216,6 @@ class Operator:
             out[1:] += lo * vec[:-1]
             return out
         return self.matrix @ vec
-
-    def apply_adjoint(self, vec: np.ndarray) -> np.ndarray:
-        if self.hermitian_flag == HERMITIAN:
-            return self.apply(vec)
-        if self.hermitian_flag == ANTI_HERMITIAN:
-            return -self.apply(vec)
-        return self._adjoint_matrix @ vec
-
-    def dagger(self) -> Operator:
-        return Operator.from_matrix(self.basis, self.matrix.conj().T)
-
-    def __call__(self, state: StateVector) -> StateVector:
-        _check_same_basis(self, state)
-        return StateVector(self.basis, self.apply(state.amplitudes))
 
 
 @dataclass(frozen=True, eq=False)

@@ -114,9 +114,6 @@ class ModelSpec:
         return Operator.from_matrix(self.basis, mat)
 
 
-assemble_K = assemble_generator
-
-
 def build_qubit_model(h_field, channel="sigma_z", lam: float = 1.0, hbar: float = 1.0) -> ModelSpec:
     """Two-level model: H = (hbar/2) h.sigma, one channel L = sqrt(2*lambda)*A.
 

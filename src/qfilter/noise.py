@@ -13,8 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisMismatchError
-
 MAX_INCREMENTS = 100_000_000  # allocation guard: n_steps * n_channels
 
 
@@ -134,13 +132,3 @@ def coarsen_record(record: MeasurementRecord, factor: int) -> MeasurementRecord:
     ).sum(axis=1)
     return MeasurementRecord(record.dt * factor, merged, np.cumsum(merged, axis=0))
 
-
-def record_from_innovation(expectation_series: np.ndarray, noise: NoisePath) -> MeasurementRecord:
-    """Assemble dY = 2 Re<L> dt + dW from a per-step expectation table."""
-    series = np.asarray(expectation_series, dtype=float)
-    if series.shape != noise.increments.shape:
-        raise BasisMismatchError(
-            f"expectation series shape {series.shape} does not match noise {noise.increments.shape}"
-        )
-    dy = 2.0 * series * noise.dt + noise.increments
-    return MeasurementRecord(noise.dt, dy, np.cumsum(dy, axis=0))

@@ -31,10 +31,10 @@ scheme's own posterior expectation (or replayed from a stored record):
 The stochastic amplitude ln c is accumulated alongside every scheme as the
 realized norm growth of the record-driven one-step update at the current
 posterior; its first-order expansion is the Ito increment
-  d ln c = sum_j [Re<L_j> dY_j - (Re<L_j>)^2 dt]
-exposed by `step_amplitude`. Accumulating the realized growth keeps
-exp(ln c) exactly equal to the linear-form norm at finite dt instead of
-only up to a quadratic-variation remainder.
+  d ln c = sum_j [Re<L_j> dY_j - (Re<L_j>)^2 dt].
+Accumulating the realized growth keeps exp(ln c) exactly equal to the
+linear-form norm at finite dt instead of only up to a quadratic-variation
+remainder.
 
 Ensemble averages of the conditioned projectors obey the averaged equation
   d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag,
@@ -72,7 +72,6 @@ from .linalg import (
     DEFAULT_ORACLE_CAP,
     Basis,
     DensityMatrix,
-    HERMITIAN,
     Operator,
     StateVector,
     matrix_exp,
@@ -139,99 +138,6 @@ def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, wei
     if nn == 0.0 or not np.isfinite(nn):
         raise NormalizationError("reconstruction produced a degenerate state")
     return scaled / nn, math.log(nn) + m
-
-
-def _channel_diagonals_or_raise(model: ModelSpec) -> np.ndarray:
-    diags = model.channel_diagonals
-    if diags is None:
-        raise UnsupportedConfigurationError(
-            "gauge scheme needs diagonal hermitian channels"
-        )
-    return diags
-
-
-def step_nonlinear(state: StateVector, model: ModelSpec, dw, dt: float):
-    """One renormalized Euler step of the conditioned equation.
-
-    The record increment dY_j = 2 Re<L_j> dt + dW_j is formed from the
-    incoming state, the record-driven map phi + (sum_j L_j dY_j - K dt) phi
-    is applied, and the result is renormalized. The first-order expansion in
-    dt is the conditioned drift -(1/2) Ltil^dag Ltil - iH/hbar with noise
-    Ltil dW; keeping the normalization exact (instead of truncated) leaves
-    the step pathwise consistent with the linear form at finite dt.
-
-    Returns the renormalized state and the pre-renormalization norm.
-    """
-    _require_basis(model, state)
-    state.require_normalized(1e-6)
-    dw = np.asarray(dw, dtype=float).reshape(model.n_channels)
-    w = model.basis.weight
-    phi = state.amplitudes
-    a, lphis = _re_expectations(phi, model.channels, w)
-    dy = 2.0 * np.asarray(a) * dt + dw
-    out = _record_update(phi, model, lphis, dy, dt)
-    nn = _weighted_norm(w, out)
-    if not (nn > 0.0 and np.isfinite(nn)):
-        raise StepFailureError("nonlinear step produced a non-finite state", scheme="nonlinear")
-    return StateVector(model.basis, out / nn), nn
-
-
-def step_linear(chi: StateVector, model: ModelSpec, dy, dt: float) -> StateVector:
-    """One Euler step of the unnormalized record-driven equation."""
-    _require_basis(model, chi)
-    dy = np.asarray(dy, dtype=float).reshape(model.n_channels)
-    v = chi.amplitudes
-    lchis = [ch.apply(v) for ch in model.channels]
-    out = _record_update(v, model, lchis, dy, dt)
-    if not np.all(np.isfinite(out)):
-        raise StepFailureError("linear step produced a non-finite state", scheme="linear")
-    return StateVector(model.basis, out)
-
-
-def step_amplitude(c_log: float, re_expect, dy, dt: float) -> float:
-    """ln c update: sum_j [Re<L_j> dY_j - (Re<L_j>)^2 dt]."""
-    a = np.asarray(re_expect, dtype=float)
-    dy = np.asarray(dy, dtype=float)
-    if a.shape != dy.shape:
-        raise BasisMismatchError("expectation and record increments differ in shape")
-    return float(c_log + a @ dy - (a @ a) * dt)
-
-
-def step_gauge(psi: StateVector, model: ModelSpec, y_values, dt: float) -> StateVector:
-    """One deterministic Euler step d(psi) = -G(Y) psi dt.
-
-    `y_values` is the per-channel cumulative record at which G is evaluated;
-    trajectory drivers pass the midpoint value over the step.
-    """
-    _require_basis(model, psi)
-    ldiag = _channel_diagonals_or_raise(model)
-    y = np.asarray(y_values, dtype=float).reshape(model.n_channels)
-    s = y @ ldiag
-    out = psi.amplitudes - dt * _gauge_apply(model.gauge_core, s, psi.amplitudes)
-    if not np.all(np.isfinite(out)):
-        raise StepFailureError("gauge step produced a non-finite state", scheme="gauge")
-    return StateVector(model.basis, out)
-
-
-def reconstruct_posterior(psi: StateVector, y_cumulative, channels):
-    """Recover (normalized posterior, ln c) from the gauge-picture state.
-
-    chi = exp(sum_j L_j Y_j) psi evaluated with a subtracted-maximum exponent
-    so arbitrarily large records cannot overflow.
-    """
-    diags = []
-    for ch in channels:
-        if ch.basis != psi.basis:
-            raise BasisMismatchError("channel basis does not match the state")
-        if ch.structure != "diagonal" or ch.hermitian_flag != HERMITIAN:
-            raise UnsupportedConfigurationError(
-                "reconstruction needs diagonal hermitian channels"
-            )
-        diags.append(ch.matrix.diagonal().real)
-    ldiag = np.array(diags)
-    y = np.asarray(y_cumulative, dtype=float).reshape(len(diags))
-    phi, ln_c = _reconstruct_raw(psi.amplitudes, ldiag, y, psi.basis.weight)
-    return StateVector(psi.basis, phi), ln_c
 
 
 @dataclass
@@ -333,7 +239,11 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
     channels = model.channels
     gauge_mode = scheme == "gauge"
     if gauge_mode:
-        ldiag = _channel_diagonals_or_raise(model)
+        ldiag = model.channel_diagonals
+        if ldiag is None:
+            raise UnsupportedConfigurationError(
+                "gauge scheme needs diagonal hermitian channels"
+            )
         core = model.gauge_core
 
     snapshot_steps = np.arange(0, n_steps + 1, record_stride)
@@ -347,7 +257,6 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
     log_amp_out = np.empty(n_snaps)
     log_norm_out = np.empty(n_snaps)
     step_norms = np.empty(n_steps)
-    re_expect = np.empty((n_steps, c))
     dys = np.empty((n_steps, c))
 
     phi = (initial.amplitudes / initial.norm()).astype(complex)
@@ -382,7 +291,6 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
         dy_k = dys[k]
         for j in range(c):
             aj = a[j]
-            re_expect[k, j] = aj
             if replay is None:
                 dy_k[j] = 2.0 * aj * dt + dw_table[k, j]
             else:
@@ -395,7 +303,8 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
             growth = _weighted_norm(w, _record_update(posterior, model, lposts, dy_k, dt))
             if not (growth > 0.0 and np.isfinite(growth)):
                 raise StepFailureError(
-                    f"gauge step {k} produced a degenerate amplitude", step_index=k, scheme=scheme
+                    f"gauge step {k} of trajectory {trajectory_index} produced a degenerate "
+                    "amplitude", step_index=k, scheme=scheme, trajectory_index=trajectory_index
                 )
             log_amp += math.log(growth)
             s_mid = (y + 0.5 * dy_k) @ ldiag
@@ -405,7 +314,8 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
         nn = _weighted_norm(w, new)
         if not (nn > 0.0 and np.isfinite(nn)):
             raise StepFailureError(
-                f"{scheme} step {k} produced a non-finite state", step_index=k, scheme=scheme
+                f"{scheme} step {k} of trajectory {trajectory_index} produced a non-finite "
+                "state", step_index=k, scheme=scheme, trajectory_index=trajectory_index
             )
         step_norms[k] = nn
         log_norm += math.log(nn)

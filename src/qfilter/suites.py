@@ -83,6 +83,18 @@ def _dts_knob(value, path: str):
     return dts
 
 
+def _observable_knob(value, path: str, model):
+    """Name and operator of an observable knob; None picks sigma_z or x."""
+    if value is None:
+        value = "sigma_z" if model.basis.grid is None else "x"
+    if not isinstance(value, str):
+        raise ConfigError([(path, "must be a name")])
+    try:
+        return value, named_observable(model, value)
+    except ValueError as exc:
+        raise ConfigError([(path, str(exc))]) from None
+
+
 def suite_equivalence(cfg: RunConfig):
     """One measurement record, three schemes: pathwise agreement at the run
     dt and at dt/2, the shrink factor between the two, the record-driven
@@ -211,15 +223,7 @@ def suite_born(cfg: RunConfig):
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
-    obs_name = knobs["observable"]
-    if obs_name is None:
-        obs_name = "sigma_z" if model.basis.grid is None else "x"
-    if not isinstance(obs_name, str):
-        raise ConfigError([("verify.born.observable", "must be a name")])
-    try:
-        obs = named_observable(model, obs_name)
-    except ValueError as exc:
-        raise ConfigError([("verify.born.observable", str(exc))]) from None
+    obs_name, obs = _observable_knob(knobs["observable"], "verify.born.observable", model)
 
     dt = cfg.sim.dt
     n = cfg.n_steps
@@ -331,15 +335,7 @@ def suite_filtering(cfg: RunConfig):
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
-    obs_name = knobs["observable"]
-    if obs_name is None:
-        obs_name = "sigma_z" if model.basis.grid is None else "x"
-    if not isinstance(obs_name, str):
-        raise ConfigError([("verify.filtering.observable", "must be a name")])
-    try:
-        obs = named_observable(model, obs_name)
-    except ValueError as exc:
-        raise ConfigError([("verify.filtering.observable", str(exc))]) from None
+    obs_name, obs = _observable_knob(knobs["observable"], "verify.filtering.observable", model)
 
     t_final = cfg.sim.t_final
     mean_rms = np.empty(dts.size)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 import qfilter as qf
+from qfilter import cli
 from qfilter.cli import main
 
 
@@ -161,6 +162,51 @@ def test_verify_failure_exits_4(tmp_path, capsys):
     assert "FAIL" in stdout
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, monkeypatch,
+                                                                capsys, threads):
+    # at lambda=1e4 on a coarse grid the gauge exponent differences overflow
+    # in the first step of every trajectory
+    cfg_path = _write_cfg(
+        tmp_path,
+        model={"kind": "grid1d", "x_min": -50.0, "x_max": 50.0, "n_points": 64,
+               "potential": "free"},
+        constants={"lambda": 1e4},
+        initial={"gaussian": {"x0": 40.0, "sigma": 2.0}},
+        sim={"dt": 1e-3, "t_final": 0.01, "scheme": "gauge"},
+        ensemble={"n_trajectories": 3, "master_seed": 0},
+    )
+    monkeypatch.setenv("QFILTER_THREADS", threads)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 3
+    assert "error: gauge step 0 of trajectory 0 produced a non-finite state" \
+        in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code", [
+    (qf.ConfigError([("sim.dt", "must be positive")]), 2),
+    (qf.UnsupportedConfigurationError("unsupported"), 2),
+    (qf.OracleSizeError("too big"), 2),
+    (qf.ArtifactMismatchError("tampered"), 2),
+    (qf.BasisMismatchError("mismatch"), 2),
+    (ValueError("bad value"), 2),
+    (OSError("disk"), 2),
+    (qf.StepFailureError("blew up", step_index=4, scheme="linear", trajectory_index=1), 3),
+    (qf.InstabilityError("trace drifted"), 3),
+    (qf.NormalizationError("degenerate"), 3),
+], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v))
+def test_exceptions_map_to_exit_codes(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_master", fail)
+    assert main(["master", "--config", "run.json", "--out", "out"]) == code
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {exc}\n"
+    assert captured.out == ""
 
 
 def test_bad_suite_knob_exits_2(tmp_path, capsys):

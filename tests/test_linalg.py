@@ -215,17 +215,6 @@ def test_operator_apply_matches_matmul():
     dense = Operator.from_matrix(basis, dense_m)
     assert dense.structure == "dense"
     assert np.allclose(dense.apply(vec), dense_m @ vec, atol=1e-13)
-    assert np.allclose(dense.apply_adjoint(vec), dense_m.conj().T @ vec, atol=1e-13)
-
-
-def test_operator_call_checks_basis():
-    sz = _sigma_z()
-    other = StateVector(Basis.finite(3), np.array([1.0, 0.0, 0.0], dtype=complex))
-    with pytest.raises(BasisMismatchError):
-        sz(other)
-    out = sz(KET1)
-    assert isinstance(out, StateVector)
-    assert np.allclose(out.amplitudes, [0.0, -1.0])
 
 
 def test_state_amplitudes_are_frozen():

@@ -88,10 +88,6 @@ def test_model_requires_hermitian_hamiltonian():
         ModelSpec.assemble(lop, (Operator.zero(basis),), lam=0.0)
 
 
-def test_assemble_alias():
-    assert qf.assemble_K is qf.assemble_generator
-
-
 def test_qubit_builder_validation():
     with pytest.raises(ValueError):
         build_qubit_model((1.0, 0.0, 0.0), lam=-0.5)

@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 from qfilter import (
+    Basis,
     MeasurementRecord,
     NoisePath,
+    StateVector,
+    build_qubit_model,
     coarsen_noise,
     coarsen_record,
     generate_noise,
-    record_from_innovation,
+    run_trajectory,
 )
 from qfilter.errors import BasisMismatchError
+
+KET0 = StateVector(Basis.finite(2), np.array([1.0, 0.0], dtype=complex))
 
 
 def test_noise_is_deterministic_per_seed_and_index():
@@ -49,27 +54,32 @@ def test_quadratic_variation_approaches_horizon():
     assert abs(qv - 1.0) <= 3.0 * np.sqrt(2.0 * dt), f"quadratic variation {qv:.4f}"
 
 
+# Records are formed innovation-first inside run_trajectory: dY = 2 Re<L> dt + dW.
+
 def test_record_with_zero_expectation_is_noise():
+    unobserved = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=0.0)
     noise = generate_noise(5, 2, 1e-3, 50, 1)
-    record = record_from_innovation(np.zeros((50, 1)), noise)
+    record = run_trajectory(unobserved, KET0, 1e-3, 50, 5, 2, noise=noise).record
     assert np.array_equal(record.increments, noise.increments)
     assert np.allclose(record.cumulative, np.cumsum(noise.increments, axis=0))
 
 
 def test_record_drift_with_silent_noise():
-    # constant expectation sqrt(2), no noise: every increment is 2*sqrt(2)*dt
+    # a sigma_z eigenstate keeps Re<L> = sqrt(2); with no noise every increment
+    # is 2*sqrt(2)*dt
+    dephasing = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     dt = 0.01
     quiet = NoisePath(dt, np.zeros((20, 1)), 0, 0)
-    series = np.full((20, 1), np.sqrt(2.0))
-    record = record_from_innovation(series, quiet)
+    record = run_trajectory(dephasing, KET0, dt, 20, 0, 0, noise=quiet).record
     assert np.all(record.increments == pytest.approx(0.028284271247461904, rel=1e-15))
     assert record.cumulative[-1, 0] == pytest.approx(20 * 2.0 * np.sqrt(2.0) * dt, rel=1e-13)
 
 
 def test_record_shape_must_match_noise():
-    noise = generate_noise(5, 2, 1e-3, 50, 1)
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    noise = generate_noise(5, 2, 1e-3, 50, 2)
     with pytest.raises(BasisMismatchError):
-        record_from_innovation(np.zeros((50, 2)), noise)
+        run_trajectory(model, KET0, 1e-3, 50, 5, 2, noise=noise)
 
 
 def test_record_times_are_step_ends():
@@ -93,7 +103,8 @@ def test_coarsen_noise_sums_pairs():
 
 def test_coarsen_record_preserves_the_path():
     noise = generate_noise(13, 4, 5e-4, 100, 1)
-    record = record_from_innovation(np.ones((100, 1)), noise)
+    dy = 2.0 * noise.dt + noise.increments
+    record = MeasurementRecord(noise.dt, dy, np.cumsum(dy, axis=0))
     coarse = coarsen_record(record, 2)
     assert coarse.dt == pytest.approx(1e-3)
     assert np.allclose(coarse.increments.sum(axis=0), record.increments.sum(axis=0),

@@ -1,4 +1,4 @@
-"""Stepper oracles, trajectory integration, and the dense reference solvers."""
+"""Single-step oracles, trajectory integration, and the dense reference solvers."""
 
 from __future__ import annotations
 
@@ -16,7 +16,9 @@ from qfilter import (
     DensityMatrix,
     GridPotential,
     GridSpec,
+    MeasurementRecord,
     ModelSpec,
+    NoisePath,
     Operator,
     StateVector,
     build_grid_model,
@@ -28,16 +30,11 @@ from qfilter import (
     momentum_operator,
     named_observable,
     projector,
-    reconstruct_posterior,
     resolve_workers,
     run_ensemble,
     run_trajectory,
     solve_master,
     solve_unitary,
-    step_amplitude,
-    step_gauge,
-    step_linear,
-    step_nonlinear,
     trace_distance,
 )
 from qfilter.errors import (
@@ -46,6 +43,7 @@ from qfilter.errors import (
     InstabilityError,
     NormalizationError,
     OracleSizeError,
+    StepFailureError,
     UnsupportedConfigurationError,
 )
 from qfilter import solvers
@@ -61,18 +59,37 @@ def _dephasing(lam=1.0):
     return build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=lam)
 
 
+def _one_step(model, state, dt, dw, scheme="nonlinear"):
+    """One innovation-first step of `run_trajectory` driven by a given dW."""
+    noise = NoisePath(dt, [[dw]], 0, 0)
+    return run_trajectory(model, state, dt, 1, 0, 0, scheme=scheme, noise=noise)
+
+
+def _replay(model, state, dt, dys, scheme="linear"):
+    """`run_trajectory` replaying the record increments `dys` (n_steps, n_channels)."""
+    dys = np.asarray(dys, dtype=float)
+    record = MeasurementRecord(dt, dys, np.cumsum(dys, axis=0))
+    return run_trajectory(model, state, dt, dys.shape[0], 0, 0, scheme=scheme,
+                          record=record)
+
+
+def _chi(result):
+    """Unnormalized linear-form solution exp(log_norm) * state at the last snapshot."""
+    return math.exp(result.log_norm[-1]) * result.states[-1].amplitudes
+
+
 def test_step_nonlinear_keeps_channel_eigenstate_fixed():
     """An observation eigenstate only picks up amplitude, never direction."""
     model = _dephasing()
     dt = 1e-3
     dw = 0.3
-    new, prenorm = step_nonlinear(_ket(1.0, 0.0), model, [dw], dt)
+    r = _one_step(model, _ket(1.0, 0.0), dt, dw)
     a = math.sqrt(2.0)
     dy = 2.0 * a * dt + dw
     factor = 1.0 + a * dy - dt  # K = identity for this model
-    assert prenorm == pytest.approx(factor, rel=1e-14)
-    assert new.amplitudes[0] == pytest.approx(1.0, abs=1e-15)
-    assert new.amplitudes[1] == 0.0
+    assert r.step_norms[0] == pytest.approx(factor, rel=1e-14)
+    assert r.states[-1].amplitudes[0] == pytest.approx(1.0, abs=1e-15)
+    assert r.states[-1].amplitudes[1] == 0.0
 
 
 def test_step_nonlinear_matches_dense_arithmetic():
@@ -86,19 +103,19 @@ def test_step_nonlinear_matches_dense_arithmetic():
     dy = 2.0 * a * dt + dw
     raw = phi + dy * (lmat @ phi) - dt * (kmat @ phi)
     nn = float(np.linalg.norm(raw))
-    new, prenorm = step_nonlinear(_ket(0.6, 0.8), model, [dw], dt)
-    assert prenorm == pytest.approx(nn, rel=1e-14)
-    assert np.allclose(new.amplitudes, raw / nn, atol=1e-14)
+    r = _one_step(model, _ket(0.6, 0.8), dt, dw)
+    assert r.step_norms[0] == pytest.approx(nn, rel=1e-14)
+    assert np.allclose(r.states[-1].amplitudes, raw / nn, atol=1e-14)
+    assert r.record.increments[0, 0] == pytest.approx(dy, rel=1e-14)
 
 
 def test_step_linear_scales_channel_eigenstates():
     model = _dephasing()
-    chi = _ket(0.5, 0.0)
     dt = 1e-3
     dy = 0.02
-    out = step_linear(chi, model, [dy], dt)
+    r = _replay(model, _ket(1.0, 0.0), dt, [[dy]])
     factor = 1.0 + math.sqrt(2.0) * dy - dt
-    assert np.allclose(out.amplitudes, [0.5 * factor, 0.0], atol=1e-15)
+    assert np.allclose(_chi(r), [factor, 0.0], atol=1e-15)
 
 
 def test_step_linear_matches_dense_arithmetic_two_channels():
@@ -110,67 +127,61 @@ def test_step_linear_matches_dense_arithmetic_two_channels():
                                   + 1j * rng.standard_normal((4, 4))) for _ in range(2)]
     model = ModelSpec.assemble(ham, chans, lam=1.0)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    chi = StateVector(basis, vec)
+    vec /= np.linalg.norm(vec)
     dt = 1e-3
     dy = np.array([0.04, -0.02])
     expected = vec.copy()
     expected += dy[0] * (chans[0].matrix @ vec) + dy[1] * (chans[1].matrix @ vec)
     expected -= dt * (model.generator.matrix @ vec)
-    out = step_linear(chi, model, dy, dt)
-    assert np.allclose(out.amplitudes, expected, atol=1e-14)
-
-
-def test_step_amplitude_increment():
-    assert step_amplitude(1.25, [0.0], [0.5], 0.01) == 1.25
-    a, dy, dt = 0.37, 0.1, 0.01
-    out = step_amplitude(-0.5, [a], [dy], dt)
-    assert out == pytest.approx(-0.5 + a * dy - a * a * dt, rel=1e-15)
-    with pytest.raises(BasisMismatchError):
-        step_amplitude(0.0, [0.1, 0.2], [0.3], 0.01)
+    r = _replay(model, StateVector(basis, vec), dt, [dy])
+    assert np.allclose(_chi(r), expected, atol=1e-14)
 
 
 def test_step_gauge_silent_record_decay():
     # with Y = 0 the generator reduces to K + L^2/2 = 2*identity
     model = _dephasing()
     dt = 1e-3
-    psi = _ket(1.0, 0.0)
-    for _ in range(500):
-        psi = step_gauge(psi, model, [0.0], dt)
-    exact_euler = (1.0 - 2.0 * dt) ** 500
-    assert psi.amplitudes[0].real == pytest.approx(exact_euler, rel=1e-12)
-    assert psi.amplitudes[0].real == pytest.approx(math.exp(-1.0), rel=2e-3)
+    r = _replay(model, _ket(1.0, 0.0), dt, np.zeros((500, 1)), scheme="gauge")
+    assert r.log_norm[-1] == pytest.approx(500 * math.log(1.0 - 2.0 * dt), rel=1e-12)
+    assert math.exp(r.log_norm[-1]) == pytest.approx(math.exp(-1.0), rel=2e-3)
+    assert np.allclose(r.states[-1].amplitudes, [1.0, 0.0], atol=1e-15)
 
 
 def test_step_gauge_unitary_limit_is_schrodinger_euler():
     model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=0.0)
     dt = 1e-3
-    out = step_gauge(_ket(1.0, 0.0), model, [0.0], dt)
-    # psi - i dt H psi with H = sigma_x / 2
-    assert np.allclose(out.amplitudes, [1.0, -0.5j * dt], atol=1e-15)
+    r = _one_step(model, _ket(1.0, 0.0), dt, 0.0, scheme="gauge")
+    # psi - i dt H psi with H = sigma_x / 2, then renormalized
+    euler = np.array([1.0, -0.5j * dt])
+    assert np.allclose(r.states[-1].amplitudes, euler / np.linalg.norm(euler), atol=1e-15)
 
 
 def test_step_gauge_needs_diagonal_channels():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0)
     with pytest.raises(UnsupportedConfigurationError):
-        step_gauge(_ket(1.0, 0.0), model, [0.0], 1e-3)
+        run_trajectory(model, _ket(1.0, 0.0), 1e-3, 10, 0, 0, scheme="gauge")
 
 
 def test_reconstruct_posterior_at_zero_record():
     model = _dephasing()
     psi = _ket(0.6, 0.8)
-    post, ln_c = reconstruct_posterior(psi, [0.0], model.channels)
-    assert np.allclose(post.amplitudes, psi.amplitudes, atol=1e-15)
-    assert abs(ln_c) < 1e-14
+    r = run_trajectory(model, psi, 1e-3, 10, 0, 0, scheme="gauge")
+    assert np.allclose(r.states[0].amplitudes, psi.amplitudes, atol=1e-15)
+    assert abs(r.log_norm[0]) < 1e-14
 
 
 def test_reconstruct_posterior_frozen_value():
     model = _dephasing()
-    psi = _ket(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
-    post, ln_c = reconstruct_posterior(psi, [1.0], model.channels)
-    r = 2.0 * math.sqrt(2.0)
-    assert ln_c == pytest.approx(0.5 * math.log(math.cosh(r)), rel=1e-12)
+    plus = _ket(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
+    dt = 1e-3
+    r = _replay(model, plus, dt, [[1.0]], scheme="gauge")
+    # the gauge core is 2*identity here, so psi only shrinks by 1 - 2 dt
+    rr = 2.0 * math.sqrt(2.0)
+    want = 0.5 * math.log(math.cosh(rr)) + math.log(1.0 - 2.0 * dt)
+    assert r.log_norm[-1] == pytest.approx(want, rel=1e-12)
     expected = np.array([math.exp(math.sqrt(2.0)), math.exp(-math.sqrt(2.0))])
-    expected /= math.sqrt(2.0 * math.cosh(r))
+    expected /= math.sqrt(2.0 * math.cosh(rr))
+    post = r.states[-1]
     assert np.allclose(post.amplitudes, expected, atol=1e-12)
     assert post.norm() == pytest.approx(1.0, abs=1e-12)
 
@@ -179,18 +190,25 @@ def test_reconstruct_posterior_survives_huge_records():
     grid = GridSpec(-8.0, 8.0, 64)
     model = build_grid_model(grid, lam=1.0)
     psi = gaussian_packet(model.basis, sigma=1.0)
-    post, ln_c = reconstruct_posterior(psi, [1e4], model.channels)
-    assert post.norm() == pytest.approx(1.0, abs=1e-9)
-    assert np.isfinite(ln_c) and ln_c > 1e4
+    w = model.basis.weight
+    post, ln_c = solvers._reconstruct_raw(psi.amplitudes, model.channel_diagonals,
+                                          np.array([1e6]), w)
+    assert math.sqrt(w) * np.linalg.norm(post) == pytest.approx(1.0, abs=1e-9)
+    assert np.isfinite(ln_c) and ln_c > 1e7
 
 
 def test_reconstruct_posterior_validation():
-    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        reconstruct_posterior(_ket(1.0, 0.0), [0.0], model.channels)
-    other = build_grid_model(GridSpec(-5.0, 5.0, 16), lam=1.0)
-    with pytest.raises(BasisMismatchError):
-        reconstruct_posterior(_ket(1.0, 0.0), [0.0], other.channels)
+    x_channel = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0)
+    basis = Basis.finite(2)
+    complex_diagonal = ModelSpec.assemble(
+        Operator.zero(basis), (Operator.diagonal(basis, [1.0, 1.0j]),), lam=1.0)
+    for model in (x_channel, complex_diagonal):
+        assert model.channel_diagonals is None
+        with pytest.raises(UnsupportedConfigurationError):
+            run_trajectory(model, _ket(1.0, 0.0), 1e-3, 10, 0, 0, scheme="gauge")
+    with pytest.raises(NormalizationError):
+        solvers._reconstruct_raw(np.zeros(2, dtype=complex),
+                                 _dephasing().channel_diagonals, np.zeros(1), 1.0)
 
 
 def test_run_trajectory_validation():
@@ -210,17 +228,28 @@ def test_run_trajectory_validation():
         run_trajectory(model, psi, 1e-3, 10, -1, 0)
 
     noise = generate_noise(0, 0, 1e-3, 10, 1)
-    record = qf.record_from_innovation(np.zeros((10, 1)), noise)
+    record = MeasurementRecord(1e-3, noise.increments, np.cumsum(noise.increments, axis=0))
     with pytest.raises(ValueError, match="not both"):
         run_trajectory(model, psi, 1e-3, 10, 0, 0, noise=noise, record=record)
     with pytest.raises(BasisMismatchError):
         run_trajectory(model, psi, 1e-3, 12, 0, 0, record=record)
-    wrong_dt = qf.MeasurementRecord(2e-3, record.increments, record.cumulative)
+    wrong_dt = MeasurementRecord(2e-3, record.increments, record.cumulative)
     with pytest.raises(ValueError, match="different dt"):
         run_trajectory(model, psi, 1e-3, 10, 0, 0, record=wrong_dt)
     bad_obs = {"x": named_observable(build_grid_model(GridSpec(-5, 5, 16)), "x")}
     with pytest.raises(BasisMismatchError):
         run_trajectory(model, psi, 1e-3, 10, 0, 0, observables=bad_obs)
+
+
+def test_step_failure_names_trajectory_step_and_scheme():
+    # the gauge exponent differences overflow in the first step at lambda=1e4
+    model = build_grid_model(GridSpec(-50.0, 50.0, 64), lam=1e4)
+    packet = gaussian_packet(model.basis, x0=40.0, sigma=2.0)
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(StepFailureError, match="gauge step 0 of trajectory 5") as info:
+        run_trajectory(model, packet, 1e-3, 10, 0, 5, scheme="gauge")
+    err = info.value
+    assert (err.trajectory_index, err.step_index, err.scheme) == (5, 0, "gauge")
 
 
 def test_snapshot_grid_includes_final_step():
@@ -260,6 +289,66 @@ def test_replay_reproduces_the_run_bitwise():
     assert np.array_equal(first.log_norm, again.log_norm)
     # the innovation recovered from the record is the original noise
     assert np.allclose(again.noise.increments, first.noise.increments, atol=1e-15)
+
+
+_qubit_fields = st.tuples(*[st.floats(-2.0, 2.0)] * 3)
+_qubit_channels = st.sampled_from(["sigma_x", "sigma_y", "sigma_z"])
+
+
+def _qubit_state(theta, phase):
+    return _ket(math.cos(theta), complex(math.cos(phase), math.sin(phase)) * math.sin(theta))
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=_qubit_fields, channel=_qubit_channels, lam=st.floats(0.0, 2.0),
+       theta=st.floats(0.0, math.pi), phase=st.floats(0.0, 2.0 * math.pi),
+       seed=st.integers(0, 2**32 - 1))
+def test_nonlinear_and_linear_replays_are_bit_identical(field, channel, lam, theta, phase,
+                                                        seed):
+    model = build_qubit_model(field, channel=channel, lam=lam)
+    psi = _qubit_state(theta, phase)
+    first = run_trajectory(model, psi, 1e-3, 60, seed, 0, record_stride=7)
+    nl = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme="nonlinear",
+                        record_stride=7, record=first.record)
+    lin = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme="linear",
+                         record_stride=7, record=first.record)
+    for other in (nl, lin):
+        assert np.array_equal(other.log_norm, first.log_norm)
+        for a, b in zip(other.states, first.states):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from(solvers.SCHEMES), field=_qubit_fields,
+       channel=_qubit_channels, lam=st.floats(0.0, 2.0), theta=st.floats(0.0, math.pi),
+       phase=st.floats(0.0, 2.0 * math.pi), dt=st.floats(1e-4, 2e-3),
+       seed=st.integers(0, 2**32 - 1))
+def test_every_stored_state_has_unit_norm(scheme, field, channel, lam, theta, phase, dt,
+                                          seed):
+    if scheme == "gauge":
+        channel = "sigma_z"  # the gauge form needs a diagonal channel
+    model = build_qubit_model(field, channel=channel, lam=lam)
+    r = run_trajectory(model, _qubit_state(theta, phase), dt, 40, seed, 0, scheme=scheme)
+    assert len(r.states) == 41
+    for state in r.states:
+        assert abs(state.norm() - 1.0) <= 1e-12
+    assert np.all(np.isfinite(r.step_norms)) and np.all(r.step_norms > 0.0)
+
+
+_RECONSTRUCTION_GRID = build_grid_model(GridSpec(-8.0, 8.0, 64), lam=1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=st.floats(-1e6, 1e6), x0=st.floats(-4.0, 4.0), sigma=st.floats(0.5, 2.0))
+def test_gauge_reconstruction_is_overflow_safe(y, x0, sigma):
+    model = _RECONSTRUCTION_GRID
+    psi = gaussian_packet(model.basis, x0=x0, sigma=sigma)
+    w = model.basis.weight
+    post, ln_c = solvers._reconstruct_raw(psi.amplitudes, model.channel_diagonals,
+                                          np.array([y]), w)
+    assert np.all(np.isfinite(post))
+    assert abs(math.sqrt(w) * np.linalg.norm(post) - 1.0) <= 1e-12
+    assert math.isfinite(ln_c)
 
 
 def test_prenorm_log_matches_ito_expansion_under_refinement():

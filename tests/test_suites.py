@@ -135,10 +135,12 @@ def test_integer_knob_bounds():
 def test_born_knob_validation():
     with pytest.raises(ConfigError, match="threshold"):
         qf.run_suite("born", _cfg({"born": {"threshold": 1.5}}))
-    with pytest.raises(ConfigError, match="observable"):
-        qf.run_suite("born", _cfg({"born": {"observable": 42}}))
-    with pytest.raises(ConfigError, match="observable"):
-        qf.run_suite("born", _cfg({"born": {"observable": "x"}}))
+    # born and filtering resolve their observable knob the same way
+    for suite in ("born", "filtering"):
+        with pytest.raises(ConfigError, match=rf"verify\.{suite}\.observable: must be a name"):
+            qf.run_suite(suite, _cfg({suite: {"observable": 42}}))
+        with pytest.raises(ConfigError, match=rf"verify\.{suite}\.observable: unknown observable"):
+            qf.run_suite(suite, _cfg({suite: {"observable": "x"}}))
 
 
 def test_dts_knob_validation():
