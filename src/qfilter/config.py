@@ -57,7 +57,13 @@ _FORMATS = ("csv", "bin")
 
 
 def _is_num(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    """A finite int or float that converts to a double (JSON ints are unbounded)."""
+    if not isinstance(v, (int, float)) or isinstance(v, bool):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:
+        return False
 
 
 def _is_int(v) -> bool:
@@ -116,7 +122,7 @@ def _parse_matrix(obj, path: str, col: _Collector) -> np.ndarray | None:
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         col.add(path, "entries must be rectangular numeric arrays")
         return None
     if re.ndim != 2 or re.shape[0] != re.shape[1] or im.shape != re.shape:
@@ -247,7 +253,7 @@ def _parse_model(data: dict, col: _Collector):
             col.add("model.h_field", "must be a number or a list of three numbers")
             h = [1.0, 0.0, 0.0]
         channel = sec.get("channel", "sigma_z")
-        if channel not in PAULI:
+        if not isinstance(channel, str) or channel not in PAULI:
             col.add("model.channel", f"must be one of {sorted(PAULI)}")
             channel = "sigma_z"
         return QubitModelConfig(h_field=tuple(float(v) for v in h), channel=channel)
@@ -428,6 +434,8 @@ def parse_config_data(data) -> RunConfig:
     if t_final < dt:
         col.add("sim.t_final", "must be at least sim.dt")
         t_final = dt
+    elif not math.isfinite(t_final / dt):
+        col.add("sim.t_final", "step count must be finite")
     else:
         n = round(t_final / dt)
         if abs(n * dt - t_final) > 1e-9 * max(t_final, 1.0):

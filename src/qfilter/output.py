@@ -5,8 +5,10 @@ its sha256 into manifest.json. Nothing here embeds timestamps, hostnames, or
 other run-environment state, so rerunning a command with the same config and
 seed reproduces every byte.
 
-Numbers are written with 17 significant digits (round-trip exact for float64)
-in the C locale; complex series appear as paired _re/_im columns.
+Every CSV file is a float table turned into text by `_csv_text`, one value
+at a time through `format_float`: 17 significant digits (round-trip exact for
+float64), integer columns included; complex series appear as paired _re/_im
+columns.
 """
 
 from __future__ import annotations
@@ -24,6 +26,15 @@ from .solvers import DensityTrajectory, TrajectoryResult
 
 def format_float(x: float) -> str:
     return f"{float(x):.17g}"
+
+
+def _csv_text(header: list[str], rows) -> str:
+    """The header line, then one line per row of floats, each value through
+    `format_float`. `rows` is a 2-D float table or any iterable of 1-D rows."""
+    lines = [",".join(header)]
+    lines.extend(",".join(map(format_float, np.asarray(row, dtype=float).tolist()))
+                 for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -48,9 +59,7 @@ class ArtifactWriter:
         self.write_bytes(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
-        lines = [",".join(header)]
-        lines.extend(",".join(row) for row in rows)
-        self.write_text(relpath, "\n".join(lines) + "\n")
+        self.write_text(relpath, _csv_text(header, rows))
 
     def write_json(self, relpath: str, doc) -> None:
         self.write_text(relpath, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -82,58 +91,24 @@ def _series_csv(traj: TrajectoryResult):
     header += ["log_amplitude", "log_norm", "norm_pre_renorm"]
     header += [f"dY_{j + 1}" for j in range(c)]
 
-    cum = traj.record.cumulative
-    rows = []
-    prev_cum = np.zeros(c)
-    for i, step in enumerate(traj.snapshot_steps):
-        row = [format_float(traj.times[i])]
-        for n in names:
-            z = traj.expectations[n][i]
-            row += [format_float(z.real), format_float(z.imag)]
-        row.append(format_float(traj.log_amplitude[i]))
-        row.append(format_float(traj.log_norm[i]))
-        row.append(format_float(traj.step_norms[step - 1] if step > 0 else 1.0))
-        here = cum[step - 1] if step > 0 else np.zeros(c)
-        for j in range(c):
-            row.append(format_float(here[j] - prev_cum[j]))
-        prev_cum = here
-        rows.append(row)
-    return header, rows
+    # step s ends with cumulative[s - 1]; step 0 precedes the record
+    steps = traj.snapshot_steps
+    y_at = np.vstack([np.zeros(c), traj.record.cumulative])[steps]
+    exps = [part for n in names for part in (traj.expectations[n].real,
+                                              traj.expectations[n].imag)]
+    table = np.column_stack([
+        traj.times, *exps, traj.log_amplitude, traj.log_norm,
+        np.concatenate([[1.0], traj.step_norms])[steps],
+        np.diff(y_at, axis=0, prepend=0.0),
+    ])
+    return header, table
 
 
 def _record_csv(traj: TrajectoryResult):
     rec = traj.record
     c = rec.increments.shape[1]
     header = ["t"] + [f"dY_{j + 1}" for j in range(c)] + [f"Y_{j + 1}" for j in range(c)]
-    rows = []
-    for k, t in enumerate(rec.times):
-        row = [format_float(t)]
-        row += [format_float(rec.increments[k, j]) for j in range(c)]
-        row += [format_float(rec.cumulative[k, j]) for j in range(c)]
-        rows.append(row)
-    return header, rows
-
-
-def _states_csv(traj: TrajectoryResult):
-    dim = traj.model.dim
-    header = ["t"]
-    for i in range(dim):
-        header += [f"re_{i}", f"im_{i}"]
-    rows = []
-    for i, st in enumerate(traj.states):
-        row = [format_float(traj.times[i])]
-        for z in st.amplitudes:
-            row += [format_float(z.real), format_float(z.imag)]
-        rows.append(row)
-    return header, rows
-
-
-def _states_bin(traj: TrajectoryResult) -> bytes:
-    data = np.empty((len(traj.states), 2 * traj.model.dim))
-    for i, st in enumerate(traj.states):
-        data[i, 0::2] = st.amplitudes.real
-        data[i, 1::2] = st.amplitudes.imag
-    return data.astype("<f8").tobytes()
+    return header, np.column_stack([rec.times, rec.increments, rec.cumulative])
 
 
 def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
@@ -141,14 +116,14 @@ def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
     if traj.record is None or traj.step_norms is None:
         raise ValueError("trajectory was slimmed; per-step payload is gone")
     sub = trajectory_dirname(traj.trajectory_index)
-    header, rows = _series_csv(traj)
-    writer.write_csv(f"{sub}/series.csv", header, rows)
-    header, rows = _record_csv(traj)
-    writer.write_csv(f"{sub}/record.csv", header, rows)
-    header, rows = _states_csv(traj)
-    writer.write_csv(f"{sub}/states.csv", header, rows)
+    writer.write_csv(f"{sub}/series.csv", *_series_csv(traj))
+    writer.write_csv(f"{sub}/record.csv", *_record_csv(traj))
+    # one row per snapshot, re/im interleaved; states.bin holds the same table
+    states = np.array([st.amplitudes for st in traj.states], dtype=complex).view(float)
+    header = ["t"] + [f"{part}_{i}" for i in range(traj.model.dim) for part in ("re", "im")]
+    writer.write_csv(f"{sub}/states.csv", header, np.column_stack([traj.times, states]))
     if "bin" in formats:
-        writer.write_bytes(f"{sub}/states.bin", _states_bin(traj))
+        writer.write_bytes(f"{sub}/states.bin", states.astype("<f8").tobytes())
 
 
 def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult],
@@ -185,8 +160,8 @@ def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
         # row-major entries with re/im interleaved, as the header names them;
         # one row at a time, so only the joined lines are held
         for t, mat, tr in zip(dtraj.times, dtraj.matrices, traces):
-            entries = np.ascontiguousarray(mat, dtype=complex).view(float).ravel().tolist()
-            yield [format_float(t), *map(format_float, entries), format_float(tr)]
+            entries = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
+            yield np.concatenate([[t], entries, [tr]])
 
     writer.write_csv("master.csv", header, rows())
     writer.write_manifest("master", config_echo)
@@ -194,7 +169,9 @@ def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
 
 
 def write_report(out_dir, config_echo: dict, suite: str, report: dict,
-                 series: tuple[list[str], list[list[str]]] | None = None) -> Path:
+                 series: tuple[list[str], np.ndarray] | None = None) -> Path:
+    """Write report.json and, when given, the suite's (header, float table)
+    series as series.csv, sealed by the manifest."""
     writer = ArtifactWriter(out_dir)
     writer.write_json("report.json", report)
     if series is not None:
@@ -251,6 +228,23 @@ def _column(header: list[str], data: np.ndarray, name: str, where: str) -> np.nd
         raise ConfigError([("--what", f"no column {name!r} in {where}")]) from None
 
 
+def _aggregate_pick(what: str):
+    """Per-trajectory column of an aggregate export, from a `col(name)` lookup."""
+    if what.startswith("expectation:"):
+        name = f"exp_{what.split(':', 1)[1]}_re"
+        return lambda col: col(name)
+    if what == "variance":
+        def variance(col):
+            ex = col("exp_x_re")
+            return col("exp_x2_re") - ex * ex
+        return variance
+    if what == "norm":
+        return lambda col: col("norm_pre_renorm")
+    raise ConfigError([
+        ("--what", f"unknown export {what!r}; expected expectation:NAME, "
+                   "variance, record, or norm")])
+
+
 def export_plot(run_dir, what: str, out_path) -> None:
     """Flatten a simulation directory into one plot-ready CSV.
 
@@ -265,62 +259,30 @@ def export_plot(run_dir, what: str, out_path) -> None:
     if not traj_dirs:
         raise ConfigError([("--in", "run directory holds no trajectory series")])
 
-    if what.startswith("expectation:"):
-        name = what.split(":", 1)[1]
-        cols, times = [], None
-        for td in traj_dirs:
-            header, data = load_csv(run_dir / td / "series.csv")
-            cols.append(_column(header, data, f"exp_{name}_re", f"{td}/series.csv"))
-            times = data[:, 0]
-        _write_aggregate(out_path, times, traj_dirs, cols, aggregate=True)
-    elif what == "variance":
-        cols, times = [], None
-        for td in traj_dirs:
-            header, data = load_csv(run_dir / td / "series.csv")
-            ex = _column(header, data, "exp_x_re", f"{td}/series.csv")
-            ex2 = _column(header, data, "exp_x2_re", f"{td}/series.csv")
-            cols.append(ex2 - ex * ex)
-            times = data[:, 0]
-        _write_aggregate(out_path, times, traj_dirs, cols, aggregate=True)
-    elif what == "norm":
-        cols, times = [], None
-        for td in traj_dirs:
-            header, data = load_csv(run_dir / td / "series.csv")
-            cols.append(_column(header, data, "norm_pre_renorm", f"{td}/series.csv"))
-            times = data[:, 0]
-        _write_aggregate(out_path, times, traj_dirs, cols, aggregate=True)
-    elif what == "record":
-        cols, times, labels = [], None, []
+    cols = []
+    if what == "record":
+        labels = []
         for td in traj_dirs:
             header, data = load_csv(run_dir / td / "record.csv")
-            for name in header[1:]:
+            for k, name in enumerate(header):
                 if name.startswith("Y_"):
-                    cols.append(data[:, header.index(name)])
+                    cols.append(data[:, k])
                     labels.append(f"{name}_{td}")
-            times = data[:, 0]
-        _write_aggregate(out_path, times, labels, cols, aggregate=False)
-    else:
-        raise ConfigError([
-            ("--what", f"unknown export {what!r}; expected expectation:NAME, "
-                       "variance, record, or norm")])
+        _write_plot(out_path, ["t"] + labels, [data[:, 0], *cols])
+        return
 
-
-def _write_aggregate(out_path, times, labels, cols, aggregate: bool) -> None:
+    pick = _aggregate_pick(what)
+    for td in traj_dirs:
+        header, data = load_csv(run_dir / td / "series.csv")
+        cols.append(pick(lambda name: _column(header, data, name, f"{td}/series.csv")))
     stack = np.column_stack(cols)
-    header = ["t"] + list(labels)
-    if aggregate:
-        header += ["mean", "stderr"]
-        mean = stack.mean(axis=1)
-        if stack.shape[1] > 1:
-            err = stack.std(axis=1, ddof=1) / np.sqrt(stack.shape[1])
-        else:
-            err = np.zeros(stack.shape[0])
-        stack = np.column_stack([stack, mean, err])
-    lines = [",".join(header)]
-    for k in range(stack.shape[0]):
-        lines.append(",".join([format_float(times[k])] +
-                              [format_float(v) for v in stack[k]]))
+    n = stack.shape[1]
+    err = stack.std(axis=1, ddof=1) / np.sqrt(n) if n > 1 else np.zeros(stack.shape[0])
+    _write_plot(out_path, ["t"] + traj_dirs + ["mean", "stderr"],
+                [data[:, 0], *cols, stack.mean(axis=1), err])
+
+
+def _write_plot(out_path, header: list[str], columns) -> None:
     out_path = Path(out_path)
-    if out_path.parent != Path(""):
-        out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_path.parent.mkdir(parents=True, exist_ok=True)
+    out_path.write_text(_csv_text(header, np.column_stack(columns)), encoding="utf-8")

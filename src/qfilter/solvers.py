@@ -280,55 +280,68 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
                 boundary_max = edge
         snap_ptr += 1
 
-    for k in range(n_steps):
-        if gauge_mode:
-            posterior, ln_c = _reconstruct_raw(phi, ldiag, y, w)
-        else:
-            posterior, ln_c = phi, None
-        a, lposts = _re_expectations(posterior, channels, w)
-        if snap_ptr < n_snaps and snapshot_steps[snap_ptr] == k:
-            store(posterior, None if ln_c is None else ln_c + log_norm)
-        dy_k = dys[k]
-        for j in range(c):
-            aj = a[j]
-            if replay is None:
-                dy_k[j] = 2.0 * aj * dt + dw_table[k, j]
-            else:
-                dy_k[j] = replay[k, j]
-                dw_table[k, j] = dy_k[j] - 2.0 * aj * dt
-
-        if gauge_mode:
-            # amplitude growth of the record-driven map at the posterior,
-            # accumulated for the cross-form identity exp(ln c) = ||chi||
-            growth = _weighted_norm(w, _record_update(posterior, model, lposts, dy_k, dt))
-            if not (growth > 0.0 and np.isfinite(growth)):
-                raise StepFailureError(
-                    f"gauge step {k} of trajectory {trajectory_index} produced a degenerate "
-                    "amplitude", step_index=k, scheme=scheme, trajectory_index=trajectory_index
-                )
-            log_amp += math.log(growth)
-            s_mid = (y + 0.5 * dy_k) @ ldiag
-            new = phi - dt * _gauge_apply(core, s_mid, phi)
-        else:
-            new = _record_update(phi, model, lposts, dy_k, dt)
-        nn = _weighted_norm(w, new)
-        if not (nn > 0.0 and np.isfinite(nn)):
+    def reconstruct(step: int):
+        try:
+            return _reconstruct_raw(phi, ldiag, y, w)
+        except NormalizationError:
             raise StepFailureError(
-                f"{scheme} step {k} of trajectory {trajectory_index} produced a non-finite "
-                "state", step_index=k, scheme=scheme, trajectory_index=trajectory_index
-            )
-        step_norms[k] = nn
-        log_norm += math.log(nn)
-        if not gauge_mode:
-            log_amp += math.log(nn)
-        phi = new / nn
-        y += dy_k
+                f"gauge reconstruction at step {step} of trajectory {trajectory_index} "
+                "produced a degenerate state", step_index=step, scheme=scheme,
+                trajectory_index=trajectory_index
+            ) from None
 
-    if gauge_mode:
-        posterior, ln_c = _reconstruct_raw(phi, ldiag, y, w)
-        store(posterior, ln_c + log_norm)
-    else:
-        store(phi, None)
+    # a non-finite value ends in StepFailureError below, so numpy's overflow
+    # and invalid-value warnings would only repeat that failure on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            if gauge_mode:
+                posterior, ln_c = reconstruct(k)
+            else:
+                posterior, ln_c = phi, None
+            a, lposts = _re_expectations(posterior, channels, w)
+            if snap_ptr < n_snaps and snapshot_steps[snap_ptr] == k:
+                store(posterior, None if ln_c is None else ln_c + log_norm)
+            dy_k = dys[k]
+            for j in range(c):
+                aj = a[j]
+                if replay is None:
+                    dy_k[j] = 2.0 * aj * dt + dw_table[k, j]
+                else:
+                    dy_k[j] = replay[k, j]
+                    dw_table[k, j] = dy_k[j] - 2.0 * aj * dt
+
+            if gauge_mode:
+                # amplitude growth of the record-driven map at the posterior,
+                # accumulated for the cross-form identity exp(ln c) = ||chi||
+                growth = _weighted_norm(w, _record_update(posterior, model, lposts, dy_k, dt))
+                if not (growth > 0.0 and np.isfinite(growth)):
+                    raise StepFailureError(
+                        f"gauge step {k} of trajectory {trajectory_index} produced a degenerate "
+                        "amplitude", step_index=k, scheme=scheme, trajectory_index=trajectory_index
+                    )
+                log_amp += math.log(growth)
+                s_mid = (y + 0.5 * dy_k) @ ldiag
+                new = phi - dt * _gauge_apply(core, s_mid, phi)
+            else:
+                new = _record_update(phi, model, lposts, dy_k, dt)
+            nn = _weighted_norm(w, new)
+            if not (nn > 0.0 and np.isfinite(nn)):
+                raise StepFailureError(
+                    f"{scheme} step {k} of trajectory {trajectory_index} produced a non-finite "
+                    "state", step_index=k, scheme=scheme, trajectory_index=trajectory_index
+                )
+            step_norms[k] = nn
+            log_norm += math.log(nn)
+            if not gauge_mode:
+                log_amp += math.log(nn)
+            phi = new / nn
+            y += dy_k
+
+        if gauge_mode:
+            posterior, ln_c = reconstruct(n_steps)
+            store(posterior, ln_c + log_norm)
+        else:
+            store(phi, None)
 
     if is_grid and boundary_max > _BOUNDARY_WARN:
         warnings.warn(
@@ -393,7 +406,7 @@ def _pool_run(index: int) -> TrajectoryResult:
     result = run_trajectory(
         p["model"], p["initial"], p["dt"], p["n_steps"], p["master_seed"], index,
         scheme=p["scheme"], observables=p["observables"], record_stride=p["record_stride"],
-        keep_noise=p["keep_noise"],
+        keep_noise=False,
     )
     return result.slim() if p["slim"] else result
 
@@ -401,29 +414,29 @@ def _pool_run(index: int) -> TrajectoryResult:
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
                  master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
                  observables: dict[str, Operator] | None = None, record_stride: int = 1,
-                 *, workers: int | None = None, slim: bool = False, first_index: int = 0,
-                 keep_noise: bool = False) -> list[TrajectoryResult]:
-    """Run trajectories `first_index .. first_index + n - 1`, optionally pooled.
+                 *, workers: int | None = None, slim: bool = False) -> list[TrajectoryResult]:
+    """Run trajectories `0 .. n_trajectories - 1`, optionally pooled; no
+    result keeps its noise path.
 
     Results are ordered by trajectory index and are bit-identical for any
     worker count, since each trajectory owns a counter-keyed noise stream.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
-    indices = range(first_index, first_index + n_trajectories)
+    indices = range(n_trajectories)
     n_workers = resolve_workers(workers, n_trajectories)
     if n_workers <= 1:
         out = []
         for i in indices:
             r = run_trajectory(model, initial, dt, n_steps, master_seed, i, scheme=scheme,
                                observables=observables, record_stride=record_stride,
-                               keep_noise=keep_noise)
+                               keep_noise=False)
             out.append(r.slim() if slim else r)
         return out
     payload = {
         "model": model, "initial": initial, "dt": dt, "n_steps": n_steps,
         "master_seed": master_seed, "scheme": scheme, "observables": observables,
-        "record_stride": record_stride, "slim": slim, "keep_noise": keep_noise,
+        "record_stride": record_stride, "slim": slim,
     }
     chunk = max(1, n_trajectories // (4 * n_workers))
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,

@@ -7,10 +7,10 @@ on the configured model and returns a machine-readable report:
    "checks": [{"name", "measured", "bound": [lo, hi], "pass"}, ...],
    "stats": {...}}
 
-plus an optional (header, rows) series for a companion CSV. Bounds use null
-for an open side. Per-suite knobs come from the config's "verify" section;
-protocol constants that define a property (thresholds, checkpoint counts)
-are fixed here on purpose, so a config cannot quietly weaken a suite.
+plus an optional (header, float table) series for a companion CSV. Bounds
+use null for an open side. Per-suite knobs come from the config's "verify"
+section; protocol constants that define a property (thresholds, checkpoint
+counts) are fixed here on purpose, so a config cannot quietly weaken a suite.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
 from .noise import coarsen_record
-from .output import format_float
 from .solvers import run_ensemble, run_trajectory, solve_master, solve_unitary
 
 _DEPHASING_T = 0.5
@@ -171,10 +170,9 @@ def suite_equivalence(cfg: RunConfig):
         _check("amplitude_identity_max", amp_max, None, 5e-3),
     ]
     header = ["t", "max_distance", "max_distance_half_dt"]
-    rows = [[format_float(t), format_float(td_by_time[t]), format_float(td_half_by_time[t])]
-            for t in sorted(td_by_time)]
+    table = np.array([[t, td_by_time[t], td_half_by_time[t]] for t in sorted(td_by_time)])
     return _report("equivalence", checks,
-                   {"n_seeds": n_seeds, "dt": dt}), (header, rows)
+                   {"n_seeds": n_seeds, "dt": dt}), (header, table)
 
 
 def suite_ensemble(cfg: RunConfig):
@@ -207,10 +205,9 @@ def suite_ensemble(cfg: RunConfig):
         _check("dephasing_decay_gap", float(oracle_gap), None, 1e-6),
     ]
     header = ["t", "trace_distance"]
-    rows = [[format_float(t), format_float(d)]
-            for t, d in zip(rep.times, rep.trace_distances)]
+    table = np.column_stack([rep.times, rep.trace_distances])
     return _report("ensemble", checks,
-                   {"n_trajectories": cfg.ensemble.n_trajectories, "dt": dt}), (header, rows)
+                   {"n_trajectories": cfg.ensemble.n_trajectories, "dt": dt}), (header, table)
 
 
 def suite_born(cfg: RunConfig):
@@ -252,15 +249,14 @@ def suite_born(cfg: RunConfig):
         _check("martingale_deviation_over_3se", martingale_ratio, None, 1.0),
     ]
     header = ["eigenvalue", "count", "frequency", "initial_weight"]
-    rows = [[format_float(stats.eigenvalues[i]), str(int(stats.counts[i])),
-             format_float(stats.frequencies[i]), format_float(stats.born_probabilities[i])]
-            for i in range(stats.eigenvalues.size)]
+    table = np.column_stack([stats.eigenvalues, stats.counts, stats.frequencies,
+                             stats.born_probabilities])
     return _report("born", checks, {
         "chi_square_p": stats.chi_square_p,
         "n_trajectories": nn,
         "expectation_final_mean": stats.expectation_final_mean,
         "expectation_final_se": stats.expectation_final_se,
-    }), (header, rows)
+    }), (header, table)
 
 
 # Strong-order benchmark: a channel with a trace. For any traceless qubit
@@ -304,15 +300,13 @@ def suite_order(cfg: RunConfig):
         _check("slope_linear", reports["linear"].slope, 0.35, 0.65),
     ]
     header = ["dt", "mean_error_nonlinear", "mean_error_linear"]
-    rows = [[format_float(dts[i]),
-             format_float(reports["nonlinear"].mean_errors[i]),
-             format_float(reports["linear"].mean_errors[i])]
-            for i in range(dts.size)]
+    table = np.column_stack([dts, reports["nonlinear"].mean_errors,
+                             reports["linear"].mean_errors])
     return _report("order", checks, {
         "n_seeds": n_seeds,
         "slope_se_nonlinear": reports["nonlinear"].slope_se,
         "slope_se_linear": reports["linear"].slope_se,
-    }), (header, rows)
+    }), (header, table)
 
 
 def suite_filtering(cfg: RunConfig):
@@ -355,11 +349,10 @@ def suite_filtering(cfg: RunConfig):
     slope = float(np.polyfit(np.log(dts), np.log(np.maximum(mean_rms, 1e-300)), 1)[0])
     checks = [_check("residual_rms_slope", slope, 1.3, 1.7)]
     header = ["dt", "pooled_rms_residual"]
-    rows = [[format_float(dts[i]), format_float(mean_rms[i])] for i in range(dts.size)]
     return _report("filtering", checks, {
         "n_seeds": n_seeds,
         "include_quadratic_correction": quad,
-    }), (header, rows)
+    }), (header, np.column_stack([dts, mean_rms]))
 
 
 def suite_gauge(cfg: RunConfig):
@@ -401,11 +394,11 @@ def suite_gauge(cfg: RunConfig):
         _check("reconstructed_amplitude_identity", amp_max, None, 5e-3),
     ]
     header = ["t", "max_distance"]
-    rows = [[format_float(t), format_float(td_rows[t])] for t in sorted(td_rows)]
+    table = np.array([[t, td_rows[t]] for t in sorted(td_rows)])
     return _report("gauge", checks, {
         "n_seeds": n_seeds,
         "max_ln_c_gap": ln_c_gap,
-    }), (header, rows)
+    }), (header, table)
 
 
 SUITES = {

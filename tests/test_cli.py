@@ -32,6 +32,15 @@ def _write_cfg(tmp_path, **sections):
     return path
 
 
+def _checkout_env(**overrides) -> dict:
+    """Environment for a child that imports the same checkout as this
+    session, whatever its cwd."""
+    env = dict(os.environ, **overrides)
+    pkg_root = str(Path(qf.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
+    return env
+
+
 def test_simulate_writes_a_sealed_run(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     out = tmp_path / "run"
@@ -77,6 +86,11 @@ def test_config_failures_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", str(cfg_path), "--set", "sim.scheme=heun",
                  "--out", out]) == 2
     assert "sim.scheme" in capsys.readouterr().err
+
+    # t_final / dt overflows: a validation problem, not a crash
+    assert main(["simulate", "--config", str(cfg_path), "--set", "sim.dt=5e-324",
+                 "--out", out]) == 2
+    assert "sim.t_final: step count must be finite" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2_and_help_exits_0(capsys):
@@ -165,10 +179,10 @@ def test_verify_failure_exits_4(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, monkeypatch,
-                                                                capsys, threads):
+def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, threads):
     # at lambda=1e4 on a coarse grid the gauge exponent differences overflow
-    # in the first step of every trajectory
+    # in the first step of every trajectory; a child process shows everything
+    # the run prints on stderr, pool workers' numpy warnings included
     cfg_path = _write_cfg(
         tmp_path,
         model={"kind": "grid1d", "x_min": -50.0, "x_max": 50.0, "n_points": 64,
@@ -178,12 +192,12 @@ def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, monkey
         sim={"dt": 1e-3, "t_final": 0.01, "scheme": "gauge"},
         ensemble={"n_trajectories": 3, "master_seed": 0},
     )
-    monkeypatch.setenv("QFILTER_THREADS", threads)
-    with np.errstate(over="ignore", invalid="ignore"):
-        rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
-    assert rc == 3
-    assert "error: gauge step 0 of trajectory 0 produced a non-finite state" \
-        in capsys.readouterr().err
+    res = subprocess.run(
+        [sys.executable, "-c", "import sys; from qfilter.cli import main; sys.exit(main())",
+         "simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=_checkout_env(QFILTER_THREADS=threads))
+    assert res.returncode == 3, res.stderr
+    assert res.stderr == "error: gauge step 0 of trajectory 0 produced a non-finite state\n"
 
 
 @pytest.mark.parametrize("exc, code", [
@@ -254,11 +268,7 @@ def test_console_script_smoke():
         declared = tomllib.load(fh)["project"]["scripts"]["qfilter"]
     ep = EntryPoint(name="qfilter", value=declared, group="console_scripts")
     wrapper = f"import sys; from {ep.module} import {ep.attr}; sys.exit({ep.attr}())"
-    # the child imports the same checkout as this session, whatever its cwd
-    pkg_root = str(Path(qf.__file__).resolve().parent.parent)
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [pkg_root, env.get("PYTHONPATH")]))
-    commands = [([sys.executable, "-c", wrapper], env)]
+    commands = [([sys.executable, "-c", wrapper], _checkout_env())]
     exe = shutil.which("qfilter")
     if exe is not None:
         commands.append(([exe], None))

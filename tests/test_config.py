@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qfilter as qf
+from qfilter.config import SUITE_NAMES
 
 
 def _minimal(**sections) -> dict:
@@ -109,6 +113,32 @@ def test_horizon_shorter_than_one_step_is_rejected():
     data["sim"]["t_final"] = 5e-4
     with pytest.raises(qf.ConfigError, match="at least sim.dt"):
         qf.parse_config_data(data)
+
+
+# t_final / dt overflows to inf, so the step count cannot be rounded
+_OVERFLOWING_STEPS = [
+    {"model": {"kind": "qubit"}, "sim": {"dt": 5e-324, "t_final": 1}},
+    {"model": {"kind": "qubit"}, "sim": {"dt": 1e-300, "t_final": 1e308}},
+]
+
+
+@pytest.mark.parametrize("data", _OVERFLOWING_STEPS)
+def test_overflowing_step_count_is_reported(data):
+    with pytest.raises(qf.ConfigError) as err:
+        qf.parse_config_data(data)
+    assert err.value.problems == [("sim.t_final", "step count must be finite")]
+
+
+def test_unconvertible_values_are_reported():
+    huge = 10**400  # a valid JSON integer that no double holds
+    with pytest.raises(qf.ConfigError) as err:
+        qf.parse_config_data(_minimal(
+            model={"kind": "qubit", "channel": ["sigma_z"], "h_field": huge},
+            constants={"lambda": huge},
+            sim={"dt": 1e-3, "t_final": 0.5,
+                 "observables": [{"name": "a", "matrix": {"re": [[huge]]}}]}))
+    assert set(_paths(err)) == {"model.h_field", "model.channel", "constants.lambda",
+                                "sim.observables[0].matrix"}
 
 
 def test_scheme_and_stride_validation():
@@ -415,3 +445,80 @@ def test_build_observables_error_paths():
     cfg = qf.parse_config_data(data)
     with pytest.raises(qf.ConfigError, match="does not match"):
         qf.build_observables(cfg, qf.build_model(cfg))
+
+
+_WORDS = ["qubit", "grid1d", "sigma_z", "sigma_x", "free", "harmonic", "barrier", "table",
+          "nonlinear", "gauge", "csv", "bin", "x", "p", "re", "im", "x0", "sigma", "name",
+          "matrix", "omega", "height", "width", "values", "amplitudes", "gaussian"]
+_scalars = (st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+            | st.floats() | st.sampled_from([5e-324, 1e-300, 1e308, 1e-3, 1.0])
+            | st.sampled_from(_WORDS) | st.text(max_size=4))
+_json_trees = st.recursive(
+    _scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_WORDS) | st.text(max_size=3), inner, max_size=4),
+    max_leaves=12)
+_SECTION_KEYS = {
+    "model": ["kind", "h_field", "channel", "x_min", "x_max", "n_points", "potential",
+              "potential_params", "mass"],
+    "constants": ["hbar", "lambda"],
+    "initial": ["amplitudes", "gaussian"],
+    "sim": ["dt", "t_final", "scheme", "record_stride", "observables"],
+    "ensemble": ["n_trajectories", "master_seed"],
+    "output": ["directory", "formats"],
+    "verify": list(SUITE_NAMES),
+}
+# schema keys with fuzzed values, so most draws get past the section checks
+_fuzzed_configs = st.fixed_dictionaries({}, optional={
+    sec: st.dictionaries(st.sampled_from(keys), _json_trees, max_size=len(keys)) | _json_trees
+    for sec, keys in _SECTION_KEYS.items()}) | _json_trees
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzzed_configs)
+@example(_OVERFLOWING_STEPS[0])
+@example(_OVERFLOWING_STEPS[1])
+def test_parser_returns_a_config_or_raises_config_error(data):
+    try:
+        cfg = qf.parse_config_data(data)
+    except qf.ConfigError:
+        return
+    assert isinstance(cfg, qf.RunConfig)
+
+
+_path_keys = st.sampled_from(["sim", "dt", "model", "a"])
+_json_leaves = (st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+                | st.text(max_size=5))
+_json_values = st.recursive(
+    _json_leaves,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=6)
+_override_targets = st.recursive(
+    _json_leaves, lambda inner: st.dictionaries(_path_keys, inner, max_size=3), max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.dictionaries(_path_keys, _override_targets, max_size=3),
+       keys=st.lists(_path_keys, min_size=1, max_size=4), value=_json_values)
+def test_override_sets_exactly_its_leaf(data, keys, value):
+    before = copy.deepcopy(data)
+    expected = copy.deepcopy(data)
+    node, blocked = expected, None
+    for k in keys[:-1]:
+        if node.get(k) is None:
+            node[k] = {}
+        elif not isinstance(node[k], dict):
+            blocked = k
+            break
+        node = node[k]
+    else:
+        node[keys[-1]] = value
+
+    path = ".".join(keys)
+    if blocked is not None:
+        with pytest.raises(qf.ConfigError, match=f"{blocked} is not an object"):
+            qf.apply_overrides(data, [f"{path}={json.dumps(value)}"])
+    else:
+        assert qf.apply_overrides(data, [f"{path}={json.dumps(value)}"]) == expected
+    assert data == before, "override mutated its input"

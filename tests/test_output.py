@@ -6,9 +6,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfilter as qf
-from qfilter.output import format_float
+from qfilter.output import _csv_text, format_float
 
 
 @pytest.fixture(scope="module")
@@ -192,7 +194,7 @@ def test_report_round_trip(tmp_path):
     report = {"suite": "gauge", "passed": True,
               "checks": [{"name": "a", "measured": 0.5, "bound": [0.0, 1.0], "pass": True}],
               "stats": {"n_seeds": 2}}
-    series = (["t", "value"], [["0", "1"], ["1", "2"]])
+    series = (["t", "value"], np.array([[0.0, 1.0], [1.0, 2.0]]))
     out = qf.write_report(tmp_path / "rep", {"cfg": 1}, "gauge", report, series)
     manifest = qf.verify_artifacts(out)
     assert manifest["command"] == "verify:gauge"
@@ -201,6 +203,7 @@ def test_report_round_trip(tmp_path):
     header, data = qf.load_csv(out / "series.csv")
     assert header == ["t", "value"]
     assert np.array_equal(data, np.array([[0.0, 1.0], [1.0, 2.0]]))
+    assert (out / "series.csv").read_text(encoding="utf-8") == "t,value\n0,1\n1,2\n"
 
 
 def test_export_expectation_aggregates_across_trajectories(tmp_path, small_run):
@@ -274,3 +277,18 @@ def test_format_float_round_trips_doubles():
     values = [0.0, 0.1, 1.0 / 3.0, -2.5e300, 7e-17, 123456.789, float(np.pi)]
     for v in values:
         assert float(format_float(v)) == v, f"{v} mangled to {format_float(v)}"
+
+
+_doubles = st.floats() | st.sampled_from([-0.0, 5e-324, -2.2250738585072009e-308,
+                                          2.2250738585072014e-308])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(_doubles, min_size=3, max_size=3), max_size=6))
+def test_csv_text_is_the_per_element_formatter(rows):
+    header = ["a", "b", "c"]
+    expected = "\n".join([",".join(header)]
+                         + [",".join(format_float(v) for v in row) for row in rows]) + "\n"
+    assert _csv_text(header, rows) == expected
+    assert _csv_text(header, np.array(rows).reshape(-1, 3)) == expected
+    assert _csv_text(header, (np.array(row) for row in rows)) == expected

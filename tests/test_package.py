@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import subprocess
+import sys
+from pathlib import Path
+
 import qfilter as qf
 
 
@@ -10,3 +14,13 @@ def test_exports_resolve_without_duplicates():
     assert len(names) == len(set(names)), "duplicate entries in qfilter.__all__"
     stale = [name for name in names if not hasattr(qf, name)]
     assert stale == [], f"qfilter.__all__ names missing attributes: {stale}"
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats was most of the import time, for one chi-square tail
+    pkg_root = str(Path(qf.__file__).resolve().parent.parent)
+    code = (f"import sys; sys.path.insert(0, {pkg_root!r}); import qfilter, qfilter.cli; "
+            "print('scipy.stats' in sys.modules)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"

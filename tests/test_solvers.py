@@ -245,11 +245,25 @@ def test_step_failure_names_trajectory_step_and_scheme():
     # the gauge exponent differences overflow in the first step at lambda=1e4
     model = build_grid_model(GridSpec(-50.0, 50.0, 64), lam=1e4)
     packet = gaussian_packet(model.basis, x0=40.0, sigma=2.0)
-    with np.errstate(over="ignore", invalid="ignore"), \
-            pytest.raises(StepFailureError, match="gauge step 0 of trajectory 5") as info:
+    with pytest.raises(StepFailureError, match="gauge step 0 of trajectory 5") as info:
         run_trajectory(model, packet, 1e-3, 10, 0, 5, scheme="gauge")
     err = info.value
     assert (err.trajectory_index, err.step_index, err.scheme) == (5, 0, "gauge")
+
+
+def test_degenerate_reconstruction_names_trajectory_step_and_scheme():
+    # dY = -200 tilts exp(L.Y) by e^-3600 across the grid, away from the
+    # packet, so the reconstructed posterior underflows to zero
+    model = build_grid_model(GridSpec(-10.0, 10.0, 64), lam=1.0)
+    packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
+    increments = np.zeros((5, 1))
+    increments[0, 0] = -200.0
+    record = MeasurementRecord(1e-3, increments, np.cumsum(increments, axis=0))
+    with pytest.raises(StepFailureError,
+                       match="gauge reconstruction at step 1 of trajectory 7") as info:
+        run_trajectory(model, packet, 1e-3, 5, 0, 7, scheme="gauge", record=record)
+    err = info.value
+    assert (err.trajectory_index, err.step_index, err.scheme) == (7, 1, "gauge")
 
 
 def test_snapshot_grid_includes_final_step():
@@ -446,13 +460,12 @@ def test_ensemble_worker_count_is_invisible(monkeypatch):
 def test_ensemble_slim_and_offset_indices():
     model = _dephasing()
     psi = _ket(1.0, 0.0)
-    slim = run_ensemble(model, psi, 1e-3, 50, 5, 2, workers=1, slim=True,
-                        first_index=3)
-    assert [r.trajectory_index for r in slim] == [3, 4]
-    assert slim[0].record is None and slim[0].noise is None
-    assert slim[0].step_norms is None
-    direct = run_trajectory(model, psi, 1e-3, 50, 5, 3, keep_noise=False)
-    assert np.array_equal(slim[0].states[-1].amplitudes,
+    slim = run_ensemble(model, psi, 1e-3, 50, 5, 2, workers=1, slim=True)
+    assert [r.trajectory_index for r in slim] == [0, 1]
+    assert slim[1].record is None and slim[1].noise is None
+    assert slim[1].step_norms is None
+    direct = run_trajectory(model, psi, 1e-3, 50, 5, 1, keep_noise=False)
+    assert np.array_equal(slim[1].states[-1].amplitudes,
                           direct.states[-1].amplitudes)
     with pytest.raises(ValueError):
         run_ensemble(model, psi, 1e-3, 50, 5, 0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 import qfilter as qf
@@ -40,14 +41,12 @@ def _assert_report_shape(report, suite, check_names):
 
 
 def _assert_series_shape(series, header, n_rows=None):
-    got_header, rows = series
+    got_header, table = series
     assert got_header == header
+    assert isinstance(table, np.ndarray) and table.dtype == float, "series is a float table"
+    assert table.ndim == 2 and table.shape[1] == len(header)
     if n_rows is not None:
-        assert len(rows) == n_rows
-    for row in rows:
-        assert len(row) == len(header)
-        for cell in row:
-            float(cell)  # every cell must round-trip as a number
+        assert table.shape[0] == n_rows
 
 
 def test_suite_registry():
