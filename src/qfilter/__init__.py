@@ -23,10 +23,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .linalg import (
-    ANTI_HERMITIAN,
     DEFAULT_ORACLE_CAP,
-    GENERAL,
-    HERMITIAN,
     Basis,
     DensityMatrix,
     GridSpec,
@@ -44,7 +41,6 @@ from .models import (
     SIGMA_Z,
     GridPotential,
     ModelSpec,
-    assemble_generator,
     build_grid_model,
     build_qubit_model,
     gaussian_packet,
@@ -111,11 +107,11 @@ __all__ = [
     "QFilterError", "BasisMismatchError", "NormalizationError", "OracleSizeError",
     "StepFailureError", "InstabilityError", "UnsupportedConfigurationError",
     "ConfigError", "ArtifactMismatchError",
-    "HERMITIAN", "ANTI_HERMITIAN", "GENERAL", "DEFAULT_ORACLE_CAP",
+    "DEFAULT_ORACLE_CAP",
     "GridSpec", "Basis", "StateVector", "Operator", "DensityMatrix",
     "expectation", "projector", "trace_distance", "matrix_exp",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
-    "ModelSpec", "GridPotential", "assemble_generator",
+    "ModelSpec", "GridPotential",
     "build_qubit_model", "build_grid_model", "gaussian_packet",
     "momentum_operator", "named_observable",
     "NoisePath", "MeasurementRecord", "generate_noise", "coarsen_noise",

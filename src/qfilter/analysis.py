@@ -15,7 +15,6 @@ from .errors import BasisMismatchError, UnsupportedConfigurationError
 from .linalg import (
     Basis,
     DensityMatrix,
-    HERMITIAN,
     Operator,
     StateVector,
     trace_distance,
@@ -141,7 +140,7 @@ def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
     """
     if not results:
         raise ValueError("no trajectories supplied")
-    if observable.hermitian_flag != HERMITIAN:
+    if not observable.is_hermitian:
         raise UnsupportedConfigurationError("collapse statistics need a hermitian observable")
     first = results[0]
     if observable.basis != first.model.basis:
@@ -276,7 +275,7 @@ def filtering_residual(traj: TrajectoryResult, observable: Operator,
     """
     if traj.record_stride != 1 or traj.noise is None:
         raise ValueError("residual needs record_stride=1 and the attached noise")
-    if observable.hermitian_flag != HERMITIAN:
+    if not observable.is_hermitian:
         raise UnsupportedConfigurationError("residual needs a hermitian observable")
     model = traj.model
     if observable.basis != model.basis:

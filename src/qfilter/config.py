@@ -119,6 +119,14 @@ def _parse_matrix(obj, path: str, col: _Collector) -> np.ndarray | None:
     if not isinstance(obj, dict) or "re" not in obj or not set(obj) <= {"re", "im"}:
         col.add(path, 'must be {"re": [[...]], "im": [[...]]}')
         return None
+    bad = [f"{path}.{key}[{i}][{j}]"
+           for key, rows in obj.items() if isinstance(rows, list)
+           for i, row in enumerate(rows) if isinstance(row, list)
+           for j, v in enumerate(row) if not _is_num(v)]
+    for p in bad:
+        col.add(p, "must be a number")
+    if bad:
+        return None
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
@@ -605,5 +613,5 @@ def build_observables(cfg: RunConfig, model: ModelSpec) -> dict[str, Operator]:
                 raise ConfigError([(f"sim.observables.{o.name}",
                                     f"matrix shape {o.matrix.shape} does not match "
                                     f"dimension {model.dim}")])
-            out[o.name] = Operator.from_matrix(model.basis, o.matrix)
+            out[o.name] = Operator(model.basis, o.matrix)
     return out

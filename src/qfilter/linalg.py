@@ -8,7 +8,7 @@ weight 1. All value types are immutable after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -17,10 +17,6 @@ import scipy.linalg
 from .errors import BasisMismatchError, NormalizationError, OracleSizeError
 
 DEFAULT_ORACLE_CAP = 512
-
-HERMITIAN = "hermitian"
-ANTI_HERMITIAN = "anti_hermitian"
-GENERAL = "general"
 
 _FLAG_TOL = 1e-12
 
@@ -136,63 +132,49 @@ def _structure_of(matrix: np.ndarray) -> str:
     return "dense"
 
 
-def _detect_flag(matrix: np.ndarray) -> str:
+def _detect_flag(matrix: np.ndarray) -> bool:
+    """Whether the matrix is hermitian to 1e-12 relative to its largest entry."""
     scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    if np.abs(matrix - matrix.conj().T).max(initial=0.0) <= _FLAG_TOL * scale:
-        return HERMITIAN
-    if np.abs(matrix + matrix.conj().T).max(initial=0.0) <= _FLAG_TOL * scale:
-        return ANTI_HERMITIAN
-    return GENERAL
+    return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= _FLAG_TOL * scale)
 
 
 @dataclass(frozen=True, eq=False)
 class Operator:
-    """Dense-backed linear operator with a structure tag for fast application."""
+    """Dense-backed linear operator.
+
+    Its tags are detected from the matrix at construction: `structure`
+    ("diagonal", "tridiagonal" or "dense") chooses the fast application,
+    and `is_hermitian` holds to 1e-12 relative to the largest entry.
+    """
 
     basis: Basis
     matrix: np.ndarray
-    hermitian_flag: str = GENERAL
+    structure: str = field(init=False)
+    is_hermitian: bool = field(init=False)
 
     def __post_init__(self):
         mat = np.asarray(self.matrix, dtype=complex)
         d = self.basis.dim
         if mat.shape != (d, d):
             raise BasisMismatchError(f"matrix shape {mat.shape} does not match dim {d}")
-        detected = _detect_flag(mat)
-        if self.hermitian_flag not in (HERMITIAN, ANTI_HERMITIAN, GENERAL):
-            raise ValueError(f"unknown hermitian flag {self.hermitian_flag!r}")
-        if self.hermitian_flag != GENERAL and self.hermitian_flag != detected:
-            raise ValueError(
-                f"operator claimed {self.hermitian_flag} but measures {detected}"
-            )
         object.__setattr__(self, "matrix", _frozen_array(mat))
         object.__setattr__(self, "structure", _structure_of(mat))
-
-    @classmethod
-    def from_matrix(cls, basis: Basis, matrix, hermitian_flag: str | None = None) -> Operator:
-        mat = np.asarray(matrix, dtype=complex)
-        if hermitian_flag is None:
-            hermitian_flag = _detect_flag(mat)
-        return cls(basis, mat, hermitian_flag)
+        object.__setattr__(self, "is_hermitian", _detect_flag(mat))
 
     @classmethod
     def diagonal(cls, basis: Basis, diag) -> Operator:
-        return cls.from_matrix(basis, np.diag(np.asarray(diag, dtype=complex)))
+        return cls(basis, np.diag(np.asarray(diag, dtype=complex)))
 
     @classmethod
     def tridiagonal(cls, basis: Basis, diag, lower, upper) -> Operator:
         mat = np.diag(np.asarray(diag, dtype=complex))
         mat += np.diag(np.asarray(upper, dtype=complex), 1)
         mat += np.diag(np.asarray(lower, dtype=complex), -1)
-        return cls.from_matrix(basis, mat)
+        return cls(basis, mat)
 
     @classmethod
     def zero(cls, basis: Basis) -> Operator:
-        return cls(basis, np.zeros((basis.dim, basis.dim), dtype=complex), HERMITIAN)
-
-    @property
-    def is_hermitian(self) -> bool:
-        return self.hermitian_flag == HERMITIAN
+        return cls(basis, np.zeros((basis.dim, basis.dim), dtype=complex))
 
     @cached_property
     def _diag(self) -> np.ndarray:
@@ -278,9 +260,9 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
     if op.basis.dim > cap:
         raise OracleSizeError(f"dimension {op.basis.dim} exceeds oracle cap {cap}")
     if op.structure == "diagonal":
-        return Operator.from_matrix(op.basis, np.diag(np.exp(scale * op._diag)))
+        return Operator(op.basis, np.diag(np.exp(scale * op._diag)))
     if op.is_hermitian:
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T
-        return Operator.from_matrix(op.basis, mat)
-    return Operator.from_matrix(op.basis, scipy.linalg.expm(scale * op.matrix))
+        return Operator(op.basis, mat)
+    return Operator(op.basis, scipy.linalg.expm(scale * op.matrix))

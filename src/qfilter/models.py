@@ -18,65 +18,37 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BasisMismatchError, UnsupportedConfigurationError
-from .linalg import (
-    ANTI_HERMITIAN,
-    GENERAL,
-    HERMITIAN,
-    Basis,
-    GridSpec,
-    Operator,
-    StateVector,
-    _check_same_basis,
-)
+from .linalg import Basis, GridSpec, Operator, StateVector, _check_same_basis
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 PAULI = {"sigma_x": SIGMA_X, "sigma_y": SIGMA_Y, "sigma_z": SIGMA_Z}
 
-_GENERATOR_TOL = 1e-12
-
-
-def assemble_generator(hamiltonian: Operator, channels, hbar: float = 1.0) -> Operator:
-    """K = sum_j L_j^dag L_j / 2 + i H / hbar on the Hamiltonian's basis."""
-    if hbar <= 0:
-        raise ValueError("hbar must be positive")
-    mat = 1j * hamiltonian.matrix / hbar
-    for ch in channels:
-        _check_same_basis(hamiltonian, ch)
-        mat = mat + 0.5 * (ch.matrix.conj().T @ ch.matrix)
-    return Operator.from_matrix(hamiltonian.basis, mat)
-
 
 @dataclass(frozen=True, eq=False)
 class ModelSpec:
-    """Immutable bundle of H, channels, and the derived generator K."""
+    """Immutable bundle of H and the channels L_j; the basis is H's, and the
+    generator K is derived from them on first use."""
 
-    basis: Basis
     hamiltonian: Operator
     channels: tuple[Operator, ...]
-    generator: Operator
-    lam: float
     hbar: float = 1.0
-    mass: float | None = None
 
     def __post_init__(self):
+        object.__setattr__(self, "channels", tuple(self.channels))
         if self.hbar <= 0:
             raise ValueError("hbar must be positive")
-        if self.lam < 0:
-            raise ValueError("lambda must be nonnegative")
         if not self.channels:
             raise ValueError("at least one channel required (zero operator for lambda=0)")
-        if self.hamiltonian.hermitian_flag != HERMITIAN:
+        if not self.hamiltonian.is_hermitian:
             raise ValueError("hamiltonian must be hermitian")
         for ch in self.channels:
             _check_same_basis(self.hamiltonian, ch)
-        _check_same_basis(self.hamiltonian, self.generator)
-        # K is stored precomputed; recheck it against its definition.
-        expected = assemble_generator(self.hamiltonian, self.channels, self.hbar)
-        scale = max(1.0, float(np.abs(expected.matrix).max(initial=0.0)))
-        if np.abs(expected.matrix - self.generator.matrix).max(initial=0.0) > _GENERATOR_TOL * scale:
-            raise ValueError("stored generator disagrees with channels and hamiltonian")
+
+    @property
+    def basis(self) -> Basis:
+        return self.hamiltonian.basis
 
     @property
     def n_channels(self) -> int:
@@ -86,19 +58,20 @@ class ModelSpec:
     def dim(self) -> int:
         return self.basis.dim
 
-    @classmethod
-    def assemble(cls, hamiltonian: Operator, channels, lam: float, hbar: float = 1.0,
-                 mass: float | None = None) -> ModelSpec:
-        channels = tuple(channels)
-        gen = assemble_generator(hamiltonian, channels, hbar)
-        return cls(hamiltonian.basis, hamiltonian, channels, gen, lam, hbar, mass)
+    @cached_property
+    def generator(self) -> Operator:
+        """K = sum_j L_j^dag L_j / 2 + i H / hbar."""
+        mat = 1j * self.hamiltonian.matrix / self.hbar
+        for ch in self.channels:
+            mat = mat + 0.5 * (ch.matrix.conj().T @ ch.matrix)
+        return Operator(self.basis, mat)
 
     @cached_property
     def channel_diagonals(self) -> np.ndarray | None:
         """(n_channels, dim) real diagonals when every channel is diagonal hermitian, else None."""
         diags = []
         for ch in self.channels:
-            if ch.structure != "diagonal" or ch.hermitian_flag != HERMITIAN:
+            if ch.structure != "diagonal" or not ch.is_hermitian:
                 return None
             diags.append(ch.matrix.diagonal().real)
         out = np.array(diags)
@@ -111,7 +84,7 @@ class ModelSpec:
         mat = self.generator.matrix.copy()
         for ch in self.channels:
             mat += 0.5 * (ch.matrix @ ch.matrix)
-        return Operator.from_matrix(self.basis, mat)
+        return Operator(self.basis, mat)
 
 
 def build_qubit_model(h_field, channel="sigma_z", lam: float = 1.0, hbar: float = 1.0) -> ModelSpec:
@@ -127,7 +100,7 @@ def build_qubit_model(h_field, channel="sigma_z", lam: float = 1.0, hbar: float 
         raise ValueError("h_field must have three components")
     basis = Basis.finite(2)
     h_mat = 0.5 * hbar * (h[0] * SIGMA_X + h[1] * SIGMA_Y + h[2] * SIGMA_Z)
-    hamiltonian = Operator.from_matrix(basis, h_mat, HERMITIAN)
+    hamiltonian = Operator(basis, h_mat)
     if isinstance(channel, str):
         try:
             a_mat = PAULI[channel]
@@ -137,8 +110,8 @@ def build_qubit_model(h_field, channel="sigma_z", lam: float = 1.0, hbar: float 
         a_mat = np.asarray(channel, dtype=complex)
         if a_mat.shape != (2, 2):
             raise ValueError("channel matrix must be 2x2")
-    ch = Operator.from_matrix(basis, np.sqrt(2.0 * lam) * a_mat)
-    return ModelSpec.assemble(hamiltonian, (ch,), lam, hbar)
+    ch = Operator(basis, np.sqrt(2.0 * lam) * a_mat)
+    return ModelSpec(hamiltonian, (ch,), hbar)
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,7 +173,7 @@ def build_grid_model(grid: GridSpec, potential: GridPotential | None = None,
     off = np.full(grid.n_points - 1, -0.5 * kin)
     hamiltonian = Operator.tridiagonal(basis, diag, off, off)
     ch = Operator.diagonal(basis, np.sqrt(2.0 * lam) * grid.points)
-    return ModelSpec.assemble(hamiltonian, (ch,), lam, hbar, mass=mass)
+    return ModelSpec(hamiltonian, (ch,), hbar)
 
 
 def gaussian_packet(basis: Basis, x0: float = 0.0, p0: float = 0.0,
@@ -238,7 +211,7 @@ def named_observable(model: ModelSpec, name: str) -> Operator:
         if name == "p":
             return momentum_operator(basis, model.hbar)
     elif name in PAULI:
-        return Operator.from_matrix(basis, PAULI[name], HERMITIAN)
+        return Operator(basis, PAULI[name])
     if name == "identity":
         return Operator.diagonal(basis, np.ones(basis.dim))
     raise ValueError(f"unknown observable {name!r} for this model")

@@ -408,7 +408,12 @@ def _pool_run(index: int) -> TrajectoryResult:
         scheme=p["scheme"], observables=p["observables"], record_stride=p["record_stride"],
         keep_noise=False,
     )
-    return result.slim() if p["slim"] else result
+    if p["slim"]:
+        result = result.slim()
+    # run_ensemble re-attaches the caller's model and initial state, so no
+    # result pickles its own copy back
+    result.model = result.initial = None
+    return result
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -441,7 +446,10 @@ def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int
     chunk = max(1, n_trajectories // (4 * n_workers))
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
                              initargs=(payload,)) as pool:
-        return list(pool.map(_pool_run, indices, chunksize=chunk))
+        out = list(pool.map(_pool_run, indices, chunksize=chunk))
+    for r in out:
+        r.model, r.initial = model, initial
+    return out
 
 
 @dataclass
@@ -554,7 +562,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
         tr = float(np.trace(rho).real) * weight
         if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
             raise InstabilityError(
-                f"trace drifted to {tr!r} at step {k}; reduce dt"
+                f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
             )
         if ptr < stored_steps.size and stored_steps[ptr] == k + 1:
             matrices[ptr] = rho
@@ -588,8 +596,6 @@ def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
     ab[2, :-1] = z * lo
     psi = psi0.amplitudes.astype(complex)
     for _ in range(n):
-        rhs = (1.0 - z * d) * psi
-        rhs[:-1] -= z * up * psi[1:]
-        rhs[1:] -= z * lo * psi[:-1]
+        rhs = psi - z * model.hamiltonian.apply(psi)
         psi = scipy.linalg.solve_banded((1, 1), ab, rhs)
     return StateVector(model.basis, psi)

@@ -183,7 +183,7 @@ def test_collapse_statistics_validation():
     runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2, workers=1)
     with pytest.raises(UnsupportedConfigurationError, match="degenerate"):
         collapse_statistics(runs, named_observable(model, "identity"))
-    raiser = Operator.from_matrix(B2, [[0.0, 1.0], [0.0, 0.0]])
+    raiser = Operator(B2, [[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(UnsupportedConfigurationError, match="hermitian"):
         collapse_statistics(runs, raiser)
     with pytest.raises(ValueError):
@@ -191,6 +191,15 @@ def test_collapse_statistics_validation():
     grid_model = build_grid_model(GridSpec(-10.0, 10.0, 16), lam=1.0)
     with pytest.raises(BasisMismatchError):
         collapse_statistics(runs, named_observable(grid_model, "x"))
+
+
+def test_collapse_statistics_accepts_a_constructed_hermitian_observable():
+    sz = Operator(B2, qf.SIGMA_Z)
+    assert sz.is_hermitian
+    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2, workers=1)
+    report = collapse_statistics(runs, sz)
+    assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
 def test_variance_series_and_time_average():
@@ -274,7 +283,7 @@ def test_filtering_residual_validation():
     with pytest.raises(ValueError):
         filtering_residual(slim, sz)
     full = run_trajectory(model, KET0, 1e-3, 20, 5, 0, record_stride=1)
-    raiser = Operator.from_matrix(B2, [[0.0, 1.0], [0.0, 0.0]])
+    raiser = Operator(B2, [[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(UnsupportedConfigurationError):
         filtering_residual(full, raiser)
     grid_model = build_grid_model(GridSpec(-10.0, 10.0, 16), lam=1.0)

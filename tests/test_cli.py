@@ -92,6 +92,13 @@ def test_config_failures_exit_2(tmp_path, capsys):
                  "--out", out]) == 2
     assert "sim.t_final: step count must be finite" in capsys.readouterr().err
 
+    # inline observable entries must be finite numbers, not numeric strings
+    matrix = {"re": [["1", "nan"], ["0", "inf"]]}
+    assert main(["simulate", "--config", str(cfg_path), "--set",
+                 f"sim.observables={json.dumps([{'name': 'a', 'matrix': matrix}])}",
+                 "--out", out]) == 2
+    assert "sim.observables[0].matrix.re[0][1]: must be a number" in capsys.readouterr().err
+
 
 def test_usage_errors_exit_2_and_help_exits_0(capsys):
     assert main([]) == 2

@@ -138,7 +138,20 @@ def test_unconvertible_values_are_reported():
             sim={"dt": 1e-3, "t_final": 0.5,
                  "observables": [{"name": "a", "matrix": {"re": [[huge]]}}]}))
     assert set(_paths(err)) == {"model.h_field", "model.channel", "constants.lambda",
-                                "sim.observables[0].matrix"}
+                                "sim.observables[0].matrix.re[0][0]"}
+
+
+# numeric strings and non-finite values are not matrix entries
+_NON_NUMERIC_MATRIX = _minimal(sim={"dt": 1e-3, "t_final": 0.5, "observables": [
+    {"name": "a", "matrix": {"re": [["1", "nan"], ["0", "inf"]], "im": [[0, 0], [0, None]]}}]})
+
+
+def test_inline_matrix_entries_must_be_numbers():
+    with pytest.raises(qf.ConfigError) as err:
+        qf.parse_config_data(_NON_NUMERIC_MATRIX)
+    prefix = "sim.observables[0].matrix"
+    assert _paths(err) == [f"{prefix}.re[0][0]", f"{prefix}.re[0][1]", f"{prefix}.re[1][0]",
+                           f"{prefix}.re[1][1]", f"{prefix}.im[1][1]"]
 
 
 def test_scheme_and_stride_validation():
@@ -381,7 +394,7 @@ def test_build_model_matches_the_direct_builders():
     direct = qf.build_qubit_model((0.0, 0.0, 1.0), channel="sigma_x", lam=0.25, hbar=2.0)
     assert np.allclose(model.generator.matrix, direct.generator.matrix, atol=1e-15)
     assert model.hbar == 2.0
-    assert model.lam == 0.25
+    assert np.array_equal(model.channels[0].matrix, direct.channels[0].matrix)
 
 
 def test_build_model_assembles_grid_potentials():
@@ -478,6 +491,7 @@ _fuzzed_configs = st.fixed_dictionaries({}, optional={
 @given(_fuzzed_configs)
 @example(_OVERFLOWING_STEPS[0])
 @example(_OVERFLOWING_STEPS[1])
+@example(_NON_NUMERIC_MATRIX)
 def test_parser_returns_a_config_or_raises_config_error(data):
     try:
         cfg = qf.parse_config_data(data)

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import (
@@ -28,7 +30,7 @@ PLUS = StateVector(B2, np.array([1.0, 1.0], dtype=complex) / math.sqrt(2))
 
 
 def _sigma_z():
-    return Operator.from_matrix(B2, qf.SIGMA_Z)
+    return Operator(B2, qf.SIGMA_Z)
 
 
 def test_expectation_eigenstates():
@@ -142,7 +144,7 @@ def test_matrix_exp_diagonal_phase():
 
 
 def test_matrix_exp_quarter_turn():
-    sx = Operator.from_matrix(B2, qf.SIGMA_X)
+    sx = Operator(B2, qf.SIGMA_X)
     u = matrix_exp(sx, scale=0.5j * math.pi)
     assert np.allclose(u.matrix, 1j * qf.SIGMA_X, atol=1e-12), (
         f"exp(i pi sigma_x / 2) off by {np.max(np.abs(u.matrix - 1j * qf.SIGMA_X)):.2e}"
@@ -154,7 +156,7 @@ def test_matrix_exp_inverse_product():
     for dim in (4, 5):
         basis = Basis.finite(dim)
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = Operator.from_matrix(basis, m)
+        op = Operator(basis, m)
         prod = matrix_exp(op).matrix @ matrix_exp(op, scale=-1.0).matrix
         assert np.allclose(prod, np.eye(dim), atol=1e-10)
 
@@ -189,12 +191,6 @@ def test_state_vector_validation():
         skewed.require_normalized(1e-8)
 
 
-def test_operator_structure_flag_mismatch():
-    m = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    with pytest.raises(ValueError, match="claimed"):
-        Operator.from_matrix(B2, m, hermitian_flag=qf.HERMITIAN)
-
-
 def test_operator_apply_matches_matmul():
     rng = np.random.default_rng(3)
     basis = Basis.finite(6)
@@ -212,7 +208,7 @@ def test_operator_apply_matches_matmul():
     assert np.allclose(tri.apply(vec), tri.matrix @ vec, atol=1e-13)
 
     dense_m = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    dense = Operator.from_matrix(basis, dense_m)
+    dense = Operator(basis, dense_m)
     assert dense.structure == "dense"
     assert np.allclose(dense.apply(vec), dense_m @ vec, atol=1e-13)
 
@@ -220,3 +216,33 @@ def test_operator_apply_matches_matmul():
 def test_state_amplitudes_are_frozen():
     with pytest.raises(ValueError):
         KET0.amplitudes[0] = 5.0
+
+
+def _classify(m: np.ndarray) -> tuple[str, bool]:
+    """Structure and hermiticity, entry by entry."""
+    n = m.shape[0]
+    width = max((abs(i - j) for i in range(n) for j in range(n) if m[i, j] != 0), default=0)
+    structure = {0: "diagonal", 1: "tridiagonal"}.get(width, "dense")
+    tol = 1e-12 * max(1.0, max(abs(v) for v in m.flat))
+    hermitian = all(abs(m[i, j] - np.conj(m[j, i])) <= tol for i in range(n) for j in range(n))
+    return structure, hermitian
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 5, 9]),
+       band=st.sampled_from([0, 1, None]),
+       symmetry=st.sampled_from(["hermitian", "anti_hermitian", "general"]),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), skew=st.sampled_from([0.0, 1e-14, 1e-10]))
+def test_operator_tags_are_detected_from_the_matrix(seed, n, band, symmetry, scale, skew):
+    rng = np.random.default_rng(seed)
+    m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if band is not None:
+        m[np.abs(np.subtract.outer(np.arange(n), np.arange(n))) > band] = 0.0
+    if symmetry == "hermitian":
+        m = m + m.conj().T
+    elif symmetry == "anti_hermitian":
+        m = m - m.conj().T
+    m = scale * m
+    m[0, 0] += 1j * skew * max(1.0, np.abs(m).max())
+    op = Operator(Basis.finite(n), m)
+    assert (op.structure, op.is_hermitian) == _classify(m)

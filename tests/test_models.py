@@ -58,34 +58,44 @@ def test_generator_hermitian_part_psd():
     rng = np.random.default_rng(29)
     basis = Basis.finite(4)
     h_raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    ham = Operator.from_matrix(basis, h_raw + h_raw.conj().T)
+    ham = Operator(basis, h_raw + h_raw.conj().T)
     chans = []
     for _ in range(2):
         m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        chans.append(Operator.from_matrix(basis, m))
-    model = ModelSpec.assemble(ham, chans, lam=1.0)
+        chans.append(Operator(basis, m))
+    model = ModelSpec(ham, chans)
     k = model.generator.matrix
     assert np.linalg.eigvalsh(k + k.conj().T).min() >= -1e-12
 
 
-def test_model_rejects_stale_generator():
-    model = build_qubit_model((0.0, 0.0, 0.0), lam=1.0)
-    with pytest.raises(ValueError, match="disagrees"):
-        ModelSpec(model.basis, model.hamiltonian, model.channels,
-                  Operator.zero(model.basis), 1.0)
+def test_generator_is_derived_once_from_h_and_channels():
+    rng = np.random.default_rng(31)
+    basis = Basis.finite(3)
+    h_raw = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    chans = [Operator(basis, rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+             for _ in range(2)]
+    models = [ModelSpec(Operator(basis, h_raw + h_raw.conj().T), chans, hbar=0.5),
+              build_grid_model(GridSpec(-4.0, 4.0, 16), lam=0.3, hbar=2.0)]
+    for model in models:
+        assert model.basis is model.hamiltonian.basis
+        expected = 1j * model.hamiltonian.matrix / model.hbar
+        for ch in model.channels:
+            expected = expected + 0.5 * (ch.matrix.conj().T @ ch.matrix)
+        np.testing.assert_array_equal(model.generator.matrix, expected)
+        assert model.generator is model.generator
 
 
 def test_model_requires_a_channel():
     model = build_qubit_model((1.0, 0.0, 0.0), lam=0.0)
     with pytest.raises(ValueError, match="channel"):
-        ModelSpec.assemble(model.hamiltonian, (), lam=0.0)
+        ModelSpec(model.hamiltonian, ())
 
 
 def test_model_requires_hermitian_hamiltonian():
     basis = Basis.finite(2)
-    lop = Operator.from_matrix(basis, [[0.0, 1.0], [0.0, 0.0]])
+    lop = Operator(basis, [[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="hermitian"):
-        ModelSpec.assemble(lop, (Operator.zero(basis),), lam=0.0)
+        ModelSpec(lop, (Operator.zero(basis),))
 
 
 def test_qubit_builder_validation():
@@ -136,7 +146,7 @@ def test_grid_hamiltonian_structure():
     model = build_grid_model(grid, lam=0.0, mass=0.5, hbar=2.0)
     h = model.hamiltonian
     assert h.structure == "tridiagonal"
-    assert h.hermitian_flag == qf.HERMITIAN
+    assert h.is_hermitian
     kin = 2.0**2 / (0.5 * grid.dx**2)
     assert np.allclose(h.matrix.diagonal(), kin)
     assert np.allclose(h.matrix.diagonal(1), -0.5 * kin)
@@ -224,7 +234,7 @@ def test_gaussian_packet_validation():
 def test_momentum_operator_is_hermitian():
     basis = Basis.from_grid(GridSpec(-3.0, 3.0, 24))
     p = momentum_operator(basis)
-    assert p.hermitian_flag == qf.HERMITIAN
+    assert p.is_hermitian
     assert np.allclose(p.matrix, p.matrix.conj().T, atol=1e-14)
     with pytest.raises(UnsupportedConfigurationError):
         momentum_operator(Basis.finite(3))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -122,10 +123,10 @@ def test_step_linear_matches_dense_arithmetic_two_channels():
     rng = np.random.default_rng(31)
     basis = Basis.finite(4)
     h_raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    ham = Operator.from_matrix(basis, h_raw + h_raw.conj().T)
-    chans = [Operator.from_matrix(basis, rng.standard_normal((4, 4))
+    ham = Operator(basis, h_raw + h_raw.conj().T)
+    chans = [Operator(basis, rng.standard_normal((4, 4))
                                   + 1j * rng.standard_normal((4, 4))) for _ in range(2)]
-    model = ModelSpec.assemble(ham, chans, lam=1.0)
+    model = ModelSpec(ham, chans)
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     vec /= np.linalg.norm(vec)
     dt = 1e-3
@@ -200,8 +201,8 @@ def test_reconstruct_posterior_survives_huge_records():
 def test_reconstruct_posterior_validation():
     x_channel = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0)
     basis = Basis.finite(2)
-    complex_diagonal = ModelSpec.assemble(
-        Operator.zero(basis), (Operator.diagonal(basis, [1.0, 1.0j]),), lam=1.0)
+    complex_diagonal = ModelSpec(
+        Operator.zero(basis), (Operator.diagonal(basis, [1.0, 1.0j]),))
     for model in (x_channel, complex_diagonal):
         assert model.channel_diagonals is None
         with pytest.raises(UnsupportedConfigurationError):
@@ -455,6 +456,7 @@ def test_ensemble_worker_count_is_invisible(monkeypatch):
         assert np.array_equal(a.states[-1].amplitudes, b.states[-1].amplitudes)
         assert np.array_equal(a.expectations["sigma_z"], b.expectations["sigma_z"])
         assert np.array_equal(a.record.increments, b.record.increments)
+        assert b.model is model and b.initial is psi
 
 
 def test_ensemble_slim_and_offset_indices():
@@ -538,7 +540,7 @@ def test_master_solver_validation():
         solve_master(model, projector(e0), 1e-3, 10)
     big = Basis.finite(600)
     zero = Operator.zero(big)
-    big_model = ModelSpec.assemble(zero, (zero,), lam=0.0)
+    big_model = ModelSpec(zero, (zero,))
     ident = DensityMatrix(big, np.eye(600, dtype=complex) / 600.0)
     with pytest.raises(OracleSizeError):
         solve_master(big_model, ident, 1e-3, 10)
@@ -549,8 +551,10 @@ def test_master_solver_flags_blowup():
     plus = _ket(1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
     # dt far outside the stability region; entries explode before step 50
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(InstabilityError):
+        with pytest.raises(InstabilityError, match=r"at step \d+ \(t = \d+\); reduce dt") as err:
             solve_master(model, projector(plus), 1e3, 50)
+    step, t = re.search(r"step (\d+) \(t = (\d+)\)", str(err.value)).groups()
+    assert float(t) == (int(step) + 1) * 1e3
 
 
 def _dense_master_rhs(model, r):
@@ -591,8 +595,8 @@ def _banded_master_models():
     x = grid.points
     position = Operator.diagonal(basis, math.sqrt(2.0 * 0.4) * x)
     phase = Operator.diagonal(basis, 0.3 * np.exp(1j * x) + 0.1 * x**2)
-    models["two_channels"] = ModelSpec.assemble(
-        models["unobserved"].hamiltonian, (position, phase), lam=0.4)
+    models["two_channels"] = ModelSpec(
+        models["unobserved"].hamiltonian, (position, phase))
     models["qubit"] = build_qubit_model((0.5, 0.2, -0.4), channel="sigma_z", lam=0.7)
     models["qubit_diagonal_K"] = build_qubit_model((0.0, 0.0, 1.1), channel="sigma_z",
                                                    lam=0.3)
@@ -642,8 +646,8 @@ def test_master_solver_dense_fallback_for_a_momentum_channel(monkeypatch):
     grid = GridSpec(-5.0, 5.0, 16)
     basis = Basis.from_grid(grid)
     ham = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0)).hamiltonian
-    channel = Operator.from_matrix(basis, math.sqrt(2.0 * 0.5) * momentum_operator(basis).matrix)
-    model = ModelSpec.assemble(ham, (channel,), lam=0.5)
+    channel = Operator(basis, math.sqrt(2.0 * 0.5) * momentum_operator(basis).matrix)
+    model = ModelSpec(ham, (channel,))
     assert model.generator.structure == "dense"
     rho0 = projector(gaussian_packet(basis, x0=0.5, sigma=1.0))
     _forbid(monkeypatch, "_banded_rhs")
@@ -686,8 +690,8 @@ def test_unitary_solver_rejects_dense_grid_hamiltonian():
     basis = Basis.from_grid(grid)
     rng = np.random.default_rng(1)
     raw = rng.standard_normal((16, 16))
-    ham = Operator.from_matrix(basis, raw + raw.T)
-    model = ModelSpec.assemble(ham, (Operator.zero(basis),), lam=0.0)
+    ham = Operator(basis, raw + raw.T)
+    model = ModelSpec(ham, (Operator.zero(basis),))
     psi = gaussian_packet(basis, sigma=1.0)
     with pytest.raises(UnsupportedConfigurationError):
         solve_unitary(model, psi, 0.1)
