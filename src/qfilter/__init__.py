@@ -28,6 +28,7 @@ from .linalg import (
     DensityMatrix,
     GridSpec,
     Operator,
+    StateSeries,
     StateVector,
     expectation,
     matrix_exp,
@@ -108,7 +109,7 @@ __all__ = [
     "StepFailureError", "InstabilityError", "UnsupportedConfigurationError",
     "ConfigError", "ArtifactMismatchError",
     "DEFAULT_ORACLE_CAP",
-    "GridSpec", "Basis", "StateVector", "Operator", "DensityMatrix",
+    "GridSpec", "Basis", "StateVector", "StateSeries", "Operator", "DensityMatrix",
     "expectation", "projector", "trace_distance", "matrix_exp",
     "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
     "ModelSpec", "GridPotential",

@@ -21,7 +21,7 @@ from .linalg import (
 )
 from .models import ModelSpec
 from .noise import coarsen_noise, generate_noise
-from .solvers import DensityTrajectory, TrajectoryResult, run_trajectory, time_index
+from .solvers import DensityTrajectory, TrajectoryResult, _run_rows, time_index
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -62,9 +62,9 @@ class EnsembleSummary:
 def ensemble_average(results: list[TrajectoryResult]) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
-    S stacks the trajectories' amplitudes at one snapshot as rows, at most
-    _STACK_ENTRIES amplitudes at a time, so the memory added to the result
-    stays bounded however large the ensemble.
+    S stacks rows of the trajectories' snapshot arrays at one snapshot, at
+    most _STACK_ENTRIES amplitudes at a time, so the memory added to the
+    result stays bounded however large the ensemble.
     """
     if not results:
         raise ValueError("no trajectories supplied")
@@ -81,7 +81,7 @@ def ensemble_average(results: list[TrajectoryResult]) -> EnsembleSummary:
     acc = np.zeros((len(first.states), dim, dim), dtype=complex)
     for i in range(len(first.states)):
         for lo in range(0, len(results), rows):
-            stack = np.array([r.states[i].amplitudes for r in results[lo:lo + rows]])
+            stack = np.array([r.states.amplitudes[i] for r in results[lo:lo + rows]])
             acc[i] += stack.T @ stack.conj()
     acc /= len(results)
     return EnsembleSummary(first.model.basis, first.times.copy(), acc, len(results))
@@ -155,22 +155,17 @@ def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
 
     psi0 = first.initial.amplitudes / first.initial.norm()
     born = np.abs(w * (vecs.conj().T @ psi0)) ** 2 / w
-    counts = np.zeros(vals.size, dtype=int)
-    unresolved = 0
-    finals = np.empty(len(results))
-    min_overlap = 1.0 - threshold * threshold
-    for i, r in enumerate(results):
-        phi = r.states[-1].amplitudes
-        ov = np.abs(w * (vecs.conj().T @ phi)) ** 2 / w
-        best = int(np.argmax(ov))
-        if ov[best] >= min_overlap:
-            counts[best] += 1
-        else:
-            unresolved += 1
-        finals[i] = (w * np.vdot(phi, observable.apply(phi))).real
+    # final amplitudes as rows: one product gives every overlap
+    phis = np.array([r.states.amplitudes[-1] for r in results])
+    ov = np.abs(w * (phis @ vecs.conj())) ** 2 / w
+    best = ov.argmax(axis=1)
+    hit = ov[np.arange(best.size), best] >= 1.0 - threshold * threshold
+    counts = np.bincount(best[hit], minlength=vals.size)
+    finals = (w * (phis.conj() * observable.apply(phis)).sum(axis=-1)).real
 
     n = len(results)
-    resolved = n - unresolved
+    resolved = int(hit.sum())
+    unresolved = n - resolved
     keep = born > 1e-12
     if resolved > 0 and counts[~keep].sum() == 0 and keep.any():
         expected = born[keep] / born[keep].sum() * resolved
@@ -290,7 +285,7 @@ def filtering_residual(traj: TrajectoryResult, observable: Operator,
     n = traj.n_steps
     res = np.empty(n)
     for k in range(n + 1):
-        phi = traj.states[k].amplitudes
+        phi = traj.states.amplitudes[k]
         ophi = observable.apply(phi)
         z = (w * np.vdot(phi, ophi)).real
         if k > 0:
@@ -377,20 +372,22 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
             raise ValueError("every dt must be a multiple of the reference dt")
         factors.append(f)
 
+    def finals(dt: float, noise: list) -> np.ndarray:
+        """Final states of one run per seed, all seeds advanced together."""
+        n = noise[0].n_steps
+        runs = _run_rows(model, initial, dt, n, master_seed, 0, scheme,
+                         np.stack([p.increments for p in noise]), record_stride=n)
+        return np.array([r.states.amplitudes[-1] for r in runs])
+
     w = model.basis.weight
+    fine = [generate_noise(master_seed, s, ref_dt, n_ref, model.n_channels)
+            for s in range(n_seeds)]
+    ref = finals(ref_dt, fine)
     errors = np.empty((n_seeds, dts.size))
-    for s in range(n_seeds):
-        fine = generate_noise(master_seed, s, ref_dt, n_ref, model.n_channels)
-        ref = run_trajectory(model, initial, ref_dt, n_ref, master_seed, s, scheme=scheme,
-                             record_stride=n_ref, noise=fine, keep_noise=False)
-        ref_phi = ref.states[-1].amplitudes
-        for d, (dt, f) in enumerate(zip(dts, factors)):
-            coarse = coarsen_noise(fine, f)
-            run = run_trajectory(model, initial, dt, n_ref // f, master_seed, s,
-                                 scheme=scheme, record_stride=n_ref // f,
-                                 noise=coarse, keep_noise=False)
-            diff = run.states[-1].amplitudes - ref_phi
-            errors[s, d] = max(np.sqrt(w) * np.linalg.norm(diff), 1e-300)
+    for d, (dt, f) in enumerate(zip(dts, factors)):
+        diff = finals(dt, [coarsen_noise(p, f) for p in fine]) - ref
+        for s in range(n_seeds):
+            errors[s, d] = max(np.sqrt(w) * np.linalg.norm(diff[s]), 1e-300)
 
     log_dts = np.log(dts)
     slopes = np.array([np.polyfit(log_dts, np.log(errors[s]), 1)[0]

@@ -8,6 +8,7 @@ weight 1. All value types are immutable after construction.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +20,10 @@ from .errors import BasisMismatchError, NormalizationError, OracleSizeError
 DEFAULT_ORACLE_CAP = 512
 
 _FLAG_TOL = 1e-12
+
+# entries of the (rows, dim, dim) product a dense `apply` forms at a time
+# (4 MiB of complex128)
+_DENSE_APPLY_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -119,6 +124,32 @@ class StateVector:
             raise NormalizationError(f"state norm deviates from 1 by {dev:.3e} (tol {tol:.1e})")
 
 
+class StateSeries(Sequence):
+    """Read-only sequence of states over one basis, held as one (n, dim)
+    amplitude array; each `StateVector` is built on first access."""
+
+    def __init__(self, basis: Basis, amplitudes: np.ndarray):
+        if amplitudes.ndim != 2 or amplitudes.shape[1] != basis.dim:
+            raise BasisMismatchError(
+                f"amplitude table {amplitudes.shape} does not match dim {basis.dim}"
+            )
+        self.basis = basis
+        self.amplitudes = amplitudes.view()
+        self.amplitudes.setflags(write=False)
+        self._built: dict[int, StateVector] = {}
+
+    def __len__(self) -> int:
+        return self.amplitudes.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        i = range(len(self))[index]
+        if i not in self._built:
+            self._built[i] = StateVector(self.basis, self.amplitudes[i])
+        return self._built[i]
+
+
 def _structure_of(matrix: np.ndarray) -> str:
     n = matrix.shape[0]
     if n == 1:
@@ -189,15 +220,27 @@ class Operator:
         )
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
+        """The operator applied along the last axis of a (..., dim) array.
+
+        Every row's result is summed in the same order whatever the leading
+        shape, so a row comes out with the same bits alone or in a batch:
+        the dense form sums elementwise products along the last axis rather
+        than calling a matrix product.
+        """
         if self.structure == "diagonal":
             return self._diag * vec
         if self.structure == "tridiagonal":
             lo, d, up = self._bands
             out = d * vec
-            out[:-1] += up * vec[1:]
-            out[1:] += lo * vec[:-1]
+            out[..., :-1] += up * vec[..., 1:]
+            out[..., 1:] += lo * vec[..., :-1]
             return out
-        return self.matrix @ vec
+        flat = np.asarray(vec).reshape(-1, self.basis.dim)
+        out = np.empty(flat.shape, dtype=complex)
+        rows = max(1, _DENSE_APPLY_ENTRIES // self.matrix.size)
+        for lo in range(0, flat.shape[0], rows):
+            out[lo:lo + rows] = (flat[lo:lo + rows, None, :] * self.matrix).sum(axis=-1)
+        return out.reshape(np.shape(vec))
 
 
 @dataclass(frozen=True, eq=False)

@@ -5,10 +5,11 @@ its sha256 into manifest.json. Nothing here embeds timestamps, hostnames, or
 other run-environment state, so rerunning a command with the same config and
 seed reproduces every byte.
 
-Every CSV file is a float table turned into text by `_csv_text`, one value
-at a time through `format_float`: 17 significant digits (round-trip exact for
-float64), integer columns included; complex series appear as paired _re/_im
-columns.
+Every CSV file is a float table turned into text by `_csv_pieces`, one
+value at a time through `format_float`: 17 significant digits (round-trip
+exact for float64), integer columns included; complex series appear as
+paired _re/_im columns. The text is streamed to disk and hashed piece by
+piece, so writing a table holds about one piece of it at a time.
 """
 
 from __future__ import annotations
@@ -24,17 +25,34 @@ from .errors import ArtifactMismatchError, ConfigError
 from .solvers import DensityTrajectory, TrajectoryResult
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
+# a number at 17 significant digits (round-trip exact for float64); the
+# format string's bound method, so `map` formats a row without a Python
+# frame per value
+format_float = "{:.17g}".format
+
+# about how many values one piece of CSV text holds
+_PIECE_VALUES = 1 << 13
 
 
-def _csv_text(header: list[str], rows) -> str:
+def _csv_pieces(header: list[str], rows):
     """The header line, then one line per row of floats, each value through
-    `format_float`. `rows` is a 2-D float table or any iterable of 1-D rows."""
-    lines = [",".join(header)]
-    lines.extend(",".join(map(format_float, np.asarray(row, dtype=float).tolist()))
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+    `format_float`, as consecutive pieces of text of about _PIECE_VALUES
+    values. `rows` is a 2-D float table, formatted a block of rows at a
+    time, or any iterable of 1-D rows, formatted a row (or a slice of a long
+    row) at a time."""
+    yield ",".join(header) + "\n"
+    if isinstance(rows, np.ndarray):
+        table = rows.astype(float, copy=False)
+        step = max(1, _PIECE_VALUES // max(1, table.shape[1]))
+        for lo in range(0, len(table), step):
+            yield "".join(",".join(map(format_float, row)) + "\n"
+                          for row in table[lo:lo + step].tolist())
+        return
+    for row in rows:
+        vals = np.asarray(row, dtype=float).ravel()
+        for lo in range(0, max(1, vals.size), _PIECE_VALUES):
+            end = "\n" if lo + _PIECE_VALUES >= vals.size else ","
+            yield ",".join(map(format_float, vals[lo:lo + _PIECE_VALUES].tolist())) + end
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -49,17 +67,27 @@ class ArtifactWriter:
         self.directory.mkdir(parents=True, exist_ok=True)
         self.files: dict[str, dict] = {}
 
-    def write_bytes(self, relpath: str, data: bytes) -> None:
+    def _write_pieces(self, relpath: str, pieces) -> None:
+        """Write byte pieces in order, hashing them as they go."""
         path = self.directory / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
-        self.files[relpath] = {"sha256": sha256_bytes(data), "bytes": len(data)}
+        digest = hashlib.sha256()
+        size = 0
+        with open(path, "wb") as fh:
+            for data in pieces:
+                fh.write(data)
+                digest.update(data)
+                size += len(data)
+        self.files[relpath] = {"sha256": digest.hexdigest(), "bytes": size}
+
+    def write_bytes(self, relpath: str, data: bytes) -> None:
+        self._write_pieces(relpath, (data,))
 
     def write_text(self, relpath: str, text: str) -> None:
         self.write_bytes(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
-        self.write_text(relpath, _csv_text(header, rows))
+        self._write_pieces(relpath, (p.encode("utf-8") for p in _csv_pieces(header, rows)))
 
     def write_json(self, relpath: str, doc) -> None:
         self.write_text(relpath, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -119,7 +147,7 @@ def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
     writer.write_csv(f"{sub}/series.csv", *_series_csv(traj))
     writer.write_csv(f"{sub}/record.csv", *_record_csv(traj))
     # one row per snapshot, re/im interleaved; states.bin holds the same table
-    states = np.array([st.amplitudes for st in traj.states], dtype=complex).view(float)
+    states = np.ascontiguousarray(traj.states.amplitudes, dtype=complex).view(float)
     header = ["t"] + [f"{part}_{i}" for i in range(traj.model.dim) for part in ("re", "im")]
     writer.write_csv(f"{sub}/states.csv", header, np.column_stack([traj.times, states]))
     if "bin" in formats:
@@ -158,7 +186,7 @@ def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
 
     def rows():
         # row-major entries with re/im interleaved, as the header names them;
-        # one row at a time, so only the joined lines are held
+        # one row at a time, streamed to disk in pieces
         for t, mat, tr in zip(dtraj.times, dtraj.matrices, traces):
             entries = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
             yield np.concatenate([[t], entries, [tr]])
@@ -285,4 +313,5 @@ def export_plot(run_dir, what: str, out_path) -> None:
 def _write_plot(out_path, header: list[str], columns) -> None:
     out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    out_path.write_text(_csv_text(header, np.column_stack(columns)), encoding="utf-8")
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.writelines(_csv_pieces(header, np.column_stack(columns)))

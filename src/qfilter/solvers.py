@@ -28,6 +28,15 @@ scheme's own posterior expectation (or replayed from a stored record):
               (diagonal hermitian channels only); the posterior is recovered
               by the log-safe reconstruction chi = exp(L.Y) psi.
 
+One kernel advances every scheme: it holds B trajectories as a (B, dim)
+array and makes each numpy call once per step for all of them, so the
+Python overhead of a step is shared by the batch. `run_trajectory` is its
+B = 1 call and `run_ensemble` splits trajectory indices into contiguous
+batches. Each trajectory keeps its own counter-keyed noise stream, and every
+reduction over amplitudes is taken along the last axis row by row (never a
+matrix product across the batch), so a trajectory carries the same bits
+whatever batch it is advanced in.
+
 The stochastic amplitude ln c is accumulated alongside every scheme as the
 realized norm growth of the record-driven one-step update at the current
 posterior; its first-order expansion is the Ito increment
@@ -50,7 +59,6 @@ exponentiation on finite bases, Crank-Nicolson on grids.
 
 from __future__ import annotations
 
-import math
 import os
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -63,7 +71,6 @@ from .errors import (
     BasisMismatchError,
     ConfigError,
     InstabilityError,
-    NormalizationError,
     OracleSizeError,
     StepFailureError,
     UnsupportedConfigurationError,
@@ -73,6 +80,7 @@ from .linalg import (
     Basis,
     DensityMatrix,
     Operator,
+    StateSeries,
     StateVector,
     matrix_exp,
 )
@@ -82,6 +90,19 @@ from .noise import MeasurementRecord, NoisePath, generate_noise
 SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
+
+# amplitudes in one batch's (B, dim) state array (256 KiB of complex128), so
+# the arrays a step makes stay near a 2 MiB L2 cache: at 128 grid points
+# this is 128 rows, the fastest per trajectory-step measured; 512 rows ran
+# 25 % slower
+_STEP_ENTRIES = 1 << 14
+
+# bytes one batch of trajectories holds at most: state rows, snapshots,
+# noise table, record and step norms
+_BATCH_BYTES = 32 << 20
+
+# the checks a step makes, in the order it makes them
+_RECONSTRUCTION, _AMPLITUDE, _STATE = range(3)
 
 
 def time_index(times: np.ndarray, t: float) -> int:
@@ -97,61 +118,242 @@ def _require_basis(model: ModelSpec, state: StateVector) -> None:
         raise BasisMismatchError("state basis does not match the model")
 
 
-def _weighted_norm(weight: float, vec: np.ndarray) -> float:
-    return float(np.sqrt(weight) * np.linalg.norm(vec))
+# Row-wise reductions sum along the last axis only, so a trajectory's values
+# carry the same bits whichever batch it is advanced in. The real forms read
+# complex rows as interleaved (re, im) floats.
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Unweighted <a|b> of each row pair."""
+    return np.add.reduce(a.conj() * b, axis=-1)
 
 
-def _re_expectations(phi: np.ndarray, channels, weight: float):
-    """Re<L_j> and the products L_j phi for a normalized phi."""
-    lphis = [ch.apply(phi) for ch in channels]
-    a = [(weight * np.vdot(phi, lp)).real for lp in lphis]
-    return a, lphis
+def _re_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Re <a|b> of each row pair of C-contiguous complex rows."""
+    return np.add.reduce(a.view(float) * b.view(float), axis=-1)
 
 
-def _record_update(chi, model, lchis, dy, dt):
-    """One-step record-driven map chi + (sum_j L_j dY_j - K dt) chi."""
-    out = chi - dt * model.generator.apply(chi)
-    for j in range(len(lchis)):
-        out = out + dy[j] * lchis[j]
+def _row_norms(weight: float, vec: np.ndarray) -> np.ndarray:
+    """Weighted norm of each C-contiguous complex row."""
+    f = vec.view(float)
+    return np.sqrt(weight * np.add.reduce(f * f, axis=-1))
+
+
+def _exponent(y: np.ndarray, ldiag: np.ndarray) -> np.ndarray:
+    """sum_j y_j l_j per row, the exponent of exp(L.Y) for diagonal channels."""
+    s = y[..., 0, None] * ldiag[0]
+    for j in range(1, ldiag.shape[0]):
+        s = s + y[..., j, None] * ldiag[j]
+    return s
+
+
+def _record_update(chi, euler: Operator, lchis, dy):
+    """One-step record-driven map (1 - K dt) chi + sum_j dY_j L_j chi per row,
+    with `euler` = 1 - K dt."""
+    out = euler.apply(chi)
+    for j, lchi in enumerate(lchis):
+        out += dy[..., j, None] * lchi
     return out
 
 
-def _gauge_apply(core: Operator, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply exp(-s) core exp(s) using only local differences of s."""
-    if core.structure == "diagonal":
-        return core.matrix.diagonal() * vec
-    if core.structure == "tridiagonal":
-        lo, d, up = core._bands
+def _gauge_apply(op: Operator, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Apply exp(-s) op exp(s) per row using only differences of s."""
+    if op.structure == "diagonal":
+        return op._diag * vec
+    if op.structure == "tridiagonal":
+        lo, d, up = op._bands
+        ds = s[..., 1:] - s[..., :-1]
         out = d * vec
-        out[:-1] += up * np.exp(s[1:] - s[:-1]) * vec[1:]
-        out[1:] += lo * np.exp(s[:-1] - s[1:]) * vec[:-1]
+        out[..., :-1] += up * np.exp(ds) * vec[..., 1:]
+        out[..., 1:] += lo * np.exp(-ds) * vec[..., :-1]
         return out
-    return (core.matrix * np.exp(s[None, :] - s[:, None])) @ vec
+    tilted = op.matrix * np.exp(s[..., None, :] - s[..., :, None])
+    return (tilted * vec[..., None, :]).sum(axis=-1)
 
 
 def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, weight: float):
-    """Normalized exp(L.Y) psi and ln of its norm, overflow-safe."""
-    s = y @ ldiag
-    m = float(s.max())
-    scaled = np.exp(s - m) * psi_unit
-    nn = _weighted_norm(weight, scaled)
-    if nn == 0.0 or not np.isfinite(nn):
-        raise NormalizationError("reconstruction produced a degenerate state")
-    return scaled / nn, math.log(nn) + m
+    """Normalized exp(L.Y) psi and ln of its norm per row, overflow-safe.
+
+    A row whose scaled norm is zero or not finite is degenerate, and its
+    ln c is then not finite.
+    """
+    s = _exponent(y, ldiag)
+    m = s.max(axis=-1)
+    scaled = np.exp(s - m[..., None]) * psi_unit
+    nn = _row_norms(weight, scaled)
+    return scaled / nn[..., None], np.log(nn) + m
+
+
+@dataclass
+class _Batch:
+    """Output of one kernel call, one row per trajectory."""
+
+    snapshots: np.ndarray            # (B, n_snaps, dim)
+    expectations: dict[str, np.ndarray]  # name -> (B, n_snaps)
+    log_amplitude: np.ndarray        # (B, n_snaps)
+    log_norm: np.ndarray             # (B, n_snaps)
+    step_norms: np.ndarray | None    # (B, n_steps)
+    record: np.ndarray | None        # (B, n_steps, c) increments dY
+    innovations: np.ndarray | None   # (B, n_steps, c) increments dW
+    boundary: np.ndarray             # (B,) largest edge amplitude; 0 off-grid
+    failure: np.ndarray              # (B,) 3 * step + check of the first failed check; -1 if none
+
+
+def _cumulative_logs(values: np.ndarray):
+    """(B, n + 1) running sums of ln values, from 0; also non-finite flags."""
+    logs = np.log(values)
+    out = np.zeros((values.shape[0], values.shape[1] + 1))
+    np.cumsum(logs, axis=1, out=out[:, 1:])
+    return out, ~np.isfinite(logs)
+
+
+def _first_failure(bad: np.ndarray, check: int) -> np.ndarray:
+    """3 * step + check of each row's first flagged step, or a huge value."""
+    first = np.where(bad.any(axis=1), bad.argmax(axis=1), np.iinfo(np.int64).max // 4)
+    return 3 * first + check
+
+
+def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
+               observables: dict[str, Operator], snapshot_steps: np.ndarray,
+               table: np.ndarray, replay: bool) -> _Batch:
+    """Advance one row per trajectory through every step of `table`.
+
+    `table` is (B, n_steps, n_channels): each row's Wiener increments dW, or
+    with `replay` the record increments dY it replays. Every row starts from
+    the normalized amplitudes `phi0`.
+
+    The loop makes no check and keeps no running sum. It stores each step's
+    pre-renormalization norm (and, for the gauge scheme, the reconstruction
+    ln c and the amplitude growth); the log series are their cumulative sums
+    taken afterwards, in step order. A row that fails goes on with
+    non-finite values, and its first non-finite or zero entry is the check
+    a one-trajectory run stops at.
+    """
+    b, n_steps, c = table.shape
+    w = model.basis.weight
+    channels = model.channels
+    euler = Operator(model.basis, np.eye(model.dim) - dt * model.generator.matrix)
+    gauge_mode = scheme == "gauge"
+    if gauge_mode:
+        ldiag = model.channel_diagonals
+        gauge_euler = Operator(model.basis, np.eye(model.dim) - dt * model.gauge_core.matrix)
+        ln_recon = np.empty((b, n_steps + 1))
+        growth = np.empty((b, n_steps))
+        y = np.zeros((b, c))
+
+    snap_of_step = {int(s): i for i, s in enumerate(snapshot_steps)}
+    snaps = np.empty((b, snapshot_steps.size, model.dim), dtype=complex)
+    exps = {name: np.empty((b, snapshot_steps.size), dtype=complex) for name in observables}
+    step_norms = np.empty((b, n_steps))
+    dys = table if replay else np.empty((b, n_steps, c))
+    dws = np.empty((b, n_steps, c)) if replay else table
+    drift = np.empty((b, c))
+    two_w_dt = 2.0 * w * dt
+    phi = np.repeat(phi0[None, :], b, axis=0)
+    is_grid = model.basis.grid is not None
+    boundary = np.zeros(b)
+
+    def posterior(step: int) -> np.ndarray:
+        if not gauge_mode:
+            return phi
+        post, ln_recon[:, step] = _reconstruct_raw(phi, ldiag, y, w)
+        return post
+
+    def store(step: int, post: np.ndarray) -> None:
+        i = snap_of_step[step]
+        snaps[:, i] = post
+        for name, op in observables.items():
+            exps[name][:, i] = w * _rowdot(post, op.apply(post))
+        if is_grid:
+            np.fmax(boundary, np.maximum(np.abs(post[:, 0]), np.abs(post[:, -1])),
+                    out=boundary)
+
+    # a non-finite value ends in StepFailureError after the run, so numpy's
+    # overflow and invalid-value warnings would only repeat that failure
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for k in range(n_steps):
+            post = posterior(k)
+            lposts = [ch.apply(post) for ch in channels]
+            if k in snap_of_step:
+                store(k, post)
+            for j, lp in enumerate(lposts):
+                drift[:, j] = two_w_dt * _re_rowdot(post, lp)
+            dy = dys[:, k]
+            if replay:
+                np.subtract(dy, drift, out=dws[:, k])
+            else:
+                np.add(drift, dws[:, k], out=dy)
+
+            if gauge_mode:
+                # amplitude growth of the record-driven map at the posterior,
+                # accumulated for the cross-form identity exp(ln c) = ||chi||
+                growth[:, k] = _row_norms(w, _record_update(post, euler, lposts, dy))
+                new = _gauge_apply(gauge_euler, _exponent(y + 0.5 * dy, ldiag), phi)
+                y += dy
+            else:
+                new = _record_update(phi, euler, lposts, dy)
+            nn = _row_norms(w, new)
+            step_norms[:, k] = nn
+            phi = new / nn[:, None]
+        store(n_steps, posterior(n_steps))
+
+        # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
+        log_norm, bad_norm = _cumulative_logs(step_norms)
+        log_norm = log_norm[:, snapshot_steps]
+        failure = _first_failure(bad_norm, _STATE)
+        if gauge_mode:
+            log_amp, bad_growth = _cumulative_logs(growth)
+            log_amp = log_amp[:, snapshot_steps]
+            log_norm += ln_recon[:, snapshot_steps]
+            failure = np.minimum(failure, _first_failure(~np.isfinite(ln_recon),
+                                                         _RECONSTRUCTION))
+            failure = np.minimum(failure, _first_failure(bad_growth, _AMPLITUDE))
+        else:
+            log_amp = log_norm.copy()
+    failure[failure >= 3 * (n_steps + 1)] = -1
+    return _Batch(snaps, exps, log_amp, log_norm, step_norms, dys, dws, boundary, failure)
+
+
+def _finish(batch: _Batch, first_index: int, scheme: str, stacklevel: int) -> None:
+    """Warn and raise for a finished batch as a serial run would: a boundary
+    warning for each trajectory before the first failed one, then a
+    StepFailureError naming that trajectory, its step and its scheme."""
+    failed = np.flatnonzero(batch.failure >= 0)
+    stop = failed[0] if failed.size else batch.failure.size
+    for r in range(stop):
+        if batch.boundary[r] > _BOUNDARY_WARN:
+            warnings.warn(
+                f"boundary amplitude reached {batch.boundary[r]:.2e}; widen the grid",
+                RuntimeWarning,
+                stacklevel=stacklevel + 1,
+            )
+    if not failed.size:
+        return
+    index = first_index + int(stop)
+    step, check = divmod(int(batch.failure[stop]), 3)
+    if check == _RECONSTRUCTION:
+        what = f"gauge reconstruction at step {step} of trajectory {index} produced a " \
+               "degenerate state"
+    elif check == _AMPLITUDE:
+        what = f"gauge step {step} of trajectory {index} produced a degenerate amplitude"
+    else:
+        what = f"{scheme} step {step} of trajectory {index} produced a non-finite state"
+    raise StepFailureError(what, step_index=step, scheme=scheme, trajectory_index=index)
 
 
 @dataclass
 class TrajectoryResult:
     """Stored output of one conditioned trajectory.
 
-    `log_norm` holds, per snapshot: the cumulative log of pre-renormalization
-    norms (nonlinear and linear, where it equals ln of the unnormalized
-    solution's norm), or the reconstructed ln c (gauge). `log_amplitude` is
-    the record-driven amplitude ln c, accumulated for every scheme as the
-    realized norm growth of the record-driven one-step map at that scheme's
-    posterior; for the nonlinear and linear schemes it coincides with
-    `log_norm` by construction, for the gauge scheme the two series agree
-    only up to discretization error and their gap is a cross-form check.
+    `states` holds the normalized snapshots as one (n_snaps, dim) array,
+    `states.amplitudes`; `states[i]` is a `StateVector`. `log_norm` holds,
+    per snapshot: the cumulative log of pre-renormalization norms (nonlinear
+    and linear, where it equals ln of the unnormalized solution's norm), or
+    the reconstructed ln c (gauge). `log_amplitude` is the record-driven
+    amplitude ln c, accumulated for every scheme as the realized norm growth
+    of the record-driven one-step map at that scheme's posterior; for the
+    nonlinear and linear schemes it coincides with `log_norm` by
+    construction, for the gauge scheme the two series agree only up to
+    discretization error and their gap is a cross-form check.
     """
 
     scheme: str
@@ -162,7 +364,7 @@ class TrajectoryResult:
     trajectory_index: int
     snapshot_steps: np.ndarray
     times: np.ndarray
-    states: list[StateVector]
+    states: StateSeries
     expectations: dict[str, np.ndarray]
     log_amplitude: np.ndarray
     log_norm: np.ndarray
@@ -183,22 +385,9 @@ class TrajectoryResult:
         return replace(self, step_norms=None, record=None, noise=None)
 
 
-def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
-                   master_seed: int, trajectory_index: int, scheme: str = "nonlinear",
-                   observables: dict[str, Operator] | None = None, record_stride: int = 1,
-                   *, noise: NoisePath | None = None, record: MeasurementRecord | None = None,
-                   keep_noise: bool = True) -> TrajectoryResult:
-    """Integration of one conditioned trajectory.
-
-    Innovation-first by default: the Wiener increments are drawn (or supplied
-    via `noise`), the record is formed per step from the current posterior
-    expectation, dY_j = 2 Re<L_j> dt + dW_j, and the chosen scheme is advanced
-    with it. Passing `record` instead replays a stored record: the dY_j come
-    from it verbatim and the innovation dW_j = dY_j - 2 Re<L_j> dt is
-    recovered per step for bookkeeping. States, requested expectations and
-    both log series are stored every `record_stride` steps (plus the final
-    step).
-    """
+def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_steps: int,
+             record_stride: int, observables):
+    """Validate a run; its initial amplitudes, observables and snapshot steps."""
     if scheme not in SCHEMES:
         raise UnsupportedConfigurationError(f"unknown scheme {scheme!r}")
     if dt <= 0:
@@ -213,9 +402,89 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
     for name, op in observables.items():
         if op.basis != model.basis:
             raise BasisMismatchError(f"observable {name!r} basis does not match the model")
+    if scheme == "gauge" and model.channel_diagonals is None:
+        raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
+    snapshot_steps = np.arange(0, n_steps + 1, record_stride)
+    if snapshot_steps[-1] != n_steps:
+        snapshot_steps = np.append(snapshot_steps, n_steps)
+    phi0 = (initial.amplitudes / initial.norm()).astype(complex)
+    return phi0, observables, snapshot_steps
 
+
+def _results(batch: _Batch, first_index: int, model: ModelSpec, initial: StateVector,
+             dt: float, n_steps: int, record_stride: int, master_seed: int, scheme: str,
+             snapshot_steps: np.ndarray) -> list[TrajectoryResult]:
+    """One result per row of a batch; states and series are views of its arrays."""
+    times = snapshot_steps * dt
+    out = []
+    for r in range(batch.snapshots.shape[0]):
+        record = None
+        if batch.record is not None:
+            record = MeasurementRecord(dt, batch.record[r], np.cumsum(batch.record[r], axis=0))
+        out.append(TrajectoryResult(
+            scheme=scheme,
+            dt=dt,
+            n_steps=n_steps,
+            record_stride=record_stride,
+            master_seed=master_seed,
+            trajectory_index=first_index + r,
+            snapshot_steps=snapshot_steps,
+            times=times,
+            states=StateSeries(model.basis, batch.snapshots[r]),
+            expectations={name: e[r] for name, e in batch.expectations.items()},
+            log_amplitude=batch.log_amplitude[r],
+            log_norm=batch.log_norm[r],
+            step_norms=None if batch.step_norms is None else batch.step_norms[r],
+            record=record,
+            noise=None,
+            initial=initial,
+            model=model,
+        ))
+    return out
+
+
+def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
+              master_seed: int, first_index: int, scheme: str, table: np.ndarray, *,
+              replay: bool = False, observables: dict[str, Operator] | None = None,
+              record_stride: int = 1, keep_noise: bool = False) -> list[TrajectoryResult]:
+    """Trajectories `first_index ..`, one per row of the (N, n_steps,
+    n_channels) `table` of Wiener increments, or with `replay` of record
+    increments to replay, advanced in batches of at most _BATCH_BYTES. With
+    `keep_noise` each result keeps the innovations it was driven by."""
+    phi0, observables, snapshot_steps = _prepare(model, initial, scheme, dt, n_steps,
+                                                 record_stride, observables)
+    row_bytes = _row_bytes(model.dim, snapshot_steps.size, n_steps, model.n_channels)
+    results = []
+    for lo, hi in _batch_bounds(len(table), model.dim, row_bytes):
+        batch = _run_batch(model, phi0, dt, scheme, observables, snapshot_steps,
+                           table[lo:hi], replay)
+        _finish(batch, first_index + lo, scheme, stacklevel=3)
+        rows = _results(batch, first_index + lo, model, initial, dt, n_steps, record_stride,
+                        master_seed, scheme, snapshot_steps)
+        if keep_noise:
+            for r, innovations in zip(rows, batch.innovations):
+                r.noise = NoisePath(dt, innovations, master_seed, r.trajectory_index)
+        results.extend(rows)
+    return results
+
+
+def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
+                   master_seed: int, trajectory_index: int, scheme: str = "nonlinear",
+                   observables: dict[str, Operator] | None = None, record_stride: int = 1,
+                   *, noise: NoisePath | None = None, record: MeasurementRecord | None = None,
+                   keep_noise: bool = True) -> TrajectoryResult:
+    """Integration of one conditioned trajectory: the batch kernel on one row.
+
+    Innovation-first by default: the Wiener increments are drawn (or supplied
+    via `noise`), the record is formed per step from the current posterior
+    expectation, dY_j = 2 Re<L_j> dt + dW_j, and the chosen scheme is advanced
+    with it. Passing `record` instead replays a stored record: the dY_j come
+    from it verbatim and the innovation dW_j = dY_j - 2 Re<L_j> dt is
+    recovered per step for bookkeeping. States, requested expectations and
+    both log series are stored every `record_stride` steps (plus the final
+    step).
+    """
     c = model.n_channels
-    replay = None
     if record is not None:
         if noise is not None:
             raise ValueError("pass either noise or record, not both")
@@ -223,8 +492,7 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
             raise BasisMismatchError("supplied record shape does not match the run")
         if abs(record.dt - dt) > 1e-12 * max(dt, record.dt):
             raise ValueError("supplied record was generated for a different dt")
-        replay = record.increments
-        dw_table = np.empty((n_steps, c))
+        table = record.increments
     else:
         if noise is None:
             noise = generate_noise(master_seed, trajectory_index, dt, n_steps, c)
@@ -233,145 +501,13 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
                 raise BasisMismatchError("supplied noise shape does not match the run")
             if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
                 raise ValueError("supplied noise was generated for a different dt")
-        dw_table = noise.increments
-
-    w = model.basis.weight
-    channels = model.channels
-    gauge_mode = scheme == "gauge"
-    if gauge_mode:
-        ldiag = model.channel_diagonals
-        if ldiag is None:
-            raise UnsupportedConfigurationError(
-                "gauge scheme needs diagonal hermitian channels"
-            )
-        core = model.gauge_core
-
-    snapshot_steps = np.arange(0, n_steps + 1, record_stride)
-    if snapshot_steps[-1] != n_steps:
-        snapshot_steps = np.append(snapshot_steps, n_steps)
-    n_snaps = snapshot_steps.size
-    times = snapshot_steps * dt
-
-    states: list[StateVector] = []
-    exp_out = {name: np.empty(n_snaps, dtype=complex) for name in observables}
-    log_amp_out = np.empty(n_snaps)
-    log_norm_out = np.empty(n_snaps)
-    step_norms = np.empty(n_steps)
-    dys = np.empty((n_steps, c))
-
-    phi = (initial.amplitudes / initial.norm()).astype(complex)
-    log_amp = 0.0
-    log_norm = 0.0  # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
-    y = np.zeros(c)
-    is_grid = model.basis.grid is not None
-    boundary_max = 0.0
-    snap_ptr = 0
-
-    def store(posterior: np.ndarray, ln_c_gauge: float | None) -> None:
-        nonlocal snap_ptr, boundary_max
-        states.append(StateVector(model.basis, posterior))
-        for name, op in observables.items():
-            exp_out[name][snap_ptr] = w * np.vdot(posterior, op.apply(posterior))
-        log_amp_out[snap_ptr] = log_amp
-        log_norm_out[snap_ptr] = log_norm if ln_c_gauge is None else ln_c_gauge
-        if is_grid:
-            edge = max(abs(posterior[0]), abs(posterior[-1]))
-            if edge > boundary_max:
-                boundary_max = edge
-        snap_ptr += 1
-
-    def reconstruct(step: int):
-        try:
-            return _reconstruct_raw(phi, ldiag, y, w)
-        except NormalizationError:
-            raise StepFailureError(
-                f"gauge reconstruction at step {step} of trajectory {trajectory_index} "
-                "produced a degenerate state", step_index=step, scheme=scheme,
-                trajectory_index=trajectory_index
-            ) from None
-
-    # a non-finite value ends in StepFailureError below, so numpy's overflow
-    # and invalid-value warnings would only repeat that failure on stderr
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            if gauge_mode:
-                posterior, ln_c = reconstruct(k)
-            else:
-                posterior, ln_c = phi, None
-            a, lposts = _re_expectations(posterior, channels, w)
-            if snap_ptr < n_snaps and snapshot_steps[snap_ptr] == k:
-                store(posterior, None if ln_c is None else ln_c + log_norm)
-            dy_k = dys[k]
-            for j in range(c):
-                aj = a[j]
-                if replay is None:
-                    dy_k[j] = 2.0 * aj * dt + dw_table[k, j]
-                else:
-                    dy_k[j] = replay[k, j]
-                    dw_table[k, j] = dy_k[j] - 2.0 * aj * dt
-
-            if gauge_mode:
-                # amplitude growth of the record-driven map at the posterior,
-                # accumulated for the cross-form identity exp(ln c) = ||chi||
-                growth = _weighted_norm(w, _record_update(posterior, model, lposts, dy_k, dt))
-                if not (growth > 0.0 and np.isfinite(growth)):
-                    raise StepFailureError(
-                        f"gauge step {k} of trajectory {trajectory_index} produced a degenerate "
-                        "amplitude", step_index=k, scheme=scheme, trajectory_index=trajectory_index
-                    )
-                log_amp += math.log(growth)
-                s_mid = (y + 0.5 * dy_k) @ ldiag
-                new = phi - dt * _gauge_apply(core, s_mid, phi)
-            else:
-                new = _record_update(phi, model, lposts, dy_k, dt)
-            nn = _weighted_norm(w, new)
-            if not (nn > 0.0 and np.isfinite(nn)):
-                raise StepFailureError(
-                    f"{scheme} step {k} of trajectory {trajectory_index} produced a non-finite "
-                    "state", step_index=k, scheme=scheme, trajectory_index=trajectory_index
-                )
-            step_norms[k] = nn
-            log_norm += math.log(nn)
-            if not gauge_mode:
-                log_amp += math.log(nn)
-            phi = new / nn
-            y += dy_k
-
-        if gauge_mode:
-            posterior, ln_c = reconstruct(n_steps)
-            store(posterior, ln_c + log_norm)
-        else:
-            store(phi, None)
-
-    if is_grid and boundary_max > _BOUNDARY_WARN:
-        warnings.warn(
-            f"boundary amplitude reached {boundary_max:.2e}; widen the grid",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-
-    out_record = MeasurementRecord(dt, dys, np.cumsum(dys, axis=0))
-    if keep_noise and noise is None:
-        noise = NoisePath(dt, dw_table, master_seed, trajectory_index)
-    return TrajectoryResult(
-        scheme=scheme,
-        dt=dt,
-        n_steps=n_steps,
-        record_stride=record_stride,
-        master_seed=master_seed,
-        trajectory_index=trajectory_index,
-        snapshot_steps=snapshot_steps,
-        times=times,
-        states=states,
-        expectations=exp_out,
-        log_amplitude=log_amp_out,
-        log_norm=log_norm_out,
-        step_norms=step_norms,
-        record=out_record,
-        noise=noise if keep_noise else None,
-        initial=initial,
-        model=model,
-    )
+        table = noise.increments
+    result, = _run_rows(model, initial, dt, n_steps, master_seed, trajectory_index, scheme,
+                        table[None], replay=record is not None, observables=observables,
+                        record_stride=record_stride, keep_noise=keep_noise and noise is None)
+    if keep_noise and noise is not None:
+        result.noise = noise
+    return result
 
 
 def resolve_workers(requested: int | None, n_tasks: int) -> int:
@@ -393,6 +529,44 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _row_bytes(dim: int, n_snaps: int, n_steps: int, n_channels: int) -> int:
+    """Bytes one trajectory holds in a batch: its state row, snapshots,
+    noise table, record and step norms."""
+    return 16 * dim * (n_snaps + 1) + 8 * n_steps * (2 * n_channels + 1)
+
+
+def _batch_bounds(n_rows: int, dim: int, row_bytes: int,
+                  n_workers: int = 1) -> list[tuple[int, int]]:
+    """Contiguous (lo, hi) row ranges within _STEP_ENTRIES amplitudes and
+    _BATCH_BYTES each (and of at least one row); for several workers, equal
+    ranges, a whole number per worker."""
+    rows = min(max(1, min(_STEP_ENTRIES // dim, _BATCH_BYTES // row_bytes)), n_rows)
+    if n_workers > 1:
+        n_batches = -(-n_rows // rows)
+        rows = -(-n_rows // (-(-n_batches // n_workers) * n_workers))
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
+def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
+                 n_channels: int) -> np.ndarray:
+    """(hi - lo, n_steps, n_channels) Wiener increments of trajectories
+    lo .. hi - 1, each from its own stream."""
+    return np.stack([generate_noise(master_seed, i, dt, n_steps, n_channels).increments
+                     for i in range(lo, hi)])
+
+
+def _ensemble_batch(p: dict, lo: int, hi: int) -> _Batch:
+    """Trajectories lo .. hi - 1 of an ensemble."""
+    table = _noise_table(p["master_seed"], lo, hi, p["dt"], p["n_steps"],
+                         p["model"].n_channels)
+    batch = _run_batch(p["model"], p["phi0"], p["dt"], p["scheme"], p["observables"],
+                       p["snapshot_steps"], table, replay=False)
+    batch.innovations = None
+    if p["slim"]:
+        batch.step_norms = batch.record = None
+    return batch
+
+
 _POOL_PAYLOAD: dict | None = None
 
 
@@ -401,54 +575,48 @@ def _pool_init(payload: dict) -> None:
     _POOL_PAYLOAD = payload
 
 
-def _pool_run(index: int) -> TrajectoryResult:
-    p = _POOL_PAYLOAD
-    result = run_trajectory(
-        p["model"], p["initial"], p["dt"], p["n_steps"], p["master_seed"], index,
-        scheme=p["scheme"], observables=p["observables"], record_stride=p["record_stride"],
-        keep_noise=False,
-    )
-    if p["slim"]:
-        result = result.slim()
-    # run_ensemble re-attaches the caller's model and initial state, so no
-    # result pickles its own copy back
-    result.model = result.initial = None
-    return result
+def _pool_run(bounds: tuple[int, int]) -> _Batch:
+    return _ensemble_batch(_POOL_PAYLOAD, *bounds)
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
                  master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
                  observables: dict[str, Operator] | None = None, record_stride: int = 1,
                  *, workers: int | None = None, slim: bool = False) -> list[TrajectoryResult]:
-    """Run trajectories `0 .. n_trajectories - 1`, optionally pooled; no
-    result keeps its noise path.
+    """Run trajectories `0 .. n_trajectories - 1` in contiguous batches,
+    optionally one batch per pool task; no result keeps its noise path.
 
     Results are ordered by trajectory index and are bit-identical for any
-    worker count, since each trajectory owns a counter-keyed noise stream.
+    worker count and batch size, since each trajectory owns a counter-keyed
+    noise stream and every row reduction of the kernel is taken per row.
+    A step failure names the lowest-index failing trajectory.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
-    indices = range(n_trajectories)
+    phi0, observables, snapshot_steps = _prepare(model, initial, scheme, dt, n_steps,
+                                                 record_stride, observables)
     n_workers = resolve_workers(workers, n_trajectories)
-    if n_workers <= 1:
-        out = []
-        for i in indices:
-            r = run_trajectory(model, initial, dt, n_steps, master_seed, i, scheme=scheme,
-                               observables=observables, record_stride=record_stride,
-                               keep_noise=False)
-            out.append(r.slim() if slim else r)
-        return out
+    row_bytes = _row_bytes(model.dim, snapshot_steps.size, n_steps, model.n_channels)
+    bounds = _batch_bounds(n_trajectories, model.dim, row_bytes, n_workers)
     payload = {
-        "model": model, "initial": initial, "dt": dt, "n_steps": n_steps,
+        "model": model, "phi0": phi0, "dt": dt, "n_steps": n_steps,
         "master_seed": master_seed, "scheme": scheme, "observables": observables,
-        "record_stride": record_stride, "slim": slim,
+        "snapshot_steps": snapshot_steps, "slim": slim,
     }
-    chunk = max(1, n_trajectories // (4 * n_workers))
+    out = []
+
+    def collect(batches) -> None:
+        for (lo, _), batch in zip(bounds, batches):
+            _finish(batch, lo, scheme, stacklevel=3)
+            out.extend(_results(batch, lo, model, initial, dt, n_steps, record_stride,
+                                master_seed, scheme, snapshot_steps))
+
+    if n_workers <= 1:
+        collect(_ensemble_batch(payload, lo, hi) for lo, hi in bounds)
+        return out
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
                              initargs=(payload,)) as pool:
-        out = list(pool.map(_pool_run, indices, chunksize=chunk))
-    for r in out:
-        r.model, r.initial = model, initial
+        collect(pool.map(_pool_run, bounds))
     return out
 
 

@@ -34,7 +34,14 @@ from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
 from .noise import coarsen_record
-from .solvers import run_ensemble, run_trajectory, solve_master, solve_unitary
+from .solvers import (
+    _noise_table,
+    _run_rows,
+    run_ensemble,
+    run_trajectory,
+    solve_master,
+    solve_unitary,
+)
 
 _DEPHASING_T = 0.5
 _DEPHASING_DT = 1e-3
@@ -117,40 +124,41 @@ def suite_equivalence(cfg: RunConfig):
     scheme_names = ("nonlinear", "linear", "gauge")
     stride = max(1, n // n_checks)
 
+    # every seed is one row of each run; seed i is trajectory i
+    fine = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, "nonlinear",
+                     _noise_table(seed, 0, n_seeds, dt / 2.0, 2 * n, model.n_channels),
+                     record_stride=2 * stride)
+    fine_rec = np.stack([r.record.increments for r in fine])
+    coarse_rec = np.stack([coarsen_record(r.record, 2).increments for r in fine])
+    runs_half = {"nonlinear": fine}
+    for s in ("linear", "gauge"):
+        runs_half[s] = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, s, fine_rec,
+                                 replay=True, record_stride=2 * stride)
+    runs = {s: _run_rows(model, initial, dt, n, seed, 0, s, coarse_rec, replay=True,
+                         record_stride=stride)
+            for s in scheme_names}
+
     max_td = 0.0
     max_td_half = 0.0
     amp_max = 0.0
     td_by_time: dict[float, float] = {}
     td_half_by_time: dict[float, float] = {}
     for i in range(n_seeds):
-        fine = run_trajectory(model, initial, dt / 2.0, 2 * n, seed, i,
-                              scheme="nonlinear", record_stride=2 * stride,
-                              keep_noise=False)
-        runs_half = {"nonlinear": fine}
-        for s in ("linear", "gauge"):
-            runs_half[s] = run_trajectory(model, initial, dt / 2.0, 2 * n, seed, i,
-                                          scheme=s, record_stride=2 * stride,
-                                          record=fine.record, keep_noise=False)
-        coarse_rec = coarsen_record(fine.record, 2)
-        runs = {s: run_trajectory(model, initial, dt, n, seed, i, scheme=s,
-                                  record_stride=stride, record=coarse_rec,
-                                  keep_noise=False)
-                for s in scheme_names}
-        times = runs["nonlinear"].times
+        times = runs["nonlinear"][i].times
         for idx in range(1, times.size):
             t = float(times[idx])
-            d = max(pure_state_trace_distance(runs[a].states[idx], runs[b].states[idx])
+            d = max(pure_state_trace_distance(runs[a][i].states[idx], runs[b][i].states[idx])
                     for a, b in combinations(scheme_names, 2))
-            dh = max(pure_state_trace_distance(runs_half[a].states[idx],
-                                               runs_half[b].states[idx])
+            dh = max(pure_state_trace_distance(runs_half[a][i].states[idx],
+                                               runs_half[b][i].states[idx])
                      for a, b in combinations(scheme_names, 2))
             td_by_time[t] = max(td_by_time.get(t, 0.0), d)
             td_half_by_time[t] = max(td_half_by_time.get(t, 0.0), dh)
             max_td = max(max_td, d)
             max_td_half = max(max_td_half, dh)
-        ln_ref = float(runs["linear"].log_norm[-1])
+        ln_ref = float(runs["linear"][i].log_norm[-1])
         for s in scheme_names:
-            gap = abs(math.exp(float(runs[s].log_amplitude[-1]) - ln_ref) - 1.0)
+            gap = abs(math.exp(float(runs[s][i].log_amplitude[-1]) - ln_ref) - 1.0)
             amp_max = max(amp_max, gap)
 
     shrink = max_td / max_td_half if max_td_half > 0 else math.inf
@@ -332,6 +340,7 @@ def suite_filtering(cfg: RunConfig):
     obs_name, obs = _observable_knob(knobs["observable"], "verify.filtering.observable", model)
 
     t_final = cfg.sim.t_final
+    seed = cfg.ensemble.master_seed
     mean_rms = np.empty(dts.size)
     for d, dt in enumerate(dts):
         n = round(t_final / dt)
@@ -339,9 +348,9 @@ def suite_filtering(cfg: RunConfig):
             raise ConfigError([("verify.filtering.dts",
                                 f"sim.t_final is not a multiple of dt={dt!r}")])
         acc = 0.0
-        for s in range(n_seeds):
-            traj = run_trajectory(model, initial, dt, n, cfg.ensemble.master_seed, s,
-                                  scheme="nonlinear", record_stride=1, keep_noise=True)
+        for traj in _run_rows(model, initial, dt, n, seed, 0, "nonlinear",
+                              _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
+                              record_stride=1, keep_noise=True):
             acc += filtering_residual(traj, obs,
                                       include_quadratic_correction=quad).rms ** 2
         mean_rms[d] = math.sqrt(acc / n_seeds)
@@ -370,16 +379,19 @@ def suite_gauge(cfg: RunConfig):
     seed = cfg.ensemble.master_seed
     stride = max(1, n // n_checks)
 
+    # every seed is one row of each run; seed i is trajectory i
+    lins = _run_rows(model, initial, dt, n, seed, 0, "linear",
+                     _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
+                     record_stride=stride)
+    gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge",
+                     np.stack([r.record.increments for r in lins]), replay=True,
+                     record_stride=stride)
+
     max_td = 0.0
     amp_max = 0.0
     ln_c_gap = 0.0
     td_rows: dict[float, float] = {}
-    for i in range(n_seeds):
-        lin = run_trajectory(model, initial, dt, n, seed, i, scheme="linear",
-                             record_stride=stride, keep_noise=False)
-        gau = run_trajectory(model, initial, dt, n, seed, i, scheme="gauge",
-                             record_stride=stride, record=lin.record,
-                             keep_noise=False)
+    for lin, gau in zip(lins, gaus):
         for idx in range(1, lin.times.size):
             d = pure_state_trace_distance(lin.states[idx], gau.states[idx])
             t = float(lin.times[idx])

@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 import qfilter as qf
+from qfilter import solvers
 from qfilter.cli import main as cli_main
 
 
@@ -158,6 +159,34 @@ def test_criterion_10_outputs_are_worker_count_invariant(
     ok = digests[0] == digests[1] and len(digests[0]) == 16 * 3
     _gate(accept_log, 10, ok)
     assert ok, "artifact checksums depend on the worker count"
+
+
+def test_outputs_are_batch_size_invariant(tmp_path, monkeypatch):
+    """Criterion 10's run, with 1, 7 and 256 trajectories per kernel batch
+    and one or two workers: every artifact byte is the same."""
+    config = {
+        "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
+        "constants": {"lambda": 1.0},
+        "initial": {"amplitudes": [1.0, 0.0]},
+        "sim": {"dt": 1e-3, "t_final": 2.0, "record_stride": 10,
+                "observables": ["sigma_z", "sigma_x"]},
+        "ensemble": {"n_trajectories": 16, "master_seed": 2026},
+    }
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    row_bytes = solvers._row_bytes(dim=2, n_snaps=201, n_steps=2000, n_channels=1)
+
+    digests = []
+    for rows in (1, 7, 256):
+        monkeypatch.setattr(solvers, "_BATCH_BYTES", rows * row_bytes)
+        for workers in ("1", "2"):
+            monkeypatch.setenv("QFILTER_THREADS", workers)
+            out = tmp_path / f"run_b{rows}_w{workers}"
+            assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
+            manifest = qf.load_manifest(out)
+            digests.append({rel: meta["sha256"] for rel, meta in manifest["files"].items()})
+    assert len(digests[0]) == 16 * 3
+    assert all(d == digests[0] for d in digests[1:]), "artifact bytes depend on the batch size"
 
 
 def test_gate_covered_every_criterion(accept_log):

@@ -202,6 +202,59 @@ def test_collapse_statistics_accepts_a_constructed_hermitian_observable():
     assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
+def _collapse_by_loop(results, observable, threshold):
+    """Counts, unresolved count and final expectations, one state at a time."""
+    w = observable.basis.weight
+    vals, vecs = np.linalg.eigh(observable.matrix)
+    counts = np.zeros(vals.size, dtype=int)
+    unresolved = 0
+    finals = []
+    for r in results:
+        phi = r.states[-1].amplitudes
+        ov = np.abs(w * (vecs.conj().T @ phi)) ** 2 / w
+        best = int(np.argmax(ov))
+        if ov[best] >= 1.0 - threshold * threshold:
+            counts[best] += 1
+        else:
+            unresolved += 1
+        finals.append((w * np.vdot(phi, observable.apply(phi))).real)
+    return counts, unresolved, np.array(finals)
+
+
+def test_collapse_statistics_matches_the_per_state_loop():
+    """The one-product classification agrees with a per-state loop on a grid
+    (weight dx != 1) for final states near an eigenvector and far from any."""
+    grid = GridSpec(-8.0, 8.0, 32)
+    model = build_grid_model(grid, lam=1.0)
+    basis = model.basis
+    w = basis.weight
+    obs = Operator(basis, named_observable(model, "x").matrix
+                   + 0.3 * qf.momentum_operator(basis).matrix)
+    runs = run_ensemble(model, gaussian_packet(basis, sigma=1.0), 1e-3, 4, 11, 60,
+                        record_stride=2, workers=1)
+    _, vecs = np.linalg.eigh(obs.matrix)
+    rng = np.random.default_rng(5)
+    finals = []
+    for i in range(len(runs)):
+        noise = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+        if i % 3:
+            amp = vecs[:, rng.integers(basis.dim)] + 10.0 ** rng.uniform(-6, -1) * noise
+        else:
+            amp = noise
+        finals.append(amp / np.sqrt(w * np.vdot(amp, amp).real))
+    for r, amp in zip(runs, finals):
+        snaps = r.states.amplitudes.copy()
+        snaps[-1] = amp
+        r.states = qf.StateSeries(basis, snaps)
+    for threshold in (0.01, 0.05):
+        report = collapse_statistics(runs, obs, threshold=threshold)
+        counts, unresolved, z = _collapse_by_loop(runs, obs, threshold)
+        assert 0 < unresolved < len(runs) and counts.sum() > 0
+        assert np.array_equal(report.counts, counts)
+        assert report.n_unresolved == unresolved
+        assert report.expectation_final_mean == pytest.approx(z.mean(), rel=1e-12, abs=1e-14)
+
+
 def test_variance_series_and_time_average():
     model = build_grid_model(GridSpec(-10.0, 10.0, 64), lam=0.0)
     obs = {k: named_observable(model, k) for k in ("x", "x2")}

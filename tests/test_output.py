@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfilter as qf
-from qfilter.output import _csv_text, format_float
+from qfilter.output import _csv_pieces, format_float
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +192,27 @@ def test_master_csv_matches_the_per_element_formatter(tmp_path):
     assert (out / "master.csv").read_text(encoding="utf-8") == "\n".join(lines) + "\n"
 
 
+def test_write_master_streams_the_table(tmp_path):
+    """A few MB of master.csv are written while holding far less than the
+    file, and the manifest entry matches the bytes on disk."""
+    rng = np.random.default_rng(3)
+    dim, n = 24, 160
+    mats = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    dtraj = qf.DensityTrajectory(qf.Basis.finite(dim), 0.1, 1, 0.1 * np.arange(n), mats)
+    tracemalloc.start()
+    try:
+        out = qf.write_master(tmp_path / "run", {}, dtraj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    data = (out / "master.csv").read_bytes()
+    assert len(data) > 2_000_000
+    assert peak < len(data) / 4, f"writer peaked at {peak} bytes for a {len(data)}-byte file"
+    entry = qf.load_manifest(out)["files"]["master.csv"]
+    assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
+    qf.verify_artifacts(out)
+
+
 def test_report_round_trip(tmp_path):
     report = {"suite": "gauge", "passed": True,
               "checks": [{"name": "a", "measured": 0.5, "bound": [0.0, 1.0], "pass": True}],
@@ -289,6 +312,5 @@ def test_csv_text_is_the_per_element_formatter(rows):
     header = ["a", "b", "c"]
     expected = "\n".join([",".join(header)]
                          + [",".join(format_float(v) for v in row) for row in rows]) + "\n"
-    assert _csv_text(header, rows) == expected
-    assert _csv_text(header, np.array(rows).reshape(-1, 3)) == expected
-    assert _csv_text(header, (np.array(row) for row in rows)) == expected
+    for table in (rows, np.array(rows).reshape(-1, 3), (np.array(row) for row in rows)):
+        assert "".join(_csv_pieces(header, table)) == expected

@@ -207,9 +207,12 @@ def test_reconstruct_posterior_validation():
         assert model.channel_diagonals is None
         with pytest.raises(UnsupportedConfigurationError):
             run_trajectory(model, _ket(1.0, 0.0), 1e-3, 10, 0, 0, scheme="gauge")
-    with pytest.raises(NormalizationError):
-        solvers._reconstruct_raw(np.zeros(2, dtype=complex),
-                                 _dephasing().channel_diagonals, np.zeros(1), 1.0)
+    # a zero state has no reconstruction: its ln c comes back non-finite, which the
+    # kernel turns into a StepFailureError
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, ln_c = solvers._reconstruct_raw(np.zeros(2, dtype=complex),
+                                           _dephasing().channel_diagonals, np.zeros(1), 1.0)
+    assert not np.isfinite(ln_c)
 
 
 def test_run_trajectory_validation():
@@ -471,6 +474,91 @@ def test_ensemble_slim_and_offset_indices():
                           direct.states[-1].amplitudes)
     with pytest.raises(ValueError):
         run_ensemble(model, psi, 1e-3, 50, 5, 0)
+
+
+def _structured_model(structure, rng):
+    """A 4-level model with a tridiagonal H and one channel of the given structure."""
+    basis = Basis.finite(4)
+    h = np.diag(rng.standard_normal(4)).astype(complex)
+    off = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    h += np.diag(off, 1) + np.diag(off.conj(), -1)
+    if structure == "diagonal":
+        lmat = np.diag(rng.standard_normal(4))
+    else:
+        lmat = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        if structure == "tridiagonal":
+            lmat = np.triu(np.tril(lmat, 1), -1)
+    model = ModelSpec(Operator(basis, h), (Operator(basis, lmat),))
+    assert model.channels[0].structure == structure
+    return model
+
+
+@settings(max_examples=40, deadline=None)
+@given(scheme=st.sampled_from(solvers.SCHEMES),
+       structure=st.sampled_from(["diagonal", "tridiagonal", "dense"]),
+       replay=st.booleans(), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay, rows, seed):
+    """Every row of one kernel call over `rows` trajectories carries the bits
+    of `run_trajectory` on that trajectory alone, driven by its own noise or
+    replaying its own record."""
+    if scheme == "gauge":
+        structure = "diagonal"  # the gauge form needs diagonal hermitian channels
+    rng = np.random.default_rng(seed)
+    model = _structured_model(structure, rng)
+    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    psi = StateVector(model.basis, amps / np.linalg.norm(amps))
+    obs = {"h": model.hamiltonian}
+    dt, n, stride = 1e-3, 30, 7
+    singles = [run_trajectory(model, psi, dt, n, seed, i, scheme=scheme, observables=obs,
+                              record_stride=stride) for i in range(rows)]
+    if replay:
+        table = np.stack([r.record.increments for r in singles])
+        singles = [run_trajectory(model, psi, dt, n, seed, i, scheme=scheme, observables=obs,
+                                  record_stride=stride, record=r.record)
+                   for i, r in enumerate(singles)]
+    else:
+        table = np.stack([r.noise.increments for r in singles])
+    phi0, observables, steps = solvers._prepare(model, psi, scheme, dt, n, stride, obs)
+    batch = solvers._run_batch(model, phi0, dt, scheme, observables, steps, table, replay)
+    assert not (batch.failure >= 0).any()
+    for i, single in enumerate(singles):
+        assert np.array_equal(batch.snapshots[i], single.states.amplitudes)
+        assert np.array_equal(batch.expectations["h"][i], single.expectations["h"])
+        assert np.array_equal(batch.log_norm[i], single.log_norm)
+        assert np.array_equal(batch.log_amplitude[i], single.log_amplitude)
+        assert np.array_equal(batch.step_norms[i], single.step_norms)
+        assert np.array_equal(batch.record[i], single.record.increments)
+        assert np.array_equal(batch.innovations[i], single.noise.increments)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 256])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, workers):
+    """Trajectory 9 fails at step 1, trajectory 7 only at step 3: a serial
+    run stops at 7 first, and so does every batch size and worker count."""
+    monkeypatch.delenv("QFILTER_THREADS", raising=False)
+    model = build_grid_model(GridSpec(-10.0, 10.0, 64), lam=1.0)
+    packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
+    draw = solvers.generate_noise
+    kicks = {7: 2, 9: 0}  # trajectory -> step whose dW tilts exp(L.Y) by e^-3600
+
+    def noise(master_seed, index, dt, n_steps, n_channels=1):
+        path = draw(master_seed, index, dt, n_steps, n_channels)
+        if index not in kicks:
+            return path
+        inc = path.increments.copy()
+        inc[kicks[index], 0] = -200.0
+        return NoisePath(dt, inc, master_seed, index)
+
+    monkeypatch.setattr(solvers, "generate_noise", noise)
+    monkeypatch.setattr(solvers, "_BATCH_BYTES",
+                        rows * solvers._row_bytes(model.dim, 6, 5, 1))
+    with pytest.raises(StepFailureError) as info:
+        run_ensemble(model, packet, 1e-3, 5, 0, 12, scheme="gauge", workers=workers)
+    assert str(info.value) == ("gauge reconstruction at step 3 of trajectory 7 produced a "
+                               "degenerate state")
+    err = info.value
+    assert (err.trajectory_index, err.step_index, err.scheme) == (7, 3, "gauge")
 
 
 def test_resolve_workers(monkeypatch):
