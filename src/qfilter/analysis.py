@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.special
 
 from .errors import BasisMismatchError, UnsupportedConfigurationError
 from .linalg import (
@@ -168,6 +167,8 @@ def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
     unresolved = n - resolved
     keep = born > 1e-12
     if resolved > 0 and counts[~keep].sum() == 0 and keep.any():
+        import scipy.special  # scipy loads only on the calls that need it
+
         expected = born[keep] / born[keep].sum() * resolved
         # Pearson's statistic and its chi-square tail, as scipy.stats.chisquare
         # computes them, without importing scipy.stats

@@ -7,7 +7,8 @@
   qfilter export-plot --in DIR --what WHAT --out FILE
 
 Exit codes: 0 success, 2 validation or usage problem, 3 numerical failure,
-4 verification suite failed. QFILTER_THREADS caps the worker pool.
+4 verification suite failed. QFILTER_THREADS caps the worker processes
+that integrate trajectories and those that write them.
 """
 
 from __future__ import annotations

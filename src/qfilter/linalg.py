@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import BasisMismatchError, NormalizationError, OracleSizeError
 
@@ -308,4 +307,6 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T
         return Operator(op.basis, mat)
+    import scipy.linalg  # scipy loads only on the calls that need it
+
     return Operator(op.basis, scipy.linalg.expm(scale * op.matrix))

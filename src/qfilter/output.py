@@ -5,11 +5,14 @@ its sha256 into manifest.json. Nothing here embeds timestamps, hostnames, or
 other run-environment state, so rerunning a command with the same config and
 seed reproduces every byte.
 
-Every CSV file is a float table turned into text by `_csv_pieces`, one
-value at a time through `format_float`: 17 significant digits (round-trip
-exact for float64), integer columns included; complex series appear as
-paired _re/_im columns. The text is streamed to disk and hashed piece by
-piece, so writing a table holds about one piece of it at a time.
+Every CSV file is a float table turned into text by `_csv_pieces`, a block
+of values per `%` call, each value as `format_float` writes it: 17
+significant digits (round-trip exact for float64), integer columns
+included; complex series appear as paired _re/_im columns. The text is
+streamed to disk and hashed piece by piece, so writing a table holds about
+one piece of it at a time. `write_simulation` writes its trajectories
+across the same worker processes as `run_ensemble`; the bytes do not
+depend on the worker count.
 """
 
 from __future__ import annotations
@@ -22,37 +25,39 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArtifactMismatchError, ConfigError
-from .solvers import DensityTrajectory, TrajectoryResult
+from .solvers import DensityTrajectory, TrajectoryResult, pool_map, resolve_workers
 
 
 # a number at 17 significant digits (round-trip exact for float64); the
-# format string's bound method, so `map` formats a row without a Python
-# frame per value
+# reference for `_FIELD`, which formats the same text inside a `%` call
 format_float = "{:.17g}".format
+_FIELD = "%.17g"
 
 # about how many values one piece of CSV text holds
 _PIECE_VALUES = 1 << 13
 
 
 def _csv_pieces(header: list[str], rows):
-    """The header line, then one line per row of floats, each value through
-    `format_float`, as consecutive pieces of text of about _PIECE_VALUES
-    values. `rows` is a 2-D float table, formatted a block of rows at a
-    time, or any iterable of 1-D rows, formatted a row (or a slice of a long
-    row) at a time."""
+    """The header line, then one line per row of floats, each value as
+    `format_float` writes it, as consecutive pieces of text of about
+    _PIECE_VALUES values, each piece one `%` call. `rows` is a 2-D float
+    table, formatted a block of rows at a time, or any iterable of 1-D rows,
+    formatted a row (or a slice of a long row) at a time."""
     yield ",".join(header) + "\n"
     if isinstance(rows, np.ndarray):
         table = rows.astype(float, copy=False)
+        line = ",".join([_FIELD] * table.shape[1]) + "\n"
         step = max(1, _PIECE_VALUES // max(1, table.shape[1]))
         for lo in range(0, len(table), step):
-            yield "".join(",".join(map(format_float, row)) + "\n"
-                          for row in table[lo:lo + step].tolist())
+            block = table[lo:lo + step]
+            yield (line * len(block)) % tuple(block.ravel().tolist())
         return
     for row in rows:
         vals = np.asarray(row, dtype=float).ravel()
         for lo in range(0, max(1, vals.size), _PIECE_VALUES):
+            piece = vals[lo:lo + _PIECE_VALUES].tolist()
             end = "\n" if lo + _PIECE_VALUES >= vals.size else ","
-            yield ",".join(map(format_float, vals[lo:lo + _PIECE_VALUES].tolist())) + end
+            yield (",".join([_FIELD] * len(piece)) + end) % tuple(piece)
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -141,8 +146,6 @@ def _record_csv(traj: TrajectoryResult):
 
 def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
                      formats=("csv",)) -> None:
-    if traj.record is None or traj.step_norms is None:
-        raise ValueError("trajectory was slimmed; per-step payload is gone")
     sub = trajectory_dirname(traj.trajectory_index)
     writer.write_csv(f"{sub}/series.csv", *_series_csv(traj))
     writer.write_csv(f"{sub}/record.csv", *_record_csv(traj))
@@ -154,12 +157,30 @@ def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
         writer.write_bytes(f"{sub}/states.bin", states.astype("<f8").tobytes())
 
 
+def _write_range(p: dict, lo: int, hi: int) -> dict[str, dict]:
+    """Write trajectories lo .. hi - 1 of a simulation; their manifest entries."""
+    writer = ArtifactWriter(p["directory"])
+    for traj in p["results"][lo:hi]:
+        write_trajectory(writer, traj, p["formats"])
+    return writer.files
+
+
 def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult],
                      formats=("csv",)) -> Path:
-    """Write every trajectory plus the sealing manifest; returns the directory."""
+    """Write every trajectory plus the sealing manifest; returns the directory.
+
+    Contiguous ranges of trajectories are written across as many worker
+    processes as `run_ensemble` would use (QFILTER_THREADS caps both); the
+    files and the manifest are byte-identical for any worker count."""
+    if any(r.record is None or r.step_norms is None for r in results):
+        raise ValueError("trajectory was slimmed; per-step payload is gone")
     writer = ArtifactWriter(out_dir)
-    for traj in results:
-        write_trajectory(writer, traj, formats)
+    n_workers = resolve_workers(None, len(results))
+    size = max(1, -(-len(results) // n_workers))
+    bounds = [(lo, min(lo + size, len(results))) for lo in range(0, len(results), size)]
+    payload = {"directory": writer.directory, "results": results, "formats": formats}
+    for files in pool_map(_write_range, payload, bounds, n_workers):
+        writer.files.update(files)
     seed_records = [
         {"trajectory_index": r.trajectory_index, "master_seed": r.master_seed,
          "scheme": r.scheme, "n_steps": r.n_steps}

@@ -65,7 +65,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BasisMismatchError,
@@ -567,16 +566,29 @@ def _ensemble_batch(p: dict, lo: int, hi: int) -> _Batch:
     return batch
 
 
-_POOL_PAYLOAD: dict | None = None
+_POOL_TASK = None
 
 
-def _pool_init(payload: dict) -> None:
-    global _POOL_PAYLOAD
-    _POOL_PAYLOAD = payload
+def _pool_init(fn, payload: dict) -> None:
+    global _POOL_TASK
+    _POOL_TASK = fn, payload
 
 
-def _pool_run(bounds: tuple[int, int]) -> _Batch:
-    return _ensemble_batch(_POOL_PAYLOAD, *bounds)
+def _pool_run(bounds: tuple[int, int]):
+    fn, payload = _POOL_TASK
+    return fn(payload, *bounds)
+
+
+def pool_map(fn, payload: dict, bounds: list[tuple[int, int]], n_workers: int):
+    """fn(payload, lo, hi) for each range in order: lazily in this process
+    for one worker, else across a pool of n_workers processes. Each worker
+    receives the payload once, through the pool initializer (inherited, not
+    pickled, under fork); only ranges and return values are pickled."""
+    if n_workers <= 1:
+        return (fn(payload, lo, hi) for lo, hi in bounds)
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
+                             initargs=(fn, payload)) as pool:
+        return list(pool.map(_pool_run, bounds))
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -604,19 +616,10 @@ def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int
         "snapshot_steps": snapshot_steps, "slim": slim,
     }
     out = []
-
-    def collect(batches) -> None:
-        for (lo, _), batch in zip(bounds, batches):
-            _finish(batch, lo, scheme, stacklevel=3)
-            out.extend(_results(batch, lo, model, initial, dt, n_steps, record_stride,
-                                master_seed, scheme, snapshot_steps))
-
-    if n_workers <= 1:
-        collect(_ensemble_batch(payload, lo, hi) for lo, hi in bounds)
-        return out
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
-                             initargs=(payload,)) as pool:
-        collect(pool.map(_pool_run, bounds))
+    for (lo, _), batch in zip(bounds, pool_map(_ensemble_batch, payload, bounds, n_workers)):
+        _finish(batch, lo, scheme, stacklevel=2)
+        out.extend(_results(batch, lo, model, initial, dt, n_steps, record_stride,
+                            master_seed, scheme, snapshot_steps))
     return out
 
 
@@ -752,6 +755,8 @@ def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
         return StateVector(model.basis, prop.apply(psi0.amplitudes))
     if model.hamiltonian.structure != "tridiagonal":
         raise UnsupportedConfigurationError("grid hamiltonian must be tridiagonal")
+    import scipy.linalg  # scipy loads only on the calls that need it
+
     if dt is None:
         dt = min(1e-3, t / 100.0)
     n = max(1, round(t / dt))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfilter as qf
+from qfilter import output
 from qfilter.output import _csv_pieces, format_float
 
 
@@ -123,6 +125,40 @@ def test_rewriting_the_same_run_is_byte_identical(tmp_path, small_run):
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), f"{rel} differs"
 
 
+def _run_files(run_dir) -> dict:
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in sorted(run_dir.rglob("*")) if p.is_file()}
+
+
+def test_simulation_bytes_do_not_depend_on_worker_count(tmp_path, small_run, monkeypatch):
+    results, echo = small_run
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        out = qf.write_simulation(tmp_path / threads, echo, results, formats=("csv", "bin"))
+        runs[threads] = _run_files(out)
+    assert set(runs["1"]) == {"manifest.json"} | {
+        f"traj_{i:06d}/{name}" for i in range(3)
+        for name in ("series.csv", "record.csv", "states.csv", "states.bin")}
+    assert runs["1"] == runs["2"]
+
+
+def test_write_errors_reach_the_caller_for_any_worker_count(tmp_path, small_run, monkeypatch):
+    results, echo = small_run
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "traj_000001").write_bytes(b"")  # a file where a trajectory directory goes
+    errors = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        with pytest.raises(OSError) as info:
+            qf.write_simulation(out, echo, results)
+        errors.append((type(info.value), str(info.value)))
+        assert not (out / "manifest.json").exists()
+    assert errors[0] == errors[1]
+    assert errors[0][0] is FileExistsError and "traj_000001" in errors[0][1]
+
+
 def test_tampering_is_detected(tmp_path, small_run):
     results, echo = small_run
     out = qf.write_simulation(tmp_path / "run", echo, results)
@@ -153,6 +189,7 @@ def test_slimmed_trajectories_cannot_be_written(tmp_path):
                               n_trajectories=1, record_stride=5, slim=True)
     with pytest.raises(ValueError, match="slimmed"):
         qf.write_simulation(tmp_path / "run", {}, results)
+    assert not (tmp_path / "run").exists(), "refused before the directory is made"
 
 
 def test_master_csv_keeps_a_unit_trace_column(tmp_path):
@@ -314,3 +351,20 @@ def test_csv_text_is_the_per_element_formatter(rows):
                          + [",".join(format_float(v) for v in row) for row in rows]) + "\n"
     for table in (rows, np.array(rows).reshape(-1, 3), (np.array(row) for row in rows)):
         assert "".join(_csv_pieces(header, table)) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=24), st.integers(1, 4))
+def test_csv_pieces_format_every_float64_bit_pattern(bits, width):
+    """Any float64, NaN payloads, negative NaN and subnormals included, is
+    written as `format_float` writes it, on both branches of `_csv_pieces`
+    and whether or not a piece ends inside a row."""
+    values = np.array(bits, dtype=np.uint64).view("<f8")
+    table = values[:len(values) // width * width].reshape(-1, width)
+    header = [f"c{j}" for j in range(width)]
+    expected = "".join([",".join(header) + "\n"]
+                       + [",".join(map(format_float, row)) + "\n" for row in table.tolist()])
+    for piece_values in (output._PIECE_VALUES, 3):
+        with mock.patch.object(output, "_PIECE_VALUES", piece_values):
+            assert "".join(_csv_pieces(header, table)) == expected
+            assert "".join(_csv_pieces(header, iter(table))) == expected
