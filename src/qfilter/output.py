@@ -12,7 +12,8 @@ included; complex series appear as paired _re/_im columns. The text is
 streamed to disk and hashed piece by piece, so writing a table holds about
 one piece of it at a time. `write_simulation` writes its trajectories
 across the same worker processes as `run_ensemble`; the bytes do not
-depend on the worker count.
+depend on the worker count. `write_master` seals the solver's largest trace
+drift in the manifest under "diagnostics".
 """
 
 from __future__ import annotations
@@ -213,7 +214,8 @@ def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
             yield np.concatenate([[t], entries, [tr]])
 
     writer.write_csv("master.csv", header, rows())
-    writer.write_manifest("master", config_echo)
+    writer.write_manifest("master", config_echo,
+                          {"diagnostics": {"max_trace_drift": dtraj.max_trace_drift}})
     return writer.directory
 
 

@@ -46,15 +46,19 @@ linear-form norm at finite dt instead of only up to a quadratic-variation
 remainder.
 
 Ensemble averages of the conditioned projectors obey the averaged equation
-  d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag,
-integrated here with fixed-step RK4 (`solve_master`). Its right-hand side is
-chosen once per solve from the `Operator.structure` tags: when K is diagonal
-or tridiagonal and every L_j is diagonal (grid models under position
-observation, and the qubit under a sigma_z channel), it is one elementwise
-product with a precomputed coefficient matrix plus the four shifted band
-terms of K, O(n^2) per stage; any other operator keeps the dense O(n^3)
-matmul form. `solve_unitary` covers the lambda = 0 limit: dense
-exponentiation on finite bases, Crank-Nicolson on grids.
+  d(rho)/dt = A(rho) = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag,
+integrated here with fixed-step RK4 (`solve_master`). A is linear and
+constant, so a step is taken in Horner form,
+  rho + h A(rho + h/2 A(rho + h/3 A(rho + h/4 A rho))),
+as four in-place stages out = base + s * A(src) over preallocated buffers.
+The stage is chosen once per solve from the `Operator.structure` tags: when
+K is diagonal or tridiagonal and every L_j is diagonal (grid models under
+position observation, and the qubit under a sigma_z channel), it is one
+elementwise product with a precomputed coefficient matrix plus the four
+shifted band terms of K, O(n^2) and taken in cache-sized row blocks; any
+other operator keeps the dense O(n^3) matmul form. `solve_unitary` covers
+the lambda = 0 limit: dense exponentiation on finite bases, Crank-Nicolson
+on grids.
 """
 
 from __future__ import annotations
@@ -93,7 +97,9 @@ _BOUNDARY_WARN = 1e-6
 # amplitudes in one batch's (B, dim) state array (256 KiB of complex128), so
 # the arrays a step makes stay near a 2 MiB L2 cache: at 128 grid points
 # this is 128 rows, the fastest per trajectory-step measured; 512 rows ran
-# 25 % slower
+# 25 % slower. It also bounds the row block of a banded master stage: at 256
+# grid points one 16 Ki-entry block per operand took 4.9 ms per RK4 step
+# against 6.5 ms for the whole 64 Ki-entry matrix at once
 _STEP_ENTRIES = 1 << 14
 
 # bytes one batch of trajectories holds at most: state rows, snapshots,
@@ -632,6 +638,9 @@ class DensityTrajectory:
     store_stride: int
     times: np.ndarray
     matrices: np.ndarray  # (n_stored, dim, dim)
+    # largest |weighted trace - 1| over the solver's steps; None when the
+    # history was not produced by `solve_master`
+    max_trace_drift: float | None = None
 
     def density(self, index: int) -> DensityMatrix:
         return DensityMatrix(self.basis, self.matrices[index])
@@ -646,57 +655,100 @@ class DensityTrajectory:
         return np.einsum("kii->k", self.matrices).real * self.basis.weight
 
 
-def _banded_rhs(generator: Operator, channels):
-    """O(n^2) right-hand side for a diagonal/tridiagonal K and diagonal L_j.
+def _banded_stage(generator: Operator, channels):
+    """O(n^2) stage out = base + s * A(r) for a diagonal/tridiagonal K and
+    diagonal L_j.
 
-    -(K r + r K^dag) + sum_j L_j r L_j^dag is coef * r with
-    coef_ik = -(K_ii + conj(K_kk)) + sum_j l_ji conj(l_jk), plus the
+    A(r) = -(K r + r K^dag) + sum_j L_j r L_j^dag is coef * r with
+    coef_ik = -(K_ii + conj(K_kk)) + sum_j l_ji conj(l_jk), minus the
     row-shifted off-diagonal bands of K r and the column-shifted conjugate
-    bands of r K^dag. r is not assumed hermitian (RK4 stage matrices are not
-    bitwise hermitian), so r K^dag is formed from r itself.
+    bands of r K^dag. r is not assumed hermitian (stage matrices are not
+    bitwise hermitian), so r K^dag is formed from r itself. The column bands
+    are shifts by one entry of the row-major r, with n x n coefficients that
+    are zero where the shift would wrap into the next row. Rows go in blocks
+    of at most _STEP_ENTRIES entries, so one block's operands stay in cache;
+    every operation is elementwise, so the block size never changes a bit.
     """
     lo, d, up = generator._bands
+    n = d.size
     coef = -(d[:, None] + d.conj()[None, :])
     for ch in channels:
         coef += np.outer(ch._diag, ch._diag.conj())
+    right = np.zeros((n, n), dtype=complex)  # r[i, k + 1] conj(K_k,k+1)
+    right[:, :-1] = up.conj()
+    left = np.zeros((n, n), dtype=complex)  # r[i, k - 1] conj(K_k-1,k)
+    left[:, 1:] = lo.conj()
+    coef, right, left = coef.ravel(), right.ravel(), left.ravel()
     lo_col, up_col = lo[:, None], up[:, None]
-    lo_row, up_row = lo.conj()[None, :], up.conj()[None, :]
+    rows = max(1, min(_STEP_ENTRIES // n, n))
+    tmp = np.empty(rows * n, dtype=complex)
+    last = n * n - 1
 
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = coef * r
-        out[:-1] -= up_col * r[1:]
-        out[1:] -= lo_col * r[:-1]
-        out[:, :-1] -= r[:, 1:] * up_row
-        out[:, 1:] -= r[:, :-1] * lo_row
-        return out
+    def stage(out: np.ndarray, base: np.ndarray, s: float, src: np.ndarray) -> None:
+        o, b, r = out.reshape(-1), base.reshape(-1), src.reshape(-1)
+        for i0 in range(0, n, rows):
+            i1 = min(i0 + rows, n)
+            j0, j1 = i0 * n, i1 * n
+            np.multiply(coef[j0:j1], r[j0:j1], out=o[j0:j1])
+            e = min(i1, n - 1)  # K r, upper band: rows i < n - 1 read row i + 1
+            t = tmp[:(e - i0) * n].reshape(-1, n)
+            np.multiply(up_col[i0:e], src[i0 + 1:e + 1], out=t)
+            np.subtract(out[i0:e], t, out=out[i0:e])
+            a = max(i0, 1)  # K r, lower band: rows i > 0 read row i - 1
+            t = tmp[:(i1 - a) * n].reshape(-1, n)
+            np.multiply(lo_col[a - 1:i1 - 1], src[a - 1:i1 - 1], out=t)
+            np.subtract(out[a:i1], t, out=out[a:i1])
+            e = min(j1, last)  # r K^dag, both bands as flat shifts
+            t = tmp[:e - j0]
+            np.multiply(right[j0:e], r[j0 + 1:e + 1], out=t)
+            np.subtract(o[j0:e], t, out=o[j0:e])
+            a = max(j0, 1)
+            t = tmp[:j1 - a]
+            np.multiply(left[a:j1], r[a - 1:j1 - 1], out=t)
+            np.subtract(o[a:j1], t, out=o[a:j1])
+            np.multiply(o[j0:j1], s, out=o[j0:j1])
+            np.add(b[j0:j1], o[j0:j1], out=o[j0:j1])
 
-    return rhs
+    return stage
 
 
-def _dense_rhs(generator: Operator, channels):
-    """O(n^3) right-hand side by dense matmuls, for any operator structure."""
+def _dense_stage(generator: Operator, channels):
+    """O(n^3) stage out = base + s * A(r) by dense matmuls, for any operator
+    structure."""
     kmat = generator.matrix
     kdag = kmat.conj().T
     ls = [ch.matrix for ch in channels]
     lds = [m.conj().T for m in ls]
+    tmp, tmp2 = np.empty_like(kmat), np.empty_like(kmat)
 
-    def rhs(r: np.ndarray) -> np.ndarray:
-        out = -(kmat @ r + r @ kdag)
+    def stage(out: np.ndarray, base: np.ndarray, s: float, src: np.ndarray) -> None:
+        np.matmul(kmat, src, out=out)
+        np.matmul(src, kdag, out=tmp)
+        np.add(out, tmp, out=out)
+        np.negative(out, out=out)
         for lmat, ldag in zip(ls, lds):
-            out = out + lmat @ r @ ldag
-        return out
+            np.matmul(lmat, src, out=tmp)
+            np.matmul(tmp, ldag, out=tmp2)
+            np.add(out, tmp2, out=out)
+        np.multiply(out, s, out=out)
+        np.add(base, out, out=out)
 
-    return rhs
+    return stage
 
 
 def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
                  store_stride: int = 1) -> DensityTrajectory:
-    """Fixed-step RK4 for d(rho)/dt = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag.
+    """Fixed-step RK4 for d(rho)/dt = A(rho) = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag.
 
-    When the generator K is tagged diagonal or tridiagonal and every channel
-    is tagged diagonal, each stage costs O(n^2) elementwise work and no
-    matmul; any other structure keeps the dense O(n^3) matmul form. Both
-    forms refuse dimensions above the dense cap.
+    A is linear and constant, so one classic RK4 step is the Horner nesting
+      rho + h A(rho + h/2 A(rho + h/3 A(rho + h/4 A rho))),
+    four calls of one stage out = base + s * A(src) that alternate between
+    two preallocated buffers; no step allocates an n x n array. When the
+    generator K is tagged diagonal or tridiagonal and every channel is tagged
+    diagonal, each stage costs O(n^2) elementwise work and no matmul; any
+    other structure keeps the dense O(n^3) matmul form. Both forms refuse
+    dimensions above the dense cap. Every step checks the weighted trace, and
+    the largest |trace - 1| seen is kept as `max_trace_drift`.
     """
     if model.dim > DEFAULT_ORACLE_CAP:
         raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
@@ -711,7 +763,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
 
     banded = model.generator.structure in ("diagonal", "tridiagonal") and all(
         ch.structure == "diagonal" for ch in model.channels)
-    rhs = (_banded_rhs if banded else _dense_rhs)(model.generator, model.channels)
+    stage = (_banded_stage if banded else _dense_stage)(model.generator, model.channels)
 
     stored_steps = np.arange(0, n_steps + 1, store_stride)
     if stored_steps[-1] != n_steps:
@@ -719,26 +771,31 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
     weight = model.basis.weight
 
-    rho = rho0.entries.astype(complex)
+    # C order, so every buffer's flat reshape is a view the stages write through
+    rho = np.array(rho0.entries, dtype=complex, order="C")
+    a, b = np.empty_like(rho), np.empty_like(rho)
+    drift = 0.0
     ptr = 0
     if stored_steps[ptr] == 0:
         matrices[ptr] = rho
         ptr += 1
     for k in range(n_steps):
-        k1 = rhs(rho)
-        k2 = rhs(rho + (0.5 * dt) * k1)
-        k3 = rhs(rho + (0.5 * dt) * k2)
-        k4 = rhs(rho + dt * k3)
-        rho = rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        stage(a, rho, dt / 4.0, rho)
+        stage(b, rho, dt / 3.0, a)
+        stage(a, rho, dt / 2.0, b)
+        stage(b, rho, dt, a)
+        rho, b = b, rho
         tr = float(np.trace(rho).real) * weight
         if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
             raise InstabilityError(
                 f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
             )
+        drift = max(drift, abs(tr - 1.0))
         if ptr < stored_steps.size and stored_steps[ptr] == k + 1:
             matrices[ptr] = rho
             ptr += 1
-    return DensityTrajectory(model.basis, dt, store_stride, stored_steps * dt, matrices)
+    return DensityTrajectory(model.basis, dt, store_stride, stored_steps * dt, matrices,
+                             drift)
 
 
 def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,

@@ -676,6 +676,9 @@ def _banded_master_models():
             grid, GridPotential.harmonic(grid, omega=1.3), lam=0.7)
         models[f"barrier{n}"] = build_grid_model(
             grid, GridPotential.barrier(grid, height=4.0, width=2.0), lam=1.9)
+    grid = GridSpec(-10.0, 10.0, 128)
+    models["grid128"] = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0),
+                                         lam=1.0)
     grid = GridSpec(-5.0, 5.0, 16)
     models["unobserved"] = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0),
                                             lam=0.0)
@@ -691,57 +694,122 @@ def _banded_master_models():
     return models
 
 
+def _momentum_channel_model():
+    grid = GridSpec(-5.0, 5.0, 16)
+    basis = Basis.from_grid(grid)
+    ham = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0)).hamiltonian
+    channel = Operator(basis, math.sqrt(2.0 * 0.5) * momentum_operator(basis).matrix)
+    return ModelSpec(ham, (channel,))
+
+
 BANDED_MASTER_MODELS = _banded_master_models()
+MOMENTUM_CHANNEL_MODEL = _momentum_channel_model()
+
+# (stage builder, model): the banded builder on every banded structure, the
+# dense builder on those and on a dense one
+STAGE_CASES = ([("_banded_stage", name) for name in sorted(BANDED_MASTER_MODELS)]
+               + [("_dense_stage", name) for name in sorted(BANDED_MASTER_MODELS)]
+               + [("_dense_stage", "momentum_channel")])
+
+
+def _stage_model(name):
+    return MOMENTUM_CHANNEL_MODEL if name == "momentum_channel" else BANDED_MASTER_MODELS[name]
+
+
+def _random_matrix(rng, n, scale):
+    return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
 
 
 @settings(max_examples=80, deadline=None)
-@given(name=st.sampled_from(sorted(BANDED_MASTER_MODELS)),
+@given(case=st.sampled_from(STAGE_CASES),
        seed=st.integers(0, 2**32 - 1),
-       scale=st.floats(1e-3, 1e3))
-def test_banded_master_rhs_matches_dense_products(name, seed, scale):
-    """The O(n^2) right-hand side equals the dense definition on any r,
-    hermitian or not."""
-    model = BANDED_MASTER_MODELS[name]
-    assert model.generator.structure in ("diagonal", "tridiagonal")
-    assert all(ch.structure == "diagonal" for ch in model.channels)
+       scale=st.floats(1e-3, 1e3),
+       s=st.floats(1e-4, 1e1))
+def test_master_stages_match_dense_products(case, seed, scale, s):
+    """Each stage builder writes out = base + s * A(r), with A the dense
+    definition, for any r and base, hermitian or not, and reads its inputs
+    without changing them."""
+    builder, name = case
+    model = _stage_model(name)
+    if builder == "_banded_stage":
+        assert model.generator.structure in ("diagonal", "tridiagonal")
+        assert all(ch.structure == "diagonal" for ch in model.channels)
     rng = np.random.default_rng(seed)
     n = model.dim
-    r = scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-    want = _dense_master_rhs(model, r)
-    got = solvers._banded_rhs(model.generator, model.channels)(r)
+    r, base = _random_matrix(rng, n, scale), _random_matrix(rng, n, scale)
+    r_in, base_in = r.copy(), base.copy()
+    want = base + s * _dense_master_rhs(model, r)
+    got = np.empty((n, n), dtype=complex)
+    getattr(solvers, builder)(model.generator, model.channels)(got, base, s, r)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert np.array_equal(r, r_in) and np.array_equal(base, base_in)
 
 
-def _forbid(monkeypatch, rhs_name):
-    """Make solve_master fail if it picks the named right-hand side."""
+def _forbid(monkeypatch, stage_name):
+    """Make solve_master fail if it picks the named stage builder."""
     def refuse(*args):
-        raise AssertionError(f"solve_master picked {rhs_name} for this model")
+        raise AssertionError(f"solve_master picked {stage_name} for this model")
 
-    monkeypatch.setattr(solvers, rhs_name, refuse)
+    monkeypatch.setattr(solvers, stage_name, refuse)
 
 
-def test_master_solver_grid128_matches_dense_rk4(monkeypatch):
-    grid = GridSpec(-10.0, 10.0, 128)
-    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0), lam=1.0)
-    rho0 = projector(gaussian_packet(model.basis, x0=1.0, sigma=1.0))
-    _forbid(monkeypatch, "_dense_rhs")
+def _packet_density(model):
+    if model.basis.grid is None:
+        return projector(_ket(0.6, 0.8j))
+    return projector(gaussian_packet(model.basis, x0=1.0, sigma=1.0))
+
+
+@pytest.mark.parametrize("name", sorted(BANDED_MASTER_MODELS))
+def test_master_solver_matches_dense_rk4(monkeypatch, name):
+    """The Horner-form step is classic RK4 on every banded structure."""
+    model = BANDED_MASTER_MODELS[name]
+    rho0 = _packet_density(model)
+    _forbid(monkeypatch, "_dense_stage")
     traj = solve_master(model, rho0, 1e-3, 50)
     want = _dense_master_reference(model, rho0, 1e-3, 50)
     assert np.abs(traj.matrices - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_master_solver_dense_fallback_for_a_momentum_channel(monkeypatch):
-    grid = GridSpec(-5.0, 5.0, 16)
-    basis = Basis.from_grid(grid)
-    ham = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0)).hamiltonian
-    channel = Operator(basis, math.sqrt(2.0 * 0.5) * momentum_operator(basis).matrix)
-    model = ModelSpec(ham, (channel,))
+    model = MOMENTUM_CHANNEL_MODEL
     assert model.generator.structure == "dense"
-    rho0 = projector(gaussian_packet(basis, x0=0.5, sigma=1.0))
-    _forbid(monkeypatch, "_banded_rhs")
+    rho0 = projector(gaussian_packet(model.basis, x0=0.5, sigma=1.0))
+    _forbid(monkeypatch, "_banded_stage")
     traj = solve_master(model, rho0, 1e-3, 40, store_stride=10)
     want = _dense_master_reference(model, rho0, 1e-3, 40)[::10]
     assert np.abs(traj.matrices - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("name", ["harmonic16", "barrier33", "grid128", "two_channels"])
+def test_master_solver_bits_do_not_depend_on_the_row_block(monkeypatch, name):
+    """Row blocks of n, 3n and the default number of entries give the same
+    bits: every banded operation is elementwise."""
+    model = BANDED_MASTER_MODELS[name]
+    rho0 = _packet_density(model)
+    n = model.dim
+    runs = []
+    for entries in (n, 3 * n, solvers._STEP_ENTRIES):
+        monkeypatch.setattr(solvers, "_STEP_ENTRIES", entries)
+        runs.append(solve_master(model, rho0, 1e-3, 20, store_stride=5).matrices)
+    assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_master_solver_keeps_its_largest_trace_drift(tmp_path):
+    """The largest per-step |trace - 1| repeats exactly across runs, stays
+    below the step check's 1e-6, and is sealed in the master manifest."""
+    model = BANDED_MASTER_MODELS["grid128"]
+    rho0 = _packet_density(model)
+    first = solve_master(model, rho0, 1e-3, 100, store_stride=50)
+    second = solve_master(model, rho0, 1e-3, 100, store_stride=50)
+    assert first.max_trace_drift == second.max_trace_drift
+    assert 0.0 <= first.max_trace_drift < 1e-6
+    manifests = []
+    for k, traj in enumerate((first, second)):
+        out = qf.write_master(tmp_path / f"run{k}", {}, traj)
+        sealed = qf.load_manifest(out)["diagnostics"]
+        assert sealed == {"max_trace_drift": first.max_trace_drift}
+        manifests.append((out / "manifest.json").read_bytes())
+    assert manifests[0] == manifests[1]
 
 
 def test_unitary_solver_qubit():
