@@ -8,7 +8,8 @@
 
 Exit codes: 0 success, 2 validation or usage problem, 3 numerical failure,
 4 verification suite failed. QFILTER_THREADS caps the worker processes
-that integrate trajectories and those that write them.
+that integrate trajectories and those that write them; with a cap of 1,
+`master` writes master.csv after the solve instead of while it runs.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .linalg import projector
-from .output import export_plot, write_master, write_report, write_simulation
+from .output import MasterExport, export_plot, write_master, write_report, write_simulation
 from .solvers import run_ensemble, solve_master
 from .suites import run_suite
 
@@ -96,9 +97,10 @@ def _cmd_master(args) -> int:
     cfg = parse_config(args.config, args.overrides)
     model = build_model(cfg)
     initial = build_initial(cfg, model)
-    dtraj = solve_master(model, projector(initial), cfg.sim.dt, cfg.n_steps,
-                         store_stride=cfg.sim.record_stride)
-    out = write_master(args.out, cfg.resolved(), dtraj)
+    with MasterExport(args.out, model.basis) as export:
+        dtraj = solve_master(model, projector(initial), cfg.sim.dt, cfg.n_steps,
+                             store_stride=cfg.sim.record_stride, on_store=export.hook)
+        out = write_master(args.out, cfg.resolved(), dtraj, export)
     print(f"wrote averaged dynamics ({dtraj.times.size} checkpoints) to {out}")
     return 0
 

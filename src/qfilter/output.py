@@ -11,15 +11,24 @@ significant digits (round-trip exact for float64), integer columns
 included; complex series appear as paired _re/_im columns. The text is
 streamed to disk and hashed piece by piece, so writing a table holds about
 one piece of it at a time. `write_simulation` writes its trajectories
-across the same worker processes as `run_ensemble`; the bytes do not
-depend on the worker count. `write_master` seals the solver's largest trace
-drift in the manifest under "diagnostics".
+across the same worker processes as `run_ensemble`. `MasterExport` writes
+`master.csv` while `solve_master` runs: one forked writer process formats
+each stored density matrix as the solver hands it over, so only the last
+row is left to format when the solve ends. With one worker (QFILTER_THREADS
+caps this writer too) the whole table is formatted after the solve. Either
+way the bytes do not depend on the worker count. `write_master` seals the
+solver's largest trace drift in the manifest under "diagnostics".
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import itertools
 import json
+import multiprocessing
+import signal
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +70,22 @@ def _csv_pieces(header: list[str], rows):
             yield (",".join([_FIELD] * len(piece)) + end) % tuple(piece)
 
 
+def _csv_bytes(header: list[str], rows):
+    return (p.encode("utf-8") for p in _csv_pieces(header, rows))
+
+
+def _write_stream(fh, pieces) -> dict:
+    """Write byte pieces to an open binary file in order, hashing them as
+    they go; the file's manifest entry."""
+    digest = hashlib.sha256()
+    size = 0
+    for data in pieces:
+        fh.write(data)
+        digest.update(data)
+        size += len(data)
+    return {"sha256": digest.hexdigest(), "bytes": size}
+
+
 def sha256_bytes(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -77,14 +102,9 @@ class ArtifactWriter:
         """Write byte pieces in order, hashing them as they go."""
         path = self.directory / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
-        digest = hashlib.sha256()
-        size = 0
         with open(path, "wb") as fh:
-            for data in pieces:
-                fh.write(data)
-                digest.update(data)
-                size += len(data)
-        self.files[relpath] = {"sha256": digest.hexdigest(), "bytes": size}
+            entry = _write_stream(fh, pieces)
+        self.files[relpath] = entry
 
     def write_bytes(self, relpath: str, data: bytes) -> None:
         self._write_pieces(relpath, (data,))
@@ -93,7 +113,7 @@ class ArtifactWriter:
         self.write_bytes(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
-        self._write_pieces(relpath, (p.encode("utf-8") for p in _csv_pieces(header, rows)))
+        self._write_pieces(relpath, _csv_bytes(header, rows))
 
     def write_json(self, relpath: str, doc) -> None:
         self.write_text(relpath, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -199,21 +219,159 @@ def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult]
     return writer.directory
 
 
-def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory) -> Path:
+def _master_header(dim: int) -> list[str]:
+    return (["t"] + [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim)
+                     for part in ("re", "im")] + ["trace"])
+
+
+def _master_row(t, mat: np.ndarray, weight: float) -> np.ndarray:
+    """One master.csv row: t, the row-major entries of one density matrix
+    with re/im interleaved, as the header names them, and its weighted
+    trace, taken as `DensityTrajectory.trace_series` takes it."""
+    mats = np.ascontiguousarray(mat, dtype=complex)[None]
+    trace = np.einsum("kii->k", mats).real * weight
+    return np.concatenate([[t], mats.view(float).ravel(), trace])
+
+
+def _received_rows(conn, dim: int, weight: float):
+    """master.csv rows from the messages `MasterExport` sends, until an
+    empty one."""
+    while data := conn.recv_bytes():
+        t, = struct.unpack_from("<d", data)
+        mat = np.frombuffer(data, dtype=complex, offset=8).reshape(dim, dim)
+        yield _master_row(t, mat, weight)
+
+
+def _export_master(conn, parent_end, fh, dim: int, weight: float) -> None:
+    """Body of the writer process: write master.csv to `fh` from the rows
+    received on `conn`, then send back its manifest entry, or the exception
+    that stopped it. EOF on `conn` means the solving process is gone."""
+    parent_end.close()  # so that EOF reaches this process when the parent dies
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops this process
+    try:
+        with fh:
+            rows = _received_rows(conn, dim, weight)
+            # take the first row before the header is formatted, which takes
+            # tens of ms for a wide table while the solver waits on its send
+            first = next(rows)
+            entry = _write_stream(fh, _csv_bytes(_master_header(dim),
+                                                 itertools.chain([first], rows)))
+    except EOFError:
+        return
+    except Exception as exc:  # reported to the parent, which raises it
+        conn.send(exc)
+        return
+    conn.send(entry)
+
+
+class MasterExport:
+    """Writes `master.csv` into `out_dir` while `solve_master` runs.
+
+    Pass `hook` as solve_master's `on_store` inside `with MasterExport(...)
+    as export:`, then the finished history and this export to
+    `write_master`. The first stored row creates the directory, opens the
+    file and forks one writer process; each row is then sent to it through
+    a pipe whose send blocks once the writer falls behind by more than the
+    pipe buffers (for a wide table, one row), so the solver waits for it
+    rather than queueing rows. `write_master` waits for the last row and
+    seals the file. With one worker (`resolve_workers(None, 2) == 1`)
+    `hook` is None and `write_master` formats the whole table after the
+    solve. The bytes are the same either way.
+
+    If the block raises, the writer is killed and what the export wrote
+    (master.csv and the directories it created) is removed.
+    """
+
+    def __init__(self, out_dir, basis):
+        self.directory = Path(out_dir)
+        self.weight = basis.weight
+        self.hook = self._send if resolve_workers(None, 2) > 1 else None
+        self._conn = self._proc = None
+        self._made: list[Path] = []
+        self._opened = False
+
+    @property
+    def started(self) -> bool:
+        return self._proc is not None
+
+    def _start(self, dim: int) -> None:
+        self._made = [d for d in (self.directory, *self.directory.parents) if not d.exists()]
+        self.directory.mkdir(parents=True, exist_ok=True)
+        fh = open(self.directory / "master.csv", "wb")
+        self._opened = True
+        # forked, not spawned, which would import numpy afresh first; fork
+        # copies no BLAS thread, and the writer calls no BLAS routine
+        ctx = multiprocessing.get_context("fork")
+        self._conn, child_end = ctx.Pipe()
+        proc = ctx.Process(target=_export_master, daemon=True,
+                           args=(child_end, self._conn, fh, dim, self.weight))
+        try:
+            proc.start()
+        finally:
+            fh.close()
+            child_end.close()
+        self._proc = proc
+
+    def _send(self, t, rho: np.ndarray) -> None:
+        if self._proc is None:
+            self._start(rho.shape[0])
+        self._put(struct.pack("<d", t) + rho.tobytes())
+
+    def _put(self, data: bytes) -> None:
+        try:
+            self._conn.send_bytes(data)
+        except OSError:  # the writer stopped; its own exception says why
+            self._receive()
+            raise
+
+    def _receive(self) -> dict:
+        try:
+            result = self._conn.recv()
+        except EOFError:
+            self._proc.join()
+            raise OSError(f"master.csv writer exited with code {self._proc.exitcode}") from None
+        if isinstance(result, Exception):
+            raise result
+        return result
+
+    def finish(self) -> dict:
+        """Wait for the writer to write every row sent; master.csv's
+        manifest entry."""
+        self._put(b"")
+        entry = self._receive()
+        self._proc.join()
+        return entry
+
+    def __enter__(self) -> MasterExport:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if self._proc is not None and exc_type is not None:
+            self._proc.kill()
+        if self._conn is not None:
+            self._conn.close()
+        if self._proc is not None:
+            self._proc.join()
+        if exc_type is not None:
+            if self._opened:
+                (self.directory / "master.csv").unlink(missing_ok=True)
+            for d in self._made:
+                with contextlib.suppress(OSError):
+                    d.rmdir()
+
+
+def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory,
+                 export: MasterExport | None = None) -> Path:
+    """Write master.csv (one row per stored density matrix) and its
+    manifest. With an `export` that ran during the solve, master.csv is
+    already being written: wait for it and seal it."""
     writer = ArtifactWriter(out_dir)
-    dim = dtraj.matrices.shape[1]
-    header = (["t"] + [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim)
-                       for part in ("re", "im")] + ["trace"])
-    traces = dtraj.trace_series()
-
-    def rows():
-        # row-major entries with re/im interleaved, as the header names them;
-        # one row at a time, streamed to disk in pieces
-        for t, mat, tr in zip(dtraj.times, dtraj.matrices, traces):
-            entries = np.ascontiguousarray(mat, dtype=complex).view(float).ravel()
-            yield np.concatenate([[t], entries, [tr]])
-
-    writer.write_csv("master.csv", header, rows())
+    if export is not None and export.started:
+        writer.files["master.csv"] = export.finish()
+    else:
+        weight = dtraj.basis.weight
+        rows = (_master_row(t, mat, weight) for t, mat in zip(dtraj.times, dtraj.matrices))
+        writer.write_csv("master.csv", _master_header(dtraj.matrices.shape[1]), rows)
     writer.write_manifest("master", config_echo,
                           {"diagnostics": {"max_trace_drift": dtraj.max_trace_drift}})
     return writer.directory

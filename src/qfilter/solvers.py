@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -737,7 +738,9 @@ def _dense_stage(generator: Operator, channels):
 
 
 def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
-                 store_stride: int = 1) -> DensityTrajectory:
+                 store_stride: int = 1,
+                 on_store: Callable[[float, np.ndarray], None] | None = None
+                 ) -> DensityTrajectory:
     """Fixed-step RK4 for d(rho)/dt = A(rho) = -(K rho + rho K^dag) + sum_j L_j rho L_j^dag.
 
     A is linear and constant, so one classic RK4 step is the Horner nesting
@@ -748,7 +751,12 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     diagonal, each stage costs O(n^2) elementwise work and no matmul; any
     other structure keeps the dense O(n^3) matmul form. Both forms refuse
     dimensions above the dense cap. Every step checks the weighted trace, and
-    the largest |trace - 1| seen is kept as `max_trace_drift`.
+    the largest |trace - 1| seen is kept as `max_trace_drift`; a step that
+    overflows fails that check with no numpy warning.
+
+    `on_store(t, rho)`, when given, is called with each stored time and
+    density matrix as soon as it is stored, so a caller can export the
+    history while it is solved (`output.MasterExport`).
     """
     if model.dim > DEFAULT_ORACLE_CAP:
         raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
@@ -768,6 +776,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     stored_steps = np.arange(0, n_steps + 1, store_stride)
     if stored_steps[-1] != n_steps:
         stored_steps = np.append(stored_steps, n_steps)
+    times = stored_steps * dt
     matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
     weight = model.basis.weight
 
@@ -775,27 +784,30 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     rho = np.array(rho0.entries, dtype=complex, order="C")
     a, b = np.empty_like(rho), np.empty_like(rho)
     drift = 0.0
-    ptr = 0
-    if stored_steps[ptr] == 0:
-        matrices[ptr] = rho
-        ptr += 1
-    for k in range(n_steps):
-        stage(a, rho, dt / 4.0, rho)
-        stage(b, rho, dt / 3.0, a)
-        stage(a, rho, dt / 2.0, b)
-        stage(b, rho, dt, a)
-        rho, b = b, rho
-        tr = float(np.trace(rho).real) * weight
-        if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
-            raise InstabilityError(
-                f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
-            )
-        drift = max(drift, abs(tr - 1.0))
-        if ptr < stored_steps.size and stored_steps[ptr] == k + 1:
-            matrices[ptr] = rho
-            ptr += 1
-    return DensityTrajectory(model.basis, dt, store_stride, stored_steps * dt, matrices,
-                             drift)
+    matrices[0] = rho
+    if on_store is not None:
+        on_store(times[0], matrices[0])
+    ptr = 1
+    # an unstable step overflows to inf/nan; the trace check reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(n_steps):
+            stage(a, rho, dt / 4.0, rho)
+            stage(b, rho, dt / 3.0, a)
+            stage(a, rho, dt / 2.0, b)
+            stage(b, rho, dt, a)
+            rho, b = b, rho
+            tr = float(np.trace(rho).real) * weight
+            if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
+                raise InstabilityError(
+                    f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
+                )
+            drift = max(drift, abs(tr - 1.0))
+            if stored_steps[ptr] == k + 1:
+                matrices[ptr] = rho
+                if on_store is not None:
+                    on_store(times[ptr], matrices[ptr])
+                ptr += 1
+    return DensityTrajectory(model.basis, dt, store_stride, times, matrices, drift)
 
 
 def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,

@@ -8,6 +8,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from importlib.metadata import EntryPoint
 from pathlib import Path
 
@@ -205,6 +206,65 @@ def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, thread
         capture_output=True, text=True, env=_checkout_env(QFILTER_THREADS=threads))
     assert res.returncode == 3, res.stderr
     assert res.stderr == "error: gauge step 0 of trajectory 0 produced a non-finite state\n"
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_unstable_master_exits_3_with_one_error_line(tmp_path, threads):
+    # at dt=1000 the dephasing coherences of an unforced qubit overflow in
+    # about twenty RK4 steps, after the export (two workers) has started;
+    # the run gets its own process group, so a writer process that outlived
+    # it would still be found in that group
+    cfg_path = _write_cfg(
+        tmp_path,
+        model={"kind": "qubit", "h_field": [0.0, 0.0, 0.0], "channel": "sigma_z"},
+        initial={"amplitudes": [1.0, 1.0]},
+        sim={"dt": 1000.0, "t_final": 50000.0},
+    )
+    out = tmp_path / "run"
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from qfilter.cli import main; sys.exit(main())",
+         "master", "--config", str(cfg_path), "--out", str(out)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=_checkout_env(QFILTER_THREADS=threads), start_new_session=True)
+    _, stderr = proc.communicate(timeout=120)
+    assert proc.returncode == 3, stderr
+    assert stderr == "error: trace drifted to nan at step 23 (t = 24000); reduce dt\n"
+    assert not out.exists()
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+def test_master_writer_ends_when_its_parent_is_killed(tmp_path):
+    """A killed solving process leaves no master.csv writer running: the
+    writer holds no copy of the parent's pipe end, so it reads EOF."""
+    script = (
+        "import os, signal, sys\n"
+        "import numpy as np\n"
+        "import qfilter as qf\n"
+        "from qfilter.output import MasterExport\n"
+        "export = MasterExport(sys.argv[1], qf.Basis.finite(2))\n"
+        "export.hook(0.0, np.eye(2, dtype=complex) / 2)\n"
+        "print(export._proc.pid, flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script, str(tmp_path / "run")],
+                         capture_output=True, text=True, timeout=60,
+                         env=_checkout_env(QFILTER_THREADS="2"))
+    assert res.returncode == -9, res.stderr
+    writer = int(res.stdout)
+    deadline = time.monotonic() + 30.0
+    while not _gone_or_zombie(writer) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone_or_zombie(writer), "the writer outlived its parent"
 
 
 @pytest.mark.parametrize("exc, code", [

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import multiprocessing
 import tracemalloc
 from unittest import mock
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import output
-from qfilter.output import _csv_pieces, format_float
+from qfilter.output import MasterExport, _csv_pieces, format_float
+from test_solvers import MOMENTUM_CHANNEL_MODEL
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +250,109 @@ def test_write_master_streams_the_table(tmp_path):
     entry = qf.load_manifest(out)["files"]["master.csv"]
     assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     qf.verify_artifacts(out)
+
+
+def _grid_master_case():
+    cfg = qf.parse_config_data({
+        "model": {"kind": "grid1d", "x_min": -8.0, "x_max": 8.0, "n_points": 48,
+                  "potential": "harmonic", "potential_params": {"omega": 0.7}},
+        "initial": {"gaussian": {"x0": 1.0, "p0": 0.5, "sigma": 1.0}},
+        "sim": {"dt": 1e-3, "t_final": 0.03, "record_stride": 7},
+    })
+    model = qf.build_model(cfg)
+    return (model, qf.projector(qf.build_initial(cfg, model)), cfg.sim.dt, cfg.n_steps,
+            cfg.sim.record_stride)
+
+
+def _momentum_master_case():
+    model = MOMENTUM_CHANNEL_MODEL
+    return model, qf.projector(qf.gaussian_packet(model.basis, x0=0.5, sigma=1.0)), 1e-3, 25, 4
+
+
+MASTER_EXPORT_CASES = {"banded_grid": _grid_master_case, "momentum_channel": _momentum_master_case}
+
+
+def _exported_master(out, case, hook=None):
+    """Solve `case` with a MasterExport attached, then seal it; `hook(export,
+    t, rho)` replaces the export's own hook when given."""
+    model, rho0, dt, n_steps, stride = case
+    with MasterExport(out, model.basis) as export:
+        on_store = export.hook if hook is None else (lambda t, rho: hook(export, t, rho))
+        dtraj = qf.solve_master(model, rho0, dt, n_steps, store_stride=stride,
+                                on_store=on_store)
+        qf.write_master(out, {"case": "export"}, dtraj, export)
+    return dtraj, export
+
+
+@pytest.mark.parametrize("name", sorted(MASTER_EXPORT_CASES))
+def test_master_export_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, name):
+    """master.csv and manifest.json written during the solve (two workers)
+    and after it (one worker) equal write_master on the finished history."""
+    case = MASTER_EXPORT_CASES[name]()
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        dtraj, export = _exported_master(tmp_path / threads, case)
+        assert export.started == (threads == "2")
+        runs[threads] = dtraj
+    assert np.array_equal(runs["1"].matrices, runs["2"].matrices)
+    qf.write_master(tmp_path / "library", {"case": "export"}, runs["1"])
+    for relpath in ("master.csv", "manifest.json"):
+        want = (tmp_path / "library" / relpath).read_bytes()
+        for threads in ("1", "2"):
+            assert (tmp_path / threads / relpath).read_bytes() == want, (relpath, threads)
+    qf.verify_artifacts(tmp_path / "2")
+
+
+def test_master_export_refuses_a_directory_in_place_of_the_table(tmp_path, monkeypatch):
+    """A directory where master.csv goes raises the same error on both
+    paths, and no manifest is written."""
+    errors = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        out = tmp_path / "run"
+        (out / "master.csv").mkdir(parents=True)
+        with pytest.raises(OSError) as info:
+            _exported_master(out, _grid_master_case())
+        errors[threads] = (type(info.value), str(info.value))
+        assert sorted(p.name for p in out.iterdir()) == ["master.csv"]
+        (out / "master.csv").rmdir()
+    assert errors["1"] == errors["2"]
+    assert errors["1"][0] is IsADirectoryError
+
+
+def test_master_export_is_undone_when_the_solve_fails(tmp_path, monkeypatch):
+    """A solve that raises after its first stored row leaves no writer
+    process and no run directory, nor the directories made for it."""
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+
+    def fail_after_first_row(export, t, rho):
+        export.hook(t, rho)
+        assert export.started
+        raise RuntimeError("solve stopped")
+
+    with pytest.raises(RuntimeError, match="solve stopped"):
+        _exported_master(tmp_path / "a" / "run", _grid_master_case(), fail_after_first_row)
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_master_export_writer_failure_reaches_the_caller(tmp_path, monkeypatch):
+    """An error in the writer process is raised by the solving process,
+    which then removes what the export wrote. Every step is stored, more
+    than a pipe holds, so the solver is still sending when the writer
+    stops."""
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+
+    def full_disk(t, mat, weight):  # runs in the forked writer
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(output, "_master_row", full_disk)
+    model, rho0, dt, n_steps, _ = _grid_master_case()
+    with pytest.raises(OSError, match="No space left on device"):
+        _exported_master(tmp_path / "run", (model, rho0, dt, n_steps, 1))
+    assert multiprocessing.active_children() == []
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_report_round_trip(tmp_path):
