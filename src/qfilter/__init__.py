@@ -52,12 +52,12 @@ from .noise import (
     MeasurementRecord,
     NoisePath,
     coarsen_noise,
-    coarsen_record,
     generate_noise,
 )
 from .solvers import (
     SCHEMES,
     DensityTrajectory,
+    EnsembleResult,
     TrajectoryResult,
     resolve_workers,
     run_ensemble,
@@ -116,8 +116,7 @@ __all__ = [
     "build_qubit_model", "build_grid_model", "gaussian_packet",
     "momentum_operator", "named_observable",
     "NoisePath", "MeasurementRecord", "generate_noise", "coarsen_noise",
-    "coarsen_record",
-    "SCHEMES", "TrajectoryResult", "DensityTrajectory", "run_trajectory",
+    "SCHEMES", "TrajectoryResult", "EnsembleResult", "DensityTrajectory", "run_trajectory",
     "run_ensemble", "resolve_workers", "solve_master", "solve_unitary",
     "EnsembleSummary", "ComparisonReport", "CollapseReport",
     "LocalizationSeries", "ResidualReport", "OrderReport",

@@ -1,7 +1,9 @@
 """Ensemble statistics and scheme-verification measurements.
 
-Everything here consumes `TrajectoryResult` / `DensityTrajectory` objects and
-returns plain report dataclasses; nothing mutates its inputs.
+Ensemble statistics read the arrays of an `EnsembleResult` directly;
+per-trajectory measurements take one `TrajectoryResult` row, and the
+averaged-equation comparisons a `DensityTrajectory`. Everything returns
+plain report dataclasses; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -19,8 +21,14 @@ from .linalg import (
     trace_distance,
 )
 from .models import ModelSpec
-from .noise import coarsen_noise, generate_noise
-from .solvers import DensityTrajectory, TrajectoryResult, _run_rows, time_index
+from .solvers import (
+    DensityTrajectory,
+    EnsembleResult,
+    TrajectoryResult,
+    _noise_table,
+    _run_rows,
+    time_index,
+)
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
@@ -58,32 +66,22 @@ class EnsembleSummary:
         return self.density(time_index(self.times, t))
 
 
-def ensemble_average(results: list[TrajectoryResult]) -> EnsembleSummary:
+def ensemble_average(results: EnsembleResult) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
-    S stacks rows of the trajectories' snapshot arrays at one snapshot, at
-    most _STACK_ENTRIES amplitudes at a time, so the memory added to the
-    result stays bounded however large the ensemble.
+    S is a block of rows of `results.states` at one snapshot, at most
+    _STACK_ENTRIES amplitudes, so each product's operands stay small however
+    large the ensemble.
     """
-    if not results:
-        raise ValueError("no trajectories supplied")
-    first = results[0]
-    for r in results:
-        if r.model.basis != first.model.basis:
-            raise BasisMismatchError("trajectories live on different bases")
-        if r.snapshot_steps.shape != first.snapshot_steps.shape or \
-                not np.array_equal(r.snapshot_steps, first.snapshot_steps) or \
-                r.dt != first.dt:
-            raise ValueError("trajectories store different snapshot grids")
-    dim = first.model.dim
+    n, n_snaps, dim = results.states.shape
     rows = max(1, _STACK_ENTRIES // dim)
-    acc = np.zeros((len(first.states), dim, dim), dtype=complex)
-    for i in range(len(first.states)):
-        for lo in range(0, len(results), rows):
-            stack = np.array([r.states.amplitudes[i] for r in results[lo:lo + rows]])
+    acc = np.zeros((n_snaps, dim, dim), dtype=complex)
+    for i in range(n_snaps):
+        for lo in range(0, n, rows):
+            stack = results.states[lo:lo + rows, i]
             acc[i] += stack.T @ stack.conj()
-    acc /= len(results)
-    return EnsembleSummary(first.model.basis, first.times.copy(), acc, len(results))
+    acc /= n
+    return EnsembleSummary(results.model.basis, results.times.copy(), acc, n)
 
 
 @dataclass
@@ -97,10 +95,10 @@ def ensemble_vs_master(summary, master: DensityTrajectory,
                        times=None) -> ComparisonReport:
     """Trace distance between the ensemble mean and the averaged equation.
 
-    `summary` is an EnsembleSummary or a list of trajectories to average.
+    `summary` is an EnsembleSummary or an EnsembleResult to average.
     """
-    if isinstance(summary, (list, tuple)):
-        summary = ensemble_average(list(summary))
+    if isinstance(summary, EnsembleResult):
+        summary = ensemble_average(summary)
     if summary.basis != master.basis:
         raise BasisMismatchError("ensemble and averaged run use different bases")
     if times is None:
@@ -129,7 +127,7 @@ class CollapseReport:
     expectation_final_se: float
 
 
-def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
+def collapse_statistics(results: EnsembleResult, observable: Operator,
                         threshold: float = 0.01) -> CollapseReport:
     """Classify final states by nearest eigenprojector of `observable`.
 
@@ -141,8 +139,7 @@ def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
         raise ValueError("no trajectories supplied")
     if not observable.is_hermitian:
         raise UnsupportedConfigurationError("collapse statistics need a hermitian observable")
-    first = results[0]
-    if observable.basis != first.model.basis:
+    if observable.basis != results.model.basis:
         raise BasisMismatchError("observable basis does not match the trajectories")
     w = observable.basis.weight
     vals, vecs = np.linalg.eigh(observable.matrix)
@@ -152,10 +149,10 @@ def collapse_statistics(results: list[TrajectoryResult], observable: Operator,
             "observable spectrum is degenerate; projectors are not unique"
         )
 
-    psi0 = first.initial.amplitudes / first.initial.norm()
+    psi0 = results.initial.amplitudes / results.initial.norm()
     born = np.abs(w * (vecs.conj().T @ psi0)) ** 2 / w
     # final amplitudes as rows: one product gives every overlap
-    phis = np.array([r.states.amplitudes[-1] for r in results])
+    phis = results.states[:, -1]
     ov = np.abs(w * (phis @ vecs.conj())) ** 2 / w
     best = ov.argmax(axis=1)
     hit = ov[np.arange(best.size), best] >= 1.0 - threshold * threshold
@@ -373,20 +370,19 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
             raise ValueError("every dt must be a multiple of the reference dt")
         factors.append(f)
 
-    def finals(dt: float, noise: list) -> np.ndarray:
+    def finals(dt: float, table: np.ndarray) -> np.ndarray:
         """Final states of one run per seed, all seeds advanced together."""
-        n = noise[0].n_steps
-        runs = _run_rows(model, initial, dt, n, master_seed, 0, scheme,
-                         np.stack([p.increments for p in noise]), record_stride=n)
-        return np.array([r.states.amplitudes[-1] for r in runs])
+        n = table.shape[1]
+        return _run_rows(model, initial, dt, n, master_seed, 0, scheme, table,
+                         record_stride=n).states[:, -1]
 
     w = model.basis.weight
-    fine = [generate_noise(master_seed, s, ref_dt, n_ref, model.n_channels)
-            for s in range(n_seeds)]
+    c = model.n_channels
+    fine = _noise_table(master_seed, 0, n_seeds, ref_dt, n_ref, c)  # seed s is trajectory s
     ref = finals(ref_dt, fine)
     errors = np.empty((n_seeds, dts.size))
     for d, (dt, f) in enumerate(zip(dts, factors)):
-        diff = finals(dt, [coarsen_noise(p, f) for p in fine]) - ref
+        diff = finals(dt, fine.reshape(n_seeds, n_ref // f, f, c).sum(axis=2)) - ref
         for s in range(n_seeds):
             errors[s, d] = max(np.sqrt(w) * np.linalg.norm(diff[s]), 1e-300)
 

@@ -116,19 +116,3 @@ class MeasurementRecord:
         """Step-end times t_k = (k+1) dt."""
         return self.dt * np.arange(1, self.n_steps + 1)
 
-
-def coarsen_record(record: MeasurementRecord, factor: int) -> MeasurementRecord:
-    """Merge consecutive groups of `factor` record increments into one step.
-
-    The coarse record observes the same output path on a grid `factor`
-    times wider, so replaying it gives the common-refinement comparison.
-    """
-    if factor < 1 or record.n_steps % factor:
-        raise ValueError(f"n_steps {record.n_steps} is not divisible by factor {factor}")
-    if factor == 1:
-        return record
-    merged = record.increments.reshape(
-        record.n_steps // factor, factor, record.n_channels
-    ).sum(axis=1)
-    return MeasurementRecord(record.dt * factor, merged, np.cumsum(merged, axis=0))
-

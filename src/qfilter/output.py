@@ -10,8 +10,9 @@ of values per `%` call, each value as `format_float` writes it: 17
 significant digits (round-trip exact for float64), integer columns
 included; complex series appear as paired _re/_im columns. The text is
 streamed to disk and hashed piece by piece, so writing a table holds about
-one piece of it at a time. `write_simulation` writes its trajectories
-across the same worker processes as `run_ensemble`. `MasterExport` writes
+one piece of it at a time. `write_simulation` takes an `EnsembleResult`
+and writes its trajectories, one `TrajectoryResult` row at a time, across
+the same worker processes as `run_ensemble`. `MasterExport` writes
 `master.csv` while `solve_master` runs: one forked writer process formats
 each stored density matrix as the solver hands it over, so only the last
 row is left to format when the solve ends. With one worker (QFILTER_THREADS
@@ -35,7 +36,7 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArtifactMismatchError, ConfigError
-from .solvers import DensityTrajectory, TrajectoryResult, pool_map, resolve_workers
+from .solvers import DensityTrajectory, EnsembleResult, TrajectoryResult, pool_map, resolve_workers
 
 
 # a number at 17 significant digits (round-trip exact for float64); the
@@ -181,19 +182,19 @@ def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
 def _write_range(p: dict, lo: int, hi: int) -> dict[str, dict]:
     """Write trajectories lo .. hi - 1 of a simulation; their manifest entries."""
     writer = ArtifactWriter(p["directory"])
-    for traj in p["results"][lo:hi]:
-        write_trajectory(writer, traj, p["formats"])
+    for i in range(lo, hi):
+        write_trajectory(writer, p["results"][i], p["formats"])
     return writer.files
 
 
-def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult],
+def write_simulation(out_dir, config_echo: dict, results: EnsembleResult,
                      formats=("csv",)) -> Path:
     """Write every trajectory plus the sealing manifest; returns the directory.
 
     Contiguous ranges of trajectories are written across as many worker
     processes as `run_ensemble` would use (QFILTER_THREADS caps both); the
     files and the manifest are byte-identical for any worker count."""
-    if any(r.record is None or r.step_norms is None for r in results):
+    if results.record is None or results.step_norms is None:
         raise ValueError("trajectory was slimmed; per-step payload is gone")
     writer = ArtifactWriter(out_dir)
     n_workers = resolve_workers(None, len(results))
@@ -203,17 +204,17 @@ def write_simulation(out_dir, config_echo: dict, results: list[TrajectoryResult]
     for files in pool_map(_write_range, payload, bounds, n_workers):
         writer.files.update(files)
     seed_records = [
-        {"trajectory_index": r.trajectory_index, "master_seed": r.master_seed,
-         "scheme": r.scheme, "n_steps": r.n_steps}
-        for r in results
+        {"trajectory_index": results.first_index + i, "master_seed": results.master_seed,
+         "scheme": results.scheme, "n_steps": results.n_steps}
+        for i in range(len(results))
     ]
     extra: dict = {"seed_records": seed_records}
-    if "bin" in formats and results:
+    if "bin" in formats:
         extra["binary_states"] = {
             "dtype": "<f8",
             "layout": "rows of interleaved re/im amplitudes per snapshot",
-            "dim": results[0].model.dim,
-            "snapshots": len(results[0].states),
+            "dim": results.model.dim,
+            "snapshots": results.states.shape[1],
         }
     writer.write_manifest("simulate", config_echo, extra)
     return writer.directory

@@ -30,12 +30,13 @@ scheme's own posterior expectation (or replayed from a stored record):
 
 One kernel advances every scheme: it holds B trajectories as a (B, dim)
 array and makes each numpy call once per step for all of them, so the
-Python overhead of a step is shared by the batch. `run_trajectory` is its
-B = 1 call and `run_ensemble` splits trajectory indices into contiguous
-batches. Each trajectory keeps its own counter-keyed noise stream, and every
-reduction over amplitudes is taken along the last axis row by row (never a
-matrix product across the batch), so a trajectory carries the same bits
-whatever batch it is advanced in.
+Python overhead of a step is shared by the batch; the step operators are
+built once per run. `run_ensemble` copies contiguous batches into one
+`EnsembleResult`, an array per quantity with a row per trajectory, and
+`run_trajectory` is row 0 of a one-row run. Each trajectory keeps its own
+counter-keyed noise stream, and every reduction over amplitudes is taken
+along the last axis row by row (never a matrix product across the batch),
+so a trajectory carries the same bits whatever batch it is advanced in.
 
 The stochastic amplitude ln c is accumulated alongside every scheme as the
 realized norm growth of the record-driven one-step update at the current
@@ -67,7 +68,7 @@ import os
 import warnings
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,21 +190,6 @@ def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, wei
     return scaled / nn[..., None], np.log(nn) + m
 
 
-@dataclass
-class _Batch:
-    """Output of one kernel call, one row per trajectory."""
-
-    snapshots: np.ndarray            # (B, n_snaps, dim)
-    expectations: dict[str, np.ndarray]  # name -> (B, n_snaps)
-    log_amplitude: np.ndarray        # (B, n_snaps)
-    log_norm: np.ndarray             # (B, n_snaps)
-    step_norms: np.ndarray | None    # (B, n_steps)
-    record: np.ndarray | None        # (B, n_steps, c) increments dY
-    innovations: np.ndarray | None   # (B, n_steps, c) increments dW
-    boundary: np.ndarray             # (B,) largest edge amplitude; 0 off-grid
-    failure: np.ndarray              # (B,) 3 * step + check of the first failed check; -1 if none
-
-
 def _cumulative_logs(values: np.ndarray):
     """(B, n + 1) running sums of ln values, from 0; also non-finite flags."""
     logs = np.log(values)
@@ -218,14 +204,16 @@ def _first_failure(bad: np.ndarray, check: int) -> np.ndarray:
     return 3 * first + check
 
 
-def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
-               observables: dict[str, Operator], snapshot_steps: np.ndarray,
-               table: np.ndarray, replay: bool) -> _Batch:
-    """Advance one row per trajectory through every step of `table`.
+def _run_batch(run: dict, first_index: int, table: np.ndarray,
+               replay: bool) -> tuple[EnsembleResult, np.ndarray]:
+    """Advance trajectories `first_index ..`, one per row of `table`, through
+    every step; their `EnsembleResult`, and per row 3 * step + check of its
+    first failed check, or -1 if none.
 
     `table` is (B, n_steps, n_channels): each row's Wiener increments dW, or
-    with `replay` the record increments dY it replays. Every row starts from
-    the normalized amplitudes `phi0`.
+    with `replay` the record increments dY it replays. `run` is what
+    `_prepare` built for the whole run; every row starts from its normalized
+    amplitudes `phi0`.
 
     The loop makes no check and keeps no running sum. It stores each step's
     pre-renormalization norm (and, for the gauge scheme, the reconstruction
@@ -234,29 +222,25 @@ def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
     non-finite values, and its first non-finite or zero entry is the check
     a one-trajectory run stops at.
     """
+    model, observables, snapshot_steps = run["model"], run["observables"], run["snapshot_steps"]
+    euler, gauge_euler = run["euler"], run["gauge_euler"]
     b, n_steps, c = table.shape
     w = model.basis.weight
     channels = model.channels
-    euler = Operator(model.basis, np.eye(model.dim) - dt * model.generator.matrix)
-    gauge_mode = scheme == "gauge"
+    gauge_mode = gauge_euler is not None
     if gauge_mode:
         ldiag = model.channel_diagonals
-        gauge_euler = Operator(model.basis, np.eye(model.dim) - dt * model.gauge_core.matrix)
         ln_recon = np.empty((b, n_steps + 1))
         growth = np.empty((b, n_steps))
         y = np.zeros((b, c))
 
     snap_of_step = {int(s): i for i, s in enumerate(snapshot_steps)}
-    snaps = np.empty((b, snapshot_steps.size, model.dim), dtype=complex)
-    exps = {name: np.empty((b, snapshot_steps.size), dtype=complex) for name in observables}
-    step_norms = np.empty((b, n_steps))
+    out = _allocate(run, first_index, b, ("step_norms",))
     dys = table if replay else np.empty((b, n_steps, c))
     dws = np.empty((b, n_steps, c)) if replay else table
     drift = np.empty((b, c))
-    two_w_dt = 2.0 * w * dt
-    phi = np.repeat(phi0[None, :], b, axis=0)
-    is_grid = model.basis.grid is not None
-    boundary = np.zeros(b)
+    two_w_dt = 2.0 * w * run["dt"]
+    phi = np.repeat(run["phi0"][None, :], b, axis=0)
 
     def posterior(step: int) -> np.ndarray:
         if not gauge_mode:
@@ -266,12 +250,9 @@ def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
 
     def store(step: int, post: np.ndarray) -> None:
         i = snap_of_step[step]
-        snaps[:, i] = post
+        out.states[:, i] = post
         for name, op in observables.items():
-            exps[name][:, i] = w * _rowdot(post, op.apply(post))
-        if is_grid:
-            np.fmax(boundary, np.maximum(np.abs(post[:, 0]), np.abs(post[:, -1])),
-                    out=boundary)
+            out.expectations[name][:, i] = w * _rowdot(post, op.apply(post))
 
     # a non-finite value ends in StepFailureError after the run, so numpy's
     # overflow and invalid-value warnings would only repeat that failure
@@ -298,12 +279,12 @@ def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
             else:
                 new = _record_update(phi, euler, lposts, dy)
             nn = _row_norms(w, new)
-            step_norms[:, k] = nn
+            out.step_norms[:, k] = nn
             phi = new / nn[:, None]
         store(n_steps, posterior(n_steps))
 
         # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
-        log_norm, bad_norm = _cumulative_logs(step_norms)
+        log_norm, bad_norm = _cumulative_logs(out.step_norms)
         log_norm = log_norm[:, snapshot_steps]
         failure = _first_failure(bad_norm, _STATE)
         if gauge_mode:
@@ -316,39 +297,48 @@ def _run_batch(model: ModelSpec, phi0: np.ndarray, dt: float, scheme: str,
         else:
             log_amp = log_norm.copy()
     failure[failure >= 3 * (n_steps + 1)] = -1
-    return _Batch(snaps, exps, log_amp, log_norm, step_norms, dys, dws, boundary, failure)
+    out.log_amplitude, out.log_norm, out.record, out.innovations = log_amp, log_norm, dys, dws
+    return out, failure
 
 
-def _finish(batch: _Batch, first_index: int, scheme: str, stacklevel: int) -> None:
-    """Warn and raise for a finished batch as a serial run would: a boundary
-    warning for each trajectory before the first failed one, then a
-    StepFailureError naming that trajectory, its step and its scheme."""
-    failed = np.flatnonzero(batch.failure >= 0)
-    stop = failed[0] if failed.size else batch.failure.size
-    for r in range(stop):
-        if batch.boundary[r] > _BOUNDARY_WARN:
-            warnings.warn(
-                f"boundary amplitude reached {batch.boundary[r]:.2e}; widen the grid",
-                RuntimeWarning,
-                stacklevel=stacklevel + 1,
-            )
+def _collect(out: EnsembleResult, part: EnsembleResult, failure: np.ndarray,
+             stacklevel: int) -> None:
+    """Copy `part`, one kernel batch of the run `out` holds, into its rows,
+    then warn and raise as a serial run would: on a grid, a boundary warning
+    for each trajectory before the first failed one whose snapshots reach an
+    edge amplitude above _BOUNDARY_WARN, then a StepFailureError naming that
+    failed trajectory, its step and its scheme."""
+    lo = part.first_index - out.first_index
+    rows = slice(lo, lo + len(part))
+    for name, e in part.expectations.items():
+        out.expectations[name][rows] = e
+    for field in ("states", "log_amplitude", "log_norm", "step_norms", "record", "innovations"):
+        if (arr := getattr(out, field)) is not None:
+            arr[rows] = getattr(part, field)
+    failed = np.flatnonzero(failure >= 0)
+    stop = failed[0] if failed.size else failure.size
+    if out.model.basis.grid is not None:
+        edges = np.abs(part.states[:stop][..., [0, -1]]).max(axis=(1, 2))
+        for edge in edges[edges > _BOUNDARY_WARN]:
+            warnings.warn(f"boundary amplitude reached {edge:.2e}; widen the grid",
+                          RuntimeWarning, stacklevel=stacklevel + 1)
     if not failed.size:
         return
-    index = first_index + int(stop)
-    step, check = divmod(int(batch.failure[stop]), 3)
+    index = part.first_index + int(stop)
+    step, check = divmod(int(failure[stop]), 3)
     if check == _RECONSTRUCTION:
         what = f"gauge reconstruction at step {step} of trajectory {index} produced a " \
                "degenerate state"
     elif check == _AMPLITUDE:
         what = f"gauge step {step} of trajectory {index} produced a degenerate amplitude"
     else:
-        what = f"{scheme} step {step} of trajectory {index} produced a non-finite state"
-    raise StepFailureError(what, step_index=step, scheme=scheme, trajectory_index=index)
+        what = f"{out.scheme} step {step} of trajectory {index} produced a non-finite state"
+    raise StepFailureError(what, step_index=step, scheme=out.scheme, trajectory_index=index)
 
 
 @dataclass
 class TrajectoryResult:
-    """Stored output of one conditioned trajectory.
+    """Stored output of one conditioned trajectory, a row of an `EnsembleResult`.
 
     `states` holds the normalized snapshots as one (n_snaps, dim) array,
     `states.amplitudes`; `states[i]` is a `StateVector`. `log_norm` holds,
@@ -386,14 +376,64 @@ class TrajectoryResult:
     def state_at(self, t: float) -> StateVector:
         return self.states[self.index_of_time(t)]
 
-    def slim(self) -> TrajectoryResult:
-        """Drop the per-step payload, keeping snapshot series only."""
-        return replace(self, step_norms=None, record=None, noise=None)
+
+@dataclass
+class EnsembleResult:
+    """Trajectories `first_index ..` of one run: its metadata once, and one
+    array per quantity with a row per trajectory. `states` is (N, n_snaps,
+    dim); `expectations` and the log series (see `TrajectoryResult`) are
+    (N, n_snaps); `step_norms` (N, n_steps) and the increments dY (`record`)
+    and dW (`innovations`), (N, n_steps, n_channels), are None unless kept.
+    `result[i]` is trajectory `first_index + i` as a `TrajectoryResult`
+    whose arrays are views of row i (its record and noise objects are built
+    from the row); iteration yields the rows in order."""
+
+    scheme: str
+    dt: float
+    n_steps: int
+    record_stride: int
+    master_seed: int
+    first_index: int
+    snapshot_steps: np.ndarray
+    times: np.ndarray
+    model: ModelSpec
+    initial: StateVector
+    states: np.ndarray
+    expectations: dict[str, np.ndarray]
+    log_amplitude: np.ndarray
+    log_norm: np.ndarray
+    step_norms: np.ndarray | None
+    record: np.ndarray | None
+    innovations: np.ndarray | None
+
+    def __len__(self) -> int:
+        return self.states.shape[0]
+
+    def __getitem__(self, i: int) -> TrajectoryResult:
+        i = range(len(self))[i]
+        index = self.first_index + i
+        record = noise = None
+        if self.record is not None:
+            record = MeasurementRecord(self.dt, self.record[i], np.cumsum(self.record[i], axis=0))
+        if self.innovations is not None:
+            noise = NoisePath(self.dt, self.innovations[i], self.master_seed, index)
+        return TrajectoryResult(
+            scheme=self.scheme, dt=self.dt, n_steps=self.n_steps,
+            record_stride=self.record_stride, master_seed=self.master_seed,
+            trajectory_index=index, snapshot_steps=self.snapshot_steps, times=self.times,
+            states=StateSeries(self.model.basis, self.states[i]),
+            expectations={name: e[i] for name, e in self.expectations.items()},
+            log_amplitude=self.log_amplitude[i], log_norm=self.log_norm[i],
+            step_norms=None if self.step_norms is None else self.step_norms[i],
+            record=record, noise=noise, initial=self.initial, model=self.model)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
 
 
 def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_steps: int,
-             record_stride: int, observables):
-    """Validate a run; its initial amplitudes, observables and snapshot steps."""
+             record_stride: int, observables, master_seed: int) -> dict:
+    """Validate a run; what its batches share, the step operators included."""
     if scheme not in SCHEMES:
         raise UnsupportedConfigurationError(f"unknown scheme {scheme!r}")
     if dt <= 0:
@@ -408,78 +448,60 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
     for name, op in observables.items():
         if op.basis != model.basis:
             raise BasisMismatchError(f"observable {name!r} basis does not match the model")
-    if scheme == "gauge" and model.channel_diagonals is None:
-        raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
+    gauge_euler = None
+    if scheme == "gauge":
+        if model.channel_diagonals is None:
+            raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
+        gauge_euler = Operator(model.basis, np.eye(model.dim) - dt * model.gauge_core.matrix)
     snapshot_steps = np.arange(0, n_steps + 1, record_stride)
     if snapshot_steps[-1] != n_steps:
         snapshot_steps = np.append(snapshot_steps, n_steps)
-    phi0 = (initial.amplitudes / initial.norm()).astype(complex)
-    return phi0, observables, snapshot_steps
+    return {"model": model, "initial": initial, "scheme": scheme, "dt": dt, "n_steps": n_steps,
+            "record_stride": record_stride, "master_seed": master_seed,
+            "snapshot_steps": snapshot_steps, "times": snapshot_steps * dt,
+            "observables": observables,
+            "phi0": (initial.amplitudes / initial.norm()).astype(complex),
+            "euler": Operator(model.basis, np.eye(model.dim) - dt * model.generator.matrix),
+            "gauge_euler": gauge_euler}
 
 
-def _results(batch: _Batch, first_index: int, model: ModelSpec, initial: StateVector,
-             dt: float, n_steps: int, record_stride: int, master_seed: int, scheme: str,
-             snapshot_steps: np.ndarray) -> list[TrajectoryResult]:
-    """One result per row of a batch; states and series are views of its arrays."""
-    times = snapshot_steps * dt
-    out = []
-    for r in range(batch.snapshots.shape[0]):
-        record = None
-        if batch.record is not None:
-            record = MeasurementRecord(dt, batch.record[r], np.cumsum(batch.record[r], axis=0))
-        out.append(TrajectoryResult(
-            scheme=scheme,
-            dt=dt,
-            n_steps=n_steps,
-            record_stride=record_stride,
-            master_seed=master_seed,
-            trajectory_index=first_index + r,
-            snapshot_steps=snapshot_steps,
-            times=times,
-            states=StateSeries(model.basis, batch.snapshots[r]),
-            expectations={name: e[r] for name, e in batch.expectations.items()},
-            log_amplitude=batch.log_amplitude[r],
-            log_norm=batch.log_norm[r],
-            step_norms=None if batch.step_norms is None else batch.step_norms[r],
-            record=record,
-            noise=None,
-            initial=initial,
-            model=model,
-        ))
-    return out
+def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -> EnsembleResult:
+    """An EnsembleResult of `n_rows` unfilled rows with the per-step arrays in `keep`."""
+    snaps, steps = (n_rows, run["snapshot_steps"].size), (n_rows, run["n_steps"])
+    per_step = {"step_norms": steps, "record": steps + (run["model"].n_channels,)}
+    per_step["innovations"] = per_step["record"]
+    meta = ("scheme", "dt", "n_steps", "record_stride", "master_seed", "snapshot_steps", "times",
+            "model", "initial")
+    return EnsembleResult(
+        **{k: run[k] for k in meta}, first_index=first_index,
+        states=np.empty(snaps + (run["model"].dim,), dtype=complex),
+        expectations={name: np.empty(snaps, dtype=complex) for name in run["observables"]},
+        log_amplitude=np.empty(snaps), log_norm=np.empty(snaps),
+        **{f: np.empty(shape) if f in keep else None for f, shape in per_step.items()})
 
 
 def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
               master_seed: int, first_index: int, scheme: str, table: np.ndarray, *,
               replay: bool = False, observables: dict[str, Operator] | None = None,
-              record_stride: int = 1, keep_noise: bool = False) -> list[TrajectoryResult]:
+              record_stride: int = 1) -> EnsembleResult:
     """Trajectories `first_index ..`, one per row of the (N, n_steps,
     n_channels) `table` of Wiener increments, or with `replay` of record
-    increments to replay, advanced in batches of at most _BATCH_BYTES. With
-    `keep_noise` each result keeps the innovations it was driven by."""
-    phi0, observables, snapshot_steps = _prepare(model, initial, scheme, dt, n_steps,
-                                                 record_stride, observables)
-    row_bytes = _row_bytes(model.dim, snapshot_steps.size, n_steps, model.n_channels)
-    results = []
+    increments to replay, advanced in batches of at most _BATCH_BYTES. The
+    result keeps the step norms, the record and the innovations."""
+    run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
+    out = _allocate(run, first_index, len(table), ("step_norms", "record", "innovations"))
+    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, n_steps, model.n_channels)
     for lo, hi in _batch_bounds(len(table), model.dim, row_bytes):
-        batch = _run_batch(model, phi0, dt, scheme, observables, snapshot_steps,
-                           table[lo:hi], replay)
-        _finish(batch, first_index + lo, scheme, stacklevel=3)
-        rows = _results(batch, first_index + lo, model, initial, dt, n_steps, record_stride,
-                        master_seed, scheme, snapshot_steps)
-        if keep_noise:
-            for r, innovations in zip(rows, batch.innovations):
-                r.noise = NoisePath(dt, innovations, master_seed, r.trajectory_index)
-        results.extend(rows)
-    return results
+        _collect(out, *_run_batch(run, first_index + lo, table[lo:hi], replay), stacklevel=3)
+    return out
 
 
 def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
                    master_seed: int, trajectory_index: int, scheme: str = "nonlinear",
                    observables: dict[str, Operator] | None = None, record_stride: int = 1,
-                   *, noise: NoisePath | None = None, record: MeasurementRecord | None = None,
-                   keep_noise: bool = True) -> TrajectoryResult:
-    """Integration of one conditioned trajectory: the batch kernel on one row.
+                   *, noise: NoisePath | None = None,
+                   record: MeasurementRecord | None = None) -> TrajectoryResult:
+    """Integration of one conditioned trajectory: row 0 of a one-row run.
 
     Innovation-first by default: the Wiener increments are drawn (or supplied
     via `noise`), the record is formed per step from the current posterior
@@ -488,7 +510,7 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
     from it verbatim and the innovation dW_j = dY_j - 2 Re<L_j> dt is
     recovered per step for bookkeeping. States, requested expectations and
     both log series are stored every `record_stride` steps (plus the final
-    step).
+    step); the result keeps its step norms, record and innovations (`noise`).
     """
     c = model.n_channels
     if record is not None:
@@ -508,12 +530,9 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
             if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
                 raise ValueError("supplied noise was generated for a different dt")
         table = noise.increments
-    result, = _run_rows(model, initial, dt, n_steps, master_seed, trajectory_index, scheme,
-                        table[None], replay=record is not None, observables=observables,
-                        record_stride=record_stride, keep_noise=keep_noise and noise is None)
-    if keep_noise and noise is not None:
-        result.noise = noise
-    return result
+    return _run_rows(model, initial, dt, n_steps, master_seed, trajectory_index, scheme,
+                     table[None], replay=record is not None, observables=observables,
+                     record_stride=record_stride)[0]
 
 
 def resolve_workers(requested: int | None, n_tasks: int) -> int:
@@ -561,16 +580,18 @@ def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
                      for i in range(lo, hi)])
 
 
-def _ensemble_batch(p: dict, lo: int, hi: int) -> _Batch:
-    """Trajectories lo .. hi - 1 of an ensemble."""
-    table = _noise_table(p["master_seed"], lo, hi, p["dt"], p["n_steps"],
-                         p["model"].n_channels)
-    batch = _run_batch(p["model"], p["phi0"], p["dt"], p["scheme"], p["observables"],
-                       p["snapshot_steps"], table, replay=False)
-    batch.innovations = None
+def _ensemble_batch(p: dict, lo: int, hi: int) -> tuple[EnsembleResult, np.ndarray]:
+    """Trajectories lo .. hi - 1 of an ensemble and their failures, less what
+    the parent does not take: the innovations, the per-step arrays when
+    `slim`, and the model and initial state, which it holds already."""
+    run = p["run"]
+    table = _noise_table(run["master_seed"], lo, hi, run["dt"], run["n_steps"],
+                         run["model"].n_channels)
+    part, failure = _run_batch(run, lo, table, replay=False)
+    part.innovations = part.model = part.initial = None
     if p["slim"]:
-        batch.step_norms = batch.record = None
-    return batch
+        part.step_norms = part.record = None
+    return part, failure
 
 
 _POOL_TASK = None
@@ -587,46 +608,44 @@ def _pool_run(bounds: tuple[int, int]):
 
 
 def pool_map(fn, payload: dict, bounds: list[tuple[int, int]], n_workers: int):
-    """fn(payload, lo, hi) for each range in order: lazily in this process
-    for one worker, else across a pool of n_workers processes. Each worker
-    receives the payload once, through the pool initializer (inherited, not
-    pickled, under fork); only ranges and return values are pickled."""
+    """Generate fn(payload, lo, hi) for each range in order: in this process
+    for one worker, else from a pool of n_workers processes that lives until
+    the generator ends or is closed. Each worker receives the payload once,
+    through the pool initializer (inherited, not pickled, under fork); only
+    ranges and return values are pickled."""
     if n_workers <= 1:
-        return (fn(payload, lo, hi) for lo, hi in bounds)
+        for lo, hi in bounds:
+            yield fn(payload, lo, hi)
+        return
     with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
                              initargs=(fn, payload)) as pool:
-        return list(pool.map(_pool_run, bounds))
+        yield from pool.map(_pool_run, bounds)
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
                  master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
                  observables: dict[str, Operator] | None = None, record_stride: int = 1,
-                 *, workers: int | None = None, slim: bool = False) -> list[TrajectoryResult]:
+                 *, workers: int | None = None, slim: bool = False) -> EnsembleResult:
     """Run trajectories `0 .. n_trajectories - 1` in contiguous batches,
-    optionally one batch per pool task; no result keeps its noise path.
+    optionally one batch per pool task, into one `EnsembleResult` whose
+    arrays are allocated up front; each batch is copied in as it arrives.
+    It keeps the step norms and the record unless `slim`, never the
+    innovations. Iterating it yields `TrajectoryResult` rows in order.
 
-    Results are ordered by trajectory index and are bit-identical for any
-    worker count and batch size, since each trajectory owns a counter-keyed
-    noise stream and every row reduction of the kernel is taken per row.
-    A step failure names the lowest-index failing trajectory.
+    The arrays are bit-identical for any worker count and batch size, since
+    each trajectory owns a counter-keyed noise stream and every row
+    reduction of the kernel is taken per row. A step failure names the
+    lowest-index failing trajectory.
     """
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
-    phi0, observables, snapshot_steps = _prepare(model, initial, scheme, dt, n_steps,
-                                                 record_stride, observables)
+    run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
     n_workers = resolve_workers(workers, n_trajectories)
-    row_bytes = _row_bytes(model.dim, snapshot_steps.size, n_steps, model.n_channels)
+    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, n_steps, model.n_channels)
     bounds = _batch_bounds(n_trajectories, model.dim, row_bytes, n_workers)
-    payload = {
-        "model": model, "phi0": phi0, "dt": dt, "n_steps": n_steps,
-        "master_seed": master_seed, "scheme": scheme, "observables": observables,
-        "snapshot_steps": snapshot_steps, "slim": slim,
-    }
-    out = []
-    for (lo, _), batch in zip(bounds, pool_map(_ensemble_batch, payload, bounds, n_workers)):
-        _finish(batch, lo, scheme, stacklevel=2)
-        out.extend(_results(batch, lo, model, initial, dt, n_steps, record_stride,
-                            master_seed, scheme, snapshot_steps))
+    out = _allocate(run, 0, n_trajectories, () if slim else ("step_norms", "record"))
+    for part, failure in pool_map(_ensemble_batch, {"run": run, "slim": slim}, bounds, n_workers):
+        _collect(out, part, failure, stacklevel=2)
     return out
 
 

@@ -33,7 +33,6 @@ from .config import RunConfig, build_initial, build_model
 from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
-from .noise import coarsen_record
 from .solvers import (
     _noise_table,
     _run_rows,
@@ -128,37 +127,38 @@ def suite_equivalence(cfg: RunConfig):
     fine = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, "nonlinear",
                      _noise_table(seed, 0, n_seeds, dt / 2.0, 2 * n, model.n_channels),
                      record_stride=2 * stride)
-    fine_rec = np.stack([r.record.increments for r in fine])
-    coarse_rec = np.stack([coarsen_record(r.record, 2).increments for r in fine])
+    coarse_rec = fine.record.reshape(n_seeds, n, 2, model.n_channels).sum(axis=2)
     runs_half = {"nonlinear": fine}
     for s in ("linear", "gauge"):
-        runs_half[s] = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, s, fine_rec,
+        runs_half[s] = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, s, fine.record,
                                  replay=True, record_stride=2 * stride)
     runs = {s: _run_rows(model, initial, dt, n, seed, 0, s, coarse_rec, replay=True,
                          record_stride=stride)
             for s in scheme_names}
+
+    def max_distance(group, i, idx):
+        return max(pure_state_trace_distance(StateVector(model.basis, group[a].states[i, idx]),
+                                             StateVector(model.basis, group[b].states[i, idx]))
+                   for a, b in combinations(scheme_names, 2))
 
     max_td = 0.0
     max_td_half = 0.0
     amp_max = 0.0
     td_by_time: dict[float, float] = {}
     td_half_by_time: dict[float, float] = {}
+    times = runs["nonlinear"].times
     for i in range(n_seeds):
-        times = runs["nonlinear"][i].times
         for idx in range(1, times.size):
             t = float(times[idx])
-            d = max(pure_state_trace_distance(runs[a][i].states[idx], runs[b][i].states[idx])
-                    for a, b in combinations(scheme_names, 2))
-            dh = max(pure_state_trace_distance(runs_half[a][i].states[idx],
-                                               runs_half[b][i].states[idx])
-                     for a, b in combinations(scheme_names, 2))
+            d = max_distance(runs, i, idx)
+            dh = max_distance(runs_half, i, idx)
             td_by_time[t] = max(td_by_time.get(t, 0.0), d)
             td_half_by_time[t] = max(td_half_by_time.get(t, 0.0), dh)
             max_td = max(max_td, d)
             max_td_half = max(max_td_half, dh)
-        ln_ref = float(runs["linear"][i].log_norm[-1])
+        ln_ref = float(runs["linear"].log_norm[i, -1])
         for s in scheme_names:
-            gap = abs(math.exp(float(runs[s][i].log_amplitude[-1]) - ln_ref) - 1.0)
+            gap = abs(math.exp(float(runs[s].log_amplitude[i, -1]) - ln_ref) - 1.0)
             amp_max = max(amp_max, gap)
 
     shrink = max_td / max_td_half if max_td_half > 0 else math.inf
@@ -167,7 +167,7 @@ def suite_equivalence(cfg: RunConfig):
     model0 = build_model(free_cfg)
     initial0 = build_initial(free_cfg, model0)
     run0 = run_trajectory(model0, initial0, dt, n, seed, 0, scheme="nonlinear",
-                          record_stride=n, keep_noise=False)
+                          record_stride=n)
     exact = solve_unitary(model0, initial0, cfg.sim.t_final)
     fid = fidelity(run0.states[-1], exact)
 
@@ -198,7 +198,7 @@ def suite_ensemble(cfg: RunConfig):
                            cfg.ensemble.n_trajectories, scheme=cfg.sim.scheme,
                            record_stride=stride, slim=True)
     dtraj = solve_master(model, projector(initial), dt, n, store_stride=stride)
-    rep = ensemble_vs_master(results, dtraj, times=results[0].times[1:])
+    rep = ensemble_vs_master(results, dtraj, times=results.times[1:])
 
     deph = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     sup = StateVector(deph.basis, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))
@@ -243,7 +243,7 @@ def suite_born(cfg: RunConfig):
     ci = 3.0 * math.sqrt(max(p_top * (1.0 - p_top), 1e-300) / nn)
     freq_top = float(stats.frequencies[-1])
 
-    series = np.stack([r.expectations[obs_name].real for r in results])
+    series = results.expectations[obs_name].real
     mean_t = series.mean(axis=0)
     se_t = series.std(axis=0, ddof=1) / math.sqrt(nn) if nn > 1 else np.full_like(mean_t, np.inf)
     dev = np.abs(mean_t - stats.expectation_initial)
@@ -350,7 +350,7 @@ def suite_filtering(cfg: RunConfig):
         acc = 0.0
         for traj in _run_rows(model, initial, dt, n, seed, 0, "nonlinear",
                               _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
-                              record_stride=1, keep_noise=True):
+                              record_stride=1):
             acc += filtering_residual(traj, obs,
                                       include_quadratic_correction=quad).rms ** 2
         mean_rms[d] = math.sqrt(acc / n_seeds)
@@ -383,8 +383,7 @@ def suite_gauge(cfg: RunConfig):
     lins = _run_rows(model, initial, dt, n, seed, 0, "linear",
                      _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
                      record_stride=stride)
-    gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge",
-                     np.stack([r.record.increments for r in lins]), replay=True,
+    gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge", lins.record, replay=True,
                      record_stride=stride)
 
     max_td = 0.0

@@ -108,8 +108,7 @@ def localization_runs():
             obs = {k: qf.named_observable(model, k) for k in ("x", "x2", "p")}
             initial = qf.gaussian_packet(model.basis, sigma=1.0)
             out[key] = qf.run_trajectory(model, initial, 1e-4, 20000, 2026, 0,
-                                         observables=obs, record_stride=100,
-                                         keep_noise=False)
+                                         observables=obs, record_stride=100)
         return out
 
     return _safe(build)

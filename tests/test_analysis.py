@@ -112,24 +112,6 @@ def test_ensemble_average_matches_the_outer_product_loop():
     assert np.abs(summary.mean_density - want).max() <= 1e-14 * np.abs(want).max()
 
 
-def test_ensemble_average_rejects_mixed_grids():
-    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    a = run_trajectory(model, KET0, 1e-3, 20, 4, 0, record_stride=5)
-    b = run_trajectory(model, KET0, 1e-3, 20, 4, 1, record_stride=4)
-    with pytest.raises(ValueError, match="snapshot"):
-        ensemble_average([a, b])
-    c = run_trajectory(model, KET0, 2e-3, 10, 4, 1, record_stride=5)
-    with pytest.raises(ValueError):
-        ensemble_average([a, c])
-    grid_model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
-    g = run_trajectory(grid_model, gaussian_packet(grid_model.basis), 1e-3, 20, 4, 0,
-                       record_stride=5)
-    with pytest.raises(BasisMismatchError):
-        ensemble_average([a, g])
-    with pytest.raises(ValueError):
-        ensemble_average([])
-
-
 def test_ensemble_mean_tracks_averaged_equation():
     model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     runs = run_ensemble(model, KET0, 1e-3, 500, 13, 200, record_stride=50, slim=True)
@@ -242,10 +224,7 @@ def test_collapse_statistics_matches_the_per_state_loop():
         else:
             amp = noise
         finals.append(amp / np.sqrt(w * np.vdot(amp, amp).real))
-    for r, amp in zip(runs, finals):
-        snaps = r.states.amplitudes.copy()
-        snaps[-1] = amp
-        r.states = qf.StateSeries(basis, snaps)
+    runs.states[:, -1] = finals
     for threshold in (0.01, 0.05):
         report = collapse_statistics(runs, obs, threshold=threshold)
         counts, unresolved, z = _collapse_by_loop(runs, obs, threshold)
@@ -331,8 +310,7 @@ def test_filtering_residual_validation():
     strided = run_trajectory(model, KET0, 1e-3, 20, 5, 0, record_stride=2)
     with pytest.raises(ValueError):
         filtering_residual(strided, sz)
-    slim = run_trajectory(model, KET0, 1e-3, 20, 5, 0, record_stride=1,
-                          keep_noise=False)
+    slim = run_ensemble(model, KET0, 1e-3, 20, 5, 1, record_stride=1)[0]
     with pytest.raises(ValueError):
         filtering_residual(slim, sz)
     full = run_trajectory(model, KET0, 1e-3, 20, 5, 0, record_stride=1)

@@ -12,7 +12,6 @@ from qfilter import (
     StateVector,
     build_qubit_model,
     coarsen_noise,
-    coarsen_record,
     generate_noise,
     run_trajectory,
 )
@@ -99,21 +98,6 @@ def test_coarsen_noise_sums_pairs():
         coarsen_noise(noise, 5)
     with pytest.raises(ValueError):
         coarsen_noise(noise, 0)
-
-
-def test_coarsen_record_preserves_the_path():
-    noise = generate_noise(13, 4, 5e-4, 100, 1)
-    dy = 2.0 * noise.dt + noise.increments
-    record = MeasurementRecord(noise.dt, dy, np.cumsum(dy, axis=0))
-    coarse = coarsen_record(record, 2)
-    assert coarse.dt == pytest.approx(1e-3)
-    assert np.allclose(coarse.increments.sum(axis=0), record.increments.sum(axis=0),
-                       atol=1e-14)
-    assert np.allclose(coarse.cumulative, np.cumsum(coarse.increments, axis=0))
-    assert coarse.cumulative[-1, 0] == pytest.approx(record.cumulative[-1, 0], rel=1e-12)
-    assert coarsen_record(record, 1) is record
-    with pytest.raises(ValueError):
-        coarsen_record(record, 7)
 
 
 def test_noise_path_validation():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,11 @@ def test_import_leaves_scipy_stats_unloaded():
     # the rest of scipy was most of what remained, for three calls that load
     # it themselves (expm, solve_banded, the chi-square tail)
     assert scipy_modules == "[]"
+
+
+def test_readme_python_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+    assert blocks, "README.md has no python example"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -299,9 +299,8 @@ def test_trajectory_states_stay_normalized():
 
 def test_replay_reproduces_the_run_bitwise():
     model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    first = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0, keep_noise=True)
-    again = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0,
-                           record=first.record, keep_noise=True)
+    first = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0)
+    again = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0, record=first.record)
     assert np.array_equal(first.states[-1].amplitudes, again.states[-1].amplitudes)
     assert np.array_equal(first.step_norms, again.step_norms)
     assert np.array_equal(first.log_norm, again.log_norm)
@@ -378,7 +377,7 @@ def test_prenorm_log_matches_ito_expansion_under_refinement():
         n = noise_obj.n_steps
         dt = noise_obj.dt
         r = run_trajectory(model, psi, dt, n, noise_obj.master_seed, 0,
-                           noise=noise_obj, record_stride=1, keep_noise=True)
+                           noise=noise_obj, record_stride=1)
         amps = np.array([s.amplitudes for s in r.states[:-1]])
         sz = (np.abs(amps[:, 0]) ** 2 - np.abs(amps[:, 1]) ** 2).real
         a = math.sqrt(2.0) * sz
@@ -402,8 +401,7 @@ def test_record_mean_drift_tracks_position():
     n = 10
     finals = []
     for idx in range(400):
-        r = run_trajectory(model, psi, dt, n, 99, idx, record_stride=n,
-                           keep_noise=False)
+        r = run_trajectory(model, psi, dt, n, 99, idx, record_stride=n)
         finals.append(r.record.cumulative[-1, 0])
     finals = np.asarray(finals)
     target = 2.0 * math.sqrt(2.0) * 1.5 * (n * dt)
@@ -439,7 +437,7 @@ def test_unobserved_trajectory_matches_closed_evolution():
 def test_long_dephasing_run_collapses_to_a_basis_state():
     model = _dephasing()
     result = run_trajectory(model, _ket(0.6, 0.8), 1e-3, 5000, 21, 0,
-                            record_stride=500, keep_noise=False)
+                            record_stride=500)
     final = result.states[-1]
     weights = np.abs(final.amplitudes) ** 2
     assert min(math.sqrt(1.0 - weights[0]), math.sqrt(1.0 - weights[1])) <= 0.01
@@ -455,11 +453,11 @@ def test_ensemble_worker_count_is_invisible(monkeypatch):
     pooled = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs,
                           record_stride=20, workers=2)
     assert len(serial) == len(pooled) == 4
-    for a, b in zip(serial, pooled):
-        assert np.array_equal(a.states[-1].amplitudes, b.states[-1].amplitudes)
-        assert np.array_equal(a.expectations["sigma_z"], b.expectations["sigma_z"])
-        assert np.array_equal(a.record.increments, b.record.increments)
-        assert b.model is model and b.initial is psi
+    for name in ("states", "log_amplitude", "log_norm", "step_norms", "record"):
+        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
+    assert np.array_equal(serial.expectations["sigma_z"], pooled.expectations["sigma_z"])
+    assert pooled.innovations is None
+    assert pooled.model is model and pooled.initial is psi
 
 
 def test_ensemble_slim_and_offset_indices():
@@ -469,7 +467,7 @@ def test_ensemble_slim_and_offset_indices():
     assert [r.trajectory_index for r in slim] == [0, 1]
     assert slim[1].record is None and slim[1].noise is None
     assert slim[1].step_norms is None
-    direct = run_trajectory(model, psi, 1e-3, 50, 5, 1, keep_noise=False)
+    direct = run_trajectory(model, psi, 1e-3, 50, 5, 1)
     assert np.array_equal(slim[1].states[-1].amplitudes,
                           direct.states[-1].amplitudes)
     with pytest.raises(ValueError):
@@ -518,17 +516,53 @@ def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay
                    for i, r in enumerate(singles)]
     else:
         table = np.stack([r.noise.increments for r in singles])
-    phi0, observables, steps = solvers._prepare(model, psi, scheme, dt, n, stride, obs)
-    batch = solvers._run_batch(model, phi0, dt, scheme, observables, steps, table, replay)
-    assert not (batch.failure >= 0).any()
+    run = solvers._prepare(model, psi, scheme, dt, n, stride, obs, seed)
+    batch, failure = solvers._run_batch(run, 0, table, replay)
+    assert not (failure >= 0).any()
     for i, single in enumerate(singles):
-        assert np.array_equal(batch.snapshots[i], single.states.amplitudes)
+        assert np.array_equal(batch.states[i], single.states.amplitudes)
         assert np.array_equal(batch.expectations["h"][i], single.expectations["h"])
         assert np.array_equal(batch.log_norm[i], single.log_norm)
         assert np.array_equal(batch.log_amplitude[i], single.log_amplitude)
         assert np.array_equal(batch.step_norms[i], single.step_norms)
         assert np.array_equal(batch.record[i], single.record.increments)
         assert np.array_equal(batch.innovations[i], single.noise.increments)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
+    """Across several batches and worker counts, row i of a result is a view
+    of its arrays with the bits of trajectory i run alone, and iteration
+    yields the rows in trajectory order."""
+    monkeypatch.delenv("QFILTER_THREADS", raising=False)
+    model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
+    psi = gaussian_packet(model.basis, x0=1.0)
+    obs = {"x": named_observable(model, "x")}
+    dt, n, stride = 1e-3, 12, 5
+    monkeypatch.setattr(solvers, "_BATCH_BYTES", 3 * solvers._row_bytes(model.dim, 4, n, 1))
+    assert len(solvers._batch_bounds(10, model.dim, solvers._row_bytes(model.dim, 4, n, 1),
+                                     workers)) >= 3
+    result = run_ensemble(model, psi, dt, n, 4, 10, scheme="gauge", observables=obs,
+                          record_stride=stride, workers=workers)
+    assert [r.trajectory_index for r in result] == list(range(10))
+    for i in range(len(result)):
+        row = result[i]
+        single = run_trajectory(model, psi, dt, n, 4, i, scheme="gauge", observables=obs,
+                                record_stride=stride)
+        for got, arrays in ((row.states.amplitudes, result.states),
+                            (row.expectations["x"], result.expectations["x"]),
+                            (row.log_amplitude, result.log_amplitude),
+                            (row.log_norm, result.log_norm),
+                            (row.step_norms, result.step_norms)):
+            assert np.shares_memory(got, arrays)
+        assert np.array_equal(row.states.amplitudes, single.states.amplitudes)
+        assert np.array_equal(row.expectations["x"], single.expectations["x"])
+        assert np.array_equal(row.log_amplitude, single.log_amplitude)
+        assert np.array_equal(row.log_norm, single.log_norm)
+        assert np.array_equal(row.step_norms, single.step_norms)
+        assert np.array_equal(row.record.increments, single.record.increments)
+        assert np.array_equal(row.record.cumulative, single.record.cumulative)
+        assert row.noise is None
 
 
 @pytest.mark.parametrize("rows", [1, 7, 256])
