@@ -1,9 +1,10 @@
 """Ensemble statistics and scheme-verification measurements.
 
-Ensemble statistics read the arrays of an `EnsembleResult` directly;
-per-trajectory measurements take one `TrajectoryResult` row, and the
-averaged-equation comparisons a `DensityTrajectory`. Everything returns
-plain report dataclasses; nothing mutates its inputs.
+Measurements read the arrays of an `EnsembleResult` (or of one
+`TrajectoryResult` row) and of a `DensityTrajectory` as they are. The state
+overlap and the filtering residual act on stacks of any leading shape and
+reduce along the last axis only, so a row gets the same bits alone or in a
+stack. Everything returns plain report dataclasses; nothing mutates its inputs.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .linalg import (
     DensityMatrix,
     Operator,
     StateVector,
+    _check_same_basis,
     trace_distance,
 )
 from .models import ModelSpec
@@ -26,28 +28,43 @@ from .solvers import (
     EnsembleResult,
     TrajectoryResult,
     _noise_table,
+    _re_rowdot,
+    _rowdot,
     _run_rows,
     time_index,
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
-# amplitudes stacked per product in ensemble_average (256 KiB of complex128)
+# amplitudes stacked per product in ensemble_average and per block of
+# _filtering_residuals (256 KiB of complex128)
 _STACK_ENTRIES = 1 << 14
+
+
+def _pure_overlap(weight: float, a: np.ndarray, b: np.ndarray):
+    """|w<a|b>|^2 and the projector distance sqrt(1 - |w<a|b>|^2) of each
+    row pair of two (..., dim) amplitude arrays. The distance is NaN, and
+    numpy stays silent, where the overlap is not finite: a broken state must
+    not read as distance 0."""
+    with np.errstate(invalid="ignore", over="ignore"):
+        ov = np.square(np.abs(weight * _rowdot(a, b)))
+    dist = np.sqrt(np.where(np.isfinite(ov), 1.0 - np.minimum(1.0, ov), np.nan))
+    return ov, dist
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 for normalized states."""
-    return float(abs(a.inner(b)) ** 2)
+    _check_same_basis(a, b)
+    return float(_pure_overlap(a.basis.weight, a.amplitudes, b.amplitudes)[0])
 
 
 def pure_state_trace_distance(a: StateVector, b: StateVector) -> float:
     """Trace distance between the projectors on two normalized states.
 
-    Phase-free: sqrt(1 - |<a|b>|^2).
+    Phase-free: sqrt(1 - |<a|b>|^2); NaN when the overlap is not finite.
     """
-    ov = min(1.0, fidelity(a, b))
-    return float(np.sqrt(1.0 - ov))
+    _check_same_basis(a, b)
+    return float(_pure_overlap(a.basis.weight, a.amplitudes, b.amplitudes)[1])
 
 
 @dataclass
@@ -247,6 +264,65 @@ class ResidualReport:
     max_abs: float
 
 
+def _residual_block(model: ModelSpec, observable: Operator, x: np.ndarray,
+                    dw: np.ndarray, dt: float, quadratic: bool) -> np.ndarray:
+    """Residuals of the m steps between the m+1 states of each (m+1, dim)
+    row of `x`, driven by the (m, c) rows of `dw`."""
+    w = model.basis.weight
+    ox = observable.apply(x)
+    z_all = w * _re_rowdot(x, ox)
+    phi, ophi, z = x[:, :-1], ox[:, :-1], z_all[:, :-1]
+    # channel j applied to the step's state sits on axis -2: (rows, m, c, dim)
+    lphi = np.stack([ch.apply(phi) for ch in model.channels], axis=-2)
+    olphi = observable.apply(lphi)
+    lophi = np.stack([ch.apply(ophi) for ch in model.channels], axis=-2)
+    drift = -(2.0 / model.hbar) * (w * _rowdot(model.hamiltonian.apply(phi), ophi).imag)
+    drift += (w * (_re_rowdot(lphi, olphi) - _re_rowdot(lphi, lophi))).sum(axis=-1)
+    a = w * _re_rowdot(phi[..., None, :], lphi)
+    s = 2.0 * (w * _re_rowdot(ophi[..., None, :], lphi)) - 2.0 * z[..., None] * a
+    res = z_all[:, 1:] - z - drift * dt - (s * dw).sum(axis=-1)
+    if quadratic:
+        li, lj = lphi[..., :, None, :], lphi[..., None, :, :]
+        cij = w * (_re_rowdot(li, olphi[..., None, :, :]) - z[..., None, None] * _re_rowdot(li, lj))
+        cij -= a[..., :, None] * s[..., None, :] + a[..., None, :] * s[..., :, None]
+        prod = dw[..., :, None] * dw[..., None, :] - dt * np.eye(dw.shape[-1])
+        res -= (cij * prod).sum(axis=-1).sum(axis=-1)
+    return res
+
+
+def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndarray,
+                         dw: np.ndarray, dt: float, quadratic: bool = True) -> np.ndarray:
+    """Per-step residuals (see `filtering_residual`) of every row of a
+    (..., n+1, dim) stack of states stored at every step, with its (..., n,
+    c) Wiener increments, as a (..., n) array.
+
+    The stack is taken in blocks of whole rows when they fit in
+    _STACK_ENTRIES amplitudes, else of runs of steps of one row, which hold
+    one state more (the run's end state); so the temporaries stay bounded
+    however many rows and steps there are. Every
+    reduction runs along the last axis: a row's residuals have the same bits
+    alone, in a stack or at any block size.
+    """
+    if not observable.is_hermitian:
+        raise UnsupportedConfigurationError("residual needs a hermitian observable")
+    if observable.basis != model.basis:
+        raise BasisMismatchError("observable basis does not match the trajectory")
+    *lead, n1, dim = states.shape
+    n = n1 - 1
+    x = states.reshape(-1, n1, dim)
+    e = dw.reshape(-1, n, model.n_channels)
+    per_block = max(1, _STACK_ENTRIES // dim)
+    steps = min(n, per_block)
+    rows = max(1, per_block // n1)
+    res = np.empty((x.shape[0], n))
+    for r in range(0, x.shape[0], rows):
+        for k in range(0, n, steps):
+            blk = np.s_[r:r + rows, k:k + steps]
+            res[blk] = _residual_block(model, observable, x[r:r + rows, k:k + steps + 1],
+                                       e[blk], dt, quadratic)
+    return res.reshape(*lead, n)
+
+
 def filtering_residual(traj: TrajectoryResult, observable: Operator,
                        include_quadratic_correction: bool = True) -> ResidualReport:
     """Per-step closure error of the posterior-expectation equation.
@@ -268,60 +344,11 @@ def filtering_residual(traj: TrajectoryResult, observable: Operator,
     """
     if traj.record_stride != 1 or traj.noise is None:
         raise ValueError("residual needs record_stride=1 and the attached noise")
-    if not observable.is_hermitian:
-        raise UnsupportedConfigurationError("residual needs a hermitian observable")
-    model = traj.model
-    if observable.basis != model.basis:
-        raise BasisMismatchError("observable basis does not match the trajectory")
-    w = model.basis.weight
-    dt = traj.dt
-    dw = traj.noise.increments
-    hbar = model.hbar
-    ham = model.hamiltonian
-    channels = model.channels
-
-    n = traj.n_steps
-    res = np.empty(n)
-    for k in range(n + 1):
-        phi = traj.states.amplitudes[k]
-        ophi = observable.apply(phi)
-        z = (w * np.vdot(phi, ophi)).real
-        if k > 0:
-            res[k - 1] += z  # completes dz for step k-1
-        if k == n:
-            break
-        hphi = ham.apply(phi)
-        drift = -(2.0 / hbar) * (w * np.vdot(hphi, ophi)).imag
-        noise_part = 0.0
-        lphis = []
-        olphis = []
-        avals = []
-        svals = []
-        for j, ch in enumerate(channels):
-            lphi = ch.apply(phi)
-            olphi = observable.apply(lphi)
-            drift += (w * np.vdot(lphi, olphi)).real
-            drift -= (w * np.vdot(lphi, ch.apply(ophi))).real
-            a_j = (w * np.vdot(phi, lphi)).real
-            s_j = 2.0 * (w * np.vdot(ophi, lphi)).real - 2.0 * z * a_j
-            noise_part += s_j * dw[k, j]
-            lphis.append(lphi)
-            olphis.append(olphi)
-            avals.append(a_j)
-            svals.append(s_j)
-        quad = 0.0
-        if include_quadratic_correction:
-            for i in range(len(channels)):
-                for j in range(len(channels)):
-                    c_ij = (w * np.vdot(lphis[i], olphis[j])).real
-                    c_ij -= z * (w * np.vdot(lphis[i], lphis[j])).real
-                    c_ij -= avals[i] * svals[j] + avals[j] * svals[i]
-                    prod = dw[k, i] * dw[k, j] - (dt if i == j else 0.0)
-                    quad += c_ij * prod
-        res[k] = -z - drift * dt - noise_part - quad
+    res = _filtering_residuals(traj.model, observable, traj.states.amplitudes,
+                               traj.noise.increments, traj.dt, include_quadratic_correction)
     return ResidualReport(
-        dt=dt,
-        n_steps=n,
+        dt=traj.dt,
+        n_steps=traj.n_steps,
         mean=float(res.mean()),
         rms=float(np.sqrt(np.mean(res * res))),
         max_abs=float(np.abs(res).max()),
@@ -363,12 +390,9 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
     n_ref = round(t_final / ref_dt)
     if abs(n_ref * ref_dt - t_final) > 1e-9 * t_final:
         raise ValueError("t_final must be a multiple of every dt")
-    factors = []
-    for dt in dts:
-        f = round(dt / ref_dt)
-        if abs(f * ref_dt - dt) > 1e-9 * dt:
-            raise ValueError("every dt must be a multiple of the reference dt")
-        factors.append(f)
+    factors = np.rint(dts / ref_dt).astype(int)
+    if np.any(np.abs(factors * ref_dt - dts) > 1e-9 * dts):
+        raise ValueError("every dt must be a multiple of the reference dt")
 
     def finals(dt: float, table: np.ndarray) -> np.ndarray:
         """Final states of one run per seed, all seeds advanced together."""
@@ -383,12 +407,11 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
     errors = np.empty((n_seeds, dts.size))
     for d, (dt, f) in enumerate(zip(dts, factors)):
         diff = finals(dt, fine.reshape(n_seeds, n_ref // f, f, c).sum(axis=2)) - ref
-        for s in range(n_seeds):
-            errors[s, d] = max(np.sqrt(w) * np.linalg.norm(diff[s]), 1e-300)
+        errors[:, d] = np.sqrt(w) * np.linalg.norm(diff, axis=-1)
+    np.maximum(errors, 1e-300, out=errors)
 
     log_dts = np.log(dts)
-    slopes = np.array([np.polyfit(log_dts, np.log(errors[s]), 1)[0]
-                       for s in range(n_seeds)])
+    slopes = np.polyfit(log_dts, np.log(errors).T, 1)[0]
     mean_errors = errors.mean(axis=0)
     return OrderReport(
         dts=dts,

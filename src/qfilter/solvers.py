@@ -431,6 +431,11 @@ class EnsembleResult:
         return map(self.__getitem__, range(len(self)))
 
 
+def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
+    """Steps 0, stride, 2*stride, .. of a run, and the last step n_steps."""
+    return np.union1d(np.arange(0, n_steps + 1, stride), [n_steps])
+
+
 def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_steps: int,
              record_stride: int, observables, master_seed: int) -> dict:
     """Validate a run; what its batches share, the step operators included."""
@@ -453,9 +458,7 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
         if model.channel_diagonals is None:
             raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
         gauge_euler = Operator(model.basis, np.eye(model.dim) - dt * model.gauge_core.matrix)
-    snapshot_steps = np.arange(0, n_steps + 1, record_stride)
-    if snapshot_steps[-1] != n_steps:
-        snapshot_steps = np.append(snapshot_steps, n_steps)
+    snapshot_steps = _stored_steps(n_steps, record_stride)
     return {"model": model, "initial": initial, "scheme": scheme, "dt": dt, "n_steps": n_steps,
             "record_stride": record_stride, "master_seed": master_seed,
             "snapshot_steps": snapshot_steps, "times": snapshot_steps * dt,
@@ -792,9 +795,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
         ch.structure == "diagonal" for ch in model.channels)
     stage = (_banded_stage if banded else _dense_stage)(model.generator, model.channels)
 
-    stored_steps = np.arange(0, n_steps + 1, store_stride)
-    if stored_steps[-1] != n_steps:
-        stored_steps = np.append(stored_steps, n_steps)
+    stored_steps = _stored_steps(n_steps, store_stride)
     times = stored_steps * dt
     matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
     weight = model.basis.weight

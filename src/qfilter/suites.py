@@ -22,11 +22,11 @@ from itertools import combinations
 import numpy as np
 
 from .analysis import (
+    _filtering_residuals,
+    _pure_overlap,
     collapse_statistics,
     ensemble_vs_master,
     fidelity,
-    filtering_residual,
-    pure_state_trace_distance,
     strong_order_estimate,
 )
 from .config import RunConfig, build_initial, build_model
@@ -47,8 +47,8 @@ _DEPHASING_DT = 1e-3
 
 
 def _check(name: str, measured: float, lo, hi) -> dict:
-    ok = bool(np.isfinite(measured)) \
-        and (lo is None or measured >= lo) and (hi is None or measured <= hi)
+    ok = bool(np.isfinite(measured)
+              and (lo is None or measured >= lo) and (hi is None or measured <= hi))
     return {"name": name, "measured": float(measured), "bound": [lo, hi], "pass": ok}
 
 
@@ -136,32 +136,16 @@ def suite_equivalence(cfg: RunConfig):
                          record_stride=stride)
             for s in scheme_names}
 
-    def max_distance(group, i, idx):
-        return max(pure_state_trace_distance(StateVector(model.basis, group[a].states[i, idx]),
-                                             StateVector(model.basis, group[b].states[i, idx]))
-                   for a, b in combinations(scheme_names, 2))
+    def distances(group):
+        """(n_seeds, n_snaps - 1) largest distance over scheme pairs after t = 0."""
+        return np.max([_pure_overlap(model.basis.weight, group[a].states[:, 1:],
+                                     group[b].states[:, 1:])[1]
+                       for a, b in combinations(scheme_names, 2)], axis=0)
 
-    max_td = 0.0
-    max_td_half = 0.0
-    amp_max = 0.0
-    td_by_time: dict[float, float] = {}
-    td_half_by_time: dict[float, float] = {}
-    times = runs["nonlinear"].times
-    for i in range(n_seeds):
-        for idx in range(1, times.size):
-            t = float(times[idx])
-            d = max_distance(runs, i, idx)
-            dh = max_distance(runs_half, i, idx)
-            td_by_time[t] = max(td_by_time.get(t, 0.0), d)
-            td_half_by_time[t] = max(td_half_by_time.get(t, 0.0), dh)
-            max_td = max(max_td, d)
-            max_td_half = max(max_td_half, dh)
-        ln_ref = float(runs["linear"].log_norm[i, -1])
-        for s in scheme_names:
-            gap = abs(math.exp(float(runs[s].log_amplitude[i, -1]) - ln_ref) - 1.0)
-            amp_max = max(amp_max, gap)
-
-    shrink = max_td / max_td_half if max_td_half > 0 else math.inf
+    td, td_half = distances(runs), distances(runs_half)
+    shrink = td.max() / td_half.max() if td_half.max() > 0 else math.inf
+    ln_amp = np.array([runs[s].log_amplitude[:, -1] for s in scheme_names])
+    amp_max = np.abs(np.exp(ln_amp - runs["linear"].log_norm[:, -1]) - 1.0).max()
 
     free_cfg = dataclasses.replace(cfg, constants_lambda=0.0)
     model0 = build_model(free_cfg)
@@ -173,12 +157,12 @@ def suite_equivalence(cfg: RunConfig):
 
     checks = [
         _check("unitary_limit_fidelity", fid, 1.0 - 1e-4, None),
-        _check("pairwise_distance_max", max_td, None, 1e-2),
+        _check("pairwise_distance_max", td.max(), None, 1e-2),
         _check("refinement_shrink_factor", shrink, 1.5, 3.0),
         _check("amplitude_identity_max", amp_max, None, 5e-3),
     ]
     header = ["t", "max_distance", "max_distance_half_dt"]
-    table = np.array([[t, td_by_time[t], td_half_by_time[t]] for t in sorted(td_by_time)])
+    table = np.column_stack([runs["nonlinear"].times[1:], td.max(axis=0), td_half.max(axis=0)])
     return _report("equivalence", checks,
                    {"n_seeds": n_seeds, "dt": dt}), (header, table)
 
@@ -347,13 +331,11 @@ def suite_filtering(cfg: RunConfig):
         if abs(n * dt - t_final) > 1e-9 * t_final:
             raise ConfigError([("verify.filtering.dts",
                                 f"sim.t_final is not a multiple of dt={dt!r}")])
-        acc = 0.0
-        for traj in _run_rows(model, initial, dt, n, seed, 0, "nonlinear",
-                              _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
-                              record_stride=1):
-            acc += filtering_residual(traj, obs,
-                                      include_quadratic_correction=quad).rms ** 2
-        mean_rms[d] = math.sqrt(acc / n_seeds)
+        runs = _run_rows(model, initial, dt, n, seed, 0, "nonlinear",
+                         _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
+                         record_stride=1)
+        res = _filtering_residuals(model, obs, runs.states, runs.innovations, dt, quad)
+        mean_rms[d] = math.sqrt(np.mean(res * res))
 
     slope = float(np.polyfit(np.log(dts), np.log(np.maximum(mean_rms, 1e-300)), 1)[0])
     checks = [_check("residual_rms_slope", slope, 1.3, 1.7)]
@@ -386,26 +368,17 @@ def suite_gauge(cfg: RunConfig):
     gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge", lins.record, replay=True,
                      record_stride=stride)
 
-    max_td = 0.0
-    amp_max = 0.0
-    ln_c_gap = 0.0
-    td_rows: dict[float, float] = {}
-    for lin, gau in zip(lins, gaus):
-        for idx in range(1, lin.times.size):
-            d = pure_state_trace_distance(lin.states[idx], gau.states[idx])
-            t = float(lin.times[idx])
-            td_rows[t] = max(td_rows.get(t, 0.0), d)
-            max_td = max(max_td, d)
-        gap = abs(math.exp(float(gau.log_amplitude[-1]) - float(lin.log_norm[-1])) - 1.0)
-        amp_max = max(amp_max, gap)
-        ln_c_gap = max(ln_c_gap, float(abs(gau.log_norm[-1] - lin.log_norm[-1])))
+    td = _pure_overlap(model.basis.weight, lins.states[:, 1:], gaus.states[:, 1:])[1]
+    ln_c = lins.log_norm[:, -1]
+    amp_max = float(np.abs(np.exp(gaus.log_amplitude[:, -1] - ln_c) - 1.0).max())
+    ln_c_gap = float(np.abs(gaus.log_norm[:, -1] - ln_c).max())
 
     checks = [
-        _check("gauge_vs_linear_max_distance", max_td, None, 1e-2),
+        _check("gauge_vs_linear_max_distance", td.max(), None, 1e-2),
         _check("reconstructed_amplitude_identity", amp_max, None, 5e-3),
     ]
     header = ["t", "max_distance"]
-    table = np.array([[t, td_rows[t]] for t in sorted(td_rows)])
+    table = np.column_stack([lins.times[1:], td.max(axis=0)])
     return _report("gauge", checks, {
         "n_seeds": n_seeds,
         "max_ln_c_gap": ln_c_gap,

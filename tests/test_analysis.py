@@ -3,14 +3,18 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import (
     Basis,
     GridSpec,
+    ModelSpec,
     Operator,
     StateVector,
     build_grid_model,
@@ -33,6 +37,7 @@ from qfilter import (
     trace_distance,
     variance_series,
 )
+from qfilter.analysis import _filtering_residuals, _pure_overlap
 from qfilter.errors import BasisMismatchError, UnsupportedConfigurationError
 
 B2 = Basis.finite(2)
@@ -62,6 +67,24 @@ def test_pure_trace_distance_consistency():
         d = pure_state_trace_distance(a, b)
         assert d == pytest.approx(math.sqrt(max(0.0, 1.0 - fidelity(a, b))), abs=1e-12)
         assert d == pytest.approx(trace_distance(projector(a), projector(b)), abs=1e-10)
+
+
+@pytest.mark.parametrize("amps", [[math.nan, 0.0], [math.inf, 0.0], [0.0, -math.inf]])
+def test_pure_distance_of_a_non_finite_state_is_nan(amps):
+    """A broken state must not read as distance 0, so a suite check fails it."""
+    broken = StateVector(B2, np.array(amps, dtype=complex))
+    assert math.isnan(pure_state_trace_distance(broken, KET0))
+    assert math.isnan(pure_state_trace_distance(KET0, broken))
+    assert not math.isfinite(fidelity(broken, KET0))
+    assert not qf.suites._check("d", pure_state_trace_distance(broken, KET0), None, 1e-2)["pass"]
+
+
+def test_pure_overlap_rejects_mixed_bases():
+    # same dimension, different basis: the arrays alone would broadcast
+    on_grid = StateVector(Basis.from_grid(GridSpec(-1.0, 1.0, 2)), np.array([1.0, 0.0]))
+    for measure in (fidelity, pure_state_trace_distance):
+        with pytest.raises(BasisMismatchError):
+            measure(KET0, on_grid)
 
 
 def test_linear_and_nonlinear_schemes_share_the_factored_path():
@@ -302,6 +325,124 @@ def test_filtering_residual_observed_case():
     assert raw.rms > 5.0 * report.rms, (
         f"quadratic correction only bought a factor {raw.rms / report.rms:.1f}"
     )
+
+
+def _reference_residuals(traj, observable, include_quadratic_correction=True):
+    """The residual of `filtering_residual`, one scalar step at a time: a
+    term-by-term transcription of its docstring's formula."""
+    model = traj.model
+    w = model.basis.weight
+    dt = traj.dt
+    dw = traj.noise.increments
+    channels = model.channels
+    n = traj.n_steps
+    res = np.empty(n)
+    for k in range(n + 1):
+        phi = traj.states.amplitudes[k]
+        ophi = observable.apply(phi)
+        z = (w * np.vdot(phi, ophi)).real
+        if k > 0:
+            res[k - 1] += z  # completes dz for step k-1
+        if k == n:
+            break
+        hphi = model.hamiltonian.apply(phi)
+        drift = -(2.0 / model.hbar) * (w * np.vdot(hphi, ophi)).imag
+        noise_part = 0.0
+        lphis, olphis, avals, svals = [], [], [], []
+        for j, ch in enumerate(channels):
+            lphi = ch.apply(phi)
+            olphi = observable.apply(lphi)
+            drift += (w * np.vdot(lphi, olphi)).real
+            drift -= (w * np.vdot(lphi, ch.apply(ophi))).real
+            a_j = (w * np.vdot(phi, lphi)).real
+            s_j = 2.0 * (w * np.vdot(ophi, lphi)).real - 2.0 * z * a_j
+            noise_part += s_j * dw[k, j]
+            lphis.append(lphi)
+            olphis.append(olphi)
+            avals.append(a_j)
+            svals.append(s_j)
+        quad = 0.0
+        if include_quadratic_correction:
+            for i in range(len(channels)):
+                for j in range(len(channels)):
+                    c_ij = (w * np.vdot(lphis[i], olphis[j])).real
+                    c_ij -= z * (w * np.vdot(lphis[i], lphis[j])).real
+                    c_ij -= avals[i] * svals[j] + avals[j] * svals[i]
+                    prod = dw[k, i] * dw[k, j] - (dt if i == j else 0.0)
+                    quad += c_ij * prod
+        res[k] = -z - drift * dt - noise_part - quad
+    return res
+
+
+def _two_channel_models():
+    """A qubit watched through sigma_z and sigma_x, and a 3-level model with
+    dense H, channels and observable: every cross term C_ij with i != j."""
+    qubit = ModelSpec(Operator(B2, qf.models.SIGMA_X + 0.3 * qf.models.SIGMA_Y),
+                      (Operator(B2, 1.2 * qf.models.SIGMA_Z),
+                       Operator(B2, 0.8 * qf.models.SIGMA_X)))
+    rng = np.random.default_rng(41)
+    b3 = Basis.finite(3)
+
+    def dense():
+        return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+
+    h, o = dense(), dense()
+    three = ModelSpec(Operator(b3, h + h.conj().T),
+                      (Operator(b3, 0.4 * dense()), Operator(b3, 0.4 * dense())))
+    return [(qubit, named_observable(qubit, "sigma_z"), KET0),
+            (three, Operator(b3, o + o.conj().T),
+             StateVector(b3, np.array([0.6, 0.0, 0.8j])))]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+@pytest.mark.parametrize("quad", [True, False])
+def test_filtering_residual_matches_scalar_reference_with_two_channels(case, quad):
+    model, obs, psi = _two_channel_models()[case]
+    assert model.n_channels == 2
+    traj = run_trajectory(model, psi, 1e-3, 400, 13, 0, record_stride=1)
+    ref = _reference_residuals(traj, obs, include_quadratic_correction=quad)
+    res = _filtering_residuals(model, obs, traj.states.amplitudes, traj.noise.increments,
+                               traj.dt, quad)
+    # each step's residual is a difference of O(1) terms, so compare it on
+    # their scale; the report's figures then agree to 1e-12 relative
+    assert np.abs(res - ref).max() <= 4e-15
+    report = filtering_residual(traj, obs, include_quadratic_correction=quad)
+    assert report.rms == pytest.approx(np.sqrt(np.mean(ref * ref)), rel=1e-12)
+    assert report.max_abs == pytest.approx(np.abs(ref).max(), rel=1e-12)
+    assert report.mean == pytest.approx(ref.mean(), rel=1e-9)
+    # the cross terms are live: dropping the quadratic correction moves the result
+    if quad:
+        raw = _reference_residuals(traj, obs, include_quadratic_correction=False)
+        assert np.sqrt(np.mean(raw * raw)) > 5.0 * report.rms
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=st.sampled_from([0, 1]), rows=st.integers(1, 5), n=st.integers(1, 12),
+       entries=st.integers(1, 80), quad=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_stacked_kernels_give_each_row_its_own_bits(case, rows, n, entries, quad, seed):
+    """Over a stack, at any block size, every row of the residual kernel and
+    of the distance helper carries the bits of that row computed alone."""
+    model, obs, _ = _two_channel_models()[case]
+    rng = np.random.default_rng(seed)
+    dim, c = model.dim, model.n_channels
+    states = rng.standard_normal((rows, n + 1, dim)) + 1j * rng.standard_normal((rows, n + 1, dim))
+    dw = 0.03 * rng.standard_normal((rows, n, c))
+    # the monkeypatch fixture does not reset between hypothesis examples
+    with mock.patch.object(qf.analysis, "_STACK_ENTRIES", entries):
+        stacked = _filtering_residuals(model, obs, states, dw, 1e-3, quad)
+    assert stacked.shape == (rows, n)
+    for i in range(rows):
+        alone = _filtering_residuals(model, obs, states[i], dw[i], 1e-3, quad)
+        assert np.array_equal(stacked[i], alone)
+
+    other = rng.standard_normal(states.shape) + 1j * rng.standard_normal(states.shape)
+    ov, dist = _pure_overlap(0.5, states, other)
+    assert ov.shape == dist.shape == (rows, n + 1)
+    for i in range(rows):
+        for k in range(n + 1):
+            ov1, dist1 = _pure_overlap(0.5, states[i, k], other[i, k])
+            assert ov[i, k] == ov1
+            assert np.array_equal(dist[i, k], dist1, equal_nan=True)
 
 
 def test_filtering_residual_validation():
