@@ -87,10 +87,6 @@ def _write_stream(fh, pieces) -> dict:
     return {"sha256": digest.hexdigest(), "bytes": size}
 
 
-def sha256_bytes(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
-
-
 class ArtifactWriter:
     """Collects files under one directory and seals them with a manifest."""
 
@@ -179,14 +175,6 @@ def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
         writer.write_bytes(f"{sub}/states.bin", states.astype("<f8").tobytes())
 
 
-def _write_range(p: dict, lo: int, hi: int) -> dict[str, dict]:
-    """Write trajectories lo .. hi - 1 of a simulation; their manifest entries."""
-    writer = ArtifactWriter(p["directory"])
-    for i in range(lo, hi):
-        write_trajectory(writer, p["results"][i], p["formats"])
-    return writer.files
-
-
 def write_simulation(out_dir, config_echo: dict, results: EnsembleResult,
                      formats=("csv",)) -> Path:
     """Write every trajectory plus the sealing manifest; returns the directory.
@@ -200,8 +188,14 @@ def write_simulation(out_dir, config_echo: dict, results: EnsembleResult,
     n_workers = resolve_workers(None, len(results))
     size = max(1, -(-len(results) // n_workers))
     bounds = [(lo, min(lo + size, len(results))) for lo in range(0, len(results), size)]
-    payload = {"directory": writer.directory, "results": results, "formats": formats}
-    for files in pool_map(_write_range, payload, bounds, n_workers):
+
+    def write_range(lo: int, hi: int) -> dict[str, dict]:  # their manifest entries
+        part = ArtifactWriter(writer.directory)
+        for i in range(lo, hi):
+            write_trajectory(part, results[i], formats)
+        return part.files
+
+    for files in pool_map(write_range, bounds, n_workers):
         writer.files.update(files)
     seed_records = [
         {"trajectory_index": results.first_index + i, "master_seed": results.master_seed,
@@ -402,18 +396,20 @@ def load_manifest(run_dir) -> dict:
 
 
 def verify_artifacts(run_dir) -> dict:
-    """Recompute every checksum in the manifest; returns the manifest."""
+    """Recompute every checksum in the manifest, 64 KiB at a time; returns the manifest."""
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir)
     problems = []
     for relpath, meta in manifest.get("files", {}).items():
-        path = run_dir / relpath
+        digest = hashlib.sha256()
         try:
-            data = path.read_bytes()
+            with open(run_dir / relpath, "rb") as fh:
+                while chunk := fh.read(1 << 16):
+                    digest.update(chunk)
         except OSError:
             problems.append(f"{relpath}: missing")
             continue
-        if sha256_bytes(data) != meta.get("sha256"):
+        if digest.hexdigest() != meta.get("sha256"):
             problems.append(f"{relpath}: checksum mismatch")
     if problems:
         raise ArtifactMismatchError(

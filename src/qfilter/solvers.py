@@ -31,8 +31,8 @@ scheme's own posterior expectation (or replayed from a stored record):
 One kernel advances every scheme: it holds B trajectories as a (B, dim)
 array and makes each numpy call once per step for all of them, so the
 Python overhead of a step is shared by the batch; the step operators are
-built once per run. `run_ensemble` copies contiguous batches into one
-`EnsembleResult`, an array per quantity with a row per trajectory, and
+built once per run. Each batch writes straight into one `EnsembleResult`
+in shared memory, an array per quantity with a row per trajectory, and
 `run_trajectory` is row 0 of a one-row run. Each trajectory keeps its own
 counter-keyed noise stream, and every reduction over amplitudes is taken
 along the last axis row by row (never a matrix product across the batch),
@@ -64,6 +64,8 @@ on grids.
 
 from __future__ import annotations
 
+import math
+import multiprocessing
 import os
 import warnings
 from collections.abc import Callable
@@ -204,16 +206,16 @@ def _first_failure(bad: np.ndarray, check: int) -> np.ndarray:
     return 3 * first + check
 
 
-def _run_batch(run: dict, first_index: int, table: np.ndarray,
-               replay: bool) -> tuple[EnsembleResult, np.ndarray]:
-    """Advance trajectories `first_index ..`, one per row of `table`, through
-    every step; their `EnsembleResult`, and per row 3 * step + check of its
-    first failed check, or -1 if none.
+def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarray,
+               replay: bool) -> np.ndarray:
+    """Advance rows `lo .. hi - 1` of `out`, one per row of `table`, through
+    every step, writing them in place; per row 3 * step + check of its first
+    failed check, or -1 if none.
 
-    `table` is (B, n_steps, n_channels): each row's Wiener increments dW, or
-    with `replay` the record increments dY it replays. `run` is what
+    `table` is (hi - lo, n_steps, n_channels): each row's Wiener increments
+    dW, or with `replay` the record increments dY it replays. `run` is what
     `_prepare` built for the whole run; every row starts from its normalized
-    amplitudes `phi0`.
+    amplitudes `phi0`. The per-step arrays `out` does not keep are scratch.
 
     The loop makes no check and keeps no running sum. It stores each step's
     pre-renormalization norm (and, for the gauge scheme, the reconstruction
@@ -235,9 +237,12 @@ def _run_batch(run: dict, first_index: int, table: np.ndarray,
         y = np.zeros((b, c))
 
     snap_of_step = {int(s): i for i, s in enumerate(snapshot_steps)}
-    out = _allocate(run, first_index, b, ("step_norms",))
-    dys = table if replay else np.empty((b, n_steps, c))
-    dws = np.empty((b, n_steps, c)) if replay else table
+    step_norms = np.empty((b, n_steps)) if out.step_norms is None else out.step_norms[lo:hi]
+    given, formed = (out.record, out.innovations) if replay else (out.innovations, out.record)
+    if given is not None:
+        given[lo:hi] = table
+    formed = np.empty(table.shape) if formed is None else formed[lo:hi]
+    dys, dws = (table, formed) if replay else (formed, table)
     drift = np.empty((b, c))
     two_w_dt = 2.0 * w * run["dt"]
     phi = np.repeat(run["phi0"][None, :], b, axis=0)
@@ -250,9 +255,9 @@ def _run_batch(run: dict, first_index: int, table: np.ndarray,
 
     def store(step: int, post: np.ndarray) -> None:
         i = snap_of_step[step]
-        out.states[:, i] = post
+        out.states[lo:hi, i] = post
         for name, op in observables.items():
-            out.expectations[name][:, i] = w * _rowdot(post, op.apply(post))
+            out.expectations[name][lo:hi, i] = w * _rowdot(post, op.apply(post))
 
     # a non-finite value ends in StepFailureError after the run, so numpy's
     # overflow and invalid-value warnings would only repeat that failure
@@ -279,12 +284,12 @@ def _run_batch(run: dict, first_index: int, table: np.ndarray,
             else:
                 new = _record_update(phi, euler, lposts, dy)
             nn = _row_norms(w, new)
-            out.step_norms[:, k] = nn
+            step_norms[:, k] = nn
             phi = new / nn[:, None]
         store(n_steps, posterior(n_steps))
 
         # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
-        log_norm, bad_norm = _cumulative_logs(out.step_norms)
+        log_norm, bad_norm = _cumulative_logs(step_norms)
         log_norm = log_norm[:, snapshot_steps]
         failure = _first_failure(bad_norm, _STATE)
         if gauge_mode:
@@ -297,34 +302,26 @@ def _run_batch(run: dict, first_index: int, table: np.ndarray,
         else:
             log_amp = log_norm.copy()
     failure[failure >= 3 * (n_steps + 1)] = -1
-    out.log_amplitude, out.log_norm, out.record, out.innovations = log_amp, log_norm, dys, dws
-    return out, failure
+    out.log_amplitude[lo:hi], out.log_norm[lo:hi] = log_amp, log_norm
+    return failure
 
 
-def _collect(out: EnsembleResult, part: EnsembleResult, failure: np.ndarray,
-             stacklevel: int) -> None:
-    """Copy `part`, one kernel batch of the run `out` holds, into its rows,
-    then warn and raise as a serial run would: on a grid, a boundary warning
+def _report(out: EnsembleResult, lo: int, failure: np.ndarray, stacklevel: int) -> None:
+    """Warn and raise for rows `lo ..` of `out`, one per entry of their
+    `failure` codes, as a serial run would: on a grid, a boundary warning
     for each trajectory before the first failed one whose snapshots reach an
     edge amplitude above _BOUNDARY_WARN, then a StepFailureError naming that
     failed trajectory, its step and its scheme."""
-    lo = part.first_index - out.first_index
-    rows = slice(lo, lo + len(part))
-    for name, e in part.expectations.items():
-        out.expectations[name][rows] = e
-    for field in ("states", "log_amplitude", "log_norm", "step_norms", "record", "innovations"):
-        if (arr := getattr(out, field)) is not None:
-            arr[rows] = getattr(part, field)
     failed = np.flatnonzero(failure >= 0)
     stop = failed[0] if failed.size else failure.size
     if out.model.basis.grid is not None:
-        edges = np.abs(part.states[:stop][..., [0, -1]]).max(axis=(1, 2))
+        edges = np.abs(out.states[lo:lo + stop][..., [0, -1]]).max(axis=(1, 2))
         for edge in edges[edges > _BOUNDARY_WARN]:
             warnings.warn(f"boundary amplitude reached {edge:.2e}; widen the grid",
                           RuntimeWarning, stacklevel=stacklevel + 1)
     if not failed.size:
         return
-    index = part.first_index + int(stop)
+    index = out.first_index + lo + int(stop)
     step, check = divmod(int(failure[stop]), 3)
     if check == _RECONSTRUCTION:
         what = f"gauge reconstruction at step {step} of trajectory {index} produced a " \
@@ -469,18 +466,49 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
 
 
 def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -> EnsembleResult:
-    """An EnsembleResult of `n_rows` unfilled rows with the per-step arrays in `keep`."""
+    """An EnsembleResult of `n_rows` unfilled rows with the per-step arrays
+    in `keep`, all in one anonymous shared mapping, so pool workers forked
+    after it write their rows straight into them."""
+    import mmap  # loads only in runs that advance trajectories
+
     snaps, steps = (n_rows, run["snapshot_steps"].size), (n_rows, run["n_steps"])
-    per_step = {"step_norms": steps, "record": steps + (run["model"].n_channels,)}
-    per_step["innovations"] = per_step["record"]
+    record = steps + (run["model"].n_channels,)
+    per_step = {"step_norms": steps, "record": record, "innovations": record}
+    fields = {"states": (snaps + (run["model"].dim,), complex), "log_amplitude": (snaps, float),
+              "log_norm": (snaps, float), **{f: (per_step[f], float) for f in keep}}
+    specs = [*fields.values()] + [(snaps, complex)] * len(run["observables"])
+    nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
+    parts = np.split(np.frombuffer(mmap.mmap(-1, sum(nbytes)), np.uint8), np.cumsum(nbytes)[:-1])
+    arrays = [part.view(dtype).reshape(shape) for part, (shape, dtype) in zip(parts, specs)]
     meta = ("scheme", "dt", "n_steps", "record_stride", "master_seed", "snapshot_steps", "times",
             "model", "initial")
     return EnsembleResult(
         **{k: run[k] for k in meta}, first_index=first_index,
-        states=np.empty(snaps + (run["model"].dim,), dtype=complex),
-        expectations={name: np.empty(snaps, dtype=complex) for name in run["observables"]},
-        log_amplitude=np.empty(snaps), log_norm=np.empty(snaps),
-        **{f: np.empty(shape) if f in keep else None for f, shape in per_step.items()})
+        expectations=dict(zip(run["observables"], arrays[len(fields):])),
+        **({f: None for f in per_step} | dict(zip(fields, arrays))))
+
+
+def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
+           table: np.ndarray | None, replay: bool, stacklevel: int) -> EnsembleResult:
+    """`n_rows` trajectories from `first_index` of the run `_prepare` built,
+    in contiguous batches, one per pool task when several workers resolve,
+    each advancing its rows of `table` (or noise it draws) straight into one
+    `EnsembleResult`; then each batch's warnings and failure, in row order."""
+    model = run["model"]
+    out = _allocate(run, first_index, n_rows, keep)
+    n_workers = resolve_workers(None, n_rows)
+    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, run["n_steps"],
+                           model.n_channels)
+    bounds = _batch_bounds(n_rows, model.dim, row_bytes, n_workers)
+
+    def batch(lo: int, hi: int) -> np.ndarray:
+        rows = table[lo:hi] if table is not None else _noise_table(
+            run["master_seed"], lo, hi, run["dt"], run["n_steps"], model.n_channels)
+        return _run_batch(run, out, lo, hi, rows, replay)
+
+    for (lo, _), failure in zip(bounds, pool_map(batch, bounds, n_workers)):
+        _report(out, lo, failure, stacklevel + 1)
+    return out
 
 
 def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -489,14 +517,11 @@ def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
               record_stride: int = 1) -> EnsembleResult:
     """Trajectories `first_index ..`, one per row of the (N, n_steps,
     n_channels) `table` of Wiener increments, or with `replay` of record
-    increments to replay, advanced in batches of at most _BATCH_BYTES. The
+    increments to replay, which pool workers inherit, run by `_drive`. The
     result keeps the step norms, the record and the innovations."""
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    out = _allocate(run, first_index, len(table), ("step_norms", "record", "innovations"))
-    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, n_steps, model.n_channels)
-    for lo, hi in _batch_bounds(len(table), model.dim, row_bytes):
-        _collect(out, *_run_batch(run, first_index + lo, table[lo:hi], replay), stacklevel=3)
-    return out
+    return _drive(run, first_index, len(table), ("step_norms", "record", "innovations"),
+                  table, replay, stacklevel=3)
 
 
 def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -583,55 +608,42 @@ def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
                      for i in range(lo, hi)])
 
 
-def _ensemble_batch(p: dict, lo: int, hi: int) -> tuple[EnsembleResult, np.ndarray]:
-    """Trajectories lo .. hi - 1 of an ensemble and their failures, less what
-    the parent does not take: the innovations, the per-step arrays when
-    `slim`, and the model and initial state, which it holds already."""
-    run = p["run"]
-    table = _noise_table(run["master_seed"], lo, hi, run["dt"], run["n_steps"],
-                         run["model"].n_channels)
-    part, failure = _run_batch(run, lo, table, replay=False)
-    part.innovations = part.model = part.initial = None
-    if p["slim"]:
-        part.step_norms = part.record = None
-    return part, failure
-
-
 _POOL_TASK = None
 
 
-def _pool_init(fn, payload: dict) -> None:
+def _pool_init(fn) -> None:
     global _POOL_TASK
-    _POOL_TASK = fn, payload
+    _POOL_TASK = fn
 
 
 def _pool_run(bounds: tuple[int, int]):
-    fn, payload = _POOL_TASK
-    return fn(payload, *bounds)
+    return _POOL_TASK(*bounds)
 
 
-def pool_map(fn, payload: dict, bounds: list[tuple[int, int]], n_workers: int):
-    """Generate fn(payload, lo, hi) for each range in order: in this process
-    for one worker, else from a pool of n_workers processes that lives until
-    the generator ends or is closed. Each worker receives the payload once,
-    through the pool initializer (inherited, not pickled, under fork); only
-    ranges and return values are pickled."""
+def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_workers: int):
+    """Generate fn(lo, hi) for each range in order: in this process for one
+    worker, else from a pool of n_workers forked processes that lives until
+    the generator ends or is closed. Workers inherit `fn`, which may be a
+    closure, through the pool initializer, and with it any shared memory it
+    holds, such as a result's arrays; only ranges and return values are
+    pickled. Fork is pinned: under spawn or forkserver, workers would write
+    into pickled copies and their rows would be lost without an error."""
     if n_workers <= 1:
         for lo, hi in bounds:
-            yield fn(payload, lo, hi)
+            yield fn(lo, hi)
         return
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_pool_init,
-                             initargs=(fn, payload)) as pool:
+    with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("fork"),
+                             initializer=_pool_init, initargs=(fn,)) as pool:
         yield from pool.map(_pool_run, bounds)
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
                  master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
                  observables: dict[str, Operator] | None = None, record_stride: int = 1,
-                 *, workers: int | None = None, slim: bool = False) -> EnsembleResult:
-    """Run trajectories `0 .. n_trajectories - 1` in contiguous batches,
-    optionally one batch per pool task, into one `EnsembleResult` whose
-    arrays are allocated up front; each batch is copied in as it arrives.
+                 *, slim: bool = False) -> EnsembleResult:
+    """Run trajectories `0 .. n_trajectories - 1` in contiguous batches, one
+    per pool task when several workers resolve, each drawing its noise and
+    writing its rows straight into one `EnsembleResult`'s shared arrays.
     It keeps the step norms and the record unless `slim`, never the
     innovations. Iterating it yields `TrajectoryResult` rows in order.
 
@@ -643,13 +655,8 @@ def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int
     if n_trajectories < 1:
         raise ValueError("n_trajectories must be at least 1")
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    n_workers = resolve_workers(workers, n_trajectories)
-    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, n_steps, model.n_channels)
-    bounds = _batch_bounds(n_trajectories, model.dim, row_bytes, n_workers)
-    out = _allocate(run, 0, n_trajectories, () if slim else ("step_norms", "record"))
-    for part, failure in pool_map(_ensemble_batch, {"run": run, "slim": slim}, bounds, n_workers):
-        _collect(out, part, failure, stacklevel=2)
-    return out
+    return _drive(run, 0, n_trajectories, () if slim else ("step_norms", "record"), None, False,
+                  stacklevel=2)
 
 
 @dataclass

@@ -124,9 +124,7 @@ def suite_equivalence(cfg: RunConfig):
     stride = max(1, n // n_checks)
 
     # every seed is one row of each run; seed i is trajectory i
-    fine = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, "nonlinear",
-                     _noise_table(seed, 0, n_seeds, dt / 2.0, 2 * n, model.n_channels),
-                     record_stride=2 * stride)
+    fine = run_ensemble(model, initial, dt / 2.0, 2 * n, seed, n_seeds, record_stride=2 * stride)
     coarse_rec = fine.record.reshape(n_seeds, n, 2, model.n_channels).sum(axis=2)
     runs_half = {"nonlinear": fine}
     for s in ("linear", "gauge"):
@@ -362,9 +360,7 @@ def suite_gauge(cfg: RunConfig):
     stride = max(1, n // n_checks)
 
     # every seed is one row of each run; seed i is trajectory i
-    lins = _run_rows(model, initial, dt, n, seed, 0, "linear",
-                     _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
-                     record_stride=stride)
+    lins = run_ensemble(model, initial, dt, n, seed, n_seeds, "linear", record_stride=stride)
     gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge", lins.record, replay=True,
                      record_stride=stride)
 

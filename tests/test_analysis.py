@@ -114,7 +114,7 @@ def test_amplitude_identity_small_for_gauge_scheme():
 
 def test_ensemble_average_at_time_zero():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    runs = run_ensemble(model, _ket(0.6, 0.8), 1e-3, 20, 4, 3, workers=1)
+    runs = run_ensemble(model, _ket(0.6, 0.8), 1e-3, 20, 4, 3)
     summary = ensemble_average(runs)
     assert summary.n_trajectories == 3
     rho0 = qf.DensityMatrix(B2, summary.mean_density[0])
@@ -125,7 +125,7 @@ def test_ensemble_average_matches_the_outer_product_loop():
     # 256 points stack 64 trajectories per product, so 70 take two products
     model = build_grid_model(GridSpec(-10.0, 10.0, 256), lam=1.0)
     runs = run_ensemble(model, gaussian_packet(model.basis, x0=1.0), 1e-4, 20, 9, 70,
-                        record_stride=10, workers=1)
+                        record_stride=10)
     summary = ensemble_average(runs)
     want = np.zeros_like(summary.mean_density)
     for r in runs:
@@ -149,7 +149,7 @@ def test_ensemble_mean_tracks_averaged_equation():
 
 def test_ensemble_vs_master_basis_mismatch():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    runs = run_ensemble(model, KET0, 1e-3, 10, 4, 2, workers=1)
+    runs = run_ensemble(model, KET0, 1e-3, 10, 4, 2)
     grid_model = build_grid_model(GridSpec(-10.0, 10.0, 16), lam=1.0)
     rho0 = projector(gaussian_packet(grid_model.basis))
     master = solve_master(grid_model, rho0, 1e-3, 10)
@@ -185,7 +185,7 @@ def test_collapse_statistics_before_collapse_completes():
 
 def test_collapse_statistics_validation():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2, workers=1)
+    runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2)
     with pytest.raises(UnsupportedConfigurationError, match="degenerate"):
         collapse_statistics(runs, named_observable(model, "identity"))
     raiser = Operator(B2, [[0.0, 1.0], [0.0, 0.0]])
@@ -202,7 +202,7 @@ def test_collapse_statistics_accepts_a_constructed_hermitian_observable():
     sz = Operator(B2, qf.SIGMA_Z)
     assert sz.is_hermitian
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
-    runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2, workers=1)
+    runs = run_ensemble(model, PLUS, 1e-3, 10, 4, 2)
     report = collapse_statistics(runs, sz)
     assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
@@ -236,7 +236,7 @@ def test_collapse_statistics_matches_the_per_state_loop():
     obs = Operator(basis, named_observable(model, "x").matrix
                    + 0.3 * qf.momentum_operator(basis).matrix)
     runs = run_ensemble(model, gaussian_packet(basis, sigma=1.0), 1e-3, 4, 11, 60,
-                        record_stride=2, workers=1)
+                        record_stride=2)
     _, vecs = np.linalg.eigh(obs.matrix)
     rng = np.random.default_rng(5)
     finals = []

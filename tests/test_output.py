@@ -252,6 +252,25 @@ def test_write_master_streams_the_table(tmp_path):
     qf.verify_artifacts(out)
 
 
+def test_verify_artifacts_streams_each_file(tmp_path):
+    """A few MB of master.csv are checked while holding far less than the
+    file."""
+    rng = np.random.default_rng(4)
+    dim, n = 24, 180
+    mats = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
+    dtraj = qf.DensityTrajectory(qf.Basis.finite(dim), 0.1, 1, 0.1 * np.arange(n), mats)
+    out = qf.write_master(tmp_path / "run", {}, dtraj)
+    size = (out / "master.csv").stat().st_size
+    assert size > 4_000_000
+    tracemalloc.start()
+    try:
+        qf.verify_artifacts(out)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < size / 4, f"verify peaked at {peak} bytes for a {size}-byte file"
+
+
 def _grid_master_case():
     cfg = qf.parse_config_data({
         "model": {"kind": "grid1d", "x_min": -8.0, "x_max": 8.0, "n_points": 48,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import os
 import re
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -411,12 +413,32 @@ def test_record_mean_drift_tracks_position():
     )
 
 
-def test_boundary_contact_warns():
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_boundary_contact_warns(monkeypatch, threads):
+    """A packet that reaches the grid wall warns once per trajectory, run
+    alone or in an ensemble of several batches, where every warning is
+    emitted in this process, in trajectory order, for any worker count."""
     grid = GridSpec(-4.0, 4.0, 64)
-    model = build_grid_model(grid, lam=0.0)
+    model = build_grid_model(grid, lam=0.5)
     psi = gaussian_packet(model.basis, x0=0.0, p0=3.0, sigma=0.7)
-    with pytest.warns(RuntimeWarning, match="widen the grid"):
-        run_trajectory(model, psi, 1e-3, 1500, 1, 0, record_stride=100)
+    dt, n, stride = 1e-3, 1500, 100
+
+    def warned(run) -> list[str]:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run()
+        return [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+    alone = [warned(lambda: run_trajectory(model, psi, dt, n, 1, i, record_stride=stride))
+             for i in range(6)]
+    assert all(len(w) == 1 and w[0].endswith("widen the grid") for w in alone)
+    alone = sum(alone, [])
+    assert len(set(alone)) == 6  # distinct, so the order shows
+    monkeypatch.setenv("QFILTER_THREADS", threads)
+    row_bytes = solvers._row_bytes(model.dim, n // stride + 1, n, 1)
+    monkeypatch.setattr(solvers, "_BATCH_BYTES", 2 * row_bytes)
+    assert len(solvers._batch_bounds(6, model.dim, row_bytes, int(threads))) == 3
+    assert warned(lambda: run_ensemble(model, psi, dt, n, 1, 6, record_stride=stride)) == alone
 
 
 def test_unobserved_trajectory_matches_closed_evolution():
@@ -444,14 +466,13 @@ def test_long_dephasing_run_collapses_to_a_basis_state():
 
 
 def test_ensemble_worker_count_is_invisible(monkeypatch):
-    monkeypatch.delenv("QFILTER_THREADS", raising=False)
     model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     psi = _ket(1.0, 0.0)
     obs = {"sigma_z": named_observable(model, "sigma_z")}
-    serial = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs,
-                          record_stride=20, workers=1)
-    pooled = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs,
-                          record_stride=20, workers=2)
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    serial = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs, record_stride=20)
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+    pooled = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs, record_stride=20)
     assert len(serial) == len(pooled) == 4
     for name in ("states", "log_amplitude", "log_norm", "step_norms", "record"):
         assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
@@ -463,7 +484,7 @@ def test_ensemble_worker_count_is_invisible(monkeypatch):
 def test_ensemble_slim_and_offset_indices():
     model = _dephasing()
     psi = _ket(1.0, 0.0)
-    slim = run_ensemble(model, psi, 1e-3, 50, 5, 2, workers=1, slim=True)
+    slim = run_ensemble(model, psi, 1e-3, 50, 5, 2, slim=True)
     assert [r.trajectory_index for r in slim] == [0, 1]
     assert slim[1].record is None and slim[1].noise is None
     assert slim[1].step_norms is None
@@ -517,7 +538,8 @@ def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay
     else:
         table = np.stack([r.noise.increments for r in singles])
     run = solvers._prepare(model, psi, scheme, dt, n, stride, obs, seed)
-    batch, failure = solvers._run_batch(run, 0, table, replay)
+    batch = solvers._allocate(run, 0, rows, ("step_norms", "record", "innovations"))
+    failure = solvers._run_batch(run, batch, 0, rows, table, replay)
     assert not (failure >= 0).any()
     for i, single in enumerate(singles):
         assert np.array_equal(batch.states[i], single.states.amplitudes)
@@ -534,7 +556,7 @@ def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
     """Across several batches and worker counts, row i of a result is a view
     of its arrays with the bits of trajectory i run alone, and iteration
     yields the rows in trajectory order."""
-    monkeypatch.delenv("QFILTER_THREADS", raising=False)
+    monkeypatch.setenv("QFILTER_THREADS", str(workers))
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
     obs = {"x": named_observable(model, "x")}
@@ -543,7 +565,7 @@ def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
     assert len(solvers._batch_bounds(10, model.dim, solvers._row_bytes(model.dim, 4, n, 1),
                                      workers)) >= 3
     result = run_ensemble(model, psi, dt, n, 4, 10, scheme="gauge", observables=obs,
-                          record_stride=stride, workers=workers)
+                          record_stride=stride)
     assert [r.trajectory_index for r in result] == list(range(10))
     for i in range(len(result)):
         row = result[i]
@@ -565,12 +587,39 @@ def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
         assert row.noise is None
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+def test_pooled_run_leaves_no_batch_in_the_parent(monkeypatch):
+    """Two workers write four batches of 64 README-qubit trajectories into
+    the result's shared arrays and send back only failure codes, so this
+    process never holds a batch: its traced peak stays below the bytes of
+    one batch, a quarter of the result's arrays."""
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    psi = _ket(1.0, 0.0)
+    obs = {"sigma_z": named_observable(model, "sigma_z")}
+    dt, n, stride = 1e-3, 1000, 10
+    row_bytes = solvers._row_bytes(model.dim, n // stride + 1, n, 1)
+    monkeypatch.setattr(solvers, "_BATCH_BYTES", 64 * row_bytes)
+    assert len(solvers._batch_bounds(256, model.dim, row_bytes, 2)) == 4
+    run_ensemble(model, psi, dt, 1, 0, 2)  # the pool's modules load untraced
+    tracemalloc.start()
+    try:
+        result = run_ensemble(model, psi, dt, n, 0, 256, observables=obs, record_stride=stride)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    arrays = (result.states, result.log_amplitude, result.log_norm, result.step_norms,
+              result.record, *result.expectations.values())
+    batch = sum(a.nbytes for a in arrays) / 4
+    assert peak < batch, f"the parent peaked at {peak} bytes; one batch holds {batch:.0f}"
+
+
 @pytest.mark.parametrize("rows", [1, 7, 256])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, workers):
     """Trajectory 9 fails at step 1, trajectory 7 only at step 3: a serial
     run stops at 7 first, and so does every batch size and worker count."""
-    monkeypatch.delenv("QFILTER_THREADS", raising=False)
+    monkeypatch.setenv("QFILTER_THREADS", str(workers))
     model = build_grid_model(GridSpec(-10.0, 10.0, 64), lam=1.0)
     packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
     draw = solvers.generate_noise
@@ -588,7 +637,7 @@ def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, wo
     monkeypatch.setattr(solvers, "_BATCH_BYTES",
                         rows * solvers._row_bytes(model.dim, 6, 5, 1))
     with pytest.raises(StepFailureError) as info:
-        run_ensemble(model, packet, 1e-3, 5, 0, 12, scheme="gauge", workers=workers)
+        run_ensemble(model, packet, 1e-3, 5, 0, 12, scheme="gauge")
     assert str(info.value) == ("gauge reconstruction at step 3 of trajectory 7 produced a "
                                "degenerate state")
     err = info.value
