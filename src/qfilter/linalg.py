@@ -168,6 +168,59 @@ def _detect_flag(matrix: np.ndarray) -> bool:
     return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= _FLAG_TOL * scale)
 
 
+# adding it leaves every complex value as it was, signed zeros included
+_NEG_ZERO = complex(-0.0, -0.0)
+
+
+def padded_rows(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(before, rows, after): the (b, n) complex views at offsets 0, 1 and 2
+    of one zeroed flat buffer of b * n + 2 entries. `rows` holds the values;
+    the other two are it shifted by one entry either way, the neighbours
+    `band_apply` reads, and stay inside the buffer."""
+    flat = np.zeros(b * n + 2, dtype=complex)
+    return tuple(flat[k:k + b * n].reshape(b, n) for k in range(3))
+
+
+def aligned_bands(d: np.ndarray, up: np.ndarray | None = None, lo: np.ndarray | None = None):
+    """(d, up, lo) rows of n entries for `band_apply` from a diagonal and its
+    n - 1 upper and lower entries: up[i] multiplies column i + 1 of row i and
+    lo[i] column i - 1, so up[-1] and lo[0] are padding (zero). Without
+    off-diagonal bands the operator is diagonal, and so are the rows."""
+    if up is None:
+        return d, None, None
+    up_row, lo_row = np.zeros(d.size, dtype=complex), np.zeros(d.size, dtype=complex)
+    up_row[:-1], lo_row[1:] = up, lo
+    return d, up_row, lo_row
+
+
+def band_apply(bands, src, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """A diagonal or tridiagonal operator applied along each row x of
+    `src`, the (before, rows, after) views `padded_rows` gives, into the
+    (b, n) array `out`.
+
+    `bands` is (d, up, lo) as `aligned_bands` gives them, each broadcastable
+    to (b, n), so a band may differ per row. Each band product is one
+    contiguous pass over the rows shifted by one entry; the one column of it
+    that reads across a row boundary is set to -0 - 0j before it is added,
+    which leaves that column of the sum as it was. So every entry carries
+    the bits of the strided form
+        out = d * x; out[..., :-1] += up * x[..., 1:]; out[..., 1:] += lo * x[..., :-1].
+    `tmp`, (b, n) scratch, may be `up` itself.
+    """
+    d, up, lo = bands
+    before, rows, after = src
+    np.multiply(d, rows, out=out)
+    if up is None:
+        return out
+    np.multiply(up, after, out=tmp)
+    tmp[:, -1] = _NEG_ZERO
+    np.add(out, tmp, out=out)
+    np.multiply(lo, before, out=tmp)
+    tmp[:, 0] = _NEG_ZERO
+    np.add(out, tmp, out=out)
+    return out
+
+
 @dataclass(frozen=True, eq=False)
 class Operator:
     """Dense-backed linear operator.
@@ -218,6 +271,14 @@ class Operator:
             self.matrix.diagonal(1).copy(),
         )
 
+    @cached_property
+    def _aligned(self):
+        """A diagonal or tridiagonal operator's bands as `band_apply` reads them."""
+        if self.structure == "diagonal":
+            return aligned_bands(self._diag)
+        lo, d, up = self._bands
+        return aligned_bands(d, up, lo)
+
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The operator applied along the last axis of a (..., dim) array.
 
@@ -229,11 +290,11 @@ class Operator:
         if self.structure == "diagonal":
             return self._diag * vec
         if self.structure == "tridiagonal":
-            lo, d, up = self._bands
-            out = d * vec
-            out[..., :-1] += up * vec[..., 1:]
-            out[..., 1:] += lo * vec[..., :-1]
-            return out
+            rows = np.reshape(vec, (-1, np.shape(vec)[-1]))
+            src = padded_rows(*rows.shape)
+            src[1][...] = rows
+            out = np.empty_like(src[1])
+            return band_apply(self._aligned, src, out, np.empty_like(out)).reshape(np.shape(vec))
         flat = np.asarray(vec).reshape(-1, self.basis.dim)
         out = np.empty(flat.shape, dtype=complex)
         rows = max(1, _DENSE_APPLY_ENTRIES // self.matrix.size)

@@ -38,6 +38,36 @@ counter-keyed noise stream, and every reduction over amplitudes is taken
 along the last axis row by row (never a matrix product across the batch),
 so a trajectory carries the same bits whatever batch it is advanced in.
 
+Between snapshots, a step on a diagonal or tridiagonal model allocates no
+array the size of the batch. Each batch allocates its buffers once
+(`_Workspace`), and every pass over them is contiguous:
+  - the state, the next state and the gauge posterior live in flat padded
+    buffers of B * dim + 2 entries whose (B, dim) rows start at offset 1,
+    so a row's band neighbours are the contiguous (B, dim) views at
+    offsets 2 and 0 (`linalg.padded_rows`), and so is the gauge exponent s
+    with its differences s[k] - s[k - 1];
+  - the step operators 1 - K dt and 1 - G dt are band rows aligned to
+    their columns when K is diagonal or tridiagonal, built by `_prepare`
+    from K's bands with each entry computed as 1.0 - dt k or 0.0 - dt k,
+    the bits of the bands of np.eye(n) - dt K; a batch repeats each row B
+    times so a band product is one pass over arrays of one shape. A dense
+    K keeps the dense operators.
+The bits are those of the plain forms, strided band slices, promoted real
+factors and a complex division, by three rules that hold byte for byte
+(the linalg tests check them on the numpy at hand):
+  - a band product reads across a row boundary in one column; that column
+    is set to -0 - 0j before the contiguous add, and x + (-0 - 0j) is x for
+    every x, signed zeros included (`linalg.band_apply`);
+  - a real factor, exp(s - m), exp(+-ds) or dY, is written into the real
+    part of a complex buffer whose imaginary part stays +0.0, which is the
+    operand numpy's promotion of a real array builds;
+  - division by a row norm nn is multiplication by (1/nn, -0.0); with +0.0
+    in the imaginary part the bits would differ.
+Every band product is one contiguous pass over at least two entries, so a
+row gets the same bits in a batch of any size; numpy runs a one-entry
+strided product, as a one-row two-level batch would make, in another loop
+with other bits.
+
 The stochastic amplitude ln c is accumulated alongside every scheme as the
 realized norm growth of the record-driven one-step update at the current
 posterior; its first-order expansion is the Ito increment
@@ -89,7 +119,10 @@ from .linalg import (
     Operator,
     StateSeries,
     StateVector,
+    aligned_bands,
+    band_apply,
     matrix_exp,
+    padded_rows,
 )
 from .models import ModelSpec
 from .noise import MeasurementRecord, NoisePath, generate_noise
@@ -98,16 +131,17 @@ SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
 
-# amplitudes in one batch's (B, dim) state array (256 KiB of complex128), so
-# the arrays a step makes stay near a 2 MiB L2 cache: at 128 grid points
-# this is 128 rows, the fastest per trajectory-step measured; 512 rows ran
-# 25 % slower. It also bounds the row block of a banded master stage: at 256
-# grid points one 16 Ki-entry block per operand took 4.9 ms per RK4 step
-# against 6.5 ms for the whole 64 Ki-entry matrix at once
+# amplitudes in one batch's (B, dim) state array (256 KiB of complex128): at
+# 128 grid points this is 128 rows; 512 rows ran 25 % slower per
+# trajectory-step, and 64 rows ran no faster on the 128-point verify
+# benchmark. A step's workspace holds about sixteen such arrays. It also
+# bounds the row block of a banded master stage: at 256 grid points one
+# 16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms for
+# the whole 64 Ki-entry matrix at once
 _STEP_ENTRIES = 1 << 14
 
-# bytes one batch of trajectories holds at most: state rows, snapshots,
-# noise table, record and step norms
+# bytes one batch of trajectories holds at most (`_row_bytes`): its step
+# workspace and band rows, snapshots, noise table, record and per-step series
 _BATCH_BYTES = 32 << 20
 
 # the checks a step makes, in the order it makes them
@@ -136,60 +170,153 @@ def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.add.reduce(a.conj() * b, axis=-1)
 
 
-def _re_rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a|b> of each row pair of C-contiguous complex rows."""
-    return np.add.reduce(a.view(float) * b.view(float), axis=-1)
+class _Workspace:
+    """Every array a step of b rows of n amplitudes and c channels writes,
+    allocated once per batch, with the views the step reads them through;
+    see the module docstring for the layout."""
+
+    def __init__(self, b: int, n: int, c: int):
+        m = b * n
+        # the rows band products read: the state, the next state, the gauge
+        # posterior, each as padded (before, rows, after) views
+        self.phi, self.new, self.post = (padded_rows(b, n) for _ in range(3))
+        self.lposts = [np.empty((b, n), dtype=complex) for _ in range(c)]
+        self.tmp = np.empty((b, n), dtype=complex)
+        self.tilt = np.empty((b, n), dtype=complex)
+        # a real factor as numpy's promotion builds it, (x, +0.0): only the
+        # real part is ever written. Its m + 1 entries hold exp(+-diff) for
+        # the gauge bands, read from offset 1 by the upper band and from 0 by
+        # the lower band and the reconstruction
+        self.factor = np.zeros(m + 1, dtype=complex)
+        self.factor_re = self.factor.real
+        self.factor_up = self.factor[1:].reshape(b, n)
+        self.factor_lo = self.factor[:-1].reshape(b, n)
+        self.dy = np.zeros((b, c), dtype=complex)
+        self.dy_re = self.dy.real
+        self.dy_cols = [self.dy[:, j, None] for j in range(c)]
+        # 1 / norm as (1/nn, -0.0): times it, a row has the bits of row / nn
+        self.inv = np.full((b, 1), complex(0.0, -0.0))
+        self.inv_re = self.inv.real[:, 0]
+        # the gauge exponent padded by one entry each side, so that its
+        # row-major differences diff[k] = s[k] - s[k - 1] are one pass
+        s_flat = np.zeros(m + 2)
+        self.s = s_flat[1:-1].reshape(b, n)
+        self.s_after, self.s_before = s_flat[1:], s_flat[:-1]
+        self.diff = np.empty(m + 1)
+        self.diff_rows = self.diff[:-1].reshape(b, n)
+        self.exp = np.zeros(m + 1)
+        self.exp_rows = self.exp[:-1].reshape(b, n)
+        self.sq = np.empty((b, 2 * n))
+        self.sums = np.empty(b)
+        self.peak = np.empty(b)
 
 
-def _row_norms(weight: float, vec: np.ndarray) -> np.ndarray:
-    """Weighted norm of each C-contiguous complex row."""
-    f = vec.view(float)
-    return np.sqrt(weight * np.add.reduce(f * f, axis=-1))
+def _re_rowdot(a: np.ndarray, b: np.ndarray, sq: np.ndarray | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """Re <a|b> of each row pair of C-contiguous complex rows; `sq` and
+    `out`, when given, receive the products and the sums."""
+    return np.add.reduce(np.multiply(a.view(float), b.view(float), out=sq), axis=-1, out=out)
 
 
-def _exponent(y: np.ndarray, ldiag: np.ndarray) -> np.ndarray:
-    """sum_j y_j l_j per row, the exponent of exp(L.Y) for diagonal channels."""
-    s = y[..., 0, None] * ldiag[0]
+def _row_norms(weight: float, vec: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """Weighted norm of each C-contiguous complex row, in `ws.sums`."""
+    sums = np.add.reduce(np.square(vec.view(float), out=ws.sq), axis=-1, out=ws.sums)
+    return np.sqrt(np.multiply(weight, sums, out=sums), out=sums)
+
+
+def _normalize(vec: np.ndarray, nn: np.ndarray, ws: _Workspace) -> None:
+    """Divide each row of `vec` by its entry of `nn` in place, as a product
+    with (1/nn, -0.0), which has the bits of the complex division."""
+    np.divide(1.0, nn, out=ws.inv_re)
+    np.multiply(vec, ws.inv, out=vec)
+
+
+def _exponent(y: np.ndarray, ldiag: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """sum_j y_j l_j per row, the exponent of exp(L.Y) for diagonal
+    channels, in `ws.s`."""
+    np.multiply(y[:, 0, None], ldiag[0], out=ws.s)
     for j in range(1, ldiag.shape[0]):
-        s = s + y[..., j, None] * ldiag[j]
-    return s
+        np.multiply(y[:, j, None], ldiag[j], out=ws.diff_rows)
+        np.add(ws.s, ws.diff_rows, out=ws.s)
+    return ws.s
 
 
-def _record_update(chi, euler: Operator, lchis, dy):
-    """One-step record-driven map (1 - K dt) chi + sum_j dY_j L_j chi per row,
-    with `euler` = 1 - K dt."""
-    out = euler.apply(chi)
-    for j, lchi in enumerate(lchis):
-        out += dy[..., j, None] * lchi
+def _tiled(op, b: int):
+    """Band rows repeated for b rows, so each band product is one pass over
+    operands of one shape (a product with an (n,) row broadcast over (b, n)
+    runs as b short passes); a dense `Operator` or None as it is."""
+    if op is None or isinstance(op, Operator):
+        return op
+    return tuple(None if band is None else np.tile(band, (b, 1)) for band in op)
+
+
+def _apply(op, src, out: np.ndarray, ws: _Workspace) -> np.ndarray:
+    """`op` applied along `src[1]` into `out`: band rows (`aligned_bands`)
+    through `band_apply` on the padded `src`, or a dense `Operator`."""
+    if isinstance(op, Operator):
+        out[...] = op.apply(src[1])
+        return out
+    return band_apply(op, src, out, ws.tmp)
+
+
+def _record_update(src, euler, lposts, ws: _Workspace) -> np.ndarray:
+    """One-step record-driven map (1 - K dt) chi + sum_j dY_j L_j chi of the
+    rows of `src` into `ws.new`, with `euler` = 1 - K dt, the L_j chi in
+    `lposts` and the dY in `ws.dy`."""
+    out = _apply(euler, src, ws.new[1], ws)
+    for dy, lchi in zip(ws.dy_cols, lposts):
+        np.multiply(dy, lchi, out=ws.tmp)
+        np.add(out, ws.tmp, out=out)
     return out
 
 
-def _gauge_apply(op: Operator, s: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Apply exp(-s) op exp(s) per row using only differences of s."""
-    if op.structure == "diagonal":
-        return op._diag * vec
-    if op.structure == "tridiagonal":
-        lo, d, up = op._bands
-        ds = s[..., 1:] - s[..., :-1]
-        out = d * vec
-        out[..., :-1] += up * np.exp(ds) * vec[..., 1:]
-        out[..., 1:] += lo * np.exp(-ds) * vec[..., :-1]
+def _gauge_apply(op, ws: _Workspace) -> np.ndarray:
+    """exp(-s) op exp(s) applied to the state rows `ws.phi`, into
+    `ws.new`, using only differences of the exponent s in `ws.s`.
+
+    A tridiagonal op's bands are tilted per row, up * exp(ds) and
+    lo * exp(-ds) with ds = s[i + 1] - s[i], and applied by `band_apply`."""
+    out = ws.new[1]
+    if isinstance(op, Operator):
+        s = ws.s
+        tilted = op.matrix * np.exp(s[..., None, :] - s[..., :, None])
+        out[...] = (tilted * ws.phi[1][..., None, :]).sum(axis=-1)
         return out
-    tilted = op.matrix * np.exp(s[..., None, :] - s[..., :, None])
-    return (tilted * vec[..., None, :]).sum(axis=-1)
+    d, up, lo = op
+    if up is None:
+        return np.multiply(d, ws.phi[1], out=out)
+    # the entries of diff that span two rows or a pad meet only the columns
+    # band_apply discards
+    np.subtract(ws.s_after, ws.s_before, out=ws.diff)
+    np.exp(ws.diff, out=ws.exp)
+    np.copyto(ws.factor_re, ws.exp)
+    np.multiply(up, ws.factor_up, out=ws.tmp)
+    np.negative(ws.diff, out=ws.diff)
+    np.exp(ws.diff, out=ws.exp)
+    np.copyto(ws.factor_re, ws.exp)
+    np.multiply(lo, ws.factor_lo, out=ws.tilt)
+    return band_apply((d, ws.tmp, ws.tilt), ws.phi, out, ws.tmp)
 
 
-def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, weight: float):
-    """Normalized exp(L.Y) psi and ln of its norm per row, overflow-safe.
+def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, weight: float,
+                     ws: _Workspace):
+    """Normalized exp(L.Y) psi and ln of its norm for each of the (b, n)
+    rows `psi_unit`, overflow-safe; the posterior is written into
+    `ws.post`.
 
     A row whose scaled norm is zero or not finite is degenerate, and its
     ln c is then not finite.
     """
-    s = _exponent(y, ldiag)
-    m = s.max(axis=-1)
-    scaled = np.exp(s - m[..., None]) * psi_unit
-    nn = _row_norms(weight, scaled)
-    return scaled / nn[..., None], np.log(nn) + m
+    s = _exponent(y, ldiag, ws)
+    np.maximum.reduce(s, axis=-1, out=ws.peak)
+    np.subtract(s, ws.peak[:, None], out=ws.diff_rows)
+    np.exp(ws.diff_rows, out=ws.exp_rows)
+    np.copyto(ws.factor_re, ws.exp)
+    scaled = np.multiply(ws.factor_lo, psi_unit, out=ws.post[1])
+    nn = _row_norms(weight, scaled, ws)
+    ln = np.log(nn) + ws.peak
+    _normalize(scaled, nn, ws)
+    return scaled, ln
 
 
 def _cumulative_logs(values: np.ndarray):
@@ -225,10 +352,11 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     a one-trajectory run stops at.
     """
     model, observables, snapshot_steps = run["model"], run["observables"], run["snapshot_steps"]
-    euler, gauge_euler = run["euler"], run["gauge_euler"]
     b, n_steps, c = table.shape
+    euler, gauge_euler = _tiled(run["euler"], b), _tiled(run["gauge_euler"], b)
+    channels = [_tiled(ch, b) for ch in run["channels"]]
     w = model.basis.weight
-    channels = model.channels
+    ws = _Workspace(b, model.dim, c)
     gauge_mode = gauge_euler is not None
     if gauge_mode:
         ldiag = model.channel_diagonals
@@ -245,13 +373,13 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     dys, dws = (table, formed) if replay else (formed, table)
     drift = np.empty((b, c))
     two_w_dt = 2.0 * w * run["dt"]
-    phi = np.repeat(run["phi0"][None, :], b, axis=0)
+    ws.phi[1][...] = run["phi0"]
 
-    def posterior(step: int) -> np.ndarray:
+    def posterior(step: int):
         if not gauge_mode:
-            return phi
-        post, ln_recon[:, step] = _reconstruct_raw(phi, ldiag, y, w)
-        return post
+            return ws.phi
+        _, ln_recon[:, step] = _reconstruct_raw(ws.phi[1], ldiag, y, w, ws)
+        return ws.post
 
     def store(step: int, post: np.ndarray) -> None:
         i = snap_of_step[step]
@@ -264,29 +392,32 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             post = posterior(k)
-            lposts = [ch.apply(post) for ch in channels]
+            lposts = [_apply(ch, post, lp, ws) for ch, lp in zip(channels, ws.lposts)]
             if k in snap_of_step:
-                store(k, post)
+                store(k, post[1])
             for j, lp in enumerate(lposts):
-                drift[:, j] = two_w_dt * _re_rowdot(post, lp)
+                np.multiply(two_w_dt, _re_rowdot(post[1], lp, ws.sq, ws.sums), out=drift[:, j])
             dy = dys[:, k]
             if replay:
                 np.subtract(dy, drift, out=dws[:, k])
             else:
                 np.add(drift, dws[:, k], out=dy)
+            np.copyto(ws.dy_re, dy)
 
             if gauge_mode:
                 # amplitude growth of the record-driven map at the posterior,
                 # accumulated for the cross-form identity exp(ln c) = ||chi||
-                growth[:, k] = _row_norms(w, _record_update(post, euler, lposts, dy))
-                new = _gauge_apply(gauge_euler, _exponent(y + 0.5 * dy, ldiag), phi)
+                growth[:, k] = _row_norms(w, _record_update(post, euler, lposts, ws), ws)
+                _exponent(y + 0.5 * dy, ldiag, ws)
+                updated = _gauge_apply(gauge_euler, ws)
                 y += dy
             else:
-                new = _record_update(phi, euler, lposts, dy)
-            nn = _row_norms(w, new)
+                updated = _record_update(ws.phi, euler, lposts, ws)
+            nn = _row_norms(w, updated, ws)
             step_norms[:, k] = nn
-            phi = new / nn[:, None]
-        store(n_steps, posterior(n_steps))
+            _normalize(updated, nn, ws)
+            ws.phi, ws.new = ws.new, ws.phi
+        store(n_steps, posterior(n_steps)[1])
 
         # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
         log_norm, bad_norm = _cumulative_logs(step_norms)
@@ -454,15 +585,42 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
     if scheme == "gauge":
         if model.channel_diagonals is None:
             raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
-        gauge_euler = Operator(model.basis, np.eye(model.dim) - dt * model.gauge_core.matrix)
+        gauge_euler = _step_operator(model, dt, gauge=True)
     snapshot_steps = _stored_steps(n_steps, record_stride)
     return {"model": model, "initial": initial, "scheme": scheme, "dt": dt, "n_steps": n_steps,
             "record_stride": record_stride, "master_seed": master_seed,
             "snapshot_steps": snapshot_steps, "times": snapshot_steps * dt,
             "observables": observables,
             "phi0": (initial.amplitudes / initial.norm()).astype(complex),
-            "euler": Operator(model.basis, np.eye(model.dim) - dt * model.generator.matrix),
-            "gauge_euler": gauge_euler}
+            "euler": _step_operator(model, dt), "gauge_euler": gauge_euler,
+            "channels": [ch if ch.structure == "dense" else ch._aligned
+                         for ch in model.channels]}
+
+
+def _step_operator(model: ModelSpec, dt: float, gauge: bool = False):
+    """1 - dt K, or with `gauge` 1 - dt G with G = K + sum_j L_j^2 / 2 for
+    diagonal channels: band rows (`aligned_bands`) when K is diagonal or
+    tridiagonal, else a dense `Operator`.
+
+    The band rows carry the bits of the bands of the dense forms
+    np.eye(n) - dt * K and np.eye(n) - dt * model.gauge_core: each entry is
+    1.0 - dt * k or 0.0 - dt * k in the same complex arithmetic, and G's
+    diagonal adds 0.5 * l * l per channel in the order gauge_core adds
+    0.5 * (L @ L), whose diagonal is l * l exactly when l is real, as on
+    every channel the models build.
+    """
+    k = model.generator
+    if k.structure == "dense":
+        core = model.gauge_core if gauge else k
+        return Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
+    lo, d, up = k._bands
+    if gauge:
+        d = d.copy()
+        for ch in model.channels:
+            d += 0.5 * (ch._diag * ch._diag)
+    if k.structure == "diagonal":
+        return aligned_bands(1.0 - dt * d)
+    return aligned_bands(1.0 - dt * d, 0.0 - dt * up, 0.0 - dt * lo)
 
 
 def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -> EnsembleResult:
@@ -583,9 +741,14 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
 
 
 def _row_bytes(dim: int, n_snaps: int, n_steps: int, n_channels: int) -> int:
-    """Bytes one trajectory holds in a batch: its state row, snapshots,
-    noise table, record and step norms."""
-    return 16 * dim * (n_snaps + 1) + 8 * n_steps * (2 * n_channels + 1)
+    """Bytes one trajectory holds in a batch, at most: its snapshots; its
+    rows of the step workspace (`_Workspace`: 6 + n_channels complex rows of
+    dim entries, 5 real ones and a few per-channel scalars) and of the tiled
+    band rows (`_tiled`: up to 3 for each of the two step operators and each
+    channel); and its noise table, record, step norms, amplitude growth and
+    reconstruction series."""
+    return (16 * dim * (n_snaps + 12 + 4 * n_channels) + 40 * dim + 32 * (n_channels + 1)
+            + 8 * (n_steps + 1) * (2 * n_channels + 3))
 
 
 def _batch_bounds(n_rows: int, dim: int, row_bytes: int,

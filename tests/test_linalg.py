@@ -22,6 +22,7 @@ from qfilter import (
     trace_distance,
 )
 from qfilter.errors import BasisMismatchError, NormalizationError, OracleSizeError
+from qfilter.linalg import aligned_bands, band_apply, padded_rows
 
 B2 = Basis.finite(2)
 KET0 = StateVector(B2, np.array([1.0, 0.0], dtype=complex))
@@ -214,12 +215,16 @@ def test_operator_apply_matches_matmul():
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([3, 5, 9]),
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([2, 3, 5, 9]),
        structure=st.sampled_from(["diagonal", "tridiagonal", "dense"]),
        lead=st.sampled_from([(), (4,), (4, 3)]))
 def test_batched_apply_matches_the_dense_product_row_by_row(seed, n, structure, lead):
     """Along any leading shape, apply agrees with the dense product to 1e-12
-    relative to |M| |v|, and each row has the bits of apply on it alone."""
+    relative to |M| |v|, and each row has the bytes of apply on it alone,
+    as a 1-D vector or as a one-row batch; two-entry rows included, to which
+    the strided one-entry band products of a one-row batch gave other bits."""
+    if n == 2 and structure == "dense":
+        structure = "tridiagonal"  # every 2 x 2 matrix is tridiagonal
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     width = {"diagonal": 0, "tridiagonal": 1, "dense": n}[structure]
@@ -232,7 +237,87 @@ def test_batched_apply_matches_the_dense_product_row_by_row(seed, n, structure, 
     err = np.linalg.norm(out - vec @ m.T, axis=-1)
     assert np.all(err <= 1e-12 * np.linalg.norm(m) * np.linalg.norm(vec, axis=-1))
     for idx in np.ndindex(lead):
-        assert np.array_equal(out[idx], op.apply(vec[idx]))
+        assert out[idx].tobytes() == op.apply(vec[idx]).tobytes()
+        assert out[idx].tobytes() == op.apply(vec[idx][None]).tobytes()
+
+
+def _with_signed_zeros(rng, a: np.ndarray) -> np.ndarray:
+    """`a` with about a quarter of its real and imaginary parts set to +0.0
+    or -0.0."""
+    parts = a.view(float)
+    hit = rng.random(parts.shape) < 0.25
+    parts[hit] = np.where(rng.random(int(hit.sum())) < 0.5, 0.0, -0.0)
+    return a
+
+
+def _draw(rng, shape, kind=complex) -> np.ndarray:
+    """Values over sixty decades, with signed zeros in their parts."""
+    scale = 10.0 ** rng.uniform(-30.0, 30.0, shape)
+    values = rng.standard_normal(shape) * scale
+    if kind is complex:
+        values = values + 1j * rng.standard_normal(shape) * scale
+    return _with_signed_zeros(rng, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), b=st.integers(1, 9), n=st.sampled_from([2, 3, 4, 7, 16]),
+       tridiagonal=st.booleans(), per_row=st.booleans())
+def test_band_apply_has_the_bits_of_the_strided_form(seed, b, n, tridiagonal, per_row):
+    """The contiguous band routine gives every entry the bytes of the strided
+    form it replaced, signed zeros included, for bands shared by all rows or
+    one per row; and the two identities the trajectory kernel builds on hold
+    byte for byte: a real factor multiplies as the complex (x, +0.0) numpy's
+    promotion makes of it, and division by a row norm nn is multiplication by
+    (1/nn, -0.0)."""
+    if n == 2:
+        # one row of two: the strided form multiplies single entries, which
+        # numpy runs in another loop than the same product over more rows,
+        # so that row would differ from itself in a larger batch
+        b = max(b, 2)
+    rng = np.random.default_rng(seed)
+    x = _draw(rng, (b, n))
+    d = _draw(rng, n)
+    band_shape = (b, n - 1) if per_row else (n - 1,)
+    up, lo = _draw(rng, band_shape), _draw(rng, band_shape)
+    want = d * x
+    if tridiagonal:
+        want[..., :-1] += up * x[..., 1:]
+        want[..., 1:] += lo * x[..., :-1]
+        up_row, lo_row = (np.zeros(band_shape[:-1] + (n,), dtype=complex) for _ in range(2))
+        up_row[..., :-1], lo_row[..., 1:] = up, lo
+        bands = (d, up_row, lo_row)
+        if not per_row:
+            assert all(a.tobytes() == r.tobytes()
+                       for a, r in zip(aligned_bands(d, up, lo), bands))
+    else:
+        bands = aligned_bands(d)
+    src = padded_rows(b, n)
+    src[1][...] = x
+    for rows in (bands, tuple(None if r is None else np.broadcast_to(r, (b, n)).copy()
+                              for r in bands)):
+        got = band_apply(rows, src, np.empty((b, n), dtype=complex),
+                         np.empty((b, n), dtype=complex))
+        assert got.tobytes() == want.tobytes()
+    if not per_row:
+        m = np.zeros((n, n), dtype=complex)
+        i = np.arange(n)
+        m[i, i] = d
+        if tridiagonal:
+            m[i[:-1], i[1:]], m[i[1:], i[:-1]] = up, lo
+        op = Operator(Basis.finite(n), m)
+        if op.structure == ("tridiagonal" if tridiagonal else "diagonal"):
+            assert op.apply(x).tobytes() == want.tobytes()
+
+    real = _draw(rng, (b, n), float)
+    promoted = np.zeros((b, n), dtype=complex)
+    promoted.real[...] = real
+    assert (real * x).tobytes() == (promoted * x).tobytes()
+    assert (x * real).tobytes() == (x * promoted).tobytes()
+    assert (real[:, :1] * x).tobytes() == (promoted[:, :1] * x).tobytes()
+    nn = np.exp(rng.uniform(-3.0, 0.6, b))
+    inverse = np.full((b, 1), complex(0.0, -0.0))
+    inverse.real[:, 0] = 1.0 / nn
+    assert (x / nn[:, None]).tobytes() == (x * inverse).tobytes()
 
 
 def test_state_amplitudes_are_frozen():

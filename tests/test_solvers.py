@@ -189,13 +189,20 @@ def test_reconstruct_posterior_frozen_value():
     assert post.norm() == pytest.approx(1.0, abs=1e-12)
 
 
+def _reconstruct(psi, ldiag, y, weight):
+    """The kernel's gauge reconstruction of one state at record value y, as
+    a one-row batch: the normalized posterior and its ln c."""
+    ws = solvers._Workspace(1, psi.size, ldiag.shape[0])
+    post, ln_c = solvers._reconstruct_raw(psi[None], ldiag, np.array([[y]]), weight, ws)
+    return post[0], ln_c[0]
+
+
 def test_reconstruct_posterior_survives_huge_records():
     grid = GridSpec(-8.0, 8.0, 64)
     model = build_grid_model(grid, lam=1.0)
     psi = gaussian_packet(model.basis, sigma=1.0)
     w = model.basis.weight
-    post, ln_c = solvers._reconstruct_raw(psi.amplitudes, model.channel_diagonals,
-                                          np.array([1e6]), w)
+    post, ln_c = _reconstruct(psi.amplitudes, model.channel_diagonals, 1e6, w)
     assert math.sqrt(w) * np.linalg.norm(post) == pytest.approx(1.0, abs=1e-9)
     assert np.isfinite(ln_c) and ln_c > 1e7
 
@@ -212,8 +219,8 @@ def test_reconstruct_posterior_validation():
     # a zero state has no reconstruction: its ln c comes back non-finite, which the
     # kernel turns into a StepFailureError
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, ln_c = solvers._reconstruct_raw(np.zeros(2, dtype=complex),
-                                           _dephasing().channel_diagonals, np.zeros(1), 1.0)
+        _, ln_c = _reconstruct(np.zeros(2, dtype=complex), _dephasing().channel_diagonals,
+                               0.0, 1.0)
     assert not np.isfinite(ln_c)
 
 
@@ -303,9 +310,9 @@ def test_replay_reproduces_the_run_bitwise():
     model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     first = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0)
     again = run_trajectory(model, _ket(1.0, 0.0), 1e-3, 300, 77, 0, record=first.record)
-    assert np.array_equal(first.states[-1].amplitudes, again.states[-1].amplitudes)
-    assert np.array_equal(first.step_norms, again.step_norms)
-    assert np.array_equal(first.log_norm, again.log_norm)
+    assert first.states.amplitudes.tobytes() == again.states.amplitudes.tobytes()
+    assert first.step_norms.tobytes() == again.step_norms.tobytes()
+    assert first.log_norm.tobytes() == again.log_norm.tobytes()
     # the innovation recovered from the record is the original noise
     assert np.allclose(again.noise.increments, first.noise.increments, atol=1e-15)
 
@@ -332,9 +339,8 @@ def test_nonlinear_and_linear_replays_are_bit_identical(field, channel, lam, the
     lin = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme="linear",
                          record_stride=7, record=first.record)
     for other in (nl, lin):
-        assert np.array_equal(other.log_norm, first.log_norm)
-        for a, b in zip(other.states, first.states):
-            assert np.array_equal(a.amplitudes, b.amplitudes)
+        assert other.log_norm.tobytes() == first.log_norm.tobytes()
+        assert other.states.amplitudes.tobytes() == first.states.amplitudes.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,8 +369,7 @@ def test_gauge_reconstruction_is_overflow_safe(y, x0, sigma):
     model = _RECONSTRUCTION_GRID
     psi = gaussian_packet(model.basis, x0=x0, sigma=sigma)
     w = model.basis.weight
-    post, ln_c = solvers._reconstruct_raw(psi.amplitudes, model.channel_diagonals,
-                                          np.array([y]), w)
+    post, ln_c = _reconstruct(psi.amplitudes, model.channel_diagonals, y, w)
     assert np.all(np.isfinite(post))
     assert abs(math.sqrt(w) * np.linalg.norm(post) - 1.0) <= 1e-12
     assert math.isfinite(ln_c)
@@ -475,8 +480,8 @@ def test_ensemble_worker_count_is_invisible(monkeypatch):
     pooled = run_ensemble(model, psi, 1e-3, 200, 5, 4, observables=obs, record_stride=20)
     assert len(serial) == len(pooled) == 4
     for name in ("states", "log_amplitude", "log_norm", "step_norms", "record"):
-        assert np.array_equal(getattr(serial, name), getattr(pooled, name)), name
-    assert np.array_equal(serial.expectations["sigma_z"], pooled.expectations["sigma_z"])
+        assert getattr(serial, name).tobytes() == getattr(pooled, name).tobytes(), name
+    assert serial.expectations["sigma_z"].tobytes() == pooled.expectations["sigma_z"].tobytes()
     assert pooled.innovations is None
     assert pooled.model is model and pooled.initial is psi
 
@@ -495,16 +500,17 @@ def test_ensemble_slim_and_offset_indices():
         run_ensemble(model, psi, 1e-3, 50, 5, 0)
 
 
-def _structured_model(structure, rng):
-    """A 4-level model with a tridiagonal H and one channel of the given structure."""
-    basis = Basis.finite(4)
-    h = np.diag(rng.standard_normal(4)).astype(complex)
-    off = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+def _structured_model(structure, rng, dim=4):
+    """A `dim`-level model with a tridiagonal H, complex off its diagonal,
+    and one channel of the given structure."""
+    basis = Basis.finite(dim)
+    h = np.diag(rng.standard_normal(dim)).astype(complex)
+    off = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
     h += np.diag(off, 1) + np.diag(off.conj(), -1)
     if structure == "diagonal":
-        lmat = np.diag(rng.standard_normal(4))
+        lmat = np.diag(rng.standard_normal(dim))
     else:
-        lmat = 0.5 * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+        lmat = 0.5 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
         if structure == "tridiagonal":
             lmat = np.triu(np.tril(lmat, 1), -1)
     model = ModelSpec(Operator(basis, h), (Operator(basis, lmat),))
@@ -515,16 +521,21 @@ def _structured_model(structure, rng):
 @settings(max_examples=40, deadline=None)
 @given(scheme=st.sampled_from(solvers.SCHEMES),
        structure=st.sampled_from(["diagonal", "tridiagonal", "dense"]),
-       replay=st.booleans(), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
-def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay, rows, seed):
-    """Every row of one kernel call over `rows` trajectories carries the bits
-    of `run_trajectory` on that trajectory alone, driven by its own noise or
-    replaying its own record."""
+       replay=st.booleans(), rows=st.integers(1, 12), dim=st.sampled_from([2, 4]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay, rows, dim,
+                                                       seed):
+    """Every row of one kernel call over `rows` trajectories carries the
+    bytes of `run_trajectory` on that trajectory alone, driven by its own
+    noise or replaying its own record, on a qubit too (where each band of
+    a row has one entry)."""
     if scheme == "gauge":
         structure = "diagonal"  # the gauge form needs diagonal hermitian channels
+    if dim == 2 and structure == "dense":
+        structure = "tridiagonal"  # every 2 x 2 matrix is tridiagonal
     rng = np.random.default_rng(seed)
-    model = _structured_model(structure, rng)
-    amps = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    model = _structured_model(structure, rng, dim)
+    amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     psi = StateVector(model.basis, amps / np.linalg.norm(amps))
     obs = {"h": model.hamiltonian}
     dt, n, stride = 1e-3, 30, 7
@@ -542,13 +553,44 @@ def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay
     failure = solvers._run_batch(run, batch, 0, rows, table, replay)
     assert not (failure >= 0).any()
     for i, single in enumerate(singles):
-        assert np.array_equal(batch.states[i], single.states.amplitudes)
-        assert np.array_equal(batch.expectations["h"][i], single.expectations["h"])
-        assert np.array_equal(batch.log_norm[i], single.log_norm)
-        assert np.array_equal(batch.log_amplitude[i], single.log_amplitude)
-        assert np.array_equal(batch.step_norms[i], single.step_norms)
-        assert np.array_equal(batch.record[i], single.record.increments)
-        assert np.array_equal(batch.innovations[i], single.noise.increments)
+        assert batch.states[i].tobytes() == single.states.amplitudes.tobytes()
+        assert batch.expectations["h"][i].tobytes() == single.expectations["h"].tobytes()
+        assert batch.log_norm[i].tobytes() == single.log_norm.tobytes()
+        assert batch.log_amplitude[i].tobytes() == single.log_amplitude.tobytes()
+        assert batch.step_norms[i].tobytes() == single.step_norms.tobytes()
+        assert batch.record[i].tobytes() == single.record.increments.tobytes()
+        assert batch.innovations[i].tobytes() == single.noise.increments.tobytes()
+
+
+def _two_channel_grid():
+    model = build_grid_model(GridSpec(-6.0, 6.0, 40), lam=0.7)
+    x2 = Operator.diagonal(model.basis, 0.2 * model.basis.grid.points**2)
+    return ModelSpec(model.hamiltonian, (model.channels[0], x2))
+
+
+@pytest.mark.parametrize("model", [
+    build_grid_model(GridSpec(-10.0, 10.0, 128),
+                     GridPotential.harmonic(GridSpec(-10.0, 10.0, 128), 1.0), lam=1.0),
+    build_grid_model(GridSpec(-4.0, 4.0, 33), lam=0.5),
+    build_grid_model(GridSpec(-5.0, 5.0, 64),
+                     GridPotential.barrier(GridSpec(-5.0, 5.0, 64), 3.0, 1.0), lam=2.0),
+    _two_channel_grid(),
+    build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0),
+    build_qubit_model((0.3, -0.7, 0.5), channel="sigma_z", lam=0.0),
+    _dephasing(),
+], ids=["harmonic128", "free33", "barrier64", "two-channel", "readme-qubit", "y-field",
+        "dephasing"])
+def test_band_step_operators_carry_the_bytes_of_the_dense_forms(model):
+    """1 - dt K and the gauge form 1 - dt G, built from K's bands, have the
+    bytes of the same bands of np.eye(n) - dt * K and np.eye(n) - dt *
+    gauge_core, the dense operators the kernel used to step with."""
+    dt = 1e-3
+    for gauge, core in ((False, model.generator), (True, model.gauge_core)):
+        dense = Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
+        assert dense.structure == model.generator.structure
+        rows = solvers._step_operator(model, dt, gauge=gauge)
+        for got, want in zip(rows, dense._aligned):
+            assert (got is None and want is None) or got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
