@@ -1,6 +1,7 @@
-"""Microseconds per trajectory-step of the trajectory kernel, by scheme and model.
+"""Microseconds per trajectory-step of the trajectory kernel, by scheme and
+model, and the set-up a run makes before its first step.
 
-    python scripts/kernel_bench.py              # the table, median of 5 runs
+    python scripts/kernel_bench.py              # the tables, median of 5 runs
     python scripts/kernel_bench.py --tiny       # a seconds-long smoke run
     python scripts/kernel_bench.py --src PATH   # time the package under PATH
 
@@ -11,6 +12,13 @@ models are the README qubit (sigma_x field, sigma_z channel) and harmonic
 grids of 128 and 512 points on [-10, 10] with a Gaussian packet at x0 = 1,
 the model of the `verify-ensemble-grid` benchmark workload; every grid run
 keeps slim results, as that workload does.
+
+The set-up table times, on harmonic grids of 128, 512 and 2048 points
+(128 and 512 with `--tiny`), each stage of a gauge run's set-up on a fresh
+model: `build_grid_model`, the first read of `generator` and of
+`gauge_core`, and `solvers._prepare` with the x, x2 and p observables. Each
+cell is the median wall time of the runs, then the traced peak of one more
+run above what was allocated before the stage began (`tracemalloc`).
 """
 
 from __future__ import annotations
@@ -20,6 +28,7 @@ import os
 import statistics
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 os.environ["OPENBLAS_NUM_THREADS"] = "1"
@@ -77,6 +86,63 @@ def measure(qf, size: tuple, repeats: int) -> dict:
     return row
 
 
+SETUP_POINTS = (128, 512, 2048)
+TINY_SETUP_POINTS = (128, 512)
+SETUP_STAGES = ("build", "generator", "gauge_core", "_prepare")
+
+
+def _setup_stages(qf, dim: int):
+    """The set-up of a gauge run on a fresh `dim`-point harmonic grid, in
+    order, as (name, thunk) pairs; the stage named "inputs" (the packet and
+    observables `_prepare` reads) is not one of SETUP_STAGES."""
+    from qfilter import solvers
+
+    grid = qf.GridSpec(-10.0, 10.0, dim)
+    state = {}
+
+    def build():
+        state["model"] = qf.build_grid_model(grid, qf.GridPotential.harmonic(grid, 1.0), lam=1.0)
+
+    def inputs():
+        model = state["model"]
+        state["initial"] = qf.gaussian_packet(model.basis, x0=1.0, sigma=1.0)
+        state["obs"] = {name: qf.named_observable(model, name) for name in ("x", "x2", "p")}
+
+    def prepare():
+        solvers._prepare(state["model"], state["initial"], "gauge", 1e-4, 10, 5, state["obs"], 0)
+
+    return [("build", build), ("inputs", inputs),
+            ("generator", lambda: state["model"].generator),
+            ("gauge_core", lambda: state["model"].gauge_core), ("_prepare", prepare)]
+
+
+def measure_setup(qf, dim: int, repeats: int) -> dict:
+    """Per stage: (median seconds, traced peak bytes above the stage's start)."""
+    times = {name: [] for name in SETUP_STAGES}
+    for _ in range(repeats):
+        for name, stage in _setup_stages(qf, dim):
+            start = time.perf_counter()
+            stage()
+            if name in times:
+                times[name].append(time.perf_counter() - start)
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for name, stage in _setup_stages(qf, dim):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            stage()
+            peaks[name] = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    return {name: (statistics.median(times[name]), peaks[name]) for name in SETUP_STAGES}
+
+
+def _cell(seconds: float, peak: int) -> str:
+    wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
+    return f"{wall}, {peak / 2**20:.2f} MiB"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--tiny", action="store_true", help="small sizes, one timed run")
@@ -94,6 +160,13 @@ def main(argv=None) -> int:
         row = measure(qf, size, repeats)
         cells = [f"{row[s]:.2f}" for s in SCHEMES]
         print(f"| {name} ({size[1]} x {size[2]}) | " + " | ".join(cells) + " |")
+
+    print(f"\nset-up of a gauge run: median wall time of {repeats}, traced peak")
+    print("| points | " + " | ".join(SETUP_STAGES) + " |")
+    print("|---|" + "---|" * len(SETUP_STAGES))
+    for dim in TINY_SETUP_POINTS if args.tiny else SETUP_POINTS:
+        row = measure_setup(qf, dim, repeats)
+        print(f"| {dim} | " + " | ".join(_cell(*row[name]) for name in SETUP_STAGES) + " |")
     return 0
 
 

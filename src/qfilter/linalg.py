@@ -9,7 +9,7 @@ weight 1. All value types are immutable after construction.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -221,43 +221,91 @@ def band_apply(bands, src, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class Operator:
-    """Dense-backed linear operator.
+def _bands_hermitian(lo: np.ndarray, d: np.ndarray, up: np.ndarray) -> bool:
+    """`_detect_flag` of the tridiagonal matrix with these bands, in O(n): the
+    same nonzero entries of |M| and |M - M^H|, without the zeros."""
+    scale = max(1.0, float(np.abs(np.concatenate((lo, d, up))).max(initial=0.0)))
+    skew = np.abs(np.concatenate((d - d.conj(), up - lo.conj()))).max(initial=0.0)
+    return bool(skew <= _FLAG_TOL * scale)
 
-    Its tags are detected from the matrix at construction: `structure`
-    ("diagonal", "tridiagonal" or "dense") chooses the fast application,
-    and `is_hermitian` holds to 1e-12 relative to the largest entry.
+
+@dataclass(frozen=True, eq=False, init=False)
+class Operator:
+    """Linear operator over a basis, stored as its matrix or as its bands.
+
+    Two tags say how to apply it: `structure` ("diagonal", "tridiagonal" or
+    "dense") chooses the fast application, and `is_hermitian` holds to
+    1e-12 relative to the largest entry.
+
+    `Operator(basis, matrix)` keeps the matrix it is handed and detects the
+    tags from it. `Operator.diagonal`, `Operator.tridiagonal` and
+    `Operator.zero` keep only their bands, O(n), and derive the same tags
+    from them in O(n). Every operator has a read-only `matrix`; a band-stored
+    one builds it on first read and keeps it. Only dense work reads it: the
+    dense master stage and step operators, exponentials, eigendecompositions.
     """
 
     basis: Basis
-    matrix: np.ndarray
-    structure: str = field(init=False)
-    is_hermitian: bool = field(init=False)
+    structure: str
+    is_hermitian: bool
 
-    def __post_init__(self):
-        mat = np.asarray(self.matrix, dtype=complex)
-        d = self.basis.dim
+    def __init__(self, basis: Basis, matrix):
+        mat = np.asarray(matrix, dtype=complex)
+        d = basis.dim
         if mat.shape != (d, d):
             raise BasisMismatchError(f"matrix shape {mat.shape} does not match dim {d}")
-        object.__setattr__(self, "matrix", _frozen_array(mat))
-        object.__setattr__(self, "structure", _structure_of(mat))
-        object.__setattr__(self, "is_hermitian", _detect_flag(mat))
+        self._init(basis, _structure_of(mat), _detect_flag(mat), matrix=_frozen_array(mat))
+
+    def _init(self, basis: Basis, structure: str, is_hermitian: bool, **cached) -> None:
+        for name, value in (("basis", basis), ("structure", structure),
+                            ("is_hermitian", is_hermitian)):
+            object.__setattr__(self, name, value)
+        self.__dict__.update(cached)  # values of the cached properties
+
+    @classmethod
+    def _from_bands(cls, basis: Basis, diag, lower=None, upper=None) -> Operator:
+        """The operator with diagonal `diag` and the n - 1 entries `lower`
+        below and `upper` above it (zero when not given), keeping exactly
+        these values as its bands."""
+        n = basis.dim
+        zero = np.zeros(n - 1)
+        bands = tuple(_frozen_array(zero if b is None else b) for b in (lower, diag, upper))
+        for band, size in zip(bands, (n - 1, n, n - 1)):
+            if band.shape != (size,):
+                raise BasisMismatchError(f"band shape {band.shape} does not match dim {n}")
+        lo, d, up = bands
+        op = cls.__new__(cls)
+        op._init(basis, "tridiagonal" if lo.any() or up.any() else "diagonal",
+                 _bands_hermitian(lo, d, up), _diag=d, _bands=bands)
+        return op
 
     @classmethod
     def diagonal(cls, basis: Basis, diag) -> Operator:
-        return cls(basis, np.diag(np.asarray(diag, dtype=complex)))
+        return cls._from_bands(basis, diag)
 
     @classmethod
     def tridiagonal(cls, basis: Basis, diag, lower, upper) -> Operator:
-        mat = np.diag(np.asarray(diag, dtype=complex))
-        mat += np.diag(np.asarray(upper, dtype=complex), 1)
-        mat += np.diag(np.asarray(lower, dtype=complex), -1)
-        return cls(basis, mat)
+        """The bands are kept plus +0.0, which turns a -0.0 part into +0.0,
+        as summing them into a zero matrix, np.diag(diag) + np.diag(upper,
+        1) + np.diag(lower, -1), does."""
+        return cls._from_bands(basis, *(np.asarray(b, dtype=complex) + 0.0
+                                        for b in (diag, lower, upper)))
 
     @classmethod
     def zero(cls, basis: Basis) -> Operator:
-        return cls(basis, np.zeros((basis.dim, basis.dim), dtype=complex))
+        return cls._from_bands(basis, np.zeros(basis.dim))
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        """The (dim, dim) matrix, read-only; a band-stored operator builds it
+        from its bands on first read."""
+        lo, d, up = self._bands
+        n = d.size
+        mat = np.zeros((n, n), dtype=complex)
+        flat = mat.reshape(-1)
+        flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = d, up, lo
+        mat.setflags(write=False)
+        return mat
 
     @cached_property
     def _diag(self) -> np.ndarray:
@@ -265,6 +313,8 @@ class Operator:
 
     @cached_property
     def _bands(self):
+        """(lower, diagonal, upper) bands; the off-diagonal ones are zero
+        for a diagonal operator."""
         return (
             self.matrix.diagonal(-1).copy(),
             self.matrix.diagonal().copy(),
@@ -363,7 +413,7 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
     if op.basis.dim > cap:
         raise OracleSizeError(f"dimension {op.basis.dim} exceeds oracle cap {cap}")
     if op.structure == "diagonal":
-        return Operator(op.basis, np.diag(np.exp(scale * op._diag)))
+        return Operator.diagonal(op.basis, np.exp(scale * op._diag))
     if op.is_hermitian:
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T

@@ -58,13 +58,29 @@ class ModelSpec:
     def dim(self) -> int:
         return self.basis.dim
 
+    @property
+    def _banded(self) -> bool:
+        """Whether K and G are band sums: H diagonal or tridiagonal and
+        every channel diagonal."""
+        return self.hamiltonian.structure != "dense" and all(
+            ch.structure == "diagonal" for ch in self.channels)
+
     @cached_property
     def generator(self) -> Operator:
-        """K = sum_j L_j^dag L_j / 2 + i H / hbar."""
-        mat = 1j * self.hamiltonian.matrix / self.hbar
+        """K = sum_j L_j^dag L_j / 2 + i H / hbar: for a banded model (see
+        `_banded`) a band-stored operator summed band by band, each entry
+        with the bits of the dense sum when the channels are real."""
+        if not self._banded:
+            mat = 1j * self.hamiltonian.matrix / self.hbar
+            for ch in self.channels:
+                mat = mat + 0.5 * (ch.matrix.conj().T @ ch.matrix)
+            return Operator(self.basis, mat)
+        lo, d, up = (1j * band / self.hbar for band in self.hamiltonian._bands)
         for ch in self.channels:
-            mat = mat + 0.5 * (ch.matrix.conj().T @ ch.matrix)
-        return Operator(self.basis, mat)
+            d = d + 0.5 * _diagonal_product(ch._diag.conj(), ch._diag)
+        # off the diagonal the dense sum adds +0.0 products, as
+        # Operator.tridiagonal does
+        return Operator.tridiagonal(self.basis, d, lo, up)
 
     @cached_property
     def channel_diagonals(self) -> np.ndarray | None:
@@ -73,18 +89,35 @@ class ModelSpec:
         for ch in self.channels:
             if ch.structure != "diagonal" or not ch.is_hermitian:
                 return None
-            diags.append(ch.matrix.diagonal().real)
+            diags.append(ch._diag.real)
         out = np.array(diags)
         out.setflags(write=False)
         return out
 
     @cached_property
     def gauge_core(self) -> Operator:
-        """K + sum_j L_j^2 / 2, the operator conjugated in the gauge-removed picture."""
-        mat = self.generator.matrix.copy()
+        """K + sum_j L_j^2 / 2, the operator conjugated in the gauge-removed
+        picture; band-stored for a banded model, as the generator is."""
+        if not self._banded:
+            mat = self.generator.matrix.copy()
+            for ch in self.channels:
+                mat += 0.5 * (ch.matrix @ ch.matrix)
+            return Operator(self.basis, mat)
+        lo, d, up = self.generator._bands
         for ch in self.channels:
-            mat += 0.5 * (ch.matrix @ ch.matrix)
-        return Operator(self.basis, mat)
+            d = d + 0.5 * _diagonal_product(ch._diag, ch._diag)
+        return Operator.tridiagonal(self.basis, d, lo, up)
+
+
+def _diagonal_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b entry by entry as (ar br - ai bi) + i (ar bi + ai br) from
+    separate real products and sums, the diagonal BLAS gives for the product
+    of the two diagonal matrices; numpy's complex product may fuse a product
+    into a sum, which changes the last bit of complex entries."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def build_qubit_model(h_field, channel="sigma_z", lam: float = 1.0, hbar: float = 1.0) -> ModelSpec:

@@ -96,10 +96,9 @@ class ArtifactWriter:
         self.files: dict[str, dict] = {}
 
     def _write_pieces(self, relpath: str, pieces) -> None:
-        """Write byte pieces in order, hashing them as they go."""
-        path = self.directory / relpath
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
+        """Write byte pieces in order, hashing them as they go, into a file
+        whose directory exists."""
+        with open(self.directory / relpath, "wb") as fh:
             entry = _write_stream(fh, pieces)
         self.files[relpath] = entry
 
@@ -165,6 +164,7 @@ def _record_csv(traj: TrajectoryResult):
 def write_trajectory(writer: ArtifactWriter, traj: TrajectoryResult,
                      formats=("csv",)) -> None:
     sub = trajectory_dirname(traj.trajectory_index)
+    (writer.directory / sub).mkdir(exist_ok=True)
     writer.write_csv(f"{sub}/series.csv", *_series_csv(traj))
     writer.write_csv(f"{sub}/record.csv", *_record_csv(traj))
     # one row per snapshot, re/im interleaved; states.bin holds the same table
@@ -229,11 +229,11 @@ def _master_row(t, mat: np.ndarray, weight: float) -> np.ndarray:
 
 
 def _received_rows(conn, dim: int, weight: float):
-    """master.csv rows from the messages `MasterExport` sends, until an
-    empty one."""
+    """master.csv rows from the messages `MasterExport` sends, a time and
+    then its matrix, until an empty time."""
     while data := conn.recv_bytes():
-        t, = struct.unpack_from("<d", data)
-        mat = np.frombuffer(data, dtype=complex, offset=8).reshape(dim, dim)
+        t, = struct.unpack("<d", data)
+        mat = np.frombuffer(conn.recv_bytes(), dtype=complex).reshape(dim, dim)
         yield _master_row(t, mat, weight)
 
 
@@ -310,7 +310,9 @@ class MasterExport:
     def _send(self, t, rho: np.ndarray) -> None:
         if self._proc is None:
             self._start(rho.shape[0])
-        self._put(struct.pack("<d", t) + rho.tobytes())
+        # the matrix goes as its own message, straight from its buffer
+        self._put(struct.pack("<d", t))
+        self._put(np.ascontiguousarray(rho).reshape(-1).view(np.uint8))
 
     def _put(self, data: bytes) -> None:
         try:

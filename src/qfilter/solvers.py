@@ -48,10 +48,15 @@ array the size of the batch. Each batch allocates its buffers once
     with its differences s[k] - s[k - 1];
   - the step operators 1 - K dt and 1 - G dt are band rows aligned to
     their columns when K is diagonal or tridiagonal, built by `_prepare`
-    from K's bands with each entry computed as 1.0 - dt k or 0.0 - dt k,
-    the bits of the bands of np.eye(n) - dt K; a batch repeats each row B
-    times so a band product is one pass over arrays of one shape. A dense
-    K keeps the dense operators.
+    from the bands of K and G with each entry computed as 1.0 - dt k or
+    0.0 - dt k, the bits of the bands of np.eye(n) - dt K; a batch repeats
+    each row B times so a band product is one pass over arrays of one
+    shape. A dense K keeps the dense operators.
+Operators keep the storage their `structure` tag names: a model whose H is
+diagonal or tridiagonal and whose channels are diagonal stores H, the L_j,
+K and G as bands (`Operator.tridiagonal`, `ModelSpec.generator`), so the
+set-up of a run, like each of its steps, is O(dim) and forms no dim x dim
+array.
 The bits are those of the plain forms, strided band slices, promoted real
 factors and a complex division, by three rules that hold byte for byte
 (the linalg tests check them on the numpy at hand):
@@ -598,27 +603,19 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
 
 
 def _step_operator(model: ModelSpec, dt: float, gauge: bool = False):
-    """1 - dt K, or with `gauge` 1 - dt G with G = K + sum_j L_j^2 / 2 for
-    diagonal channels: band rows (`aligned_bands`) when K is diagonal or
-    tridiagonal, else a dense `Operator`.
+    """1 - dt K, or with `gauge` 1 - dt G with G = K + sum_j L_j^2 / 2
+    (`ModelSpec.gauge_core`): band rows (`aligned_bands`) when the operator
+    is diagonal or tridiagonal, else a dense `Operator`.
 
     The band rows carry the bits of the bands of the dense forms
-    np.eye(n) - dt * K and np.eye(n) - dt * model.gauge_core: each entry is
-    1.0 - dt * k or 0.0 - dt * k in the same complex arithmetic, and G's
-    diagonal adds 0.5 * l * l per channel in the order gauge_core adds
-    0.5 * (L @ L), whose diagonal is l * l exactly when l is real, as on
-    every channel the models build.
+    np.eye(n) - dt * K and np.eye(n) - dt * G: each entry is 1.0 - dt * k or
+    0.0 - dt * k in the same complex arithmetic.
     """
-    k = model.generator
-    if k.structure == "dense":
-        core = model.gauge_core if gauge else k
+    core = model.gauge_core if gauge else model.generator
+    if core.structure == "dense":
         return Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
-    lo, d, up = k._bands
-    if gauge:
-        d = d.copy()
-        for ch in model.channels:
-            d += 0.5 * (ch._diag * ch._diag)
-    if k.structure == "diagonal":
+    lo, d, up = core._bands
+    if core.structure == "diagonal":
         return aligned_bands(1.0 - dt * d)
     return aligned_bands(1.0 - dt * d, 0.0 - dt * up, 0.0 - dt * lo)
 

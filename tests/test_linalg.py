@@ -353,3 +353,42 @@ def test_operator_tags_are_detected_from_the_matrix(seed, n, band, symmetry, sca
     m[0, 0] += 1j * skew * max(1.0, np.abs(m).max())
     op = Operator(Basis.finite(n), m)
     assert (op.structure, op.is_hermitian) == _classify(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 5, 9]),
+       builder=st.sampled_from(["zero", "diagonal", "tridiagonal", "zero_off_bands"]),
+       hermitian=st.booleans(), skew=st.sampled_from([0.0, 1e-14, 1e-10]))
+def test_band_built_operators_agree_with_the_matrix_built_ones(seed, n, builder, hermitian,
+                                                              skew):
+    """An operator built from bands keeps them, not a matrix, and agrees
+    with `Operator(basis, matrix)` on the matrix the dense sum of the same
+    bands gives: the same tags, the same matrix bytes (built on first read,
+    read-only) and the same `apply` bytes on 1-D vectors and (B, n) batches;
+    signed zeros included."""
+    rng = np.random.default_rng(seed)
+    basis = Basis.finite(n)
+    d, lo, up = _draw(rng, n), _draw(rng, n - 1), _draw(rng, n - 1)
+    if hermitian:
+        d.imag = 0.0
+        lo = up.conj()
+    d[0] += 1j * skew * max(1.0, np.abs(np.concatenate((d, lo, up))).max())
+    if builder == "zero":
+        op, want = Operator.zero(basis), np.zeros((n, n), dtype=complex)
+    elif builder == "diagonal":
+        op, want = Operator.diagonal(basis, d), np.diag(d)
+    else:
+        if builder == "zero_off_bands":
+            lo, up = _with_signed_zeros(rng, 0 * lo), _with_signed_zeros(rng, 0 * up)
+        op = Operator.tridiagonal(basis, d, lo, up)
+        want = np.diag(d)
+        want += np.diag(up, 1)
+        want += np.diag(lo, -1)
+    assert "matrix" not in vars(op)
+    dense = Operator(basis, want)
+    assert (op.structure, op.is_hermitian) == (dense.structure, dense.is_hermitian)
+    assert op.matrix.tobytes() == want.tobytes()
+    assert op.matrix is op.matrix and not op.matrix.flags.writeable
+    for shape in ((n,), (4, n)):
+        vec = _draw(rng, shape)
+        assert op.apply(vec).tobytes() == dense.apply(vec).tobytes()

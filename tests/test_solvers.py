@@ -568,18 +568,26 @@ def _two_channel_grid():
     return ModelSpec(model.hamiltonian, (model.channels[0], x2))
 
 
-@pytest.mark.parametrize("model", [
-    build_grid_model(GridSpec(-10.0, 10.0, 128),
-                     GridPotential.harmonic(GridSpec(-10.0, 10.0, 128), 1.0), lam=1.0),
-    build_grid_model(GridSpec(-4.0, 4.0, 33), lam=0.5),
-    build_grid_model(GridSpec(-5.0, 5.0, 64),
-                     GridPotential.barrier(GridSpec(-5.0, 5.0, 64), 3.0, 1.0), lam=2.0),
-    _two_channel_grid(),
-    build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0),
-    build_qubit_model((0.3, -0.7, 0.5), channel="sigma_z", lam=0.0),
-    _dephasing(),
-], ids=["harmonic128", "free33", "barrier64", "two-channel", "readme-qubit", "y-field",
-        "dephasing"])
+def _step_models():
+    return {
+        "harmonic128": build_grid_model(
+            GridSpec(-10.0, 10.0, 128), GridPotential.harmonic(GridSpec(-10.0, 10.0, 128), 1.0),
+            lam=1.0),
+        "free33": build_grid_model(GridSpec(-4.0, 4.0, 33), lam=0.5),
+        "barrier64": build_grid_model(
+            GridSpec(-5.0, 5.0, 64), GridPotential.barrier(GridSpec(-5.0, 5.0, 64), 3.0, 1.0),
+            lam=2.0),
+        "two-channel": _two_channel_grid(),
+        "readme-qubit": build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0),
+        "y-field": build_qubit_model((0.3, -0.7, 0.5), channel="sigma_z", lam=0.0),
+        "dephasing": _dephasing(),
+    }
+
+
+STEP_MODELS = _step_models()
+
+
+@pytest.mark.parametrize("model", list(STEP_MODELS.values()), ids=list(STEP_MODELS))
 def test_band_step_operators_carry_the_bytes_of_the_dense_forms(model):
     """1 - dt K and the gauge form 1 - dt G, built from K's bands, have the
     bytes of the same bands of np.eye(n) - dt * K and np.eye(n) - dt *
@@ -829,6 +837,78 @@ def _momentum_channel_model():
 
 BANDED_MASTER_MODELS = _banded_master_models()
 MOMENTUM_CHANNEL_MODEL = _momentum_channel_model()
+
+
+def _dense_sums(model):
+    """K = i H / hbar + sum_j L_j^dag L_j / 2 and G = K + sum_j L_j^2 / 2 by
+    dense products, the forms ModelSpec keeps for a dense model."""
+    k = 1j * model.hamiltonian.matrix / model.hbar
+    for ch in model.channels:
+        k = k + 0.5 * (ch.matrix.conj().T @ ch.matrix)
+    g = k.copy()
+    for ch in model.channels:
+        g += 0.5 * (ch.matrix @ ch.matrix)
+    return k, g
+
+
+@pytest.mark.parametrize("name", [f"master-{n}" for n in sorted(BANDED_MASTER_MODELS)]
+                         + [f"step-{n}" for n in STEP_MODELS])
+def test_band_generator_and_gauge_core_carry_the_bytes_of_the_dense_sums(name):
+    """On every banded model K and G are summed band by band into
+    band-stored operators, which form no dense matrix until one is read, and
+    have the bytes and tags of the dense sums, the complex channel of the
+    two-channel master model included."""
+    kind, key = name.split("-", 1)
+    model = (_banded_master_models() if kind == "master" else _step_models())[key]
+    ops = (model.generator, model.gauge_core)
+    assert all(op.structure != "dense" and "matrix" not in vars(op) for op in ops)
+    for op, want in zip(ops, _dense_sums(model)):
+        dense = Operator(model.basis, want)
+        assert (op.structure, op.is_hermitian) == (dense.structure, dense.is_hermitian)
+        assert op.matrix.tobytes() == want.tobytes()
+        for got, band in zip(op._bands, dense._bands):
+            assert got.tobytes() == band.tobytes()
+
+
+@pytest.mark.parametrize("n", [2, 3, 17])
+def test_complex_channel_band_sums_agree_with_the_dense_sums_to_rounding(n):
+    """For complex diagonal channels the band sums take each |l|^2 and l^2
+    from separate real products, |l|^2 with no imaginary part; BLAS's dense
+    product may differ from them in the last bit, as OpenBLAS's kernels for
+    small sizes and row tails fuse products into sums."""
+    rng = np.random.default_rng(n)
+    basis = Basis.finite(n)
+    off = rng.standard_normal(n - 1) + 1j * rng.standard_normal(n - 1)
+    ham = Operator.tridiagonal(basis, rng.standard_normal(n), off.conj(), off)
+    chans = [Operator.diagonal(basis, rng.standard_normal(n) + 1j * rng.standard_normal(n))
+             for _ in range(2)]
+    model = ModelSpec(ham, chans, hbar=0.7)
+    # the channels add nothing to the imaginary part of K's diagonal
+    assert np.array_equal(model.generator._diag.imag, (1j * ham._diag / model.hbar).imag)
+    for op, want in zip((model.generator, model.gauge_core), _dense_sums(model)):
+        assert np.abs(op.matrix - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
+
+
+def test_banded_set_up_forms_no_dense_operator():
+    """A 2048-point grid model, its generator, gauge core, channel diagonals
+    and x, x2, p observables, and a gauge run's set-up stay O(n): the traced
+    peak is far below one dense 2048 x 2048 operator (64 MiB), and no
+    operator has formed its matrix."""
+    grid = GridSpec(-10.0, 10.0, 2048)
+    tracemalloc.start()
+    try:
+        model = build_grid_model(grid, GridPotential.harmonic(grid, 1.0), lam=1.0)
+        assert model.channel_diagonals is not None
+        obs = {name: named_observable(model, name) for name in ("x", "x2", "p")}
+        psi = gaussian_packet(model.basis, x0=1.0)
+        run = solvers._prepare(model, psi, "gauge", 1e-4, 10, 5, obs, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    ops = (model.hamiltonian, *model.channels, model.generator, model.gauge_core, *obs.values())
+    assert all("matrix" not in vars(op) for op in ops)
+    assert run["gauge_euler"][1] is not None
+    assert peak < 4 << 20, f"set-up peaked at {peak} traced bytes"
 
 # (stage builder, model): the banded builder on every banded structure, the
 # dense builder on those and on a dense one
