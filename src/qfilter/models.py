@@ -60,8 +60,8 @@ class ModelSpec:
 
     @property
     def _banded(self) -> bool:
-        """Whether K and G are band sums: H diagonal or tridiagonal and
-        every channel diagonal."""
+        """H diagonal or tridiagonal and every channel diagonal: K and G are
+        band sums, and the master stage and the gauge scheme banded."""
         return self.hamiltonian.structure != "dense" and all(
             ch.structure == "diagonal" for ch in self.channels)
 
@@ -97,12 +97,10 @@ class ModelSpec:
     @cached_property
     def gauge_core(self) -> Operator:
         """K + sum_j L_j^2 / 2, the operator conjugated in the gauge-removed
-        picture; band-stored for a banded model, as the generator is."""
+        picture, band-stored; only a banded model (`_banded`) has one."""
         if not self._banded:
-            mat = self.generator.matrix.copy()
-            for ch in self.channels:
-                mat += 0.5 * (ch.matrix @ ch.matrix)
-            return Operator(self.basis, mat)
+            raise UnsupportedConfigurationError(
+                "gauge core needs a diagonal or tridiagonal hamiltonian and diagonal channels")
         lo, d, up = self.generator._bands
         for ch in self.channels:
             d = d + 0.5 * _diagonal_product(ch._diag, ch._diag)

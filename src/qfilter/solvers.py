@@ -24,9 +24,10 @@ scheme's own posterior expectation (or replayed from a stored record):
   gauge       psi = exp(-sum_j L_j Y_j) chi obeys the noise-free equation
               d(psi)/dt = -G(Y) psi with
               G(Y) = exp(-L.Y) (K + sum_j L_j^2 / 2) exp(L.Y),
-              stepped with the midpoint value of Y over each step
-              (diagonal hermitian channels only); the posterior is recovered
-              by the log-safe reconstruction chi = exp(L.Y) psi.
+              stepped with the midpoint value of Y over each step (diagonal
+              hermitian channels, diagonal or tridiagonal H only); the
+              posterior is recovered by the log-safe reconstruction
+              chi = exp(L.Y) psi.
 
 One kernel advances every scheme: it holds B trajectories as a (B, dim)
 array and makes each numpy call once per step for all of them, so the
@@ -87,14 +88,13 @@ integrated here with fixed-step RK4 (`solve_master`). A is linear and
 constant, so a step is taken in Horner form,
   rho + h A(rho + h/2 A(rho + h/3 A(rho + h/4 A rho))),
 as four in-place stages out = base + s * A(src) over preallocated buffers.
-The stage is chosen once per solve from the `Operator.structure` tags: when
-K is diagonal or tridiagonal and every L_j is diagonal (grid models under
-position observation, and the qubit under a sigma_z channel), it is one
-elementwise product with a precomputed coefficient matrix plus the four
-shifted band terms of K, O(n^2) and taken in cache-sized row blocks; any
-other operator keeps the dense O(n^3) matmul form. `solve_unitary` covers
-the lambda = 0 limit: dense exponentiation on finite bases, Crank-Nicolson
-on grids.
+The stage is chosen once per solve from the `Operator.structure` tags: on a
+banded model (`ModelSpec._banded`: grid models under position observation,
+and the qubit under a sigma_z channel), it is one elementwise product with a
+precomputed coefficient matrix plus the four shifted band terms of K, O(n^2)
+and taken in cache-sized row blocks; any other keeps the dense O(n^3) form.
+`solve_unitary` covers the lambda = 0 limit: dense exponentiation on finite
+bases, Crank-Nicolson on grids.
 """
 
 from __future__ import annotations
@@ -282,11 +282,6 @@ def _gauge_apply(op, ws: _Workspace) -> np.ndarray:
     A tridiagonal op's bands are tilted per row, up * exp(ds) and
     lo * exp(-ds) with ds = s[i + 1] - s[i], and applied by `band_apply`."""
     out = ws.new[1]
-    if isinstance(op, Operator):
-        s = ws.s
-        tilted = op.matrix * np.exp(s[..., None, :] - s[..., :, None])
-        out[...] = (tilted * ws.phi[1][..., None, :]).sum(axis=-1)
-        return out
     d, up, lo = op
     if up is None:
         return np.multiply(d, ws.phi[1], out=out)
@@ -590,6 +585,9 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
     if scheme == "gauge":
         if model.channel_diagonals is None:
             raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
+        if not model._banded:
+            raise UnsupportedConfigurationError(
+                "gauge scheme needs a diagonal or tridiagonal hamiltonian")
         gauge_euler = _step_operator(model, dt, gauge=True)
     snapshot_steps = _stored_steps(n_steps, record_stride)
     return {"model": model, "initial": initial, "scheme": scheme, "dt": dt, "n_steps": n_steps,
@@ -935,10 +933,10 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     A is linear and constant, so one classic RK4 step is the Horner nesting
       rho + h A(rho + h/2 A(rho + h/3 A(rho + h/4 A rho))),
     four calls of one stage out = base + s * A(src) that alternate between
-    two preallocated buffers; no step allocates an n x n array. When the
-    generator K is tagged diagonal or tridiagonal and every channel is tagged
-    diagonal, each stage costs O(n^2) elementwise work and no matmul; any
-    other structure keeps the dense O(n^3) matmul form. Both forms refuse
+    two preallocated buffers; no step allocates an n x n array. On a banded
+    model (`ModelSpec._banded`: H tagged diagonal or tridiagonal, and so K,
+    and every channel tagged diagonal), each stage costs O(n^2) elementwise
+    work and no matmul; any other keeps the dense O(n^3) form. Both refuse
     dimensions above the dense cap. Every step checks the weighted trace, and
     the largest |trace - 1| seen is kept as `max_trace_drift`; a step that
     overflows fails that check with no numpy warning.
@@ -958,9 +956,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     if store_stride < 1:
         raise ValueError("store_stride must be at least 1")
 
-    banded = model.generator.structure in ("diagonal", "tridiagonal") and all(
-        ch.structure == "diagonal" for ch in model.channels)
-    stage = (_banded_stage if banded else _dense_stage)(model.generator, model.channels)
+    stage = (_banded_stage if model._banded else _dense_stage)(model.generator, model.channels)
 
     stored_steps = _stored_steps(n_steps, store_stride)
     times = stored_steps * dt

@@ -160,9 +160,23 @@ def test_step_gauge_unitary_limit_is_schrodinger_euler():
 
 
 def test_step_gauge_needs_diagonal_channels():
-    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0)
-    with pytest.raises(UnsupportedConfigurationError):
-        run_trajectory(model, _ket(1.0, 0.0), 1e-3, 10, 0, 0, scheme="gauge")
+    """The gauge scheme refuses a non-diagonal channel, and a dense H under a
+    diagonal channel, before it forms any operator of the model; a model
+    that is not banded has no gauge core."""
+    rng = np.random.default_rng(3)
+    basis = Basis.finite(4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    dense_h = ModelSpec(Operator(basis, a + a.conj().T),
+                        (Operator.diagonal(basis, rng.standard_normal(4)),))
+    assert dense_h.hamiltonian.structure == "dense"
+    cases = [(build_qubit_model((0.0, 0.0, 0.0), channel="sigma_x", lam=1.0), _ket(1.0, 0.0)),
+             (dense_h, StateVector(basis, np.full(4, 0.5, dtype=complex)))]
+    for model, psi in cases:
+        with pytest.raises(UnsupportedConfigurationError):
+            run_trajectory(model, psi, 1e-3, 10, 0, 0, scheme="gauge")
+        assert "generator" not in vars(model)
+        with pytest.raises(UnsupportedConfigurationError):
+            model.gauge_core
 
 
 def test_reconstruct_posterior_at_zero_record():
@@ -328,19 +342,33 @@ def _qubit_state(theta, phase):
 @settings(max_examples=40, deadline=None)
 @given(field=_qubit_fields, channel=_qubit_channels, lam=st.floats(0.0, 2.0),
        theta=st.floats(0.0, math.pi), phase=st.floats(0.0, 2.0 * math.pi),
-       seed=st.integers(0, 2**32 - 1))
+       seed=st.integers(0, 2**32 - 1),
+       grid=st.none() | st.tuples(st.integers(16, 33), st.booleans(),
+                                  st.floats(0.0, 2.0, exclude_min=True)))
 def test_nonlinear_and_linear_replays_are_bit_identical(field, channel, lam, theta, phase,
-                                                        seed):
-    model = build_qubit_model(field, channel=channel, lam=lam)
-    psi = _qubit_state(theta, phase)
-    first = run_trajectory(model, psi, 1e-3, 60, seed, 0, record_stride=7)
-    nl = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme="nonlinear",
-                        record_stride=7, record=first.record)
-    lin = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme="linear",
-                         record_stride=7, record=first.record)
-    for other in (nl, lin):
-        assert other.log_norm.tobytes() == first.log_norm.tobytes()
+                                                        seed, grid):
+    """Replaying an innovation-first run's record through the nonlinear or
+    the linear scheme gives that run's bytes in every series the suites
+    read, on the qubit and on small free or harmonic grids: the two schemes
+    are one record-driven map."""
+    if grid is None:
+        model = build_qubit_model(field, channel=channel, lam=lam)
+        psi = _qubit_state(theta, phase)
+    else:
+        n_points, harmonic, grid_lam = grid
+        spec = GridSpec(-8.0, 8.0, n_points)
+        model = build_grid_model(spec, GridPotential.harmonic(spec, 1.0) if harmonic else None,
+                                 lam=grid_lam)
+        psi = gaussian_packet(model.basis, x0=math.cos(theta), p0=math.sin(phase), sigma=0.7)
+    obs = {"h": model.hamiltonian}
+    first = run_trajectory(model, psi, 1e-3, 60, seed, 0, observables=obs, record_stride=7)
+    for scheme in ("nonlinear", "linear"):
+        other = run_trajectory(model, psi, 1e-3, 60, seed, 0, scheme=scheme, observables=obs,
+                               record_stride=7, record=first.record)
         assert other.states.amplitudes.tobytes() == first.states.amplitudes.tobytes()
+        for name in ("log_norm", "log_amplitude", "step_norms"):
+            assert getattr(other, name).tobytes() == getattr(first, name).tobytes()
+        assert other.expectations["h"].tobytes() == first.expectations["h"].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
