@@ -22,6 +22,12 @@ model: `build_grid_model`, the first read of `generator` and of
 `gauge_core`, and `solvers._prepare` with the x, x2 and p observables. Each
 cell is the median wall time of the runs, then the traced peak of one more
 run above what was allocated before the stage began (`tracemalloc`).
+
+The master-stage table times `solvers._banded_stage`, the set-up of the
+banded averaged-equation solver, on the harmonic grids of 128 and 512
+points (`solve_master` refuses more): the median wall time of the runs,
+then, for one more run, its traced peak and the traced memory the built
+stage still holds.
 """
 
 from __future__ import annotations
@@ -142,6 +148,32 @@ def measure_setup(qf, dim: int, repeats: int) -> dict:
     return {name: (statistics.median(times[name]), peaks[name]) for name in SETUP_STAGES}
 
 
+STAGE_POINTS = (128, 512)
+
+
+def measure_stage(qf, dim: int, repeats: int) -> tuple[float, int, int]:
+    """(median seconds, traced peak bytes, traced bytes held) of building the
+    banded master stage of a `dim`-point harmonic grid, its K formed first."""
+    from qfilter import solvers
+
+    grid = qf.GridSpec(-10.0, 10.0, dim)
+    model = qf.build_grid_model(grid, qf.GridPotential.harmonic(grid, 1.0), lam=1.0)
+    generator, channels = model.generator, model.channels
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        solvers._banded_stage(generator, channels)
+        times.append(time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        stage = solvers._banded_stage(generator, channels)  # alive while memory is read
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(stage)
+    return statistics.median(times), peak, held
+
+
 def _cell(seconds: float, peak: int) -> str:
     wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
     return f"{wall}, {peak / 2**20:.2f} MiB"
@@ -171,6 +203,13 @@ def main(argv=None) -> int:
     for dim in TINY_SETUP_POINTS if args.tiny else SETUP_POINTS:
         row = measure_setup(qf, dim, repeats)
         print(f"| {dim} | " + " | ".join(_cell(*row[name]) for name in SETUP_STAGES) + " |")
+
+    print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
+    print("| points | _banded_stage | held |")
+    print("|---|---|---|")
+    for dim in STAGE_POINTS:
+        seconds, peak, held = measure_stage(qf, dim, repeats)
+        print(f"| {dim} | {_cell(seconds, peak)} | {held / 2**20:.2f} MiB |")
     return 0
 
 

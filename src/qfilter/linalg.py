@@ -181,30 +181,19 @@ def padded_rows(b: int, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tuple(flat[k:k + b * n].reshape(b, n) for k in range(3))
 
 
-def aligned_bands(d: np.ndarray, up: np.ndarray | None = None, lo: np.ndarray | None = None):
-    """(d, up, lo) rows of n entries for `band_apply` from a diagonal and its
-    n - 1 upper and lower entries: up[i] multiplies column i + 1 of row i and
-    lo[i] column i - 1, so up[-1] and lo[0] are padding (zero). Without
-    off-diagonal bands the operator is diagonal, and so are the rows."""
-    if up is None:
-        return d, None, None
-    up_row, lo_row = np.zeros(d.size, dtype=complex), np.zeros(d.size, dtype=complex)
-    up_row[:-1], lo_row[1:] = up, lo
-    return d, up_row, lo_row
-
-
 def band_apply(bands, src, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """A diagonal or tridiagonal operator applied along each row x of
     `src`, the (before, rows, after) views `padded_rows` gives, into the
     (b, n) array `out`.
 
-    `bands` is (d, up, lo) as `aligned_bands` gives them, each broadcastable
-    to (b, n), so a band may differ per row. Each band product is one
-    contiguous pass over the rows shifted by one entry; the one column of it
-    that reads across a row boundary is set to -0 - 0j before it is added,
-    which leaves that column of the sum as it was. So every entry carries
-    the bits of the strided form
-        out = d * x; out[..., :-1] += up * x[..., 1:]; out[..., 1:] += lo * x[..., :-1].
+    `bands` is (d, up, lo) as `Operator._rows` holds them, each
+    broadcastable to (b, n), so a band may differ per row. Each band product
+    is one contiguous pass over the rows shifted by one entry; the one
+    column of it that reads across a row boundary (the padding) is set to
+    -0 - 0j before it is added, which leaves that column of the sum as it
+    was. So every entry carries the bits of the strided form
+        out = d * x; out[..., :-1] += up[..., :-1] * x[..., 1:];
+        out[..., 1:] += lo[..., 1:] * x[..., :-1].
     `tmp`, (b, n) scratch, may be `up` itself.
     """
     d, up, lo = bands
@@ -221,12 +210,14 @@ def band_apply(bands, src, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bands_hermitian(lo: np.ndarray, d: np.ndarray, up: np.ndarray) -> bool:
-    """`_detect_flag` of the tridiagonal matrix with these bands, in O(n): the
-    same nonzero entries of |M| and |M - M^H|, without the zeros."""
-    scale = max(1.0, float(np.abs(np.concatenate((lo, d, up))).max(initial=0.0)))
-    skew = np.abs(np.concatenate((d - d.conj(), up - lo.conj()))).max(initial=0.0)
-    return bool(skew <= _FLAG_TOL * scale)
+def _rows_hermitian(d: np.ndarray, up: np.ndarray | None, lo: np.ndarray | None) -> bool:
+    """`_detect_flag` of the matrix with the rows (d, up, lo) of
+    `Operator._rows`, in O(n): the same nonzero entries of |M| and
+    |M - M^H|, without the zeros."""
+    rows = (d,) if up is None else (d, up, lo)
+    scale = max(1.0, float(np.abs(np.concatenate(rows)).max(initial=0.0)))
+    skew = d - d.conj() if up is None else np.concatenate((d - d.conj(), up[:-1] - lo[1:].conj()))
+    return bool(np.abs(skew).max(initial=0.0) <= _FLAG_TOL * scale)
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -239,10 +230,11 @@ class Operator:
 
     `Operator(basis, matrix)` keeps the matrix it is handed and detects the
     tags from it. `Operator.diagonal`, `Operator.tridiagonal` and
-    `Operator.zero` keep only their bands, O(n), and derive the same tags
-    from them in O(n). Every operator has a read-only `matrix`; a band-stored
-    one builds it on first read and keeps it. Only dense work reads it: the
-    dense master stage and step operators, exponentials, eigendecompositions.
+    `Operator.zero` keep only their bands, O(n), as the `_rows` every band
+    consumer reads, and derive the same tags from them in O(n). Every
+    operator has a read-only `matrix`; a band-stored one builds it on first
+    read and keeps it. Only dense work reads it: the dense master stage and
+    step operators, exponentials, eigendecompositions.
     """
 
     basis: Basis
@@ -263,71 +255,63 @@ class Operator:
         self.__dict__.update(cached)  # values of the cached properties
 
     @classmethod
-    def _from_bands(cls, basis: Basis, diag, lower=None, upper=None) -> Operator:
-        """The operator with diagonal `diag` and the n - 1 entries `lower`
-        below and `upper` above it (zero when not given), keeping exactly
-        these values as its bands."""
-        n = basis.dim
-        zero = np.zeros(n - 1)
-        bands = tuple(_frozen_array(zero if b is None else b) for b in (lower, diag, upper))
-        for band, size in zip(bands, (n - 1, n, n - 1)):
-            if band.shape != (size,):
-                raise BasisMismatchError(f"band shape {band.shape} does not match dim {n}")
-        lo, d, up = bands
+    def _from_rows(cls, basis: Basis, d, up=None, lo=None) -> Operator:
+        """The operator stored as exactly these `_rows`, n entries each, with
+        up[-1] and lo[0] +0 padding; off-band rows that are all zero are
+        dropped, which makes it diagonal."""
+        rows = tuple(None if r is None else _frozen_array(r) for r in (d, up, lo))
+        if any(r is not None and r.shape != (basis.dim,) for r in rows):
+            raise BasisMismatchError(f"band rows do not match dim {basis.dim}")
+        if up is not None and not (rows[1].any() or rows[2].any()):
+            rows = rows[:1] + (None, None)
         op = cls.__new__(cls)
-        op._init(basis, "tridiagonal" if lo.any() or up.any() else "diagonal",
-                 _bands_hermitian(lo, d, up), _diag=d, _bands=bands)
+        op._init(basis, "diagonal" if rows[1] is None else "tridiagonal", _rows_hermitian(*rows),
+                 _rows=rows)
         return op
 
     @classmethod
     def diagonal(cls, basis: Basis, diag) -> Operator:
-        return cls._from_bands(basis, diag)
+        return cls._from_rows(basis, diag)
 
     @classmethod
     def tridiagonal(cls, basis: Basis, diag, lower, upper) -> Operator:
-        """The bands are kept plus +0.0, which turns a -0.0 part into +0.0,
-        as summing them into a zero matrix, np.diag(diag) + np.diag(upper,
-        1) + np.diag(lower, -1), does."""
-        return cls._from_bands(basis, *(np.asarray(b, dtype=complex) + 0.0
-                                        for b in (diag, lower, upper)))
+        """The operator with diagonal `diag` and the n - 1 entries `lower`
+        below and `upper` above it. The bands are kept plus +0.0, which turns
+        a -0.0 part into +0.0, as summing them into a zero matrix,
+        np.diag(diag) + np.diag(upper, 1) + np.diag(lower, -1), does."""
+        d, lower, upper = (np.asarray(b, dtype=complex) + 0.0 for b in (diag, lower, upper))
+        return cls._from_rows(basis, d, np.append(upper, 0.0), np.append(0.0, lower))
 
     @classmethod
     def zero(cls, basis: Basis) -> Operator:
-        return cls._from_bands(basis, np.zeros(basis.dim))
+        return cls._from_rows(basis, np.zeros(basis.dim))
 
     @cached_property
     def matrix(self) -> np.ndarray:
         """The (dim, dim) matrix, read-only; a band-stored operator builds it
-        from its bands on first read."""
-        lo, d, up = self._bands
+        from its rows on first read."""
+        d, up, lo = self._rows
         n = d.size
         mat = np.zeros((n, n), dtype=complex)
         flat = mat.reshape(-1)
-        flat[::n + 1], flat[1::n + 1], flat[n::n + 1] = d, up, lo
+        flat[::n + 1] = d
+        if up is not None:
+            flat[1::n + 1], flat[n::n + 1] = up[:-1], lo[1:]
         mat.setflags(write=False)
         return mat
 
     @cached_property
-    def _diag(self) -> np.ndarray:
-        return self.matrix.diagonal().copy()
-
-    @cached_property
-    def _bands(self):
-        """(lower, diagonal, upper) bands; the off-diagonal ones are zero
-        for a diagonal operator."""
-        return (
-            self.matrix.diagonal(-1).copy(),
-            self.matrix.diagonal().copy(),
-            self.matrix.diagonal(1).copy(),
-        )
-
-    @cached_property
-    def _aligned(self):
-        """A diagonal or tridiagonal operator's bands as `band_apply` reads them."""
+    def _rows(self):
+        """(d, up, lo): a diagonal or tridiagonal operator's bands as the
+        read-only rows of n entries `band_apply` reads, up[i] the entry
+        (i, i + 1) and lo[i] the entry (i, i - 1), so up[-1] and lo[0] are +0
+        padding; a diagonal operator's up and lo are None. A band-built
+        operator is stored as them; a matrix-built one reads them here, once."""
+        mat = self.matrix
         if self.structure == "diagonal":
-            return aligned_bands(self._diag)
-        lo, d, up = self._bands
-        return aligned_bands(d, up, lo)
+            return _frozen_array(mat.diagonal()), None, None
+        return tuple(map(_frozen_array, (mat.diagonal(), np.append(mat.diagonal(1), 0.0),
+                                         np.append(0.0, mat.diagonal(-1)))))
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         """The operator applied along the last axis of a (..., dim) array.
@@ -338,13 +322,13 @@ class Operator:
         than calling a matrix product.
         """
         if self.structure == "diagonal":
-            return self._diag * vec
+            return self._rows[0] * vec
         if self.structure == "tridiagonal":
             rows = np.reshape(vec, (-1, np.shape(vec)[-1]))
             src = padded_rows(*rows.shape)
             src[1][...] = rows
             out = np.empty_like(src[1])
-            return band_apply(self._aligned, src, out, np.empty_like(out)).reshape(np.shape(vec))
+            return band_apply(self._rows, src, out, np.empty_like(out)).reshape(np.shape(vec))
         flat = np.asarray(vec).reshape(-1, self.basis.dim)
         out = np.empty(flat.shape, dtype=complex)
         rows = max(1, _DENSE_APPLY_ENTRIES // self.matrix.size)
@@ -413,7 +397,7 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
     if op.basis.dim > cap:
         raise OracleSizeError(f"dimension {op.basis.dim} exceeds oracle cap {cap}")
     if op.structure == "diagonal":
-        return Operator.diagonal(op.basis, np.exp(scale * op._diag))
+        return Operator.diagonal(op.basis, np.exp(scale * op._rows[0]))
     if op.is_hermitian:
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T

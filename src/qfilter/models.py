@@ -75,12 +75,13 @@ class ModelSpec:
             for ch in self.channels:
                 mat = mat + 0.5 * (ch.matrix.conj().T @ ch.matrix)
             return Operator(self.basis, mat)
-        lo, d, up = (1j * band / self.hbar for band in self.hamiltonian._bands)
+        d, up, lo = (None if r is None else 1j * r / self.hbar for r in self.hamiltonian._rows)
         for ch in self.channels:
-            d = d + 0.5 * _diagonal_product(ch._diag.conj(), ch._diag)
+            d = d + 0.5 * _diagonal_product(ch._rows[0].conj(), ch._rows[0])
         # off the diagonal the dense sum adds +0.0 products, as
         # Operator.tridiagonal does
-        return Operator.tridiagonal(self.basis, d, lo, up)
+        return Operator._from_rows(self.basis, *(None if r is None else r + 0.0
+                                                 for r in (d, up, lo)))
 
     @cached_property
     def channel_diagonals(self) -> np.ndarray | None:
@@ -89,7 +90,7 @@ class ModelSpec:
         for ch in self.channels:
             if ch.structure != "diagonal" or not ch.is_hermitian:
                 return None
-            diags.append(ch._diag.real)
+            diags.append(ch._rows[0].real)
         out = np.array(diags)
         out.setflags(write=False)
         return out
@@ -101,10 +102,11 @@ class ModelSpec:
         if not self._banded:
             raise UnsupportedConfigurationError(
                 "gauge core needs a diagonal or tridiagonal hamiltonian and diagonal channels")
-        lo, d, up = self.generator._bands
+        d, up, lo = self.generator._rows
         for ch in self.channels:
-            d = d + 0.5 * _diagonal_product(ch._diag, ch._diag)
-        return Operator.tridiagonal(self.basis, d, lo, up)
+            d = d + 0.5 * _diagonal_product(ch._rows[0], ch._rows[0])
+        return Operator._from_rows(self.basis, *(None if r is None else r + 0.0
+                                                 for r in (d, up, lo)))
 
 
 def _diagonal_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:

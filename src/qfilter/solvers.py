@@ -49,15 +49,15 @@ array the size of the batch. Each batch allocates its buffers once
     with its differences s[k] - s[k - 1];
   - the step operators 1 - K dt and 1 - G dt are band rows aligned to
     their columns when K is diagonal or tridiagonal, built by `_prepare`
-    from the bands of K and G with each entry computed as 1.0 - dt k or
+    from the rows of K and G with each entry computed as 1.0 - dt k or
     0.0 - dt k, the bits of the bands of np.eye(n) - dt K; a batch repeats
     each row B times so a band product is one pass over arrays of one
     shape. A dense K keeps the dense operators.
 Operators keep the storage their `structure` tag names: a model whose H is
 diagonal or tridiagonal and whose channels are diagonal stores H, the L_j,
-K and G as bands (`Operator.tridiagonal`, `ModelSpec.generator`), so the
-set-up of a run, like each of its steps, is O(dim) and forms no dim x dim
-array.
+K and G once each, as the rows `band_apply` reads (`Operator._rows`), so
+the set-up of a run, like each of its steps, is O(dim) and forms no
+dim x dim array.
 The bits are those of the plain forms, strided band slices, promoted real
 factors and a complex division, by three rules that hold byte for byte
 (the linalg tests check them on the numpy at hand):
@@ -91,8 +91,9 @@ as four in-place stages out = base + s * A(src) over preallocated buffers.
 The stage is chosen once per solve from the `Operator.structure` tags: on a
 banded model (`ModelSpec._banded`: grid models under position observation,
 and the qubit under a sigma_z channel), it is one elementwise product with a
-precomputed coefficient matrix plus the four shifted band terms of K, O(n^2)
-and taken in cache-sized row blocks; any other keeps the dense O(n^3) form.
+precomputed coefficient matrix, its one n x n array, plus the four shifted
+band terms of K, O(n^2) and taken in cache-sized row blocks; any other
+keeps the dense O(n^3) form.
 `solve_unitary` covers the lambda = 0 limit: dense exponentiation on finite
 bases, Crank-Nicolson on grids.
 """
@@ -124,7 +125,6 @@ from .linalg import (
     Operator,
     StateSeries,
     StateVector,
-    aligned_bands,
     band_apply,
     matrix_exp,
     padded_rows,
@@ -256,7 +256,7 @@ def _tiled(op, b: int):
 
 
 def _apply(op, src, out: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """`op` applied along `src[1]` into `out`: band rows (`aligned_bands`)
+    """`op` applied along `src[1]` into `out`: band rows (`Operator._rows`)
     through `band_apply` on the padded `src`, or a dense `Operator`."""
     if isinstance(op, Operator):
         out[...] = op.apply(src[1])
@@ -596,26 +596,24 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
             "observables": observables,
             "phi0": (initial.amplitudes / initial.norm()).astype(complex),
             "euler": _step_operator(model, dt), "gauge_euler": gauge_euler,
-            "channels": [ch if ch.structure == "dense" else ch._aligned
+            "channels": [ch if ch.structure == "dense" else ch._rows
                          for ch in model.channels]}
 
 
 def _step_operator(model: ModelSpec, dt: float, gauge: bool = False):
     """1 - dt K, or with `gauge` 1 - dt G with G = K + sum_j L_j^2 / 2
-    (`ModelSpec.gauge_core`): band rows (`aligned_bands`) when the operator
-    is diagonal or tridiagonal, else a dense `Operator`.
+    (`ModelSpec.gauge_core`): band rows laid out as the operator's `_rows`
+    when it is diagonal or tridiagonal, else a dense `Operator`.
 
     The band rows carry the bits of the bands of the dense forms
     np.eye(n) - dt * K and np.eye(n) - dt * G: each entry is 1.0 - dt * k or
-    0.0 - dt * k in the same complex arithmetic.
+    0.0 - dt * k in the same complex arithmetic, and the +0 padding stays +0.
     """
     core = model.gauge_core if gauge else model.generator
     if core.structure == "dense":
         return Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
-    lo, d, up = core._bands
-    if core.structure == "diagonal":
-        return aligned_bands(1.0 - dt * d)
-    return aligned_bands(1.0 - dt * d, 0.0 - dt * up, 0.0 - dt * lo)
+    d, up, lo = core._rows
+    return (1.0 - dt * d, *(None if row is None else 0.0 - dt * row for row in (up, lo)))
 
 
 def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -> EnsembleResult:
@@ -667,14 +665,14 @@ def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
 def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
               master_seed: int, first_index: int, scheme: str, table: np.ndarray, *,
               replay: bool = False, observables: dict[str, Operator] | None = None,
-              record_stride: int = 1) -> EnsembleResult:
+              record_stride: int = 1, keep: tuple[str, ...] = ()) -> EnsembleResult:
     """Trajectories `first_index ..`, one per row of the (N, n_steps,
     n_channels) `table` of Wiener increments, or with `replay` of record
     increments to replay, which pool workers inherit, run by `_drive`. The
-    result keeps the step norms, the record and the innovations."""
+    result keeps only the per-step arrays named in `keep` ("step_norms",
+    "record", "innovations")."""
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    return _drive(run, first_index, len(table), ("step_norms", "record", "innovations"),
-                  table, replay, stacklevel=3)
+    return _drive(run, first_index, len(table), keep, table, replay, stacklevel=3)
 
 
 def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -713,7 +711,8 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
         table = noise.increments
     return _run_rows(model, initial, dt, n_steps, master_seed, trajectory_index, scheme,
                      table[None], replay=record is not None, observables=observables,
-                     record_stride=record_stride)[0]
+                     record_stride=record_stride,
+                     keep=("step_norms", "record", "innovations"))[0]
 
 
 def resolve_workers(requested: int | None, n_tasks: int) -> int:
@@ -852,23 +851,28 @@ def _banded_stage(generator: Operator, channels):
     row-shifted off-diagonal bands of K r and the column-shifted conjugate
     bands of r K^dag. r is not assumed hermitian (stage matrices are not
     bitwise hermitian), so r K^dag is formed from r itself. The column bands
-    are shifts by one entry of the row-major r, with n x n coefficients that
-    are zero where the shift would wrap into the next row. Rows go in blocks
-    of at most _STEP_ENTRIES entries, so one block's operands stay in cache;
-    every operation is elementwise, so the block size never changes a bit.
+    are shifts by one entry of the row-major r, with coefficients that are
+    zero where the shift would wrap into the next row, held for one row
+    block, as they repeat every row; `coef` is the only n x n array. Rows go
+    in blocks of at most _STEP_ENTRIES entries, so one block's operands stay
+    in cache; every operation is elementwise, so the block size never
+    changes a bit. A diagonal K's off-band rows are zeros here.
     """
-    lo, d, up = generator._bands
+    d, up, lo = generator._rows
     n = d.size
+    if up is None:
+        up = lo = np.zeros(n, dtype=complex)
     coef = -(d[:, None] + d.conj()[None, :])
     for ch in channels:
-        coef += np.outer(ch._diag, ch._diag.conj())
-    right = np.zeros((n, n), dtype=complex)  # r[i, k + 1] conj(K_k,k+1)
-    right[:, :-1] = up.conj()
-    left = np.zeros((n, n), dtype=complex)  # r[i, k - 1] conj(K_k-1,k)
-    left[:, 1:] = lo.conj()
-    coef, right, left = coef.ravel(), right.ravel(), left.ravel()
-    lo_col, up_col = lo[:, None], up[:, None]
+        coef += np.outer(ch._rows[0], ch._rows[0].conj())
+    coef = coef.ravel()
     rows = max(1, min(_STEP_ENTRIES // n, n))
+    right = np.zeros((rows, n), dtype=complex)  # r[i, k + 1] conj(K_k,k+1)
+    right[:, :-1] = up[:-1].conj()
+    left = np.zeros((rows, n), dtype=complex)  # r[i, k - 1] conj(K_k,k-1)
+    left[:, 1:] = lo[1:].conj()
+    right, left = right.ravel(), left.ravel()
+    lo_col, up_col = lo[:, None], up[:, None]
     tmp = np.empty(rows * n, dtype=complex)
     last = n * n - 1
 
@@ -884,15 +888,15 @@ def _banded_stage(generator: Operator, channels):
             np.subtract(out[i0:e], t, out=out[i0:e])
             a = max(i0, 1)  # K r, lower band: rows i > 0 read row i - 1
             t = tmp[:(i1 - a) * n].reshape(-1, n)
-            np.multiply(lo_col[a - 1:i1 - 1], src[a - 1:i1 - 1], out=t)
+            np.multiply(lo_col[a:i1], src[a - 1:i1 - 1], out=t)
             np.subtract(out[a:i1], t, out=out[a:i1])
             e = min(j1, last)  # r K^dag, both bands as flat shifts
             t = tmp[:e - j0]
-            np.multiply(right[j0:e], r[j0 + 1:e + 1], out=t)
+            np.multiply(right[:e - j0], r[j0 + 1:e + 1], out=t)
             np.subtract(o[j0:e], t, out=o[j0:e])
             a = max(j0, 1)
             t = tmp[:j1 - a]
-            np.multiply(left[a:j1], r[a - 1:j1 - 1], out=t)
+            np.multiply(left[a - j0:j1 - j0], r[a - 1:j1 - 1], out=t)
             np.subtract(o[a:j1], t, out=o[a:j1])
             np.multiply(o[j0:j1], s, out=o[j0:j1])
             np.add(b[j0:j1], o[j0:j1], out=o[j0:j1])
@@ -1013,12 +1017,12 @@ def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
         dt = min(1e-3, t / 100.0)
     n = max(1, round(t / dt))
     dt = t / n
-    lo, d, up = model.hamiltonian._bands
+    d, up, lo = model.hamiltonian._rows
     z = 0.5j * dt / model.hbar
     ab = np.zeros((3, model.dim), dtype=complex)
-    ab[0, 1:] = z * up
+    ab[0, 1:] = z * up[:-1]
     ab[1, :] = 1.0 + z * d
-    ab[2, :-1] = z * lo
+    ab[2, :-1] = z * lo[1:]
     psi = psi0.amplitudes.astype(complex)
     for _ in range(n):
         rhs = psi - z * model.hamiltonian.apply(psi)

@@ -22,7 +22,7 @@ from qfilter import (
     trace_distance,
 )
 from qfilter.errors import BasisMismatchError, NormalizationError, OracleSizeError
-from qfilter.linalg import aligned_bands, band_apply, padded_rows
+from qfilter.linalg import band_apply, padded_rows
 
 B2 = Basis.finite(2)
 KET0 = StateVector(B2, np.array([1.0, 0.0], dtype=complex))
@@ -286,11 +286,8 @@ def test_band_apply_has_the_bits_of_the_strided_form(seed, b, n, tridiagonal, pe
         up_row, lo_row = (np.zeros(band_shape[:-1] + (n,), dtype=complex) for _ in range(2))
         up_row[..., :-1], lo_row[..., 1:] = up, lo
         bands = (d, up_row, lo_row)
-        if not per_row:
-            assert all(a.tobytes() == r.tobytes()
-                       for a, r in zip(aligned_bands(d, up, lo), bands))
     else:
-        bands = aligned_bands(d)
+        bands = (d, None, None)
     src = padded_rows(b, n)
     src[1][...] = x
     for rows in (bands, tuple(None if r is None else np.broadcast_to(r, (b, n)).copy()
@@ -363,9 +360,11 @@ def test_band_built_operators_agree_with_the_matrix_built_ones(seed, n, builder,
                                                               skew):
     """An operator built from bands keeps them, not a matrix, and agrees
     with `Operator(basis, matrix)` on the matrix the dense sum of the same
-    bands gives: the same tags, the same matrix bytes (built on first read,
-    read-only) and the same `apply` bytes on 1-D vectors and (B, n) batches;
-    signed zeros included."""
+    bands gives: the same tags, the same band rows (read-only, +0 padding,
+    no off-band rows when diagonal), the same matrix bytes (built on first
+    read, read-only) and the same `apply` bytes on 1-D vectors and (B, n)
+    batches; signed zeros included. Reading the matrix or applying the
+    operator caches no second band form."""
     rng = np.random.default_rng(seed)
     basis = Basis.finite(n)
     d, lo, up = _draw(rng, n), _draw(rng, n - 1), _draw(rng, n - 1)
@@ -392,3 +391,14 @@ def test_band_built_operators_agree_with_the_matrix_built_ones(seed, n, builder,
     for shape in ((n,), (4, n)):
         vec = _draw(rng, shape)
         assert op.apply(vec).tobytes() == dense.apply(vec).tobytes()
+    for got, want_row in zip(op._rows, dense._rows):
+        assert (got is None and want_row is None) or got.tobytes() == want_row.tobytes()
+    d_row, up_row, lo_row = op._rows
+    assert d_row.shape == (n,) and not d_row.flags.writeable
+    if op.structure == "diagonal":
+        assert up_row is None and lo_row is None
+    else:
+        assert up_row.shape == lo_row.shape == (n,)
+        assert not up_row.flags.writeable and not lo_row.flags.writeable
+        assert up_row[-1:].tobytes() == lo_row[:1].tobytes() == bytes(16)  # +0 + 0j
+    assert set(vars(op)) == {"basis", "structure", "is_hermitian", "_rows", "matrix"}

@@ -625,8 +625,28 @@ def test_band_step_operators_carry_the_bytes_of_the_dense_forms(model):
         dense = Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
         assert dense.structure == model.generator.structure
         rows = solvers._step_operator(model, dt, gauge=gauge)
-        for got, want in zip(rows, dense._aligned):
+        for got, want in zip(rows, dense._rows):
             assert (got is None and want is None) or got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("replay", [False, True])
+@pytest.mark.parametrize("scheme", ["nonlinear", "gauge"])
+def test_run_rows_keeps_only_the_per_step_arrays_it_is_asked_for(scheme, replay):
+    """With `keep=()` a run holds no step norms, record or innovations, and
+    its states and log series carry the bytes of a run that keeps all three."""
+    model = STEP_MODELS["harmonic128"]
+    psi = gaussian_packet(model.basis, x0=1.0)
+    dt, n = 1e-3, 12
+    table = solvers._noise_table(3, 0, 4, dt, n, model.n_channels)
+    if replay:
+        table = run_ensemble(model, psi, dt, n, 3, 4).record
+    kept, bare = (solvers._run_rows(model, psi, dt, n, 3, 0, scheme, table, replay=replay,
+                                    record_stride=5, keep=keep)
+                  for keep in (("step_norms", "record", "innovations"), ()))
+    assert all(getattr(kept, f) is not None for f in ("step_norms", "record", "innovations"))
+    assert bare.step_norms is None and bare.record is None and bare.innovations is None
+    for field in ("states", "log_amplitude", "log_norm"):
+        assert getattr(bare, field).tobytes() == getattr(kept, field).tobytes()
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -894,8 +914,8 @@ def test_band_generator_and_gauge_core_carry_the_bytes_of_the_dense_sums(name):
         dense = Operator(model.basis, want)
         assert (op.structure, op.is_hermitian) == (dense.structure, dense.is_hermitian)
         assert op.matrix.tobytes() == want.tobytes()
-        for got, band in zip(op._bands, dense._bands):
-            assert got.tobytes() == band.tobytes()
+        for got, band in zip(op._rows, dense._rows):
+            assert (got is None and band is None) or got.tobytes() == band.tobytes()
 
 
 @pytest.mark.parametrize("n", [2, 3, 17])
@@ -912,7 +932,7 @@ def test_complex_channel_band_sums_agree_with_the_dense_sums_to_rounding(n):
              for _ in range(2)]
     model = ModelSpec(ham, chans, hbar=0.7)
     # the channels add nothing to the imaginary part of K's diagonal
-    assert np.array_equal(model.generator._diag.imag, (1j * ham._diag / model.hbar).imag)
+    assert np.array_equal(model.generator._rows[0].imag, (1j * ham._rows[0] / model.hbar).imag)
     for op, want in zip((model.generator, model.gauge_core), _dense_sums(model)):
         assert np.abs(op.matrix - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
@@ -937,6 +957,26 @@ def test_banded_set_up_forms_no_dense_operator():
     assert all("matrix" not in vars(op) for op in ops)
     assert run["gauge_euler"][1] is not None
     assert peak < 4 << 20, f"set-up peaked at {peak} traced bytes"
+
+
+def test_banded_stage_holds_one_dense_array():
+    """After set-up a banded master stage at 512 points holds one n x n
+    array, its coefficients (4 MiB), beside row blocks of _STEP_ENTRIES
+    entries: the traced memory it keeps stays under 5 MiB. The check reads
+    what is held, not the peak, since forming the coefficients makes n x n
+    temporaries."""
+    grid = GridSpec(-20.0, 20.0, 512)
+    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=0.5), lam=1.0)
+    generator, channels = model.generator, model.channels
+    tracemalloc.start()
+    try:
+        stage = solvers._banded_stage(generator, channels)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert callable(stage)
+    assert held < 5 << 20, f"the stage holds {held} traced bytes"
+
 
 # (stage builder, model): the banded builder on every banded structure, the
 # dense builder on those and on a dense one
