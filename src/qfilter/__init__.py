@@ -8,6 +8,10 @@ deterministic gauge-transformed scheme plus reconstruction), averages
 trajectory ensembles against the corresponding master equation, and ships
 the statistical machinery to verify each advertised equivalence, with a
 fully deterministic, seed-addressed CLI on top.
+
+This namespace is the numerical library and `verify_artifacts`. The CLI's
+layers are imported from their modules: `qfilter.config`, `qfilter.output`,
+`qfilter.suites` and `qfilter.cli`.
 """
 
 from ._version import __version__
@@ -23,12 +27,10 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .linalg import (
-    DEFAULT_ORACLE_CAP,
     Basis,
     DensityMatrix,
     GridSpec,
     Operator,
-    StateSeries,
     StateVector,
     expectation,
     matrix_exp,
@@ -36,7 +38,6 @@ from .linalg import (
     trace_distance,
 )
 from .models import (
-    PAULI,
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
@@ -48,30 +49,17 @@ from .models import (
     momentum_operator,
     named_observable,
 )
-from .noise import (
-    MeasurementRecord,
-    NoisePath,
-    coarsen_noise,
-    generate_noise,
-)
+from .noise import MeasurementRecord, NoisePath, generate_noise
 from .solvers import (
-    SCHEMES,
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
-    resolve_workers,
     run_ensemble,
     run_trajectory,
     solve_master,
     solve_unitary,
 )
 from .analysis import (
-    CollapseReport,
-    ComparisonReport,
-    EnsembleSummary,
-    LocalizationSeries,
-    OrderReport,
-    ResidualReport,
     collapse_statistics,
     ensemble_average,
     ensemble_vs_master,
@@ -83,50 +71,25 @@ from .analysis import (
     time_average,
     variance_series,
 )
-from .config import (
-    RunConfig,
-    apply_overrides,
-    build_initial,
-    build_model,
-    build_observables,
-    parse_config,
-    parse_config_data,
-)
-from .output import (
-    export_plot,
-    load_csv,
-    load_manifest,
-    verify_artifacts,
-    write_master,
-    write_report,
-    write_simulation,
-)
-from .suites import SUITES, run_suite
+from .output import verify_artifacts
 
 __all__ = [
     "__version__",
     "QFilterError", "BasisMismatchError", "NormalizationError", "OracleSizeError",
     "StepFailureError", "InstabilityError", "UnsupportedConfigurationError",
     "ConfigError", "ArtifactMismatchError",
-    "DEFAULT_ORACLE_CAP",
-    "GridSpec", "Basis", "StateVector", "StateSeries", "Operator", "DensityMatrix",
+    "GridSpec", "Basis", "StateVector", "Operator", "DensityMatrix",
     "expectation", "projector", "trace_distance", "matrix_exp",
-    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "PAULI",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z",
     "ModelSpec", "GridPotential",
     "build_qubit_model", "build_grid_model", "gaussian_packet",
     "momentum_operator", "named_observable",
-    "NoisePath", "MeasurementRecord", "generate_noise", "coarsen_noise",
-    "SCHEMES", "TrajectoryResult", "EnsembleResult", "DensityTrajectory", "run_trajectory",
-    "run_ensemble", "resolve_workers", "solve_master", "solve_unitary",
-    "EnsembleSummary", "ComparisonReport", "CollapseReport",
-    "LocalizationSeries", "ResidualReport", "OrderReport",
+    "NoisePath", "MeasurementRecord", "generate_noise",
+    "TrajectoryResult", "EnsembleResult", "DensityTrajectory", "run_trajectory",
+    "run_ensemble", "solve_master", "solve_unitary",
     "fidelity", "pure_state_trace_distance",
     "ensemble_average", "ensemble_vs_master", "collapse_statistics",
     "variance_series", "time_average", "localization_metrics",
     "filtering_residual", "strong_order_estimate",
-    "RunConfig", "parse_config", "parse_config_data", "apply_overrides",
-    "build_model", "build_initial", "build_observables",
-    "write_simulation", "write_master", "write_report", "export_plot",
-    "verify_artifacts", "load_manifest", "load_csv",
-    "SUITES", "run_suite",
+    "verify_artifacts",
 ]

@@ -23,7 +23,9 @@ from .linalg import (
     trace_distance,
 )
 from .models import ModelSpec
+from .noise import _coarsen
 from .solvers import (
+    _STEP_ENTRIES,
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
@@ -35,10 +37,6 @@ from .solvers import (
 )
 
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
-
-# amplitudes stacked per product in ensemble_average and per block of
-# _filtering_residuals (256 KiB of complex128)
-_STACK_ENTRIES = 1 << 14
 
 
 def _pure_overlap(weight: float, a: np.ndarray, b: np.ndarray):
@@ -87,11 +85,11 @@ def ensemble_average(results: EnsembleResult) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
     S is a block of rows of `results.states` at one snapshot, at most
-    _STACK_ENTRIES amplitudes, so each product's operands stay small however
+    _STEP_ENTRIES amplitudes, so each product's operands stay small however
     large the ensemble.
     """
     n, n_snaps, dim = results.states.shape
-    rows = max(1, _STACK_ENTRIES // dim)
+    rows = max(1, _STEP_ENTRIES // dim)
     acc = np.zeros((n_snaps, dim, dim), dtype=complex)
     for i in range(n_snaps):
         for lo in range(0, n, rows):
@@ -174,7 +172,7 @@ def collapse_statistics(results: EnsembleResult, observable: Operator,
     best = ov.argmax(axis=1)
     hit = ov[np.arange(best.size), best] >= 1.0 - threshold * threshold
     counts = np.bincount(best[hit], minlength=vals.size)
-    finals = (w * (phis.conj() * observable.apply(phis)).sum(axis=-1)).real
+    finals = (w * _rowdot(phis, observable.apply(phis))).real
 
     n = len(results)
     resolved = int(hit.sum())
@@ -297,7 +295,7 @@ def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndar
     c) Wiener increments, as a (..., n) array.
 
     The stack is taken in blocks of whole rows when they fit in
-    _STACK_ENTRIES amplitudes, else of runs of steps of one row, which hold
+    _STEP_ENTRIES amplitudes, else of runs of steps of one row, which hold
     one state more (the run's end state); so the temporaries stay bounded
     however many rows and steps there are. Every
     reduction runs along the last axis: a row's residuals have the same bits
@@ -311,7 +309,7 @@ def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndar
     n = n1 - 1
     x = states.reshape(-1, n1, dim)
     e = dw.reshape(-1, n, model.n_channels)
-    per_block = max(1, _STACK_ENTRIES // dim)
+    per_block = max(1, _STEP_ENTRIES // dim)
     steps = min(n, per_block)
     rows = max(1, per_block // n1)
     res = np.empty((x.shape[0], n))
@@ -406,7 +404,7 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
     ref = finals(ref_dt, fine)
     errors = np.empty((n_seeds, dts.size))
     for d, (dt, f) in enumerate(zip(dts, factors)):
-        diff = finals(dt, fine.reshape(n_seeds, n_ref // f, f, c).sum(axis=2)) - ref
+        diff = finals(dt, _coarsen(fine, f)) - ref
         errors[:, d] = np.sqrt(w) * np.linalg.norm(diff, axis=-1)
     np.maximum(errors, 1e-300, out=errors)
 

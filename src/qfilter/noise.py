@@ -73,14 +73,11 @@ def generate_noise(master_seed: int, trajectory_index: int, dt: float,
     return NoisePath(dt, dw, seed, index)
 
 
-def coarsen_noise(noise: NoisePath, factor: int) -> NoisePath:
-    """Merge consecutive groups of `factor` increments into one coarse step."""
-    if factor < 1 or noise.n_steps % factor:
-        raise ValueError(f"n_steps {noise.n_steps} is not divisible by factor {factor}")
-    if factor == 1:
-        return noise
-    merged = noise.increments.reshape(noise.n_steps // factor, factor, noise.n_channels).sum(axis=1)
-    return NoisePath(noise.dt * factor, merged, noise.master_seed, noise.trajectory_index)
+def _coarsen(table: np.ndarray, factor: int) -> np.ndarray:
+    """Sum each run of `factor` consecutive steps of a (..., n_steps, c)
+    increment table into one coarse step."""
+    *lead, n, c = table.shape
+    return table.reshape(*lead, n // factor, factor, c).sum(axis=-2)
 
 
 @dataclass(frozen=True, eq=False)

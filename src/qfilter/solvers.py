@@ -142,7 +142,8 @@ _BOUNDARY_WARN = 1e-6
 # benchmark. A step's workspace holds about sixteen such arrays. It also
 # bounds the row block of a banded master stage: at 256 grid points one
 # 16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms for
-# the whole 64 Ki-entry matrix at once
+# the whole 64 Ki-entry matrix at once. `analysis` stacks as many amplitudes
+# per product of ensemble_average and per block of _filtering_residuals
 _STEP_ENTRIES = 1 << 14
 
 # bytes one batch of trajectories holds at most (`_row_bytes`): its step
@@ -498,12 +499,6 @@ class TrajectoryResult:
     initial: StateVector
     model: ModelSpec
 
-    def index_of_time(self, t: float) -> int:
-        return time_index(self.times, t)
-
-    def state_at(self, t: float) -> StateVector:
-        return self.states[self.index_of_time(t)]
-
 
 @dataclass
 class EnsembleResult:
@@ -856,24 +851,31 @@ def _banded_stage(generator: Operator, channels):
     block, as they repeat every row; `coef` is the only n x n array. Rows go
     in blocks of at most _STEP_ENTRIES entries, so one block's operands stay
     in cache; every operation is elementwise, so the block size never
-    changes a bit. A diagonal K's off-band rows are zeros here.
+    changes a bit. `coef` is built in place, each channel's outer product
+    one row block at a time, so building the stage peaks at what it holds.
+    A diagonal K's off-band rows are zeros here.
     """
     d, up, lo = generator._rows
     n = d.size
     if up is None:
         up = lo = np.zeros(n, dtype=complex)
-    coef = -(d[:, None] + d.conj()[None, :])
-    for ch in channels:
-        coef += np.outer(ch._rows[0], ch._rows[0].conj())
-    coef = coef.ravel()
     rows = max(1, min(_STEP_ENTRIES // n, n))
+    tmp = np.empty(rows * n, dtype=complex)
+    coef = np.add.outer(d, d.conj())
+    np.negative(coef, out=coef)
+    for ch in channels:
+        ld, ldc = ch._rows[0], ch._rows[0].conj()
+        for i0 in range(0, n, rows):
+            t = tmp[:(min(i0 + rows, n) - i0) * n].reshape(-1, n)
+            np.multiply(ld[i0:i0 + rows, None], ldc, out=t)
+            coef[i0:i0 + rows] += t
+    coef = coef.ravel()
     right = np.zeros((rows, n), dtype=complex)  # r[i, k + 1] conj(K_k,k+1)
     right[:, :-1] = up[:-1].conj()
     left = np.zeros((rows, n), dtype=complex)  # r[i, k - 1] conj(K_k,k-1)
     left[:, 1:] = lo[1:].conj()
     right, left = right.ravel(), left.ravel()
     lo_col, up_col = lo[:, None], up[:, None]
-    tmp = np.empty(rows * n, dtype=complex)
     last = n * n - 1
 
     def stage(out: np.ndarray, base: np.ndarray, s: float, src: np.ndarray) -> None:

@@ -32,6 +32,7 @@ from .config import RunConfig, build_initial, build_model
 from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
+from .noise import _coarsen
 from .solvers import (
     _noise_table,
     _run_rows,
@@ -131,7 +132,7 @@ def suite_equivalence(cfg: RunConfig):
     fine = run_ensemble(model, initial, dt / 2.0, 2 * n, seed, n_seeds, record_stride=2 * stride)
     gauge_half = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, "gauge", fine.record,
                            replay=True, record_stride=2 * stride)
-    coarse_rec = fine.record.reshape(n_seeds, n, 2, model.n_channels).sum(axis=2)
+    coarse_rec = _coarsen(fine.record, 2)
     coarse, gauge = (_run_rows(model, initial, dt, n, seed, 0, s, coarse_rec, replay=True,
                                record_stride=stride) for s in ("nonlinear", "gauge"))
 

@@ -13,6 +13,8 @@ import numpy as np
 import pytest
 
 import qfilter as qf
+from qfilter.config import parse_config_data
+from qfilter.suites import run_suite
 
 ACCEPT_LINES: list[str] = []
 
@@ -39,61 +41,61 @@ def _safe(fn):
 @pytest.fixture(scope="session")
 def equivalence_run():
     """Equivalence suite: qubit, x-axis field, full observation, dt=1e-4."""
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"hbar": 1.0, "lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-4, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
     })
-    return _safe(lambda: qf.run_suite("equivalence", cfg))
+    return _safe(lambda: run_suite("equivalence", cfg))
 
 
 @pytest.fixture(scope="session")
 def ensemble_run():
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"n_trajectories": 2000, "master_seed": 2026},
     })
-    return _safe(lambda: qf.run_suite("ensemble", cfg))
+    return _safe(lambda: run_suite("ensemble", cfg))
 
 
 @pytest.fixture(scope="session")
 def born_run():
     # amplitudes are sqrt(0.7), sqrt(0.3)
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit", "h_field": [0.0, 0.0, 0.0], "channel": "sigma_z"},
         "initial": {"amplitudes": [0.8366600265340756, 0.5477225575051661]},
         "sim": {"dt": 1e-3, "t_final": 5.0},
         "ensemble": {"n_trajectories": 2000, "master_seed": 7},
     })
-    return _safe(lambda: qf.run_suite("born", cfg))
+    return _safe(lambda: run_suite("born", cfg))
 
 
 @pytest.fixture(scope="session")
 def order_run():
     # the suite pins its own benchmark model; the config only needs to be valid
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit"},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
     })
-    return _safe(lambda: qf.run_suite("order", cfg))
+    return _safe(lambda: run_suite("order", cfg))
 
 
 @pytest.fixture(scope="session")
 def filtering_run():
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
     })
-    return _safe(lambda: qf.run_suite("filtering", cfg))
+    return _safe(lambda: run_suite("filtering", cfg))
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ import numpy as np
 import qfilter as qf
 from qfilter import solvers
 from qfilter.cli import main as cli_main
+from qfilter.output import load_manifest
 
 
 def _gate(log: list[str], n: int, ok: bool) -> None:
@@ -153,7 +154,7 @@ def test_criterion_10_outputs_are_worker_count_invariant(
         if rc != 0:
             _gate(accept_log, 10, False)
             assert rc == 0, f"simulate exited {rc} with {workers} workers"
-        manifest = qf.load_manifest(out)
+        manifest = load_manifest(out)
         digests.append({rel: meta["sha256"] for rel, meta in manifest["files"].items()})
 
     ok = digests[0] == digests[1] and len(digests[0]) == 16 * 3
@@ -183,7 +184,7 @@ def test_outputs_are_batch_size_invariant(tmp_path, monkeypatch):
             monkeypatch.setenv("QFILTER_THREADS", workers)
             out = tmp_path / f"run_b{rows}_w{workers}"
             assert cli_main(["simulate", "--config", str(cfg_path), "--out", str(out)]) == 0
-            manifest = qf.load_manifest(out)
+            manifest = load_manifest(out)
             digests.append({rel: meta["sha256"] for rel, meta in manifest["files"].items()})
     assert len(digests[0]) == 16 * 3
     assert all(d == digests[0] for d in digests[1:]), "artifact bytes depend on the batch size"

@@ -39,6 +39,7 @@ from qfilter import (
 )
 from qfilter.analysis import _filtering_residuals, _pure_overlap
 from qfilter.errors import BasisMismatchError, UnsupportedConfigurationError
+from qfilter.suites import _check
 
 B2 = Basis.finite(2)
 
@@ -76,7 +77,7 @@ def test_pure_distance_of_a_non_finite_state_is_nan(amps):
     assert math.isnan(pure_state_trace_distance(broken, KET0))
     assert math.isnan(pure_state_trace_distance(KET0, broken))
     assert not math.isfinite(fidelity(broken, KET0))
-    assert not qf.suites._check("d", pure_state_trace_distance(broken, KET0), None, 1e-2)["pass"]
+    assert not _check("d", pure_state_trace_distance(broken, KET0), None, 1e-2)["pass"]
 
 
 def test_pure_overlap_rejects_mixed_bases():
@@ -428,7 +429,7 @@ def test_stacked_kernels_give_each_row_its_own_bits(case, rows, n, entries, quad
     states = rng.standard_normal((rows, n + 1, dim)) + 1j * rng.standard_normal((rows, n + 1, dim))
     dw = 0.03 * rng.standard_normal((rows, n, c))
     # the monkeypatch fixture does not reset between hypothesis examples
-    with mock.patch.object(qf.analysis, "_STACK_ENTRIES", entries):
+    with mock.patch.object(qf.analysis, "_STEP_ENTRIES", entries):
         stacked = _filtering_residuals(model, obs, states, dw, 1e-3, quad)
     assert stacked.shape == (rows, n)
     for i in range(rows):

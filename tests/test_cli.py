@@ -18,6 +18,7 @@ import pytest
 import qfilter as qf
 from qfilter import cli
 from qfilter.cli import main
+from qfilter.output import load_csv, load_manifest
 
 
 def _write_cfg(tmp_path, **sections):
@@ -61,7 +62,7 @@ def test_simulate_flag_overrides_land_in_the_manifest(tmp_path, capsys):
                "--set", "sim.record_stride=25"])
     assert rc == 0
     assert "wrote 3 trajectories" in capsys.readouterr().out
-    manifest = qf.load_manifest(out)
+    manifest = load_manifest(out)
     echo = manifest["config"]
     assert echo["ensemble"] == {"n_trajectories": 3, "master_seed": 11}
     assert echo["sim"]["record_stride"] == 25
@@ -120,7 +121,7 @@ def test_master_writes_checkpointed_density(tmp_path, capsys):
     stdout = capsys.readouterr().out
     m = re.search(r"wrote averaged dynamics \((\d+) checkpoints\) to", stdout)
     assert m, f"unexpected stdout: {stdout}"
-    header, data = qf.load_csv(out / "master.csv")
+    header, data = load_csv(out / "master.csv")
     assert int(m.group(1)) == data.shape[0] == 6
     assert header[-1] == "trace"
     assert np.max(np.abs(data[:, -1] - 1.0)) < 1e-9, "averaged evolution lost trace"
@@ -138,7 +139,7 @@ def test_unobserved_run_tracks_the_closed_system(tmp_path):
     dest = tmp_path / "z.csv"
     assert main(["export-plot", "--in", str(out), "--what", "expectation:sigma_z",
                  "--out", str(dest)]) == 0
-    header, data = qf.load_csv(dest)
+    header, data = load_csv(dest)
     model = qf.build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=0.0)
     psi0 = qf.StateVector(model.basis, np.array([1.0, 0.0], dtype=complex))
     sz = qf.named_observable(model, "sigma_z")
@@ -310,7 +311,7 @@ def test_export_plot_cli_round_trip(tmp_path, capsys):
                "--out", str(dest)])
     assert rc == 0
     assert f"wrote {dest}" in capsys.readouterr().out
-    header, data = qf.load_csv(dest)
+    header, data = load_csv(dest)
     assert header == ["t", "traj_000000", "traj_000001", "mean", "stderr"]
 
     rc = main(["export-plot", "--in", str(out), "--what", "spectrum",

@@ -11,11 +11,11 @@ from qfilter import (
     NoisePath,
     StateVector,
     build_qubit_model,
-    coarsen_noise,
     generate_noise,
     run_trajectory,
 )
 from qfilter.errors import BasisMismatchError
+from qfilter.noise import _coarsen
 
 KET0 = StateVector(Basis.finite(2), np.array([1.0, 0.0], dtype=complex))
 
@@ -86,18 +86,32 @@ def test_record_times_are_step_ends():
     assert np.allclose(record.times, [0.5, 1.0, 1.5, 2.0])
 
 
-def test_coarsen_noise_sums_pairs():
+def test_coarsen_sums_runs_of_steps_of_one_table_or_a_stack():
     noise = generate_noise(9, 0, 1e-3, 12, 2)
-    coarse = coarsen_noise(noise, 3)
-    assert coarse.dt == pytest.approx(3e-3)
-    assert coarse.n_steps == 4
-    manual = noise.increments.reshape(4, 3, 2).sum(axis=1)
-    assert np.allclose(coarse.increments, manual, atol=1e-16)
-    assert coarsen_noise(noise, 1) is noise
-    with pytest.raises(ValueError):
-        coarsen_noise(noise, 5)
-    with pytest.raises(ValueError):
-        coarsen_noise(noise, 0)
+    coarse = _coarsen(noise.increments, 3)
+    assert coarse.shape == (4, 2)
+    assert np.array_equal(coarse, noise.increments.reshape(4, 3, 2).sum(axis=1))
+    assert np.array_equal(_coarsen(noise.increments, 1), noise.increments)
+    # a stack of tables, one per trajectory: each row coarsens as it would alone
+    stack = np.stack([generate_noise(9, i, 1e-3, 12, 2).increments for i in range(3)])
+    coarse_stack = _coarsen(stack, 2)
+    assert coarse_stack.shape == (3, 6, 2)
+    for i in range(3):
+        assert np.array_equal(coarse_stack[i], _coarsen(stack[i], 2))
+
+
+@pytest.mark.parametrize("seed, index, n_steps, n_channels",
+                         [(2026, 0, 1000, 1), (7, 5, 997, 2), (2**63, 12345, 64000, 1)])
+def test_increments_have_the_bytes_of_chunked_philox_draws(seed, index, n_steps, n_channels):
+    """A trajectory's increments are its Philox stream drawn in one call;
+    drawing the same stream in uneven chunks gives the same bytes, so a run
+    may draw its noise block by block."""
+    dt = 1e-3
+    whole = generate_noise(seed, index, dt, n_steps, n_channels).increments
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
+    chunks = [rng.standard_normal((size, n_channels)) * np.sqrt(dt)
+              for size in (1, 7, 128, 333, n_steps - 469)]
+    assert np.concatenate(chunks).tobytes() == whole.tobytes()
 
 
 def test_noise_path_validation():

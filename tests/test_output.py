@@ -15,23 +15,34 @@ from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import output
-from qfilter.output import MasterExport, _csv_pieces, format_float
+from qfilter.config import build_initial, build_model, build_observables, parse_config_data
+from qfilter.output import (
+    MasterExport,
+    _csv_pieces,
+    export_plot,
+    format_float,
+    load_csv,
+    load_manifest,
+    write_master,
+    write_report,
+    write_simulation,
+)
 from test_solvers import MOMENTUM_CHANNEL_MODEL
 
 
 @pytest.fixture(scope="module")
 def small_run():
     """Three short dephasing trajectories plus the config echo they came from."""
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-3, "t_final": 0.05, "record_stride": 10,
                 "observables": ["sigma_z", "sigma_x"]},
         "ensemble": {"n_trajectories": 3, "master_seed": 5},
     })
-    model = qf.build_model(cfg)
-    psi0 = qf.build_initial(cfg, model)
-    obs = qf.build_observables(cfg, model)
+    model = build_model(cfg)
+    psi0 = build_initial(cfg, model)
+    obs = build_observables(cfg, model)
     results = qf.run_ensemble(model, psi0, cfg.sim.dt, cfg.n_steps,
                               master_seed=cfg.ensemble.master_seed,
                               n_trajectories=cfg.ensemble.n_trajectories,
@@ -41,7 +52,7 @@ def small_run():
 
 def test_simulation_round_trip(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
+    out = write_simulation(tmp_path / "run", echo, results)
     manifest = qf.verify_artifacts(out)
     assert manifest["tool"] == "qfilter"
     assert manifest["version"] == qf.__version__
@@ -61,8 +72,8 @@ def test_simulation_round_trip(tmp_path, small_run):
 
 def test_series_csv_layout_round_trips_exactly(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
-    header, data = qf.load_csv(out / "traj_000000" / "series.csv")
+    out = write_simulation(tmp_path / "run", echo, results)
+    header, data = load_csv(out / "traj_000000" / "series.csv")
     assert header == ["t", "exp_sigma_z_re", "exp_sigma_z_im",
                       "exp_sigma_x_re", "exp_sigma_x_im",
                       "log_amplitude", "log_norm", "norm_pre_renorm", "dY_1"]
@@ -86,8 +97,8 @@ def test_series_csv_layout_round_trips_exactly(tmp_path, small_run):
 
 def test_record_csv_matches_the_measurement_record(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
-    header, data = qf.load_csv(out / "traj_000001" / "record.csv")
+    out = write_simulation(tmp_path / "run", echo, results)
+    header, data = load_csv(out / "traj_000001" / "record.csv")
     assert header == ["t", "dY_1", "Y_1"]
     rec = results[1].record
     assert np.array_equal(data[:, 0], rec.times)
@@ -97,17 +108,17 @@ def test_record_csv_matches_the_measurement_record(tmp_path, small_run):
 
 def test_binary_states_mirror_the_csv(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results, formats=("csv", "bin"))
+    out = write_simulation(tmp_path / "run", echo, results, formats=("csv", "bin"))
     raw = (out / "traj_000000" / "states.bin").read_bytes()
     traj = results[0]
     data = np.frombuffer(raw, dtype="<f8").reshape(len(traj.states), 2 * traj.model.dim)
     for i, st in enumerate(traj.states):
         assert np.array_equal(data[i, 0::2], st.amplitudes.real)
         assert np.array_equal(data[i, 1::2], st.amplitudes.imag)
-    header, csv_data = qf.load_csv(out / "traj_000000" / "states.csv")
+    header, csv_data = load_csv(out / "traj_000000" / "states.csv")
     assert header == ["t", "re_0", "im_0", "re_1", "im_1"]
     assert np.array_equal(csv_data[:, 1:], data)
-    manifest = qf.load_manifest(out)
+    manifest = load_manifest(out)
     assert manifest["binary_states"] == {
         "dtype": "<f8",
         "layout": "rows of interleaved re/im amplitudes per snapshot",
@@ -118,12 +129,12 @@ def test_binary_states_mirror_the_csv(tmp_path, small_run):
 
 def test_rewriting_the_same_run_is_byte_identical(tmp_path, small_run):
     results, echo = small_run
-    a = qf.write_simulation(tmp_path / "a", echo, results)
-    b = qf.write_simulation(tmp_path / "b", echo, results)
+    a = write_simulation(tmp_path / "a", echo, results)
+    b = write_simulation(tmp_path / "b", echo, results)
     ma = (a / "manifest.json").read_bytes()
     mb = (b / "manifest.json").read_bytes()
     assert ma == mb, "manifests differ between identical writes"
-    for rel in qf.load_manifest(a)["files"]:
+    for rel in load_manifest(a)["files"]:
         assert (a / rel).read_bytes() == (b / rel).read_bytes(), f"{rel} differs"
 
 
@@ -137,7 +148,7 @@ def test_simulation_bytes_do_not_depend_on_worker_count(tmp_path, small_run, mon
     runs = {}
     for threads in ("1", "2"):
         monkeypatch.setenv("QFILTER_THREADS", threads)
-        out = qf.write_simulation(tmp_path / threads, echo, results, formats=("csv", "bin"))
+        out = write_simulation(tmp_path / threads, echo, results, formats=("csv", "bin"))
         runs[threads] = _run_files(out)
     assert set(runs["1"]) == {"manifest.json"} | {
         f"traj_{i:06d}/{name}" for i in range(3)
@@ -154,7 +165,7 @@ def test_write_errors_reach_the_caller_for_any_worker_count(tmp_path, small_run,
     for threads in ("1", "2"):
         monkeypatch.setenv("QFILTER_THREADS", threads)
         with pytest.raises(OSError) as info:
-            qf.write_simulation(out, echo, results)
+            write_simulation(out, echo, results)
         errors.append((type(info.value), str(info.value)))
         assert not (out / "manifest.json").exists()
     assert errors[0] == errors[1]
@@ -163,7 +174,7 @@ def test_write_errors_reach_the_caller_for_any_worker_count(tmp_path, small_run,
 
 def test_tampering_is_detected(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
+    out = write_simulation(tmp_path / "run", echo, results)
     target = out / "traj_000000" / "series.csv"
     original = target.read_bytes()
     target.write_bytes(original + b"#\n")
@@ -178,10 +189,10 @@ def test_tampering_is_detected(tmp_path, small_run):
 
 def test_manifest_loading_failures(tmp_path):
     with pytest.raises(qf.ArtifactMismatchError, match="no manifest.json"):
-        qf.load_manifest(tmp_path)
+        load_manifest(tmp_path)
     (tmp_path / "manifest.json").write_text("{broken", encoding="utf-8")
     with pytest.raises(qf.ArtifactMismatchError, match="corrupt manifest"):
-        qf.load_manifest(tmp_path)
+        load_manifest(tmp_path)
 
 
 def test_slimmed_trajectories_cannot_be_written(tmp_path):
@@ -190,7 +201,7 @@ def test_slimmed_trajectories_cannot_be_written(tmp_path):
     results = qf.run_ensemble(model, psi0, 1e-3, 10, master_seed=1,
                               n_trajectories=1, record_stride=5, slim=True)
     with pytest.raises(ValueError, match="slimmed"):
-        qf.write_simulation(tmp_path / "run", {}, results)
+        write_simulation(tmp_path / "run", {}, results)
     assert not (tmp_path / "run").exists(), "refused before the directory is made"
 
 
@@ -198,10 +209,10 @@ def test_master_csv_keeps_a_unit_trace_column(tmp_path):
     model = qf.build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     psi0 = qf.StateVector(model.basis, np.array([1.0, 0.0], dtype=complex))
     dtraj = qf.solve_master(model, qf.projector(psi0), 1e-3, 50, store_stride=10)
-    out = qf.write_master(tmp_path / "run", {"kind": "test"}, dtraj)
+    out = write_master(tmp_path / "run", {"kind": "test"}, dtraj)
     manifest = qf.verify_artifacts(out)
     assert manifest["command"] == "master"
-    header, data = qf.load_csv(out / "master.csv")
+    header, data = load_csv(out / "master.csv")
     assert header[0] == "t"
     assert header[1] == "rho_0_0_re"
     assert header[-1] == "trace"
@@ -215,7 +226,7 @@ def test_master_csv_matches_the_per_element_formatter(tmp_path):
         [[0.5, -1e300 + 0.1j], [5e-324 - 1.0j, 0.5 + 0.0j]],
     ])
     dtraj = qf.DensityTrajectory(qf.Basis.finite(2), 0.1, 1, np.array([0.0, 0.1]), mats)
-    out = qf.write_master(tmp_path / "run", {}, dtraj)
+    out = write_master(tmp_path / "run", {}, dtraj)
     header = ["t"]
     for i in range(2):
         for j in range(2):
@@ -240,14 +251,14 @@ def test_write_master_streams_the_table(tmp_path):
     dtraj = qf.DensityTrajectory(qf.Basis.finite(dim), 0.1, 1, 0.1 * np.arange(n), mats)
     tracemalloc.start()
     try:
-        out = qf.write_master(tmp_path / "run", {}, dtraj)
+        out = write_master(tmp_path / "run", {}, dtraj)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     data = (out / "master.csv").read_bytes()
     assert len(data) > 2_000_000
     assert peak < len(data) / 4, f"writer peaked at {peak} bytes for a {len(data)}-byte file"
-    entry = qf.load_manifest(out)["files"]["master.csv"]
+    entry = load_manifest(out)["files"]["master.csv"]
     assert entry == {"sha256": hashlib.sha256(data).hexdigest(), "bytes": len(data)}
     qf.verify_artifacts(out)
 
@@ -259,7 +270,7 @@ def test_verify_artifacts_streams_each_file(tmp_path):
     dim, n = 24, 180
     mats = rng.standard_normal((n, dim, dim)) + 1j * rng.standard_normal((n, dim, dim))
     dtraj = qf.DensityTrajectory(qf.Basis.finite(dim), 0.1, 1, 0.1 * np.arange(n), mats)
-    out = qf.write_master(tmp_path / "run", {}, dtraj)
+    out = write_master(tmp_path / "run", {}, dtraj)
     size = (out / "master.csv").stat().st_size
     assert size > 4_000_000
     tracemalloc.start()
@@ -272,14 +283,14 @@ def test_verify_artifacts_streams_each_file(tmp_path):
 
 
 def _grid_master_case():
-    cfg = qf.parse_config_data({
+    cfg = parse_config_data({
         "model": {"kind": "grid1d", "x_min": -8.0, "x_max": 8.0, "n_points": 48,
                   "potential": "harmonic", "potential_params": {"omega": 0.7}},
         "initial": {"gaussian": {"x0": 1.0, "p0": 0.5, "sigma": 1.0}},
         "sim": {"dt": 1e-3, "t_final": 0.03, "record_stride": 7},
     })
-    model = qf.build_model(cfg)
-    return (model, qf.projector(qf.build_initial(cfg, model)), cfg.sim.dt, cfg.n_steps,
+    model = build_model(cfg)
+    return (model, qf.projector(build_initial(cfg, model)), cfg.sim.dt, cfg.n_steps,
             cfg.sim.record_stride)
 
 
@@ -299,7 +310,7 @@ def _exported_master(out, case, hook=None):
         on_store = export.hook if hook is None else (lambda t, rho: hook(export, t, rho))
         dtraj = qf.solve_master(model, rho0, dt, n_steps, store_stride=stride,
                                 on_store=on_store)
-        qf.write_master(out, {"case": "export"}, dtraj, export)
+        write_master(out, {"case": "export"}, dtraj, export)
     return dtraj, export
 
 
@@ -315,7 +326,7 @@ def test_master_export_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeyp
         assert export.started == (threads == "2")
         runs[threads] = dtraj
     assert np.array_equal(runs["1"].matrices, runs["2"].matrices)
-    qf.write_master(tmp_path / "library", {"case": "export"}, runs["1"])
+    write_master(tmp_path / "library", {"case": "export"}, runs["1"])
     for relpath in ("master.csv", "manifest.json"):
         want = (tmp_path / "library" / relpath).read_bytes()
         for threads in ("1", "2"):
@@ -379,12 +390,12 @@ def test_report_round_trip(tmp_path):
               "checks": [{"name": "a", "measured": 0.5, "bound": [0.0, 1.0], "pass": True}],
               "stats": {"n_seeds": 2}}
     series = (["t", "value"], np.array([[0.0, 1.0], [1.0, 2.0]]))
-    out = qf.write_report(tmp_path / "rep", {"cfg": 1}, "gauge", report, series)
+    out = write_report(tmp_path / "rep", {"cfg": 1}, "gauge", report, series)
     manifest = qf.verify_artifacts(out)
     assert manifest["command"] == "verify:gauge"
     loaded = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert loaded == report
-    header, data = qf.load_csv(out / "series.csv")
+    header, data = load_csv(out / "series.csv")
     assert header == ["t", "value"]
     assert np.array_equal(data, np.array([[0.0, 1.0], [1.0, 2.0]]))
     assert (out / "series.csv").read_text(encoding="utf-8") == "t,value\n0,1\n1,2\n"
@@ -392,10 +403,10 @@ def test_report_round_trip(tmp_path):
 
 def test_export_expectation_aggregates_across_trajectories(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
+    out = write_simulation(tmp_path / "run", echo, results)
     dest = tmp_path / "plot.csv"
-    qf.export_plot(out, "expectation:sigma_z", dest)
-    header, data = qf.load_csv(dest)
+    export_plot(out, "expectation:sigma_z", dest)
+    header, data = load_csv(dest)
     assert header == ["t", "traj_000000", "traj_000001", "traj_000002", "mean", "stderr"]
     per_traj = np.column_stack([r.expectations["sigma_z"].real for r in results])
     assert np.array_equal(data[:, 1:4], per_traj)
@@ -406,16 +417,16 @@ def test_export_expectation_aggregates_across_trajectories(tmp_path, small_run):
 
 def test_export_norm_and_record(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
+    out = write_simulation(tmp_path / "run", echo, results)
     dest = tmp_path / "norm.csv"
-    qf.export_plot(out, "norm", dest)
-    header, data = qf.load_csv(dest)
+    export_plot(out, "norm", dest)
+    header, data = load_csv(dest)
     assert header[-2:] == ["mean", "stderr"]
     assert np.array_equal(data[0, 1:4], np.ones(3)), "first snapshot predates any step"
 
     dest = tmp_path / "record.csv"
-    qf.export_plot(out, "record", dest)
-    header, data = qf.load_csv(dest)
+    export_plot(out, "record", dest)
+    header, data = load_csv(dest)
     assert header == ["t", "Y_1_traj_000000", "Y_1_traj_000001", "Y_1_traj_000002"]
     assert "mean" not in header, "record export must not average noise paths"
     assert np.array_equal(data[:, 1], results[0].record.cumulative[:, 0])
@@ -428,10 +439,10 @@ def test_export_variance_from_grid_columns(tmp_path):
     obs = {n: qf.named_observable(model, n) for n in ("x", "x2")}
     results = qf.run_ensemble(model, psi0, 1e-3, 20, master_seed=9,
                               n_trajectories=2, observables=obs, record_stride=10)
-    out = qf.write_simulation(tmp_path / "run", {"kind": "grid"}, results)
+    out = write_simulation(tmp_path / "run", {"kind": "grid"}, results)
     dest = tmp_path / "var.csv"
-    qf.export_plot(out, "variance", dest)
-    header, data = qf.load_csv(dest)
+    export_plot(out, "variance", dest)
+    header, data = load_csv(dest)
     assert header == ["t", "traj_000000", "traj_000001", "mean", "stderr"]
     for k, traj in enumerate(results):
         ex = traj.expectations["x"].real
@@ -441,20 +452,20 @@ def test_export_variance_from_grid_columns(tmp_path):
 
 def test_export_error_paths(tmp_path, small_run):
     results, echo = small_run
-    out = qf.write_simulation(tmp_path / "run", echo, results)
+    out = write_simulation(tmp_path / "run", echo, results)
     with pytest.raises(qf.ConfigError, match="unknown export"):
-        qf.export_plot(out, "spectrum", tmp_path / "x.csv")
+        export_plot(out, "spectrum", tmp_path / "x.csv")
     with pytest.raises(qf.ConfigError, match="no column"):
-        qf.export_plot(out, "expectation:sigma_y", tmp_path / "x.csv")
+        export_plot(out, "expectation:sigma_y", tmp_path / "x.csv")
     with pytest.raises(qf.ConfigError, match="no column"):
-        qf.export_plot(out, "variance", tmp_path / "x.csv")  # qubit run lacks exp_x_re
+        export_plot(out, "variance", tmp_path / "x.csv")  # qubit run lacks exp_x_re
 
     model = qf.build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     psi0 = qf.StateVector(model.basis, np.array([1.0, 0.0], dtype=complex))
     dtraj = qf.solve_master(model, qf.projector(psi0), 1e-3, 10)
-    mdir = qf.write_master(tmp_path / "master", {}, dtraj)
+    mdir = write_master(tmp_path / "master", {}, dtraj)
     with pytest.raises(qf.ConfigError, match="holds no trajectory series"):
-        qf.export_plot(mdir, "expectation:sigma_z", tmp_path / "x.csv")
+        export_plot(mdir, "expectation:sigma_z", tmp_path / "x.csv")
 
 
 def test_format_float_round_trips_doubles():

@@ -1,4 +1,5 @@
-"""The package namespace: every exported name resolves, and only once."""
+"""The package namespace: the documented names, each resolving once, and an
+import that loads none of the CLI's layers."""
 
 from __future__ import annotations
 
@@ -17,15 +18,53 @@ def test_exports_resolve_without_duplicates():
     assert stale == [], f"qfilter.__all__ names missing attributes: {stale}"
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats was most of the import time, for one chi-square tail
+# the numerical library the README documents, and the artifact check; the
+# CLI's layers are imported from qfilter.config, qfilter.output and
+# qfilter.suites
+PUBLIC_NAMES = [
+    "__version__",
+    "QFilterError", "BasisMismatchError", "NormalizationError", "OracleSizeError",
+    "StepFailureError", "InstabilityError", "UnsupportedConfigurationError",
+    "ConfigError", "ArtifactMismatchError",
+    "GridSpec", "Basis", "StateVector", "Operator", "DensityMatrix",
+    "expectation", "projector", "trace_distance", "matrix_exp",
+    "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "ModelSpec", "GridPotential",
+    "build_qubit_model", "build_grid_model", "gaussian_packet",
+    "momentum_operator", "named_observable",
+    "NoisePath", "MeasurementRecord", "generate_noise",
+    "TrajectoryResult", "EnsembleResult", "DensityTrajectory", "run_trajectory",
+    "run_ensemble", "solve_master", "solve_unitary",
+    "fidelity", "pure_state_trace_distance", "ensemble_average", "ensemble_vs_master",
+    "collapse_statistics", "variance_series", "time_average", "localization_metrics",
+    "filtering_residual", "strong_order_estimate",
+    "verify_artifacts",
+]
+
+
+def test_exports_are_the_documented_library():
+    assert sorted(qf.__all__) == sorted(PUBLIC_NAMES)
+
+
+def _fresh_import(code: str) -> str:
     pkg_root = str(Path(qf.__file__).resolve().parent.parent)
-    code = (f"import sys; sys.path.insert(0, {pkg_root!r}); import qfilter, qfilter.cli; "
-            "print('scipy.stats' in sys.modules); "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    code = f"import sys; sys.path.insert(0, {pkg_root!r}); {code}"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    stats_loaded, scipy_modules = res.stdout.splitlines()
+    return res.stdout
+
+
+def test_import_leaves_the_cli_layers_unloaded():
+    loaded = _fresh_import("import qfilter; print(*sorted(sys.modules))").split()
+    assert "qfilter.solvers" in loaded
+    assert not {"qfilter.config", "qfilter.suites", "qfilter.cli"} & set(loaded)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats was most of the import time, for one chi-square tail
+    out = _fresh_import("import qfilter, qfilter.cli; "
+                        "print('scipy.stats' in sys.modules); "
+                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    stats_loaded, scipy_modules = out.splitlines()
     assert stats_loaded == "False"
     # the rest of scipy was most of what remained, for three calls that load
     # it themselves (expm, solve_banded, the chi-square tail)

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 import qfilter as qf
-from qfilter.config import SUITE_NAMES
+from qfilter.config import SUITE_NAMES, parse_config_data
 from qfilter.errors import ConfigError
+from qfilter.suites import SUITES, run_suite
 
 
 def _unwrap(run):
@@ -26,7 +27,7 @@ def _cfg(verify=None, dt=1e-3, t=0.5):
     }
     if verify:
         data["verify"] = verify
-    return qf.parse_config_data(data)
+    return parse_config_data(data)
 
 
 def _assert_report_shape(report, suite, check_names):
@@ -50,9 +51,9 @@ def _assert_series_shape(series, header, n_rows=None):
 
 
 def test_suite_registry():
-    assert SUITE_NAMES == tuple(qf.SUITES)
+    assert SUITE_NAMES == tuple(SUITES)
     with pytest.raises(ConfigError, match="unknown suite"):
-        qf.run_suite("nope", _cfg())
+        run_suite("nope", _cfg())
 
 
 def test_equivalence_report_structure(equivalence_run):
@@ -105,7 +106,7 @@ def test_filtering_report_structure(filtering_run):
 
 
 def test_gauge_suite_passes_on_a_short_run():
-    report, series = qf.run_suite("gauge", _cfg())
+    report, series = run_suite("gauge", _cfg())
     _assert_report_shape(report, "gauge", [
         "gauge_vs_linear_max_distance",
         "reconstructed_amplitude_identity",
@@ -117,44 +118,44 @@ def test_gauge_suite_passes_on_a_short_run():
 
 def test_unknown_knob_is_rejected():
     with pytest.raises(ConfigError, match="unknown knob"):
-        qf.run_suite("equivalence", _cfg({"equivalence": {"bogus": 1}}))
+        run_suite("equivalence", _cfg({"equivalence": {"bogus": 1}}))
 
 
 def test_integer_knob_bounds():
     with pytest.raises(ConfigError):
-        qf.run_suite("equivalence", _cfg({"equivalence": {"n_seeds": 0}}))
+        run_suite("equivalence", _cfg({"equivalence": {"n_seeds": 0}}))
     with pytest.raises(ConfigError):
-        qf.run_suite("gauge", _cfg({"gauge": {"checkpoints": 0}}))
+        run_suite("gauge", _cfg({"gauge": {"checkpoints": 0}}))
     with pytest.raises(ConfigError):
-        qf.run_suite("order", _cfg({"order": {"n_seeds": 1}}))
+        run_suite("order", _cfg({"order": {"n_seeds": 1}}))
     with pytest.raises(ConfigError):
-        qf.run_suite("order", _cfg({"order": {"ref_refine": 1}}))
+        run_suite("order", _cfg({"order": {"ref_refine": 1}}))
 
 
 def test_born_knob_validation():
     with pytest.raises(ConfigError, match="threshold"):
-        qf.run_suite("born", _cfg({"born": {"threshold": 1.5}}))
+        run_suite("born", _cfg({"born": {"threshold": 1.5}}))
     # born and filtering resolve their observable knob the same way
     for suite in ("born", "filtering"):
         with pytest.raises(ConfigError, match=rf"verify\.{suite}\.observable: must be a name"):
-            qf.run_suite(suite, _cfg({suite: {"observable": 42}}))
+            run_suite(suite, _cfg({suite: {"observable": 42}}))
         with pytest.raises(ConfigError, match=rf"verify\.{suite}\.observable: unknown observable"):
-            qf.run_suite(suite, _cfg({suite: {"observable": "x"}}))
+            run_suite(suite, _cfg({suite: {"observable": "x"}}))
 
 
 def test_dts_knob_validation():
     with pytest.raises(ConfigError, match="four"):
-        qf.run_suite("order", _cfg({"order": {"dts": [8e-3, 4e-3, 2e-3]}}))
+        run_suite("order", _cfg({"order": {"dts": [8e-3, 4e-3, 2e-3]}}))
     with pytest.raises(ConfigError, match="geometric"):
-        qf.run_suite("order", _cfg({"order": {"dts": [8e-3, 4e-3, 2e-3, 1.5e-3]}}))
+        run_suite("order", _cfg({"order": {"dts": [8e-3, 4e-3, 2e-3, 1.5e-3]}}))
     with pytest.raises(ConfigError, match="horizon"):
-        qf.run_suite("order", _cfg({"order": {"dts": [6e-3, 3e-3, 1.5e-3, 7.5e-4]}}))
+        run_suite("order", _cfg({"order": {"dts": [6e-3, 3e-3, 1.5e-3, 7.5e-4]}}))
     with pytest.raises(ConfigError, match="multiple"):
-        qf.run_suite("filtering", _cfg(
+        run_suite("filtering", _cfg(
             {"filtering": {"dts": [3e-3, 1.5e-3, 7.5e-4, 3.75e-4], "n_seeds": 1}}, t=1.0))
 
 
 def test_filtering_quadratic_flag_must_be_boolean():
     with pytest.raises(ConfigError, match="boolean"):
-        qf.run_suite("filtering", _cfg(
+        run_suite("filtering", _cfg(
             {"filtering": {"include_quadratic_correction": "yes"}}))
