@@ -28,6 +28,15 @@ banded averaged-equation solver, on the harmonic grids of 128 and 512
 points (`solve_master` refuses more): the median wall time of the runs,
 then, for one more run, its traced peak and the traced memory the built
 stage still holds.
+
+The batch table gives, for one batch of 8 rows over 20 000 steps (500 with
+`--tiny`) on the README qubit and the 128-point grid, the traced peak of a
+run per row-step: drawing its noise with a slim result, drawing it and
+keeping its step norms and record, and replaying that record. The result's
+arrays live in a shared mapping, which tracemalloc does not trace. It then
+lists how `run_ensemble` splits four runs into batches with one worker and
+with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
+is replaced for this so that no trajectory is advanced.
 """
 
 from __future__ import annotations
@@ -174,6 +183,90 @@ def measure_stage(qf, dim: int, repeats: int) -> tuple[float, int, int]:
     return statistics.median(times), peak, held
 
 
+BATCH_ROWS, BATCH_STEPS, TINY_BATCH_STEPS = 8, 20000, 500
+
+
+def _traced(run) -> tuple[int, object]:
+    """(traced peak bytes, result) of run()."""
+    tracemalloc.start()
+    try:
+        result = run()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def measure_batch(qf, dim: int, n_steps: int) -> dict:
+    """Per column's scheme: traced peak bytes per row-step of a batch that
+    draws its noise (slim result), draws it and keeps its series, and
+    replays the kept record."""
+    from qfilter import solvers
+
+    model, initial, _ = _case(qf, dim)
+    dt, row = 1e-4, {}
+    for column, scheme in COLUMNS.items():
+        def ensemble(slim: bool):
+            return lambda: qf.run_ensemble(model, initial, dt, n_steps, 0, BATCH_ROWS,
+                                           scheme=scheme, record_stride=n_steps, slim=slim)
+
+        qf.run_ensemble(model, initial, dt, 1, 0, 1, scheme=scheme)  # lazy imports load untraced
+        drawn, _ = _traced(ensemble(True))
+        kept, result = _traced(ensemble(False))
+        replayed, _ = _traced(lambda: solvers._run_rows(
+            model, initial, dt, n_steps, 0, 0, scheme, result.record, replay=True,
+            record_stride=n_steps))
+        row[column] = [peak / (BATCH_ROWS * n_steps) for peak in (drawn, kept, replayed)]
+    return row
+
+
+def batch_runs(qf) -> dict:
+    """name: a thunk making the run as its caller does (the batch widths
+    depend only on dim, trajectories, steps and channels, so the README qubit
+    stands in for the order suite's model): the order suite's reference run,
+    32 seeds of 64 000 steps; the born suite's 2000 trajectories of 5000
+    steps; and the runs of the `simulate-qubit` and `verify-ensemble-grid`
+    benchmark workloads."""
+    import numpy as np
+    from qfilter import solvers
+
+    qubit, ket, _ = _case(qf, 2)
+    grid, packet, _ = _case(qf, 128)
+    return {
+        "order reference": lambda: solvers._run_rows(
+            qubit, ket, 1e-3 / 64, 64000, 0, 0, "nonlinear", np.zeros((32, 64000, 1)),
+            record_stride=64000),
+        "born": lambda: qf.run_ensemble(qubit, ket, 1e-3, 5000, 7, 2000, record_stride=100,
+                                        slim=True),
+        "simulate-qubit": lambda: qf.run_ensemble(qubit, ket, 1e-3, 1000, 0, 256,
+                                                  record_stride=10),
+        "verify-ensemble-grid": lambda: qf.run_ensemble(grid, packet, 1e-3, 250, 0, 1024,
+                                                        scheme="gauge", record_stride=12,
+                                                        slim=True),
+    }
+
+
+def batches(run, workers: int) -> list[tuple[int, int]]:
+    """The (lo, hi) batch ranges `run()` makes with QFILTER_THREADS=workers,
+    intercepted at `solvers.pool_map`, which then advances nothing."""
+    import numpy as np
+    from qfilter import solvers
+
+    seen = []
+
+    def record(fn, bounds, n_workers):
+        seen.extend(bounds)
+        return (np.full(hi - lo, -1) for lo, hi in bounds)
+
+    pool_map, solvers.pool_map = solvers.pool_map, record
+    os.environ["QFILTER_THREADS"] = str(workers)
+    try:
+        run()
+    finally:
+        solvers.pool_map = pool_map
+        os.environ["QFILTER_THREADS"] = "1"
+    return seen
+
+
 def _cell(seconds: float, peak: int) -> str:
     wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
     return f"{wall}, {peak / 2**20:.2f} MiB"
@@ -203,6 +296,21 @@ def main(argv=None) -> int:
     for dim in TINY_SETUP_POINTS if args.tiny else SETUP_POINTS:
         row = measure_setup(qf, dim, repeats)
         print(f"| {dim} | " + " | ".join(_cell(*row[name]) for name in SETUP_STAGES) + " |")
+
+    print(f"\nbatch of {BATCH_ROWS} rows: traced bytes per row-step, drawn slim / drawn kept"
+          " / replayed")
+    print("| case | " + " | ".join(COLUMNS) + " |")
+    print("|---|" + "---|" * len(COLUMNS))
+    for dim in (2, 128):
+        row = measure_batch(qf, dim, TINY_BATCH_STEPS if args.tiny else BATCH_STEPS)
+        print(f"| {'qubit' if dim == 2 else f'grid{dim}'} | "
+              + " | ".join(" / ".join(f"{b:.1f}" for b in row[c]) for c in COLUMNS) + " |")
+    print("\nbatches x rows of each run (the last batch may be narrower)")
+    print("| run | 1 worker | 2 workers |")
+    print("|---|---|---|")
+    for name, run in batch_runs(qf).items():
+        print(f"| {name} | " + " | ".join(
+            f"{len(b)} x {b[0][1] - b[0][0]}" for b in (batches(run, w) for w in (1, 2))) + " |")
 
     print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
     print("| points | _banded_stage | held |")

@@ -38,6 +38,9 @@ in shared memory, an array per quantity with a row per trajectory, and
 counter-keyed noise stream, and every reduction over amplitudes is taken
 along the last axis row by row (never a matrix product across the batch),
 so a trajectory carries the same bits whatever batch it is advanced in.
+A batch is bounded in entries (`_batch_bounds`); besides its noise table
+it allocates only the per-step series it reads: the step norms and, for the
+gauge scheme, the amplitude growth and reconstruction ln c.
 
 Between snapshots, a step on a diagonal or tridiagonal model allocates no
 array the size of the batch. Each batch allocates its buffers once
@@ -146,9 +149,10 @@ _BOUNDARY_WARN = 1e-6
 # per product of ensemble_average and per block of _filtering_residuals
 _STEP_ENTRIES = 1 << 14
 
-# bytes one batch of trajectories holds at most (`_row_bytes`): its step
-# workspace and band rows, snapshots, noise table, record and per-step series
-_BATCH_BYTES = 32 << 20
+# entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
+# its noise table and a few whole-run float series trace to 18-45 bytes per
+# row-step with one channel (`scripts/kernel_bench.py`), 47 MB at this bound
+_SERIES_ENTRIES = 1 << 20
 
 # the checks a step makes, in the order it makes them
 _RECONSTRUCTION, _AMPLITUDE, _STATE = range(3)
@@ -321,11 +325,12 @@ def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, wei
 
 
 def _cumulative_logs(values: np.ndarray):
-    """(B, n + 1) running sums of ln values, from 0; also non-finite flags."""
-    logs = np.log(values)
+    """(B, n + 1) running sums of ln values from 0, taken in place; non-finite flags."""
     out = np.zeros((values.shape[0], values.shape[1] + 1))
-    np.cumsum(logs, axis=1, out=out[:, 1:])
-    return out, ~np.isfinite(logs)
+    logs = np.log(values, out=out[:, 1:])
+    bad = ~np.isfinite(logs)
+    np.cumsum(logs, axis=1, out=logs)
+    return out, bad
 
 
 def _first_failure(bad: np.ndarray, check: int) -> np.ndarray:
@@ -343,7 +348,8 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     `table` is (hi - lo, n_steps, n_channels): each row's Wiener increments
     dW, or with `replay` the record increments dY it replays. `run` is what
     `_prepare` built for the whole run; every row starts from its normalized
-    amplitudes `phi0`. The per-step arrays `out` does not keep are scratch.
+    amplitudes `phi0`. A step forms its dY in `ws.dy`, and writes it (or on
+    replay the recovered dW) into `out` only when `out` keeps that series.
 
     The loop makes no check and keeps no running sum. It stores each step's
     pre-renormalization norm (and, for the gauge scheme, the reconstruction
@@ -370,8 +376,8 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     given, formed = (out.record, out.innovations) if replay else (out.innovations, out.record)
     if given is not None:
         given[lo:hi] = table
-    formed = np.empty(table.shape) if formed is None else formed[lo:hi]
-    dys, dws = (table, formed) if replay else (formed, table)
+    formed = None if formed is None else formed[lo:hi]
+    dy = ws.dy_re
     drift = np.empty((b, c))
     two_w_dt = 2.0 * w * run["dt"]
     ws.phi[1][...] = run["phi0"]
@@ -398,22 +404,23 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
                 store(k, post[1])
             for j, lp in enumerate(lposts):
                 np.multiply(two_w_dt, _re_rowdot(post[1], lp, ws.sq, ws.sums), out=drift[:, j])
-            dy = dys[:, k]
             if replay:
-                np.subtract(dy, drift, out=dws[:, k])
+                np.copyto(dy, table[:, k])
+                if formed is not None:
+                    np.subtract(dy, drift, out=formed[:, k])
             else:
-                np.add(drift, dws[:, k], out=dy)
-            np.copyto(ws.dy_re, dy)
+                np.add(drift, table[:, k], out=dy)
+                if formed is not None:
+                    np.copyto(formed[:, k], dy)
 
+            updated = _record_update(post, euler, lposts, ws)
             if gauge_mode:
                 # amplitude growth of the record-driven map at the posterior,
                 # accumulated for the cross-form identity exp(ln c) = ||chi||
-                growth[:, k] = _row_norms(w, _record_update(post, euler, lposts, ws), ws)
+                growth[:, k] = _row_norms(w, updated, ws)
                 _exponent(y + 0.5 * dy, ldiag, ws)
                 updated = _gauge_apply(gauge_euler, ws)
                 y += dy
-            else:
-                updated = _record_update(ws.phi, euler, lposts, ws)
             nn = _row_norms(w, updated, ws)
             step_norms[:, k] = nn
             _normalize(updated, nn, ws)
@@ -643,9 +650,7 @@ def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
     model = run["model"]
     out = _allocate(run, first_index, n_rows, keep)
     n_workers = resolve_workers(None, n_rows)
-    row_bytes = _row_bytes(model.dim, run["snapshot_steps"].size, run["n_steps"],
-                           model.n_channels)
-    bounds = _batch_bounds(n_rows, model.dim, row_bytes, n_workers)
+    bounds = _batch_bounds(n_rows, model.dim, run["n_steps"], model.n_channels, n_workers)
 
     def batch(lo: int, hi: int) -> np.ndarray:
         rows = table[lo:hi] if table is not None else _noise_table(
@@ -729,23 +734,14 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _row_bytes(dim: int, n_snaps: int, n_steps: int, n_channels: int) -> int:
-    """Bytes one trajectory holds in a batch, at most: its snapshots; its
-    rows of the step workspace (`_Workspace`: 6 + n_channels complex rows of
-    dim entries, 5 real ones and a few per-channel scalars) and of the tiled
-    band rows (`_tiled`: up to 3 for each of the two step operators and each
-    channel); and its noise table, record, step norms, amplitude growth and
-    reconstruction series."""
-    return (16 * dim * (n_snaps + 12 + 4 * n_channels) + 40 * dim + 32 * (n_channels + 1)
-            + 8 * (n_steps + 1) * (2 * n_channels + 3))
-
-
-def _batch_bounds(n_rows: int, dim: int, row_bytes: int,
+def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
                   n_workers: int = 1) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) row ranges within _STEP_ENTRIES amplitudes and
-    _BATCH_BYTES each (and of at least one row); for several workers, equal
-    ranges, a whole number per worker."""
-    rows = min(max(1, min(_STEP_ENTRIES // dim, _BATCH_BYTES // row_bytes)), n_rows)
+    """Contiguous (lo, hi) row ranges of at most _STEP_ENTRIES amplitudes in
+    a state array and _SERIES_ENTRIES entries in a per-step series of
+    n_channels * (n_steps + 1) per row (and of at least one row); for several
+    workers, equal ranges, a whole number per worker."""
+    rows = min(_STEP_ENTRIES // dim, _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
+    rows = min(max(1, rows), n_rows)
     if n_workers > 1:
         n_batches = -(-n_rows // rows)
         rows = -(-n_rows // (-(-n_batches // n_workers) * n_workers))

@@ -100,6 +100,19 @@ def _observable_knob(value, path: str, model):
         raise ConfigError([(path, str(exc))]) from None
 
 
+def _gauge_replay(model, initial, mapped, record: np.ndarray):
+    """The gauge replay of `record` on the steps, stride and trajectories of
+    `mapped`, a record-driven map run on that record; the (N, n_snaps - 1)
+    distances between their states after t = 0; and the largest amplitude
+    identity gap |exp(ln c) / ||chi|| - 1| at the last step."""
+    gauge = _run_rows(model, initial, mapped.dt, mapped.n_steps, mapped.master_seed,
+                      mapped.first_index, "gauge", record, replay=True,
+                      record_stride=mapped.record_stride)
+    td = _pure_overlap(model.basis.weight, mapped.states[:, 1:], gauge.states[:, 1:])[1]
+    amp = np.abs(np.exp(gauge.log_amplitude[:, -1] - mapped.log_norm[:, -1]) - 1.0).max()
+    return gauge, td, float(amp)
+
+
 def suite_equivalence(cfg: RunConfig):
     """One measurement record, three schemes: pathwise agreement at the run
     dt and at dt/2, the shrink factor between the two, the record-driven
@@ -126,21 +139,15 @@ def suite_equivalence(cfg: RunConfig):
     n = cfg.n_steps
     seed = cfg.ensemble.master_seed
     stride = max(1, n // n_checks)
-    w = model.basis.weight
 
     # every seed is one row of each run; seed i is trajectory i
     fine = run_ensemble(model, initial, dt / 2.0, 2 * n, seed, n_seeds, record_stride=2 * stride)
-    gauge_half = _run_rows(model, initial, dt / 2.0, 2 * n, seed, 0, "gauge", fine.record,
-                           replay=True, record_stride=2 * stride)
+    td_half = _gauge_replay(model, initial, fine, fine.record)[1]
     coarse_rec = _coarsen(fine.record, 2)
-    coarse, gauge = (_run_rows(model, initial, dt, n, seed, 0, s, coarse_rec, replay=True,
-                               record_stride=stride) for s in ("nonlinear", "gauge"))
-
-    # (n_seeds, n_snaps - 1) distances between the map and the gauge replay after t = 0
-    td = _pure_overlap(w, coarse.states[:, 1:], gauge.states[:, 1:])[1]
-    td_half = _pure_overlap(w, fine.states[:, 1:], gauge_half.states[:, 1:])[1]
+    coarse = _run_rows(model, initial, dt, n, seed, 0, "nonlinear", coarse_rec, replay=True,
+                       record_stride=stride)
+    _, td, amp_max = _gauge_replay(model, initial, coarse, coarse_rec)
     shrink = td.max() / td_half.max() if td_half.max() > 0 else math.inf
-    amp_max = np.abs(np.exp(gauge.log_amplitude[:, -1] - coarse.log_norm[:, -1]) - 1.0).max()
 
     free_cfg = dataclasses.replace(cfg, constants_lambda=0.0)
     model0 = build_model(free_cfg)
@@ -323,10 +330,9 @@ def suite_filtering(cfg: RunConfig):
         if abs(n * dt - t_final) > 1e-9 * t_final:
             raise ConfigError([("verify.filtering.dts",
                                 f"sim.t_final is not a multiple of dt={dt!r}")])
-        runs = _run_rows(model, initial, dt, n, seed, 0, "nonlinear",
-                         _noise_table(seed, 0, n_seeds, dt, n, model.n_channels),
-                         keep=("innovations",))
-        res = _filtering_residuals(model, obs, runs.states, runs.innovations, dt, quad)
+        noise = _noise_table(seed, 0, n_seeds, dt, n, model.n_channels)
+        runs = _run_rows(model, initial, dt, n, seed, 0, "nonlinear", noise)
+        res = _filtering_residuals(model, obs, runs.states, noise, dt, quad)
         mean_rms[d] = math.sqrt(np.mean(res * res))
 
     slope = float(np.polyfit(np.log(dts), np.log(np.maximum(mean_rms, 1e-300)), 1)[0])
@@ -355,13 +361,8 @@ def suite_gauge(cfg: RunConfig):
 
     # every seed is one row of each run; seed i is trajectory i
     lins = run_ensemble(model, initial, dt, n, seed, n_seeds, "linear", record_stride=stride)
-    gaus = _run_rows(model, initial, dt, n, seed, 0, "gauge", lins.record, replay=True,
-                     record_stride=stride)
-
-    td = _pure_overlap(model.basis.weight, lins.states[:, 1:], gaus.states[:, 1:])[1]
-    ln_c = lins.log_norm[:, -1]
-    amp_max = float(np.abs(np.exp(gaus.log_amplitude[:, -1] - ln_c) - 1.0).max())
-    ln_c_gap = float(np.abs(gaus.log_norm[:, -1] - ln_c).max())
+    gaus, td, amp_max = _gauge_replay(model, initial, lins, lins.record)
+    ln_c_gap = float(np.abs(gaus.log_norm[:, -1] - lins.log_norm[:, -1]).max())
 
     checks = [
         _check("gauge_vs_linear_max_distance", td.max(), None, 1e-2),

@@ -175,11 +175,10 @@ def test_outputs_are_batch_size_invariant(tmp_path, monkeypatch):
     }
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
-    row_bytes = solvers._row_bytes(dim=2, n_snaps=201, n_steps=2000, n_channels=1)
 
     digests = []
     for rows in (1, 7, 256):
-        monkeypatch.setattr(solvers, "_BATCH_BYTES", rows * row_bytes)
+        monkeypatch.setattr(solvers, "_SERIES_ENTRIES", rows * (2000 + 1))
         for workers in ("1", "2"):
             monkeypatch.setenv("QFILTER_THREADS", workers)
             out = tmp_path / f"run_b{rows}_w{workers}"

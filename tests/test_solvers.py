@@ -469,9 +469,8 @@ def test_boundary_contact_warns(monkeypatch, threads):
     alone = sum(alone, [])
     assert len(set(alone)) == 6  # distinct, so the order shows
     monkeypatch.setenv("QFILTER_THREADS", threads)
-    row_bytes = solvers._row_bytes(model.dim, n // stride + 1, n, 1)
-    monkeypatch.setattr(solvers, "_BATCH_BYTES", 2 * row_bytes)
-    assert len(solvers._batch_bounds(6, model.dim, row_bytes, int(threads))) == 3
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 2 * (n + 1))
+    assert len(solvers._batch_bounds(6, model.dim, n, 1, int(threads))) == 3
     assert warned(lambda: run_ensemble(model, psi, dt, n, 1, 6, record_stride=stride)) == alone
 
 
@@ -660,9 +659,8 @@ def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
     psi = gaussian_packet(model.basis, x0=1.0)
     obs = {"x": named_observable(model, "x")}
     dt, n, stride = 1e-3, 12, 5
-    monkeypatch.setattr(solvers, "_BATCH_BYTES", 3 * solvers._row_bytes(model.dim, 4, n, 1))
-    assert len(solvers._batch_bounds(10, model.dim, solvers._row_bytes(model.dim, 4, n, 1),
-                                     workers)) >= 3
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 3 * (n + 1))
+    assert len(solvers._batch_bounds(10, model.dim, n, 1, workers)) >= 3
     result = run_ensemble(model, psi, dt, n, 4, 10, scheme="gauge", observables=obs,
                           record_stride=stride)
     assert [r.trajectory_index for r in result] == list(range(10))
@@ -697,9 +695,8 @@ def test_pooled_run_leaves_no_batch_in_the_parent(monkeypatch):
     psi = _ket(1.0, 0.0)
     obs = {"sigma_z": named_observable(model, "sigma_z")}
     dt, n, stride = 1e-3, 1000, 10
-    row_bytes = solvers._row_bytes(model.dim, n // stride + 1, n, 1)
-    monkeypatch.setattr(solvers, "_BATCH_BYTES", 64 * row_bytes)
-    assert len(solvers._batch_bounds(256, model.dim, row_bytes, 2)) == 4
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 64 * (n + 1))
+    assert len(solvers._batch_bounds(256, model.dim, n, 1, 2)) == 4
     run_ensemble(model, psi, dt, 1, 0, 2)  # the pool's modules load untraced
     tracemalloc.start()
     try:
@@ -711,6 +708,46 @@ def test_pooled_run_leaves_no_batch_in_the_parent(monkeypatch):
               result.record, *result.expectations.values())
     batch = sum(a.nbytes for a in arrays) / 4
     assert peak < batch, f"the parent peaked at {peak} bytes; one batch holds {batch:.0f}"
+
+
+@pytest.mark.parametrize("scheme", ["nonlinear", "gauge"])
+@pytest.mark.parametrize("dim", [2, 128])
+def test_batch_holds_a_few_entries_per_row_step(monkeypatch, dim, scheme):
+    """A batch of 8 rows over 20 000 steps, on the README qubit and a
+    128-point harmonic grid, holds at most 8 (c + 5) bytes per row-step,
+    whether it draws its noise and keeps nothing, keeps its series, or
+    replays a record: its noise table and a few float series, and no
+    write-only copy of a series the result does not keep. The result's
+    arrays live in a shared mapping, which tracemalloc does not trace, so the
+    traced peak is what the batch itself allocates."""
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    if dim == 2:
+        model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+        psi = _ket(1.0, 0.0)
+    else:
+        grid = GridSpec(-10.0, 10.0, dim)
+        model = build_grid_model(grid, GridPotential.harmonic(grid, 1.0), lam=1.0)
+        psi = gaussian_packet(model.basis, x0=1.0, sigma=1.0)
+    rows, n, dt = 8, 20000, 1e-4
+    run_ensemble(model, psi, dt, 1, 0, 1, scheme=scheme)  # lazy imports load untraced
+
+    def traced(run):
+        tracemalloc.start()
+        try:
+            result = run()
+            return tracemalloc.get_traced_memory()[1] / (rows * n), result
+        finally:
+            tracemalloc.stop()
+
+    slim, _ = traced(lambda: run_ensemble(model, psi, dt, n, 0, rows, scheme=scheme,
+                                          record_stride=n, slim=True))
+    kept, result = traced(lambda: run_ensemble(model, psi, dt, n, 0, rows, scheme=scheme,
+                                               record_stride=n))
+    replayed, _ = traced(lambda: solvers._run_rows(model, psi, dt, n, 0, 0, scheme,
+                                                   result.record, replay=True, record_stride=n))
+    bound = 8 * (model.n_channels + 5)
+    assert max(slim, kept, replayed) <= bound, \
+        f"bytes per row-step: slim {slim:.1f}, kept {kept:.1f}, replayed {replayed:.1f}"
 
 
 @pytest.mark.parametrize("rows", [1, 7, 256])
@@ -733,8 +770,7 @@ def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, wo
         return NoisePath(dt, inc, master_seed, index)
 
     monkeypatch.setattr(solvers, "generate_noise", noise)
-    monkeypatch.setattr(solvers, "_BATCH_BYTES",
-                        rows * solvers._row_bytes(model.dim, 6, 5, 1))
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", rows * (5 + 1))
     with pytest.raises(StepFailureError) as info:
         run_ensemble(model, packet, 1e-3, 5, 0, 12, scheme="gauge")
     assert str(info.value) == ("gauge reconstruction at step 3 of trajectory 7 produced a "
