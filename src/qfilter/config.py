@@ -1,30 +1,36 @@
 """Run configuration: JSON schema, validation, and model assembly.
 
-Schema (JSON object, unknown keys rejected):
+A config is a JSON object of sections (unknown keys rejected):
 
-  model      {"kind": "qubit", "h_field": number | [hx, hy, hz],
-              "channel": "sigma_x" | "sigma_y" | "sigma_z"}
-           | {"kind": "grid1d", "x_min": num, "x_max": num, "n_points": int,
-              "potential": "free" | "harmonic" | "barrier" | "table",
-              "potential_params": {...}, "mass": num}
-  constants  {"hbar": num > 0, "lambda": num >= 0}
+  model      {"kind": "qubit", "h_field", "channel"}
+           | {"kind": "grid1d", "x_min", "x_max", "n_points", "potential",
+              "potential_params", "mass"}
+  constants  {"hbar", "lambda"}
   initial    {"amplitudes": [entry, ...]}          (qubit; entry = num,
               [re, im], or {"re": num, "im": num})
-           | {"gaussian": {"x0": num, "p0": num, "sigma": num > 0}}  (grid)
-  sim        {"dt": num > 0, "t_final": num, "scheme": str,
-              "record_stride": int >= 1, "observables": [name | inline, ...]}
+           | {"gaussian": {"x0", "p0", "sigma"}}  (grid)
+  sim        {"dt", "t_final", "scheme", "record_stride",
+              "observables": [name | inline, ...]}
              inline = {"name": str, "matrix": {"re": [[...]], "im": [[...]]}}
-  ensemble   {"n_trajectories": int >= 1, "master_seed": int}
-  output     {"directory": str | null, "formats": ["csv" | "bin", ...]}
+  ensemble   {"n_trajectories", "master_seed"}
+  output     {"directory", "formats"}
   verify     {suite_name: {knob: value, ...}, ...}
 
-Only `model` and `sim.dt` / `sim.t_final` are required; everything else has
-defaults (hbar 1, lambda 1, mass 1, scheme "nonlinear", record_stride 10,
-qubit initial (1, 0), grid initial a unit gaussian, observables sigma_z on
-qubits and x, x2, p on grids). All validation problems are collected and
-raised together with dotted field paths. `--set` style overrides edit the
-raw JSON tree before validation, values parsed as JSON with a plain-string
-fallback.
+Each key is declared once, in the tables below, as (default, check): the
+default fills a missing key, and the check returns a given value as it is
+stored or says what is wrong with it. The parameters of each potential and
+the knobs of each verification suite are declared the same way. One reader
+applies a table: it rejects unknown keys, checks every given value and fills
+the defaults; `RunConfig.resolved()` echoes the same keys. Only `model`,
+`sim.dt` and `sim.t_final` are required. Code handles what a table cannot
+say: the model kind, amplitudes or gaussian, observable lists and inline
+matrices (with the model's default state and observables), and the rules
+across keys (x_max > x_min, a table potential's length, t_final a multiple
+of dt, csv always among the formats). Every suite's knobs are checked here, whatever the command; the
+suites check only what needs their model or protocol. All validation
+problems are collected and raised together with dotted field paths. `--set`
+style overrides edit the raw JSON tree before validation, values parsed as
+JSON with a plain-string fallback.
 """
 
 from __future__ import annotations
@@ -33,7 +39,7 @@ import copy
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,11 +56,6 @@ from .models import (
 )
 from .solvers import SCHEMES
 
-_MAX_SEED = 2**64
-SUITE_NAMES = ("equivalence", "ensemble", "born", "order", "filtering", "gauge")
-_POTENTIALS = ("free", "harmonic", "barrier", "table")
-_FORMATS = ("csv", "bin")
-
 
 def _is_num(v) -> bool:
     """A finite int or float that converts to a double (JSON ints are unbounded)."""
@@ -70,6 +71,144 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+class _Invalid(Exception):
+    """A value its declaration rejects; the message says why."""
+
+
+def _rule(*rules, convert=None):
+    """A check from (ok, message) pairs, tried in order; a value that passes
+    them all is stored as `convert(value)`."""
+    def check(v):
+        for ok, msg in rules:
+            if not ok(v):
+                raise _Invalid(msg)
+        return v if convert is None else convert(v)
+    return check
+
+
+def _number(*rules):
+    return _rule((_is_num, "must be a number"), *rules, convert=float)
+
+
+def _integer(*rules):
+    return _rule((_is_int, "must be an integer"), *rules)
+
+
+def _one_of(choices):
+    return _rule((lambda v: isinstance(v, str) and v in choices,
+                  f"must be one of {list(choices)}"))
+
+
+def _at_least(n: int):
+    """A suite's integer knob, with one message for its type and its range."""
+    return _rule((lambda v: _is_int(v) and v >= n, f"must be an integer of at least {n}"))
+
+
+def _dts(v):
+    """At least four positive dt values in geometric sequence, largest first."""
+    if not isinstance(v, (list, tuple)) or len(v) < 4 \
+            or not all(_is_num(x) and x > 0 for x in v):
+        raise _Invalid("must list at least four positive dt values")
+    dts = np.sort(np.asarray(v, dtype=float))[::-1]
+    with np.errstate(all="ignore"):
+        ratios = dts[:-1] / dts[1:]
+        if not np.allclose(ratios, ratios[0], rtol=1e-9):
+            raise _Invalid("dt values must form a geometric sequence")
+    return dts
+
+
+_POSITIVE = (lambda v: v > 0, "must be positive")
+_NAME = _rule((lambda v: v is None or isinstance(v, str), "must be a name"))
+_REQUIRED = object()
+_BY_CODE = (None, None)  # a key its own parser reads
+
+# The declarations: key -> (default, check). A _REQUIRED key has no default.
+_SECTIONS = dict.fromkeys(
+    ("model", "constants", "initial", "sim", "ensemble", "output", "verify"), _BY_CODE)
+# potential -> (constructor, parameters, the one message for any problem with them)
+_POTENTIALS = {
+    "free": (GridPotential.free, {}, "free potential takes no parameters"),
+    "harmonic": (GridPotential.harmonic,
+                 {"omega": (1.0, _number(_POSITIVE)), "center": (0.0, _number())},
+                 "harmonic needs omega > 0 (optional center)"),
+    "barrier": (GridPotential.barrier,
+                {"height": (0.0, _number()), "width": (1.0, _number(_POSITIVE)),
+                 "center": (0.0, _number())},
+                "barrier needs height and width > 0"),
+    "table": (GridPotential.from_table,
+              {"values": (_REQUIRED, _rule((lambda v: isinstance(v, list)
+                                           and all(_is_num(x) for x in v),
+                                           "must be a list of numbers")))},
+              "table needs values with one number per grid point"),
+}
+_MODELS = {
+    "qubit": {
+        "kind": _BY_CODE,
+        "h_field": ([1.0, 0.0, 0.0], _rule(
+            (lambda v: _is_num(v) or isinstance(v, list) and len(v) == 3
+             and all(_is_num(x) for x in v), "must be a number or a list of three numbers"),
+            convert=lambda v: (float(v), 0.0, 0.0) if _is_num(v) else tuple(map(float, v)))),
+        "channel": ("sigma_z", _one_of(PAULI)),
+    },
+    "grid1d": {
+        "kind": _BY_CODE,
+        "x_min": (-10.0, _number()),
+        "x_max": (10.0, _number()),
+        "n_points": (128, _integer((lambda v: v >= 8, "must be an integer of at least 8"))),
+        "potential": ("free", _one_of(_POTENTIALS)),
+        "potential_params": ({}, _rule((lambda v: isinstance(v, dict), "must be an object"),
+                                       convert=dict)),
+        "mass": (1.0, _number(_POSITIVE)),
+    },
+}
+_CONSTANTS = {
+    "hbar": (1.0, _number(_POSITIVE)),
+    "lambda": (1.0, _number((lambda v: v >= 0, "must be nonnegative"))),
+}
+_GAUSSIAN = {"x0": (0.0, _number()), "p0": (0.0, _number()),
+             "sigma": (1.0, _number(_POSITIVE))}
+_SIM = {
+    "dt": (_REQUIRED, _number(_POSITIVE)),
+    "t_final": (_REQUIRED, _number()),
+    "scheme": ("nonlinear", _one_of(SCHEMES)),
+    "record_stride": (10, _integer((lambda v: v >= 1, "must be at least 1"))),
+    "observables": _BY_CODE,
+}
+_ENSEMBLE = {
+    "n_trajectories": (1, _integer((lambda v: v >= 1, "must be at least 1"))),
+    "master_seed": (0, _integer((lambda v: 0 <= v < 2**64, "must lie in [0, 2^64)"))),
+}
+_FORMATS = ("csv", "bin")
+_OUTPUT = {
+    "directory": (None, _rule((lambda v: v is None or isinstance(v, str),
+                               "must be a string or null"))),
+    "formats": (["csv"], _rule(
+        (lambda v: isinstance(v, list) and v and all(f in _FORMATS for f in v),
+         f"must be a nonempty list drawn from {list(_FORMATS)}"), convert=tuple)),
+}
+# suite -> its knobs; an observable knob of None picks sigma_z or x
+_KNOBS = {
+    "equivalence": {"n_seeds": (20, _at_least(1)), "checkpoints": (10, _at_least(1))},
+    "ensemble": {"checkpoints": (10, _at_least(1))},
+    "born": {
+        "observable": (None, _NAME),
+        "threshold": (0.01, _rule((lambda v: _is_num(v) and 0 < v < 1, "must lie in (0, 1)"),
+                                  convert=float)),
+    },
+    "order": {"dts": ([8e-3, 4e-3, 2e-3, 1e-3], _dts), "n_seeds": (32, _at_least(2)),
+              "ref_refine": (64, _at_least(2))},
+    "filtering": {
+        "dts": ([1e-3, 5e-4, 2.5e-4, 1.25e-4], _dts),
+        "n_seeds": (32, _at_least(1)),
+        "observable": (None, _NAME),
+        "include_quadratic_correction": (True, _rule((lambda v: isinstance(v, bool),
+                                                      "must be a boolean"))),
+    },
+    "gauge": {"n_seeds": (5, _at_least(1)), "checkpoints": (10, _at_least(1))},
+}
+SUITE_NAMES = tuple(_KNOBS)
+
+
 class _Collector:
     def __init__(self):
         self.problems: list[tuple[str, str]] = []
@@ -77,28 +216,50 @@ class _Collector:
     def add(self, path: str, msg: str) -> None:
         self.problems.append((path, msg))
 
-    def num(self, sec: dict, path: str, key: str, default):
-        v = sec.get(key, default)
-        if not _is_num(v):
-            self.add(f"{path}.{key}", "must be a number")
-            return default
-        return float(v)
+    def read(self, sec: dict, path: str, keys: dict, unknown: str = "unknown key") -> dict:
+        """The values of `sec` under its declaration `keys`, defaults filled in.
 
-    def integer(self, sec: dict, path: str, key: str, default):
-        v = sec.get(key, default)
-        if not _is_int(v):
-            self.add(f"{path}.{key}", "must be an integer")
-            return default
-        return v
-
-    def check_keys(self, sec: dict, path: str, allowed) -> None:
+        Unknown keys, missing required keys and rejected values are recorded.
+        A rejected value reads as its default (None if required), so the rules
+        across keys still run."""
         for k in sec:
-            if k not in allowed:
-                self.add(f"{path}.{k}" if path else k, "unknown key")
+            if k not in keys:
+                self.add(f"{path}.{k}" if path else k, unknown)
+        out = {}
+        for k, (default, check) in keys.items():
+            if check is None:
+                continue
+            out[k] = None if default is _REQUIRED else check(default)
+            if k in sec:
+                try:
+                    out[k] = check(sec[k])
+                except _Invalid as exc:
+                    self.add(f"{path}.{k}", str(exc))
+            elif default is _REQUIRED:
+                self.add(f"{path}.{k}", "required")
+        return out
 
     def raise_if_any(self) -> None:
         if self.problems:
             raise ConfigError(self.problems)
+
+
+def _checked(sec: dict, path: str, keys: dict, unknown: str = "unknown key") -> dict:
+    """`_Collector.read` of one section, raising its problems."""
+    col = _Collector()
+    out = col.read(sec, path, keys, unknown)
+    col.raise_if_any()
+    return out
+
+
+def _section(data: dict, name: str, col: _Collector, required: bool = False) -> dict | None:
+    """Section `name` of the config; a missing optional section is empty."""
+    sec = data.get(name, None if required else {})
+    if isinstance(sec, dict):
+        return sec
+    col.add(name, "required section missing or not an object" if required
+            else "must be an object")
+    return None
 
 
 def _parse_complex(entry, path: str, col: _Collector) -> complex:
@@ -147,8 +308,8 @@ class ObservableConfig:
 
 @dataclass(frozen=True)
 class QubitModelConfig:
-    h_field: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    channel: str = "sigma_z"
+    h_field: tuple[float, float, float]
+    channel: str
     kind: str = "qubit"
 
 
@@ -157,9 +318,9 @@ class GridModelConfig:
     x_min: float
     x_max: float
     n_points: int
-    potential: str = "free"
-    potential_params: dict = field(default_factory=dict)
-    mass: float = 1.0
+    potential: str
+    potential_params: dict
+    mass: float
     kind: str = "grid1d"
 
 
@@ -173,21 +334,42 @@ class InitialConfig:
 class SimConfig:
     dt: float
     t_final: float
-    scheme: str = "nonlinear"
-    record_stride: int = 10
-    observables: tuple[ObservableConfig, ...] = ()
+    scheme: str
+    record_stride: int
+    observables: tuple[ObservableConfig, ...]
 
 
 @dataclass(frozen=True)
 class EnsembleConfig:
-    n_trajectories: int = 1
-    master_seed: int = 0
+    n_trajectories: int
+    master_seed: int
 
 
 @dataclass(frozen=True)
 class OutputConfig:
-    directory: str | None = None
-    formats: tuple[str, ...] = ("csv",)
+    directory: str | None
+    formats: tuple[str, ...]
+
+
+def _plain(v):
+    """A stored value as JSON: tuples as lists, complex numbers as [re, im],
+    objects with sorted keys, observables as a name or an inline matrix."""
+    if isinstance(v, ObservableConfig):
+        if v.matrix is None:
+            return v.name
+        return {"name": v.name, "matrix": {"re": v.matrix.real.tolist(),
+                                           "im": v.matrix.imag.tolist()}}
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, dict):
+        return dict(sorted(v.items()))
+    return v
+
+
+def _echo(obj, keys: dict, prefix: str = "") -> dict:
+    return {k: _plain(getattr(obj, prefix + k)) for k in keys}
 
 
 @dataclass(frozen=True)
@@ -207,161 +389,81 @@ class RunConfig:
 
     def resolved(self) -> dict:
         """Canonical echo with every default materialized (manifest payload)."""
-        m = self.model
-        if isinstance(m, QubitModelConfig):
-            model = {"kind": "qubit", "h_field": list(m.h_field), "channel": m.channel}
-        else:
-            model = {
-                "kind": "grid1d", "x_min": m.x_min, "x_max": m.x_max,
-                "n_points": m.n_points, "potential": m.potential,
-                "potential_params": dict(sorted(m.potential_params.items())),
-                "mass": m.mass,
-            }
-        if self.initial.amplitudes is not None:
-            initial = {"amplitudes": [[z.real, z.imag] for z in self.initial.amplitudes]}
-        else:
-            x0, p0, sigma = self.initial.gaussian
-            initial = {"gaussian": {"x0": x0, "p0": p0, "sigma": sigma}}
-        obs = []
-        for o in self.sim.observables:
-            if o.matrix is None:
-                obs.append(o.name)
-            else:
-                obs.append({"name": o.name, "matrix": {
-                    "re": o.matrix.real.tolist(), "im": o.matrix.imag.tolist()}})
+        init = self.initial
         return {
-            "model": model,
-            "constants": {"hbar": self.constants_hbar, "lambda": self.constants_lambda},
-            "initial": initial,
-            "sim": {
-                "dt": self.sim.dt, "t_final": self.sim.t_final,
-                "scheme": self.sim.scheme, "record_stride": self.sim.record_stride,
-                "observables": obs,
-            },
-            "ensemble": {"n_trajectories": self.ensemble.n_trajectories,
-                         "master_seed": self.ensemble.master_seed},
-            "output": {"directory": self.output.directory,
-                       "formats": list(self.output.formats)},
+            "model": _echo(self.model, _MODELS[self.model.kind]),
+            "constants": _echo(self, _CONSTANTS, "constants_"),
+            "initial": {"amplitudes": _plain(init.amplitudes)} if init.amplitudes is not None
+            else {"gaussian": dict(zip(_GAUSSIAN, init.gaussian))},
+            "sim": _echo(self.sim, _SIM),
+            "ensemble": _echo(self.ensemble, _ENSEMBLE),
+            "output": _echo(self.output, _OUTPUT),
             "verify": self.verify,
         }
 
 
+def _suite_knobs(cfg: RunConfig, suite: str) -> dict:
+    """The knobs of `suite`: the config's, checked, over the declared defaults."""
+    return _checked(cfg.verify.get(suite, {}), f"verify.{suite}", _KNOBS[suite], "unknown knob")
+
+
 def _parse_model(data: dict, col: _Collector):
-    sec = data.get("model")
-    if not isinstance(sec, dict):
-        col.add("model", "required section missing or not an object")
-        return QubitModelConfig()
+    sec = _section(data, "model", col, required=True)
+    if sec is None:
+        return None
     kind = sec.get("kind")
+    if not (isinstance(kind, str) and kind in _MODELS):
+        col.add("model.kind", 'must be "qubit" or "grid1d"')
+        return None
+    m = col.read(sec, "model", _MODELS[kind])
     if kind == "qubit":
-        col.check_keys(sec, "model", {"kind", "h_field", "channel"})
-        h = sec.get("h_field", [1.0, 0.0, 0.0])
-        if _is_num(h):
-            h = [float(h), 0.0, 0.0]
-        if not (isinstance(h, list) and len(h) == 3 and all(_is_num(v) for v in h)):
-            col.add("model.h_field", "must be a number or a list of three numbers")
-            h = [1.0, 0.0, 0.0]
-        channel = sec.get("channel", "sigma_z")
-        if not isinstance(channel, str) or channel not in PAULI:
-            col.add("model.channel", f"must be one of {sorted(PAULI)}")
-            channel = "sigma_z"
-        return QubitModelConfig(h_field=tuple(float(v) for v in h), channel=channel)
-    if kind == "grid1d":
-        col.check_keys(sec, "model", {"kind", "x_min", "x_max", "n_points",
-                                      "potential", "potential_params", "mass"})
-        x_min = col.num(sec, "model", "x_min", -10.0)
-        x_max = col.num(sec, "model", "x_max", 10.0)
-        if x_max <= x_min:
-            col.add("model.x_max", "must exceed model.x_min")
-            x_min, x_max = -10.0, 10.0
-        n_points = col.integer(sec, "model", "n_points", 128)
-        if n_points < 8:
-            col.add("model.n_points", "must be an integer of at least 8")
-            n_points = 8
-        potential = sec.get("potential", "free")
-        if potential not in _POTENTIALS:
-            col.add("model.potential", f"must be one of {list(_POTENTIALS)}")
-            potential = "free"
-        params = sec.get("potential_params", {})
-        if not isinstance(params, dict):
-            col.add("model.potential_params", "must be an object")
-            params = {}
-        if potential == "harmonic":
-            bad = set(params) - {"omega", "center"}
-            omega = params.get("omega", 1.0)
-            if bad or not _is_num(omega) or omega <= 0:
-                col.add("model.potential_params", "harmonic needs omega > 0 (optional center)")
-        elif potential == "barrier":
-            bad = set(params) - {"height", "width", "center"}
-            if bad or not _is_num(params.get("height", 0.0)) \
-                    or not _is_num(params.get("width", 1.0)) or params.get("width", 1.0) <= 0:
-                col.add("model.potential_params", "barrier needs height and width > 0")
-        elif potential == "table":
-            vals = params.get("values")
-            if set(params) - {"values"} or not isinstance(vals, list) \
-                    or len(vals) != n_points or not all(_is_num(v) for v in vals):
-                col.add("model.potential_params",
-                        "table needs values with one number per grid point")
-        elif params:
-            col.add("model.potential_params", "free potential takes no parameters")
-        mass = col.num(sec, "model", "mass", 1.0)
-        if mass <= 0:
-            col.add("model.mass", "must be positive")
-            mass = 1.0
-        return GridModelConfig(x_min=x_min, x_max=x_max, n_points=n_points,
-                               potential=potential, potential_params=dict(params),
-                               mass=mass)
-    col.add("model.kind", 'must be "qubit" or "grid1d"')
-    return QubitModelConfig()
+        return QubitModelConfig(**m)
+    if m["x_max"] <= m["x_min"]:
+        col.add("model.x_max", "must exceed model.x_min")
+    # any problem with the potential's parameters is one problem, with its message
+    _, keys, msg = _POTENTIALS[m["potential"]]
+    pcol = _Collector()
+    params = pcol.read(m["potential_params"], "model.potential_params", keys)
+    if pcol.problems or m["potential"] == "table" and len(params["values"]) != m["n_points"]:
+        col.add("model.potential_params", msg)
+    return GridModelConfig(**m)
 
 
-def _parse_initial(data: dict, model, col: _Collector) -> InitialConfig:
+def _parse_initial(data: dict, model, col: _Collector) -> InitialConfig | None:
     sec = data.get("initial")
     is_grid = isinstance(model, GridModelConfig)
     if sec is None:
-        if is_grid:
-            return InitialConfig(gaussian=(0.0, 0.0, 1.0))
-        return InitialConfig(amplitudes=(1 + 0j, 0j))
+        sec = {"gaussian": {}} if is_grid else {"amplitudes": [1.0, 0.0]}
     if not isinstance(sec, dict):
         col.add("initial", "must be an object")
-        return InitialConfig(amplitudes=(1 + 0j, 0j))
-    col.check_keys(sec, "initial", {"amplitudes", "gaussian"})
+        return None
+    col.read(sec, "initial", {"amplitudes": _BY_CODE, "gaussian": _BY_CODE})
     if "amplitudes" in sec and "gaussian" in sec:
         col.add("initial", "give either amplitudes or gaussian, not both")
     if "gaussian" in sec:
         if not is_grid:
             col.add("initial.gaussian", "only valid for grid models")
         g = sec["gaussian"]
-        if not isinstance(g, dict) or not set(g) <= {"x0", "p0", "sigma"}:
+        if not isinstance(g, dict) or not set(g) <= set(_GAUSSIAN):
             col.add("initial.gaussian", "must be {x0, p0, sigma}")
-            return InitialConfig(gaussian=(0.0, 0.0, 1.0))
-        gc = _Collector()
-        x0 = gc.num(g, "initial.gaussian", "x0", 0.0)
-        p0 = gc.num(g, "initial.gaussian", "p0", 0.0)
-        sigma = gc.num(g, "initial.gaussian", "sigma", 1.0)
-        col.problems.extend(gc.problems)
-        if sigma <= 0:
-            col.add("initial.gaussian.sigma", "must be positive")
-            sigma = 1.0
-        return InitialConfig(gaussian=(x0, p0, sigma))
+            return None
+        return InitialConfig(gaussian=tuple(col.read(g, "initial.gaussian", _GAUSSIAN).values()))
     if "amplitudes" in sec:
         if is_grid:
             col.add("initial.amplitudes", "only valid for qubit models")
         amps = sec["amplitudes"]
         if not isinstance(amps, list) or not amps:
             col.add("initial.amplitudes", "must be a nonempty list")
-            return InitialConfig(amplitudes=(1 + 0j, 0j))
+            return None
         parsed = tuple(_parse_complex(a, f"initial.amplitudes[{i}]", col)
                        for i, a in enumerate(amps))
         if not is_grid and len(parsed) != 2:
             col.add("initial.amplitudes", "qubit states need exactly two entries")
-            parsed = (1 + 0j, 0j)
-        if max(abs(z) for z in parsed) == 0.0:
+        elif max(abs(z) for z in parsed) == 0.0:
             col.add("initial.amplitudes", "must not be the zero vector")
-            parsed = (1 + 0j,) + (0j,) * (len(parsed) - 1)
         return InitialConfig(amplitudes=parsed)
     col.add("initial", "needs amplitudes (qubit) or gaussian (grid)")
-    return InitialConfig(amplitudes=(1 + 0j, 0j)) if not is_grid \
-        else InitialConfig(gaussian=(0.0, 0.0, 1.0))
+    return None
 
 
 def _parse_observables(sec: dict, model, col: _Collector) -> tuple[ObservableConfig, ...]:
@@ -404,111 +506,45 @@ def parse_config_data(data) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError([("", "top level must be a JSON object")])
     col = _Collector()
-    col.check_keys(data, "", {"model", "constants", "initial", "sim",
-                              "ensemble", "output", "verify"})
+    col.read(data, "", _SECTIONS)
     model = _parse_model(data, col)
-
-    consts = data.get("constants", {})
-    if not isinstance(consts, dict):
-        col.add("constants", "must be an object")
-        consts = {}
-    col.check_keys(consts, "constants", {"hbar", "lambda"})
-    hbar = col.num(consts, "constants", "hbar", 1.0)
-    if hbar <= 0:
-        col.add("constants.hbar", "must be positive")
-        hbar = 1.0
-    lam = col.num(consts, "constants", "lambda", 1.0)
-    if lam < 0:
-        col.add("constants.lambda", "must be nonnegative")
-        lam = 1.0
-
+    constants = col.read(_section(data, "constants", col) or {}, "constants", _CONSTANTS)
     initial = _parse_initial(data, model, col)
 
-    sim_sec = data.get("sim")
-    if not isinstance(sim_sec, dict):
-        col.add("sim", "required section missing or not an object")
-        sim_sec = {}
-    col.check_keys(sim_sec, "sim", {"dt", "t_final", "scheme", "record_stride",
-                                    "observables"})
-    if "dt" not in sim_sec:
-        col.add("sim.dt", "required")
-    if "t_final" not in sim_sec:
-        col.add("sim.t_final", "required")
-    dt = col.num(sim_sec, "sim", "dt", 1e-3)
-    if dt <= 0:
-        col.add("sim.dt", "must be positive")
-        dt = 1e-3
-    t_final = col.num(sim_sec, "sim", "t_final", dt)
-    if t_final < dt:
-        col.add("sim.t_final", "must be at least sim.dt")
-        t_final = dt
-    elif not math.isfinite(t_final / dt):
-        col.add("sim.t_final", "step count must be finite")
-    else:
-        n = round(t_final / dt)
-        if abs(n * dt - t_final) > 1e-9 * max(t_final, 1.0):
+    sim_sec = _section(data, "sim", col, required=True) or {}
+    sim = col.read(sim_sec, "sim", _SIM)
+    dt, t_final = sim["dt"], sim["t_final"]
+    if dt is not None and t_final is not None:
+        if t_final < dt:
+            col.add("sim.t_final", "must be at least sim.dt")
+        elif not math.isfinite(t_final / dt):
+            col.add("sim.t_final", "step count must be finite")
+        elif abs(round(t_final / dt) * dt - t_final) > 1e-9 * max(t_final, 1.0):
             col.add("sim.t_final", "must be an integer multiple of sim.dt")
-    scheme = sim_sec.get("scheme", "nonlinear")
-    if scheme not in SCHEMES:
-        col.add("sim.scheme", f"must be one of {list(SCHEMES)}")
-        scheme = "nonlinear"
-    stride = col.integer(sim_sec, "sim", "record_stride", 10)
-    if stride < 1:
-        col.add("sim.record_stride", "must be at least 1")
-        stride = 10
     observables = _parse_observables(sim_sec, model, col)
 
-    ens = data.get("ensemble", {})
-    if not isinstance(ens, dict):
-        col.add("ensemble", "must be an object")
-        ens = {}
-    col.check_keys(ens, "ensemble", {"n_trajectories", "master_seed"})
-    n_traj = col.integer(ens, "ensemble", "n_trajectories", 1)
-    if n_traj < 1:
-        col.add("ensemble.n_trajectories", "must be at least 1")
-        n_traj = 1
-    seed = col.integer(ens, "ensemble", "master_seed", 0)
-    if not 0 <= seed < _MAX_SEED:
-        col.add("ensemble.master_seed", "must lie in [0, 2^64)")
-        seed = 0
+    ensemble = col.read(_section(data, "ensemble", col) or {}, "ensemble", _ENSEMBLE)
+    output = col.read(_section(data, "output", col) or {}, "output", _OUTPUT)
+    if "csv" not in output["formats"]:
+        output["formats"] = ("csv",) + output["formats"]
 
-    out_sec = data.get("output", {})
-    if not isinstance(out_sec, dict):
-        col.add("output", "must be an object")
-        out_sec = {}
-    col.check_keys(out_sec, "output", {"directory", "formats"})
-    directory = out_sec.get("directory")
-    if directory is not None and not isinstance(directory, str):
-        col.add("output.directory", "must be a string or null")
-        directory = None
-    formats = out_sec.get("formats", ["csv"])
-    if not isinstance(formats, list) or not formats \
-            or any(f not in _FORMATS for f in formats):
-        col.add("output.formats", f"must be a nonempty list drawn from {list(_FORMATS)}")
-        formats = ["csv"]
-    if "csv" not in formats:
-        formats = ["csv"] + list(formats)
-
-    verify = data.get("verify", {})
-    if not isinstance(verify, dict):
-        col.add("verify", "must be an object")
-        verify = {}
-    for k, v in verify.items():
-        if k not in SUITE_NAMES:
-            col.add(f"verify.{k}", f"unknown suite; expected one of {list(SUITE_NAMES)}")
-        elif not isinstance(v, dict):
-            col.add(f"verify.{k}", "must be an object of suite knobs")
+    verify = _section(data, "verify", col) or {}
+    for suite, knobs in verify.items():
+        if suite not in _KNOBS:
+            col.add(f"verify.{suite}", f"unknown suite; expected one of {list(SUITE_NAMES)}")
+        elif not isinstance(knobs, dict):
+            col.add(f"verify.{suite}", "must be an object of suite knobs")
+        else:
+            col.read(knobs, f"verify.{suite}", _KNOBS[suite], "unknown knob")
 
     col.raise_if_any()
     return RunConfig(
         model=model,
-        constants_hbar=hbar,
-        constants_lambda=lam,
+        **{f"constants_{k}": v for k, v in constants.items()},
         initial=initial,
-        sim=SimConfig(dt=dt, t_final=t_final, scheme=scheme,
-                      record_stride=stride, observables=observables),
-        ensemble=EnsembleConfig(n_trajectories=n_traj, master_seed=seed),
-        output=OutputConfig(directory=directory, formats=tuple(formats)),
+        sim=SimConfig(**sim, observables=observables),
+        ensemble=EnsembleConfig(**ensemble),
+        output=OutputConfig(**output),
         verify=copy.deepcopy(verify),
     )
 
@@ -522,7 +558,7 @@ def parse_config(path, overrides=()) -> RunConfig:
         raise ConfigError([("config", f"cannot read {path}: {exc}")]) from None
     except json.JSONDecodeError as exc:
         raise ConfigError([("config", f"invalid JSON in {path}: {exc}")]) from None
-    if overrides:
+    if overrides and isinstance(data, dict):
         data = apply_overrides(data, overrides)
     return parse_config_data(data)
 
@@ -573,18 +609,11 @@ def build_model(cfg: RunConfig) -> ModelSpec:
         return build_qubit_model(m.h_field, channel=m.channel,
                                  lam=cfg.constants_lambda, hbar=cfg.constants_hbar)
     grid = GridSpec(m.x_min, m.x_max, m.n_points)
-    params = m.potential_params
+    make, keys, _ = _POTENTIALS[m.potential]
+    params = _checked(m.potential_params, "model.potential_params", keys)
     if m.potential == "harmonic":
-        pot = GridPotential.harmonic(grid, params.get("omega", 1.0), mass=m.mass,
-                                     center=params.get("center", 0.0))
-    elif m.potential == "barrier":
-        pot = GridPotential.barrier(grid, params.get("height", 0.0),
-                                    params.get("width", 1.0),
-                                    center=params.get("center", 0.0))
-    elif m.potential == "table":
-        pot = GridPotential.from_table(grid, params["values"])
-    else:
-        pot = GridPotential.free(grid)
+        params["mass"] = m.mass
+    pot = make(grid, **params)
     return build_grid_model(grid, pot, lam=cfg.constants_lambda,
                             mass=m.mass, hbar=cfg.constants_hbar)
 

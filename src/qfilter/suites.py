@@ -9,7 +9,9 @@ on the configured model and returns a machine-readable report:
 
 plus an optional (header, float table) series for a companion CSV. Bounds
 use null for an open side. Per-suite knobs come from the config's "verify"
-section; protocol constants that define a property (thresholds, checkpoint
+section; `config` declares each knob's default and check and checks them at
+parse, and a suite checks here only what needs its model or its protocol.
+Protocol constants that define a property (thresholds, checkpoint
 counts) are fixed here on purpose, so a config cannot quietly weaken a suite.
 """
 
@@ -28,7 +30,7 @@ from .analysis import (
     fidelity,
     strong_order_estimate,
 )
-from .config import RunConfig, build_initial, build_model
+from .config import RunConfig, _suite_knobs, build_initial, build_model
 from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
@@ -59,41 +61,10 @@ def _report(suite: str, checks: list[dict], stats: dict | None = None) -> dict:
     return doc
 
 
-def _knobs(cfg: RunConfig, suite: str, allowed: dict) -> dict:
-    """Merge config knobs over defaults; unknown or mistyped knobs fail."""
-    given = cfg.verify.get(suite, {})
-    problems = [(f"verify.{suite}.{k}", "unknown knob") for k in given if k not in allowed]
-    if problems:
-        raise ConfigError(problems)
-    out = dict(allowed)
-    out.update(given)
-    return out
-
-
-def _int_knob(value, path: str, minimum: int) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-        raise ConfigError([(path, f"must be an integer of at least {minimum}")])
-    return value
-
-
-def _dts_knob(value, path: str):
-    if not isinstance(value, (list, tuple)) or len(value) < 4 \
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool) and v > 0
-                       for v in value):
-        raise ConfigError([(path, "must list at least four positive dt values")])
-    dts = np.sort(np.asarray(value, dtype=float))[::-1]
-    ratios = dts[:-1] / dts[1:]
-    if not np.allclose(ratios, ratios[0], rtol=1e-9):
-        raise ConfigError([(path, "dt values must form a geometric sequence")])
-    return dts
-
-
 def _observable_knob(value, path: str, model):
     """Name and operator of an observable knob; None picks sigma_z or x."""
     if value is None:
         value = "sigma_z" if model.basis.grid is None else "x"
-    if not isinstance(value, str):
-        raise ConfigError([(path, "must be a name")])
     try:
         return value, named_observable(model, value)
     except ValueError as exc:
@@ -129,16 +100,15 @@ def suite_equivalence(cfg: RunConfig):
     names, and the distance, shrink and amplitude checks measure the gauge
     scheme's replay against that shared map, one distance per dt.
     """
-    knobs = _knobs(cfg, "equivalence", {"n_seeds": 20, "checkpoints": 10})
-    n_seeds = _int_knob(knobs["n_seeds"], "verify.equivalence.n_seeds", 1)
-    n_checks = _int_knob(knobs["checkpoints"], "verify.equivalence.checkpoints", 1)
+    knobs = _suite_knobs(cfg, "equivalence")
+    n_seeds = knobs["n_seeds"]
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
     dt = cfg.sim.dt
     n = cfg.n_steps
     seed = cfg.ensemble.master_seed
-    stride = max(1, n // n_checks)
+    stride = max(1, n // knobs["checkpoints"])
 
     # every seed is one row of each run; seed i is trajectory i
     fine = run_ensemble(model, initial, dt / 2.0, 2 * n, seed, n_seeds, record_stride=2 * stride)
@@ -172,14 +142,13 @@ def suite_equivalence(cfg: RunConfig):
 def suite_ensemble(cfg: RunConfig):
     """Trajectory average against the averaged-equation solution, plus a
     closed-form decay self-check of the averaged integrator."""
-    knobs = _knobs(cfg, "ensemble", {"checkpoints": 10})
-    n_checks = _int_knob(knobs["checkpoints"], "verify.ensemble.checkpoints", 1)
+    knobs = _suite_knobs(cfg, "ensemble")
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
     dt = cfg.sim.dt
     n = cfg.n_steps
-    stride = max(1, n // n_checks)
+    stride = max(1, n // knobs["checkpoints"])
     results = run_ensemble(model, initial, dt, n, cfg.ensemble.master_seed,
                            cfg.ensemble.n_trajectories, scheme=cfg.sim.scheme,
                            record_stride=stride, slim=True)
@@ -207,10 +176,7 @@ def suite_ensemble(cfg: RunConfig):
 def suite_born(cfg: RunConfig):
     """Outcome frequencies of resolved trajectories against the initial
     weights, the unresolved fraction, and the mean-expectation martingale."""
-    knobs = _knobs(cfg, "born", {"observable": None, "threshold": 0.01})
-    threshold = knobs["threshold"]
-    if not isinstance(threshold, (int, float)) or not 0 < threshold < 1:
-        raise ConfigError([("verify.born.threshold", "must lie in (0, 1)")])
+    knobs = _suite_knobs(cfg, "born")
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
@@ -222,7 +188,7 @@ def suite_born(cfg: RunConfig):
     results = run_ensemble(model, initial, dt, n, cfg.ensemble.master_seed,
                            cfg.ensemble.n_trajectories, scheme=cfg.sim.scheme,
                            observables={obs_name: obs}, record_stride=stride, slim=True)
-    stats = collapse_statistics(results, obs, threshold=float(threshold))
+    stats = collapse_statistics(results, obs, threshold=knobs["threshold"])
 
     nn = stats.n_trajectories
     p_top = float(stats.born_probabilities[-1])
@@ -268,11 +234,8 @@ def suite_order(cfg: RunConfig):
     fixed benchmark model where the generic rate is visible (see
     _ORDER_CHANNEL). The nonlinear and linear schemes are one record-driven
     map, so one estimate is reported under both names."""
-    knobs = _knobs(cfg, "order", {
-        "dts": [8e-3, 4e-3, 2e-3, 1e-3], "n_seeds": 32, "ref_refine": 64})
-    dts = _dts_knob(knobs["dts"], "verify.order.dts")
-    n_seeds = _int_knob(knobs["n_seeds"], "verify.order.n_seeds", 2)
-    refine = _int_knob(knobs["ref_refine"], "verify.order.ref_refine", 2)
+    knobs = _suite_knobs(cfg, "order")
+    dts, n_seeds = knobs["dts"], knobs["n_seeds"]
 
     model = build_qubit_model((1.0, 0.0, 0.0), channel=_ORDER_CHANNEL,
                               lam=_ORDER_LAMBDA, hbar=cfg.constants_hbar)
@@ -285,7 +248,7 @@ def suite_order(cfg: RunConfig):
                                 f"of dt={dt!r}")])
 
     rep = strong_order_estimate(model, initial, _ORDER_T, dts, cfg.ensemble.master_seed,
-                                n_seeds, ref_refine=refine)
+                                n_seeds, ref_refine=knobs["ref_refine"])
 
     checks = [
         _check("slope_nonlinear", rep.slope, 0.35, 0.65),
@@ -308,15 +271,9 @@ def suite_filtering(cfg: RunConfig):
     the residual distribution has heavy tails near expectation extremes, so
     small-sample averages of per-run rms values make the fitted slope noisy.
     """
-    knobs = _knobs(cfg, "filtering", {
-        "dts": [1e-3, 5e-4, 2.5e-4, 1.25e-4], "n_seeds": 32,
-        "observable": None, "include_quadratic_correction": True})
-    dts = _dts_knob(knobs["dts"], "verify.filtering.dts")
-    n_seeds = _int_knob(knobs["n_seeds"], "verify.filtering.n_seeds", 1)
+    knobs = _suite_knobs(cfg, "filtering")
+    dts, n_seeds = knobs["dts"], knobs["n_seeds"]
     quad = knobs["include_quadratic_correction"]
-    if not isinstance(quad, bool):
-        raise ConfigError([("verify.filtering.include_quadratic_correction",
-                            "must be a boolean")])
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
@@ -348,16 +305,15 @@ def suite_gauge(cfg: RunConfig):
     """Deterministic gauge integration replaying a stochastic run's record,
     checked through the overflow-safe reconstruction, in state and in
     amplitude."""
-    knobs = _knobs(cfg, "gauge", {"n_seeds": 5, "checkpoints": 10})
-    n_seeds = _int_knob(knobs["n_seeds"], "verify.gauge.n_seeds", 1)
-    n_checks = _int_knob(knobs["checkpoints"], "verify.gauge.checkpoints", 1)
+    knobs = _suite_knobs(cfg, "gauge")
+    n_seeds = knobs["n_seeds"]
 
     model = build_model(cfg)
     initial = build_initial(cfg, model)
     dt = cfg.sim.dt
     n = cfg.n_steps
     seed = cfg.ensemble.master_seed
-    stride = max(1, n // n_checks)
+    stride = max(1, n // knobs["checkpoints"])
 
     # every seed is one row of each run; seed i is trajectory i
     lins = run_ensemble(model, initial, dt, n, seed, n_seeds, "linear", record_stride=stride)

@@ -300,6 +300,42 @@ def test_bad_suite_knob_exits_2(tmp_path, capsys):
     assert "at least four" in capsys.readouterr().err
 
 
+def test_unknown_verify_knob_fails_every_command(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    rc = main(["simulate", "--config", str(cfg_path), "--set", "verify.born.bogus=1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "verify.born.bogus: unknown knob" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_knob_beyond_double_range_exits_2(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path)
+    rc = main(["verify", "--suite", "order", "--config", str(cfg_path),
+               "--set", f"verify.order.dts=[{2**1100}, 4, 2, 1]",
+               "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert "verify.order.dts: must list at least four" in capsys.readouterr().err
+
+
+def test_non_object_config_with_overrides_exits_2(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]", encoding="utf-8")
+    rc = main(["simulate", "--config", str(path), "--set", "sim.dt=1",
+               "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "top level must be a JSON object" in capsys.readouterr().err
+
+
+def test_non_numeric_potential_center_exits_2(tmp_path, capsys):
+    model = {"kind": "grid1d", "x_min": -5.0, "x_max": 5.0, "n_points": 16,
+             "potential": "harmonic", "potential_params": {"center": "a"}}
+    cfg_path = _write_cfg(tmp_path, model=model, initial={"gaussian": {"sigma": 1.0}})
+    rc = main(["master", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert "model.potential_params: harmonic needs omega > 0" in capsys.readouterr().err
+
+
 def test_export_plot_cli_round_trip(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     out = tmp_path / "run"

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import hashlib
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter.config import (
+    _KNOBS,
     SUITE_NAMES,
     InitialConfig,
     RunConfig,
@@ -339,7 +343,7 @@ def test_resolved_echo_reparses_to_the_same_config():
         initial={"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
         ensemble={"n_trajectories": 4, "master_seed": 11},
         output={"directory": "runs/a", "formats": ["csv", "bin"]},
-        verify={"born": {"n_trajectories": 10}},
+        verify={"born": {"threshold": 0.05}},
     )
     data["model"] = {"kind": "qubit", "h_field": [0.0, 1.0, 0.0], "channel": "sigma_x"}
     data["sim"]["scheme"] = "gauge"
@@ -357,6 +361,118 @@ def test_resolved_grid_echo_sorts_potential_params():
     assert list(echo["model"]["potential_params"]) == ["center", "omega"]
     assert echo["initial"] == {"gaussian": {"x0": 0.0, "p0": 0.0, "sigma": 1.0}}
     assert parse_config_data(echo) == cfg
+
+
+_README_CONFIG = {
+    "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
+    "constants": {"hbar": 1.0, "lambda": 1.0},
+    "initial": {"amplitudes": [1.0, 0.0]},
+    "sim": {"dt": 1e-3, "t_final": 2.0, "scheme": "nonlinear", "record_stride": 10},
+    "ensemble": {"n_trajectories": 16, "master_seed": 2026},
+    "output": {"formats": ["csv"]},
+}
+_SX = {"re": [[0, 1], [1, 0]]}
+# sha256 of json.dumps(cfg.resolved(), indent=2, sort_keys=True), the
+# config echo every manifest.json seals
+_ECHO_DIGESTS = {
+    "minimal_qubit": (
+        _minimal(), "854084e408e7d6164683444651770ccb503c691b251877ee9cf560dc9fe4cde1"),
+    "readme": (
+        _README_CONFIG, "2eb274cbfbef3f733d1cefeb023ed546049aeaf762301db5adab451737a3b222"),
+    "harmonic_grid": (
+        _minimal(model=_grid_model(potential="harmonic", n_points=32, mass=2,
+                                   potential_params={"omega": 2, "center": 0.5}),
+                 initial={"gaussian": {"x0": 1, "sigma": 0.5}}),
+        "30630f708c707ac53f8ef6de43acfeadcec6116fccd9d99782dda14d7c9a7bb1"),
+    "table_grid": (
+        _minimal(model=_grid_model(x_min=-4, x_max=4, n_points=8, potential="table",
+                                   potential_params={"values": [0, 1, 2, 3, 3, 2, 1, 0.5]})),
+        "0d4f874a06ec85bafef766767e70359e6a37bf5733b2f8365d20acd755084882"),
+    "binary_output": (
+        _minimal(output={"directory": "runs/a", "formats": ["bin"]}),
+        "f58f03615fa95e52d21daece296b33458b3b2ff836954b72a58c3c824e642582"),
+    "inline_observable": (
+        _minimal(model={"kind": "qubit", "h_field": 0.5, "channel": "sigma_x"},
+                 constants={"hbar": 2, "lambda": 0.5},
+                 initial={"amplitudes": [0.6, {"re": 0.0, "im": 0.8}]},
+                 sim={"dt": 1e-3, "t_final": 0.5, "scheme": "gauge", "record_stride": 1,
+                      "observables": ["sigma_z", {"name": "my_sx", "matrix": _SX}]},
+                 ensemble={"n_trajectories": 3, "master_seed": 2**64 - 1}),
+        "4a9fe353a11fd92b7d7c4647c40bc60a099cb5cac83739806689b4d7b2f38738"),
+    "verify_knobs": (
+        _minimal(verify={"order": {"dts": [0.01, 0.005, 0.0025, 0.00125], "n_seeds": 4},
+                         "born": {"threshold": 0.05, "observable": "sigma_z"},
+                         "filtering": {"include_quadratic_correction": False},
+                         "gauge": {}}),
+        "67941da91da2439a33037abc63a0e5e482b7208a5c625a788f28300bbf50863b"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ECHO_DIGESTS))
+def test_resolved_echo_keeps_its_bytes(name):
+    data, digest = _ECHO_DIGESTS[name]
+    text = json.dumps(parse_config_data(data).resolved(), indent=2, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest, text
+
+
+@pytest.mark.parametrize("suite, knob, value, message", [
+    ("equivalence", "checkpoints", 0, "must be an integer of at least 1"),
+    ("ensemble", "checkpoints", True, "must be an integer of at least 1"),
+    ("born", "threshold", 1, "must lie in (0, 1)"),
+    ("born", "observable", 42, "must be a name"),
+    ("order", "ref_refine", 1, "must be an integer of at least 2"),
+    ("order", "dts", [2**1100, 4, 2, 1], "must list at least four positive dt values"),
+    ("filtering", "dts", [1e-3, 5e-4, 2.5e-4, 1e-4], "dt values must form a geometric sequence"),
+    ("filtering", "include_quadratic_correction", "yes", "must be a boolean"),
+    ("gauge", "bogus", 1, "unknown knob"),
+])
+def test_every_suite_knob_is_checked_at_parse(suite, knob, value, message):
+    with pytest.raises(qf.ConfigError) as err:
+        parse_config_data(_minimal(verify={suite: {knob: value}}))
+    assert err.value.problems == [(f"verify.{suite}.{knob}", message)]
+
+
+def test_section_and_knob_problems_arrive_together():
+    data = _minimal(constants={"hbar": -1.0}, verify={"order": {"n_seeds": 1, "bogus": 2}})
+    with pytest.raises(qf.ConfigError) as err:
+        parse_config_data(data)
+    assert err.value.problems == [("constants.hbar", "must be positive"),
+                                  ("verify.order.bogus", "unknown knob"),
+                                  ("verify.order.n_seeds", "must be an integer of at least 2")]
+
+
+@pytest.mark.parametrize("potential, params", [
+    ("harmonic", {"center": "a"}),
+    ("harmonic", {"omega": 2.0, "center": 10**400}),
+    ("barrier", {"height": 1.0, "width": 2.0, "center": [1]}),
+])
+def test_potential_center_must_be_a_finite_number(potential, params):
+    data = _minimal(model=_grid_model(potential=potential, potential_params=params))
+    with pytest.raises(qf.ConfigError) as err:
+        parse_config_data(data)
+    assert _paths(err) == ["model.potential_params"]
+
+
+def test_readme_configs_parse():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```json\n(.*?)```", text, re.S)
+    assert len(blocks) == 1, "README.md should show one minimal config"
+    minimal = json.loads(blocks[0])
+    assert parse_config_data(minimal).model.kind == "qubit"
+    model = re.search(r"replace the `model` section with\s+`([^`]*)`", text)
+    initial = re.search(r'start from `"initial": ([^`]*)`', text)
+    assert model and initial, "README.md lost its grid-model variant"
+    grid = dict(minimal, model=json.loads(model.group(1)), initial=json.loads(initial.group(1)))
+    assert parse_config_data(grid).model.kind == "grid1d"
+
+
+def test_readme_knob_tables_match_the_declaration():
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    rows = re.findall(r"^\| `(\w+)` \| `(\w+)` \| `([^`]*)` \|", text, re.M)
+    documented = {(suite, knob, json.dumps(json.loads(default))) for suite, knob, default in rows}
+    declared = {(suite, knob, json.dumps(default)) for suite, knobs in _KNOBS.items()
+                for knob, (default, _) in knobs.items()}
+    assert documented == declared
 
 
 def test_overrides_parse_json_with_string_fallback():
