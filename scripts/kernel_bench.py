@@ -37,6 +37,18 @@ arrays live in a shared mapping, which tracemalloc does not trace. It then
 lists how `run_ensemble` splits four runs into batches with one worker and
 with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
 is replaced for this so that no trajectory is advanced.
+
+The ensemble-averaging tables time `analysis._fold_block`, the fold of one
+block of trajectories into the mean, at the shape of the
+`verify-ensemble-grid` workload: 128 rows x 22 snapshots x 128 points, the
+median of the runs with numpy's OpenBLAS on one thread, as the fold's guard
+sets it, and on as many threads as cores, numpy's default when no
+variable pins it. They then give the peak of one process computing the mean
+of that workload's gauge run (250 steps, stride 12, slim) for two ensemble
+sizes: collected with `run_ensemble` and then averaged, and streamed from
+`solvers._ensemble_stream` through `ensemble_average`. The peak is the
+traced peak plus the bytes of the shared mappings the run makes, which
+tracemalloc does not trace.
 """
 
 from __future__ import annotations
@@ -267,6 +279,78 @@ def batches(run, workers: int) -> list[tuple[int, int]]:
     return seen
 
 
+FOLD_SHAPE = (128, 22, 128)  # rows x snapshots x points of one folded block
+MEAN_COUNTS, TINY_MEAN_COUNTS = (256, 1024), (16, 64)
+
+
+def measure_fold(repeats: int) -> dict:
+    """threads: median ms per folded block of FOLD_SHAPE, at one OpenBLAS
+    thread (the guard's) and, when `_openblas` finds the library, at as many
+    as cores."""
+    import numpy as np
+    from qfilter import analysis
+
+    rows, snaps, dim = FOLD_SHAPE
+    rng = np.random.default_rng(0)
+    block = rng.standard_normal((rows, snaps, dim)) + 1j * rng.standard_normal((rows, snaps, dim))
+    acc = np.zeros((snaps, dim, dim), dtype=complex)
+
+    def timed() -> float:
+        analysis._fold_block(acc, block)
+        times = []
+        for _ in range(repeats):
+            start = time.perf_counter()
+            analysis._fold_block(acc, block)
+            times.append(time.perf_counter() - start)
+        return 1e3 * statistics.median(times)
+
+    with analysis._one_blas_thread():
+        row = {1: timed()}
+    lib = analysis._openblas()
+    if lib is not None:
+        get, put = lib
+        before, cores = get(), os.cpu_count() or 1
+        put(cores)
+        try:
+            row[cores] = timed()
+        finally:
+            put(before)
+    return row
+
+
+def _mapped_peak(run) -> int:
+    """Traced peak bytes of run() plus the shared mappings it makes."""
+    import mmap
+
+    mapped, real = [], mmap.mmap
+
+    def counted(*args, **kwargs):
+        region = real(*args, **kwargs)
+        mapped.append(len(region))
+        return region
+
+    mmap.mmap = counted
+    try:
+        return _traced(run)[0] + sum(mapped)
+    finally:
+        mmap.mmap = real
+
+
+def measure_mean(qf, n_traj: int) -> tuple[int, int]:
+    """(collected, streamed) peak bytes of the mean of the 128-point gauge
+    run of `n_traj` trajectories, in one process."""
+    from qfilter import analysis, solvers
+
+    model, initial, _ = _case(qf, 128)
+    args = (model, initial, 1e-3, 250, 0, n_traj)
+    qf.run_ensemble(model, initial, 1e-3, 1, 0, 1, scheme="gauge")  # lazy imports load untraced
+    collected = _mapped_peak(lambda: analysis.ensemble_average(
+        qf.run_ensemble(*args, scheme="gauge", record_stride=12, slim=True)))
+    streamed = _mapped_peak(lambda: analysis.ensemble_average(
+        solvers._ensemble_stream(*args, scheme="gauge", record_stride=12)))
+    return collected, streamed
+
+
 def _cell(seconds: float, peak: int) -> str:
     wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
     return f"{wall}, {peak / 2**20:.2f} MiB"
@@ -311,6 +395,20 @@ def main(argv=None) -> int:
     for name, run in batch_runs(qf).items():
         print(f"| {name} | " + " | ".join(
             f"{len(b)} x {b[0][1] - b[0][0]}" for b in (batches(run, w) for w in (1, 2))) + " |")
+
+    fold = measure_fold(repeats)
+    print(f"\nensemble averaging: ms per folded block of {' x '.join(map(str, FOLD_SHAPE))}"
+          f" (rows x snapshots x points), median of {repeats}")
+    print("| OpenBLAS threads | " + " | ".join(
+        f"{t} (the guard's)" if t == 1 else str(t) for t in fold) + " |")
+    print("|---|" + "---|" * len(fold))
+    print("| ms per block | " + " | ".join(f"{ms:.2f}" for ms in fold.values()) + " |")
+    print("\npeak of the mean of the 128-point gauge run, one process: traced + shared mappings")
+    print("| trajectories | collected | streamed |")
+    print("|---|---|---|")
+    for n_traj in TINY_MEAN_COUNTS if args.tiny else MEAN_COUNTS:
+        collected, streamed = measure_mean(qf, n_traj)
+        print(f"| {n_traj} | {collected / 2**20:.2f} MiB | {streamed / 2**20:.2f} MiB |")
 
     print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
     print("| points | _banded_stage | held |")

@@ -5,10 +5,18 @@ Measurements read the arrays of an `EnsembleResult` (or of one
 overlap and the filtering residual act on stacks of any leading shape and
 reduce along the last axis only, so a row gets the same bits alone or in a
 stack. Everything returns plain report dataclasses; nothing mutates its inputs.
+
+The ensemble mean also reads a stream of batches (`solvers._ensemble_stream`)
+as they finish. It sums in fixed blocks of trajectory index, so a stream and
+the collected result give the same bits, and it holds the mean and at most
+one block besides the stream's few batches. BLAS called while the pool's
+workers run uses one thread (`_one_blas_thread`), so the fold does not spin
+a second BLAS thread against them.
 """
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,22 +89,112 @@ class EnsembleSummary:
         return self.density(time_index(self.times, t))
 
 
-def ensemble_average(results: EnsembleResult) -> EnsembleSummary:
+def _openblas():
+    """(get, set) of the thread count of numpy's OpenBLAS, or None.
+
+    The library is found among the shared objects this process has loaded
+    (`/proc/self/maps`, so only on Linux) by its exported thread-count
+    symbols, those of the ILP64 builds numpy's wheels bundle: scipy_openblas
+    at numpy 2.x, openblas at numpy 1.x. scipy's own OpenBLAS is an LP64
+    build without the 64_ suffix, so it is never the one found."""
+    import ctypes  # loads only on the calls that need it
+
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            paths = sorted({line.split(maxsplit=5)[5].strip() for line in fh
+                            if "openblas" in line.rsplit("/", 1)[-1]})
+    except OSError:
+        return None
+    for prefix in ("scipy_openblas", "openblas"):
+        for path in paths:
+            lib = ctypes.CDLL(path)
+            try:
+                get = getattr(lib, f"{prefix}_get_num_threads64_")
+                put = getattr(lib, f"{prefix}_set_num_threads64_")
+            except AttributeError:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """numpy's OpenBLAS on one thread for the body, then on its previous
+    count again, also when the body raises; nothing where `_openblas` finds
+    no library."""
+    lib = _openblas()
+    if lib is None:
+        yield
+        return
+    get, put = lib
+    before = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(before)
+
+
+def _fold_block(acc: np.ndarray, block: np.ndarray) -> None:
+    """Add S^T S* of each snapshot of a (rows, n_snaps, dim) block to the
+    (n_snaps, dim, dim) `acc`."""
+    for i in range(acc.shape[0]):
+        stack = block[:, i]
+        acc[i] += stack.T @ stack.conj()
+
+
+def ensemble_average(results) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
-    S is a block of rows of `results.states` at one snapshot, at most
-    _STEP_ENTRIES amplitudes, so each product's operands stay small however
-    large the ensemble.
+    `results` is an `EnsembleResult`, or the batches of one in index order,
+    each read before the next is asked for (`solvers._ensemble_stream`). S
+    is a block of trajectories at one snapshot, at most _STEP_ENTRIES
+    amplitudes, so each product's operands stay small however large the
+    ensemble. The blocks start at fixed trajectory indices, every
+    _STEP_ENTRIES // dim rows from the first, so the sums and their bits do
+    not depend on how the rows arrive; a block that a batch of a stream
+    leaves unfinished is copied into one buffer, which the next batches
+    fill. A stream is folded with numpy's OpenBLAS on one thread
+    (`_one_blas_thread`), as the pool that advances its batches runs beside
+    the fold.
     """
-    n, n_snaps, dim = results.states.shape
-    rows = max(1, _STEP_ENTRIES // dim)
-    acc = np.zeros((n_snaps, dim, dim), dtype=complex)
-    for i in range(n_snaps):
-        for lo in range(0, n, rows):
-            stack = results.states[lo:lo + rows, i]
-            acc[i] += stack.T @ stack.conj()
+    stream = not isinstance(results, EnsembleResult)
+    acc = buf = None
+    n = held = 0
+    with _one_blas_thread() if stream else contextlib.nullcontext():
+        for batch in results if stream else [results]:
+            states = batch.states
+            if acc is None:
+                _, n_snaps, dim = states.shape
+                rows = max(1, _STEP_ENTRIES // dim)
+                acc = np.zeros((n_snaps, dim, dim), dtype=complex)
+                basis, times = batch.model.basis, batch.times.copy()
+            n += len(states)
+            lo = 0
+            if held:  # complete the block earlier batches began
+                lo = min(rows - held, len(states))
+                buf[held:held + lo] = states[:lo]
+                held += lo
+                if held < rows:
+                    continue
+                _fold_block(acc, buf)
+                held = 0
+            while len(states) - lo >= rows:
+                _fold_block(acc, states[lo:lo + rows])
+                lo += rows
+            if lo < len(states) and not stream:  # a collected result's last rows
+                _fold_block(acc, states[lo:])
+            elif lo < len(states):  # the first rows of a block later batches end
+                if buf is None:
+                    buf = np.empty((rows,) + states.shape[1:], dtype=complex)
+                held = len(states) - lo
+                buf[:held] = states[lo:]
+        if held:
+            _fold_block(acc, buf[:held])
     acc /= n
-    return EnsembleSummary(results.model.basis, results.times.copy(), acc, n)
+    return EnsembleSummary(basis, times, acc, n)
 
 
 @dataclass
@@ -110,9 +208,10 @@ def ensemble_vs_master(summary, master: DensityTrajectory,
                        times=None) -> ComparisonReport:
     """Trace distance between the ensemble mean and the averaged equation.
 
-    `summary` is an EnsembleSummary or an EnsembleResult to average.
+    `summary` is an EnsembleSummary, or an EnsembleResult or the batches of
+    one to average (`ensemble_average`).
     """
-    if isinstance(summary, EnsembleResult):
+    if not isinstance(summary, EnsembleSummary):
         summary = ensemble_average(summary)
     if summary.basis != master.basis:
         raise BasisMismatchError("ensemble and averaged run use different bases")

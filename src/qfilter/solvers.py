@@ -32,10 +32,14 @@ scheme's own posterior expectation (or replayed from a stored record):
 One kernel advances every scheme: it holds B trajectories as a (B, dim)
 array and makes each numpy call once per step for all of them, so the
 Python overhead of a step is shared by the batch; the step operators are
-built once per run. Each batch writes straight into one `EnsembleResult`
-in shared memory, an array per quantity with a row per trajectory, and
-`run_trajectory` is row 0 of a one-row run. Each trajectory keeps its own
-counter-keyed noise stream, and every reduction over amplitudes is taken
+built once per run. Each batch writes straight into its slot of one shared
+mapping. `run_ensemble` gives every batch its own slot, so the slots tile
+one `EnsembleResult`, an array per quantity with a row per trajectory, and
+`run_trajectory` is row 0 of a one-row run. `_ensemble_stream` cycles the
+batches through a ring of n_workers + 1 slots, as many as the pool keeps in
+flight, and yields each finished batch as a view of its slot, so its reader
+holds a few batches whatever the ensemble size. Each trajectory keeps its
+own counter-keyed noise stream, and every reduction over amplitudes is taken
 along the last axis row by row (never a matrix product across the batch),
 so a trajectory carries the same bits whatever batch it is advanced in.
 A batch is bounded in entries (`_batch_bounds`); besides its noise table
@@ -107,9 +111,10 @@ import math
 import multiprocessing
 import os
 import warnings
+from collections import deque
 from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -445,22 +450,22 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     return failure
 
 
-def _report(out: EnsembleResult, lo: int, failure: np.ndarray, stacklevel: int) -> None:
-    """Warn and raise for rows `lo ..` of `out`, one per entry of their
-    `failure` codes, as a serial run would: on a grid, a boundary warning
-    for each trajectory before the first failed one whose snapshots reach an
-    edge amplitude above _BOUNDARY_WARN, then a StepFailureError naming that
-    failed trajectory, its step and its scheme."""
+def _report(batch: EnsembleResult, failure: np.ndarray, stacklevel: int) -> None:
+    """Warn and raise for the trajectories of `batch`, one per entry of
+    their `failure` codes, as a serial run would: on a grid, a boundary
+    warning for each trajectory before the first failed one whose snapshots
+    reach an edge amplitude above _BOUNDARY_WARN, then a StepFailureError
+    naming that failed trajectory, its step and its scheme."""
     failed = np.flatnonzero(failure >= 0)
     stop = failed[0] if failed.size else failure.size
-    if out.model.basis.grid is not None:
-        edges = np.abs(out.states[lo:lo + stop][..., [0, -1]]).max(axis=(1, 2))
+    if batch.model.basis.grid is not None:
+        edges = np.abs(batch.states[:stop][..., [0, -1]]).max(axis=(1, 2))
         for edge in edges[edges > _BOUNDARY_WARN]:
             warnings.warn(f"boundary amplitude reached {edge:.2e}; widen the grid",
                           RuntimeWarning, stacklevel=stacklevel + 1)
     if not failed.size:
         return
-    index = out.first_index + lo + int(stop)
+    index = batch.first_index + int(stop)
     step, check = divmod(int(failure[stop]), 3)
     if check == _RECONSTRUCTION:
         what = f"gauge reconstruction at step {step} of trajectory {index} produced a " \
@@ -468,8 +473,8 @@ def _report(out: EnsembleResult, lo: int, failure: np.ndarray, stacklevel: int) 
     elif check == _AMPLITUDE:
         what = f"gauge step {step} of trajectory {index} produced a degenerate amplitude"
     else:
-        what = f"{out.scheme} step {step} of trajectory {index} produced a non-finite state"
-    raise StepFailureError(what, step_index=step, scheme=out.scheme, trajectory_index=index)
+        what = f"{batch.scheme} step {step} of trajectory {index} produced a non-finite state"
+    raise StepFailureError(what, step_index=step, scheme=batch.scheme, trajectory_index=index)
 
 
 @dataclass
@@ -560,6 +565,15 @@ class EnsembleResult:
     def __iter__(self):
         return map(self.__getitem__, range(len(self)))
 
+    def _rows(self, lo: int, hi: int, first_index: int) -> EnsembleResult:
+        """Rows `lo .. hi - 1` as trajectories `first_index ..`, views of
+        these arrays."""
+        cut = {f: None if getattr(self, f) is None else getattr(self, f)[lo:hi]
+               for f in ("states", "log_amplitude", "log_norm", "step_norms", "record",
+                         "innovations")}
+        return replace(self, first_index=first_index,
+                       expectations={k: v[lo:hi] for k, v in self.expectations.items()}, **cut)
+
 
 def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
     """Steps 0, stride, 2*stride, .. of a run, and the last step n_steps."""
@@ -642,24 +656,50 @@ def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -
 
 
 def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
-           table: np.ndarray | None, replay: bool, stacklevel: int) -> EnsembleResult:
-    """`n_rows` trajectories from `first_index` of the run `_prepare` built,
-    in contiguous batches, one per pool task when several workers resolve,
-    each advancing its rows of `table` (or noise it draws) straight into one
-    `EnsembleResult`; then each batch's warnings and failure, in row order."""
+           table: np.ndarray | None, replay: bool, stacklevel: int, ring: bool = False):
+    """Generate trajectories `first_index ..`, `n_rows` of them, of the run
+    `_prepare` built, one batch-sized `EnsembleResult` view per batch in
+    index order, each after its warnings and failure (`_report`).
+
+    The batches are contiguous ranges, one per pool task when several
+    workers resolve; each advances its rows of `table` (or noise it draws)
+    straight into a slot of one shared mapping. Without `ring` every batch
+    has its own slot, the slots tile one result of `n_rows` rows, and the
+    generator returns it (`_collect`). With `ring` the batches cycle through
+    n_workers + 1 slots, as many as `pool_map` keeps in flight, so a view's
+    rows are overwritten once the next batch is asked for."""
+    if n_rows < 1:
+        raise ValueError("n_trajectories must be at least 1")
     model = run["model"]
-    out = _allocate(run, first_index, n_rows, keep)
     n_workers = resolve_workers(None, n_rows)
     bounds = _batch_bounds(n_rows, model.dim, run["n_steps"], model.n_channels, n_workers)
+    width = bounds[0][1]
+    n_slots = min(n_workers + 1, len(bounds)) if ring else len(bounds)
+    out = _allocate(run, first_index, min(n_slots * width, n_rows), keep)
+
+    def slot(lo: int) -> int:  # the first row of batch lo's slot
+        return lo // width % n_slots * width
 
     def batch(lo: int, hi: int) -> np.ndarray:
         rows = table[lo:hi] if table is not None else _noise_table(
-            run["master_seed"], lo, hi, run["dt"], run["n_steps"], model.n_channels)
-        return _run_batch(run, out, lo, hi, rows, replay)
+            run["master_seed"], first_index + lo, first_index + hi, run["dt"], run["n_steps"],
+            model.n_channels)
+        return _run_batch(run, out, slot(lo), slot(lo) + hi - lo, rows, replay)
 
-    for (lo, _), failure in zip(bounds, pool_map(batch, bounds, n_workers)):
-        _report(out, lo, failure, stacklevel + 1)
+    for (lo, hi), failure in zip(bounds, pool_map(batch, bounds, n_workers)):
+        view = out._rows(slot(lo), slot(lo) + hi - lo, first_index + lo)
+        _report(view, failure, stacklevel + 1)
+        yield view
     return out
+
+
+def _collect(batches) -> EnsembleResult:
+    """Run a `_drive` generator to its end; the result it returns."""
+    while True:
+        try:
+            next(batches)
+        except StopIteration as end:
+            return end.value
 
 
 def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -672,7 +712,7 @@ def _run_rows(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
     result keeps only the per-step arrays named in `keep` ("step_norms",
     "record", "innovations")."""
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    return _drive(run, first_index, len(table), keep, table, replay, stacklevel=3)
+    return _collect(_drive(run, first_index, len(table), keep, table, replay, stacklevel=4))
 
 
 def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -775,14 +815,28 @@ def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_
     closure, through the pool initializer, and with it any shared memory it
     holds, such as a result's arrays; only ranges and return values are
     pickled. Fork is pinned: under spawn or forkserver, workers would write
-    into pickled copies and their rows would be lost without an error."""
+    into pickled copies and their rows would be lost without an error.
+
+    At most n_workers + 1 ranges are in flight: range i + n_workers + 1 is
+    submitted only once the caller has taken value i and asked for the next,
+    so what range i wrote may be reused from then on (`_drive`'s ring)."""
     if n_workers <= 1:
         for lo, hi in bounds:
             yield fn(lo, hi)
         return
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_pool_init, initargs=(fn,)) as pool:
-        yield from pool.map(_pool_run, bounds)
+        pending = deque()
+        try:
+            for task in bounds:
+                if len(pending) > n_workers:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(_pool_run, task))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -800,11 +854,24 @@ def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int
     reduction of the kernel is taken per row. A step failure names the
     lowest-index failing trajectory.
     """
-    if n_trajectories < 1:
-        raise ValueError("n_trajectories must be at least 1")
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    return _drive(run, 0, n_trajectories, () if slim else ("step_norms", "record"), None, False,
-                  stacklevel=2)
+    return _collect(_drive(run, 0, n_trajectories, () if slim else ("step_norms", "record"), None,
+                           False, stacklevel=3))
+
+
+def _ensemble_stream(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
+                     master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
+                     observables: dict[str, Operator] | None = None, record_stride: int = 1):
+    """The trajectories of `run_ensemble(..., slim=True)`, generated as one
+    batch-sized `EnsembleResult` view per batch, whose `first_index` is the
+    batch's first trajectory, in index order, with the same bits, warnings
+    and failure. The batches cycle through a ring of n_workers + 1 slots of
+    one shared mapping, so a view holds its rows only until the next batch
+    is asked for, and memory stays at a few batches whatever n_trajectories
+    is. `_prepare` checks the run when the stream is made; the trajectories
+    advance as it is read."""
+    run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
+    return _drive(run, 0, n_trajectories, (), None, False, stacklevel=1, ring=True)
 
 
 @dataclass

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+import mmap
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -37,6 +39,7 @@ from qfilter import (
     trace_distance,
     variance_series,
 )
+from qfilter import analysis, solvers
 from qfilter.analysis import _filtering_residuals, _pure_overlap
 from qfilter.errors import BasisMismatchError, UnsupportedConfigurationError
 from qfilter.suites import _check
@@ -134,6 +137,95 @@ def test_ensemble_average_matches_the_outer_product_loop():
             want[i] += np.outer(st.amplitudes, st.amplitudes.conj())
     want /= len(runs)
     assert np.abs(summary.mean_density - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("block_rows, batch_rows, spans", [(8, 3, True), (2, 7, False)])
+def test_streamed_mean_has_the_bytes_of_the_collected_mean(monkeypatch, threads, block_rows,
+                                                          batch_rows, spans):
+    """The mean folded from the batch stream has the bytes of
+    `ensemble_average` of the collected run when a block spans several
+    batches and when a batch holds several blocks; in both the ring wraps,
+    with more batches than slots."""
+    monkeypatch.setenv("QFILTER_THREADS", threads)
+    model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
+    psi = gaussian_packet(model.basis, x0=1.0)
+    dt, n, stride, count, workers = 1e-3, 12, 4, 20, int(threads)
+    monkeypatch.setattr(analysis, "_STEP_ENTRIES", block_rows * model.dim)
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", batch_rows * (n + 1))
+    bounds = solvers._batch_bounds(count, model.dim, n, 1, workers)
+    width = bounds[0][1]
+    assert width < block_rows if spans else width >= 2 * block_rows
+    assert len(bounds) > workers + 1
+    collected = ensemble_average(run_ensemble(model, psi, dt, n, 3, count, scheme="gauge",
+                                              record_stride=stride, slim=True))
+    streamed = ensemble_average(solvers._ensemble_stream(model, psi, dt, n, 3, count,
+                                                         scheme="gauge", record_stride=stride))
+    assert streamed.n_trajectories == count
+    assert streamed.times.tobytes() == collected.times.tobytes()
+    assert streamed.mean_density.tobytes() == collected.mean_density.tobytes()
+
+
+def test_streamed_mean_holds_as_much_for_any_ensemble_size(monkeypatch):
+    """With one worker, the streamed mean of 512 trajectories peaks within
+    one block's bytes of the mean of 64: it holds the ring's slots, one
+    batch's workspace, the mean and a block buffer, none of which grows
+    with N. The peak counts what tracemalloc traces and the shared mappings
+    the run makes, which it does not trace; the collected run's states
+    would add 11.7 MB."""
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
+    psi = gaussian_packet(model.basis, x0=1.0)
+    dt, n, rows = 1e-3, 50, 16
+    monkeypatch.setattr(solvers, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches
+    monkeypatch.setattr(analysis, "_STEP_ENTRIES", rows * model.dim)  # and blocks
+    mapped = []
+    real = mmap.mmap
+
+    def counted(*args, **kwargs):
+        region = real(*args, **kwargs)
+        mapped.append(len(region))
+        return region
+
+    monkeypatch.setattr(mmap, "mmap", counted)
+
+    def peak(count: int) -> int:
+        mapped.clear()
+        tracemalloc.start()
+        try:
+            ensemble_average(solvers._ensemble_stream(model, psi, dt, n, 0, count))
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return traced + sum(mapped)
+
+    peak(1)  # lazy imports load untraced
+    block = rows * (n + 1) * model.dim * 16
+    small, large = peak(64), peak(512)
+    assert large - small < block, f"64 trajectories peaked at {small} bytes, 512 at {large}"
+
+
+def test_blas_guard_pins_one_thread_and_restores_the_count():
+    """Inside the guard numpy's OpenBLAS runs one thread; after it, the
+    count it had, also when the body raises."""
+    lib = analysis._openblas()
+    if lib is None:
+        pytest.skip("numpy loaded no OpenBLAS exporting the ILP64 thread-count symbols")
+    get, put = lib
+    start = get()
+    put(2)
+    try:
+        before = get()
+        with analysis._one_blas_thread():
+            assert get() == 1
+        assert get() == before
+        with pytest.raises(KeyError):
+            with analysis._one_blas_thread():
+                assert get() == 1
+                raise KeyError("body")
+        assert get() == before
+    finally:
+        put(start)
 
 
 def test_ensemble_mean_tracks_averaged_equation():

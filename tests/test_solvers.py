@@ -779,6 +779,73 @@ def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, wo
     assert (err.trajectory_index, err.step_index, err.scheme) == (7, 3, "gauge")
 
 
+@pytest.mark.parametrize("rows", [1, 7, 256])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_stream_warns_and_fails_as_the_collected_run(monkeypatch, rows, workers):
+    """Through the batch stream as through `run_ensemble`: every packet
+    before trajectory 7 touches the wall and warns, in trajectory order, and
+    trajectory 7 fails at step 3 before trajectory 9 fails at step 1. The
+    ring's slot rows are not trajectory indices, so each batch names its
+    own."""
+    monkeypatch.setenv("QFILTER_THREADS", str(workers))
+    model = build_grid_model(GridSpec(-10.0, 8.5, 64), lam=1.0)
+    packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
+    draw = solvers.generate_noise
+    kicks = {7: 2, 9: 0}  # trajectory -> step whose dW tilts exp(L.Y) by e^-3600
+
+    def noise(master_seed, index, dt, n_steps, n_channels=1):
+        path = draw(master_seed, index, dt, n_steps, n_channels)
+        if index not in kicks:
+            return path
+        inc = path.increments.copy()
+        inc[kicks[index], 0] = -200.0
+        return NoisePath(dt, inc, master_seed, index)
+
+    monkeypatch.setattr(solvers, "generate_noise", noise)
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", rows * (5 + 1))
+    args = (model, packet, 1e-3, 5, 0, 12)
+
+    def read_all(batches):
+        for _ in batches:
+            pass
+
+    def failure(run):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(StepFailureError) as info:
+                run()
+        return [str(w.message) for w in caught if w.category is RuntimeWarning], info.value
+
+    want, collected = failure(lambda: run_ensemble(*args, scheme="gauge"))
+    got, err = failure(lambda: read_all(solvers._ensemble_stream(*args, scheme="gauge")))
+    assert len(want) == 7
+    assert got == want
+    assert str(err) == str(collected) == ("gauge reconstruction at step 3 of trajectory 7 "
+                                          "produced a degenerate state")
+    assert (err.trajectory_index, err.step_index, err.scheme) == (7, 3, "gauge")
+
+
+def test_pool_keeps_one_range_beyond_its_workers_in_flight(monkeypatch):
+    """With two workers, `pool_map` has submitted exactly three ranges ahead
+    of its consumer, or all that are left, whenever it yields a value, and
+    it yields the values in order."""
+    submitted = []
+
+    class Counting(solvers.ProcessPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            submitted.append(args[0])
+            return super().submit(fn, *args, **kwargs)
+
+    monkeypatch.setattr(solvers, "ProcessPoolExecutor", Counting)
+    bounds = [(lo, lo + 1) for lo in range(10)]
+    values = []
+    for value in solvers.pool_map(lambda lo, hi: 10 * lo, bounds, 2):
+        assert len(submitted) == min(len(values) + 3, len(bounds))
+        values.append(value)
+    assert submitted == bounds
+    assert values == [10 * lo for lo, _ in bounds]
+
+
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("QFILTER_THREADS", raising=False)
     cpus = os.cpu_count() or 1
