@@ -49,14 +49,25 @@ sizes: collected with `run_ensemble` and then averaged, and streamed from
 `solvers._ensemble_stream` through `ensemble_average`. The peak is the
 traced peak plus the bytes of the shared mappings the run makes, which
 tracemalloc does not trace.
+
+The master-export table runs `qfilter master` on the model of the
+`master-grid` benchmark workload (a 256-point harmonic grid, 32 points with
+`--tiny`), each run in a fresh child process, as the workload stores it
+(t_final 0.3, stride 100: 4 rows) and storing every step (t_final 0.05,
+stride 1: 51 rows), under QFILTER_THREADS 1 and 2. It gives the peak RSS
+of the solving process (VmHWM) and the `ru_maxrss` of the forked master.csv
+writer, its only child (none with one worker).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 from pathlib import Path
@@ -351,6 +362,53 @@ def measure_mean(qf, n_traj: int) -> tuple[int, int]:
     return collected, streamed
 
 
+# the model of the master-grid benchmark workload; n_points, t_final and
+# record_stride are set per run
+MASTER_GRID = {
+    "model": {"kind": "grid1d", "x_min": -20.0, "x_max": 20.0, "n_points": 256,
+              "potential": "harmonic", "potential_params": {"omega": 0.5}},
+    "constants": {"hbar": 1.0, "lambda": 1.0},
+    "initial": {"gaussian": {"x0": 0.0, "p0": 0.0, "sigma": 1.0}},
+    "sim": {"dt": 1e-3, "t_final": 0.3, "record_stride": 100},
+    "ensemble": {"n_trajectories": 1, "master_seed": 0},
+}
+MASTER_POINTS, TINY_MASTER_POINTS = 256, 32
+# label: (t_final, record_stride)
+MASTER_STORES = {"workload (4 rows)": (0.3, 100), "every step (51 rows)": (0.05, 1)}
+# runs the CLI, then prints its exit code, this process's peak RSS and the
+# ru_maxrss of its largest waited-for child, the writer, both in KiB. The
+# peak is VmHWM, the peak of this program image: RUSAGE_SELF would also
+# count the launching process, whose peak an exec keeps in ru_maxrss.
+MASTER_CHILD = """
+import resource, sys
+from qfilter.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status", encoding="utf-8") as fh:
+    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(code, own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def measure_master_export(src: Path, dim: int, t_final: float, stride: int,
+                          workers: int) -> tuple[float, float]:
+    """(solving process, writer) peak RSS in MiB of one `qfilter master`
+    run in a child process with QFILTER_THREADS=workers."""
+    cfg = dict(MASTER_GRID, model=dict(MASTER_GRID["model"], n_points=dim),
+               sim=dict(MASTER_GRID["sim"], t_final=t_final, record_stride=stride))
+    env = dict(os.environ, PYTHONPATH=str(src), QFILTER_THREADS=str(workers))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "master.json")
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        done = subprocess.run(
+            [sys.executable, "-c", MASTER_CHILD, "master", "--config", str(path),
+             "--out", str(Path(tmp, "run"))],
+            env=env, capture_output=True, text=True, check=True)
+    code, own, writer = map(int, done.stdout.split("\n")[-2].split())
+    if code != 0:
+        raise RuntimeError(f"qfilter master exited {code}: {done.stderr}")
+    return own / 1024, writer / 1024
+
+
 def _cell(seconds: float, peak: int) -> str:
     wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
     return f"{wall}, {peak / 2**20:.2f} MiB"
@@ -409,6 +467,18 @@ def main(argv=None) -> int:
     for n_traj in TINY_MEAN_COUNTS if args.tiny else MEAN_COUNTS:
         collected, streamed = measure_mean(qf, n_traj)
         print(f"| {n_traj} | {collected / 2**20:.2f} MiB | {streamed / 2**20:.2f} MiB |")
+
+    dim = TINY_MASTER_POINTS if args.tiny else MASTER_POINTS
+    print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS of the solving"
+          " process (VmHWM) / ru_maxrss of the master.csv writer, one child process per run")
+    print("| stored | 1 worker | 2 workers |")
+    print("|---|---|---|")
+    for label, (t_final, stride) in MASTER_STORES.items():
+        cells = []
+        for workers in (1, 2):
+            own, writer = measure_master_export(args.src, dim, t_final, stride, workers)
+            cells.append(f"{own:.1f} / {writer:.1f} MiB" if writer else f"{own:.1f} MiB / none")
+        print(f"| {label} | " + " | ".join(cells) + " |")
 
     print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
     print("| points | _banded_stage | held |")

@@ -149,16 +149,19 @@ def ensemble_average(results) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
     `results` is an `EnsembleResult`, or the batches of one in index order,
-    each read before the next is asked for (`solvers._ensemble_stream`). S
-    is a block of trajectories at one snapshot, at most _STEP_ENTRIES
-    amplitudes, so each product's operands stay small however large the
-    ensemble. The blocks start at fixed trajectory indices, every
-    _STEP_ENTRIES // dim rows from the first, so the sums and their bits do
-    not depend on how the rows arrive; a block that a batch of a stream
-    leaves unfinished is copied into one buffer, which the next batches
-    fill. A stream is folded with numpy's OpenBLAS on one thread
-    (`_one_blas_thread`), as the pool that advances its batches runs beside
-    the fold.
+    each read before the next is asked for, whose `len()` is the rows they
+    hold in all (`solvers._ensemble_stream`). S is a block of trajectories
+    at one snapshot, at most _STEP_ENTRIES amplitudes, so each product's
+    operands stay small however large the ensemble. The blocks start at
+    fixed trajectory indices, every _STEP_ENTRIES // dim rows from the
+    first, so the sums and their bits do not depend on how the rows arrive;
+    a block that a batch of a stream leaves unfinished is copied into one
+    buffer, which the next batches fill, sized to the rows the stream has
+    left when it is first needed; the last rows of all are folded where
+    they are. So a stream shorter than a block copies no more than it
+    holds, and one batch copies nothing. A stream is folded with numpy's
+    OpenBLAS on one thread (`_one_blas_thread`), as the pool that advances
+    its batches runs beside the fold.
     """
     stream = not isinstance(results, EnsembleResult)
     acc = buf = None
@@ -184,11 +187,12 @@ def ensemble_average(results) -> EnsembleSummary:
             while len(states) - lo >= rows:
                 _fold_block(acc, states[lo:lo + rows])
                 lo += rows
-            if lo < len(states) and not stream:  # a collected result's last rows
+            if lo < len(states) and n == len(results):  # the last rows of all
                 _fold_block(acc, states[lo:])
             elif lo < len(states):  # the first rows of a block later batches end
-                if buf is None:
-                    buf = np.empty((rows,) + states.shape[1:], dtype=complex)
+                if buf is None:  # no later block holds more rows
+                    left = len(results) - (n - len(states) + lo)
+                    buf = np.empty((min(rows, left),) + states.shape[1:], dtype=complex)
                 held = len(states) - lo
                 buf[:held] = states[lo:]
         if held:

@@ -8,8 +8,10 @@
 
 Exit codes: 0 success, 2 validation or usage problem, 3 numerical failure,
 4 verification suite failed. QFILTER_THREADS caps the worker processes
-that integrate trajectories and those that write them; with a cap of 1,
-`master` writes master.csv after the solve instead of while it runs.
+that integrate trajectories and those that write them. `master` writes
+master.csv while it solves, a row per stored matrix, and keeps no history;
+with a cap of 1 the rows are formatted in the solving process instead of a
+forked writer.
 """
 
 from __future__ import annotations

@@ -13,12 +13,13 @@ streamed to disk and hashed piece by piece, so writing a table holds about
 one piece of it at a time. `write_simulation` takes an `EnsembleResult`
 and writes its trajectories, one `TrajectoryResult` row at a time, across
 the same worker processes as `run_ensemble`. `MasterExport` writes
-`master.csv` while `solve_master` runs: one forked writer process formats
-each stored density matrix as the solver hands it over, so only the last
-row is left to format when the solve ends. With one worker (QFILTER_THREADS
-caps this writer too) the whole table is formatted after the solve. Either
-way the bytes do not depend on the worker count. `write_master` seals the
-solver's largest trace drift in the manifest under "diagnostics".
+`master.csv` while `solve_master` runs, which then keeps no history: each
+stored density matrix is formatted as the solver hands it over, by one
+forked writer process, or in the solving process with one worker
+(QFILTER_THREADS caps this writer too), and the header is streamed one
+matrix row of names at a time. So neither process holds the table, and the
+bytes do not depend on the worker count. `write_master` seals the solver's
+largest trace drift in the manifest under "diagnostics".
 """
 
 from __future__ import annotations
@@ -71,20 +72,29 @@ def _csv_pieces(header: list[str], rows):
             yield (",".join([_FIELD] * len(piece)) + end) % tuple(piece)
 
 
-def _csv_bytes(header: list[str], rows):
-    return (p.encode("utf-8") for p in _csv_pieces(header, rows))
+def _encoded(pieces):
+    return (p.encode("utf-8") for p in pieces)
 
 
-def _write_stream(fh, pieces) -> dict:
-    """Write byte pieces to an open binary file in order, hashing them as
-    they go; the file's manifest entry."""
-    digest = hashlib.sha256()
-    size = 0
-    for data in pieces:
-        fh.write(data)
-        digest.update(data)
-        size += len(data)
-    return {"sha256": digest.hexdigest(), "bytes": size}
+class _Stream:
+    """An open binary file, written piece by piece in order and hashed as it
+    goes, so a file is sealed without being held; `entry` is its manifest
+    entry."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self._digest = hashlib.sha256()
+        self._size = 0
+
+    def write(self, pieces) -> None:
+        for data in pieces:
+            self._fh.write(data)
+            self._digest.update(data)
+            self._size += len(data)
+
+    @property
+    def entry(self) -> dict:
+        return {"sha256": self._digest.hexdigest(), "bytes": self._size}
 
 
 class ArtifactWriter:
@@ -99,8 +109,9 @@ class ArtifactWriter:
         """Write byte pieces in order, hashing them as they go, into a file
         whose directory exists."""
         with open(self.directory / relpath, "wb") as fh:
-            entry = _write_stream(fh, pieces)
-        self.files[relpath] = entry
+            out = _Stream(fh)
+            out.write(pieces)
+        self.files[relpath] = out.entry
 
     def write_bytes(self, relpath: str, data: bytes) -> None:
         self._write_pieces(relpath, (data,))
@@ -109,7 +120,7 @@ class ArtifactWriter:
         self.write_bytes(relpath, text.encode("utf-8"))
 
     def write_csv(self, relpath: str, header: list[str], rows) -> None:
-        self._write_pieces(relpath, _csv_bytes(header, rows))
+        self._write_pieces(relpath, _encoded(_csv_pieces(header, rows)))
 
     def write_json(self, relpath: str, doc) -> None:
         self.write_text(relpath, json.dumps(doc, indent=2, sort_keys=True) + "\n")
@@ -214,27 +225,52 @@ def write_simulation(out_dir, config_echo: dict, results: EnsembleResult,
     return writer.directory
 
 
-def _master_header(dim: int) -> list[str]:
-    return (["t"] + [f"rho_{i}_{j}_{part}" for i in range(dim) for j in range(dim)
-                     for part in ("re", "im")] + ["trace"])
+def _master_header(dim: int):
+    """master.csv's header line, as pieces of one matrix row of names each:
+    t, rho_i_j_re and rho_i_j_im of each row-major entry, then trace."""
+    yield "t"
+    for i in range(dim):
+        yield "".join([f",rho_{i}_{j}_{part}" for j in range(dim) for part in ("re", "im")])
+    yield ",trace\n"
 
 
-def _master_row(t, mat: np.ndarray, weight: float) -> np.ndarray:
-    """One master.csv row: t, the row-major entries of one density matrix
-    with re/im interleaved, as the header names them, and its weighted
-    trace, taken as `DensityTrajectory.trace_series` takes it."""
+def _master_row(t, mat: np.ndarray, weight: float):
+    """One master.csv line, as the header names it, in pieces of one matrix
+    row each: t, the row-major entries of one density matrix with re/im
+    interleaved, and its weighted trace, taken as
+    `DensityTrajectory.trace_series` takes it. Each value is written as
+    `format_float` writes it. Pieces this small reuse the heap blocks the
+    last ones freed; pieces of _PIECE_VALUES values grew the heap of the
+    process by a few MB over a few dozen rows of a 256-point matrix."""
     mats = np.ascontiguousarray(mat, dtype=complex)[None]
     trace = np.einsum("kii->k", mats).real * weight
-    return np.concatenate([[t], mats.view(float).ravel(), trace])
+    row = "," + ",".join([_FIELD] * (2 * mats.shape[1]))
+    yield _FIELD % float(t)
+    for entries in mats[0].view(float):
+        yield row % tuple(entries.tolist())
+    yield f",{_FIELD}\n" % float(trace[0])
 
 
-def _received_rows(conn, dim: int, weight: float):
-    """master.csv rows from the messages `MasterExport` sends, a time and
+class _MasterTable(_Stream):
+    """master.csv written into an open binary file: the header, then one row
+    per `add`, each formatted and hashed as it is written, so neither the
+    table nor its header is ever held."""
+
+    def __init__(self, fh, dim: int, weight: float):
+        super().__init__(fh)
+        self.weight = weight
+        self.write(_encoded(_master_header(dim)))
+
+    def add(self, t, mat: np.ndarray) -> None:
+        self.write(_encoded(_master_row(t, mat, self.weight)))
+
+
+def _received(conn, dim: int):
+    """(t, matrix) pairs from the messages `MasterExport` sends, a time and
     then its matrix, until an empty time."""
     while data := conn.recv_bytes():
         t, = struct.unpack("<d", data)
-        mat = np.frombuffer(conn.recv_bytes(), dtype=complex).reshape(dim, dim)
-        yield _master_row(t, mat, weight)
+        yield t, np.frombuffer(conn.recv_bytes(), dtype=complex).reshape(dim, dim)
 
 
 def _export_master(conn, parent_end, fh, dim: int, weight: float) -> None:
@@ -245,33 +281,35 @@ def _export_master(conn, parent_end, fh, dim: int, weight: float) -> None:
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops this process
     try:
         with fh:
-            rows = _received_rows(conn, dim, weight)
+            rows = _received(conn, dim)
             # take the first row before the header is formatted, which takes
-            # tens of ms for a wide table while the solver waits on its send
+            # a few ms for a wide table while the solver waits on its send
             first = next(rows)
-            entry = _write_stream(fh, _csv_bytes(_master_header(dim),
-                                                 itertools.chain([first], rows)))
+            table = _MasterTable(fh, dim, weight)
+            for t, mat in itertools.chain([first], rows):
+                table.add(t, mat)
     except EOFError:
         return
     except Exception as exc:  # reported to the parent, which raises it
         conn.send(exc)
         return
-    conn.send(entry)
+    conn.send(table.entry)
 
 
 class MasterExport:
     """Writes `master.csv` into `out_dir` while `solve_master` runs.
 
     Pass `hook` as solve_master's `on_store` inside `with MasterExport(...)
-    as export:`, then the finished history and this export to
-    `write_master`. The first stored row creates the directory, opens the
-    file and forks one writer process; each row is then sent to it through
-    a pipe whose send blocks once the writer falls behind by more than the
-    pipe buffers (for a wide table, one row), so the solver waits for it
-    rather than queueing rows. `write_master` waits for the last row and
-    seals the file. With one worker (`resolve_workers(None, 2) == 1`)
-    `hook` is None and `write_master` formats the whole table after the
-    solve. The bytes are the same either way.
+    as export:`, then the result and this export to `write_master`. The
+    solver then keeps no history: each stored matrix goes only to `hook`.
+    The first one creates the directory and opens the file. With two or
+    more workers (`resolve_workers(None, 2) > 1`) it also forks one writer
+    process, and each row is sent to it through a pipe whose send blocks
+    once the writer falls behind by more than the pipe buffers (for a wide
+    table, one row), so the solver waits for it rather than queueing rows.
+    With one worker, `hook` formats and hashes each row in the solving
+    process as it is stored. Either way `write_master` waits for the last
+    row and seals the file, and the bytes are the same.
 
     If the block raises, the writer is killed and what the export wrote
     (master.csv and the directories it created) is removed.
@@ -280,36 +318,41 @@ class MasterExport:
     def __init__(self, out_dir, basis):
         self.directory = Path(out_dir)
         self.weight = basis.weight
-        self.hook = self._send if resolve_workers(None, 2) > 1 else None
-        self._conn = self._proc = None
+        self._fork = resolve_workers(None, 2) > 1
+        self._fh = self._table = self._conn = self._proc = None
         self._made: list[Path] = []
-        self._opened = False
 
     @property
     def started(self) -> bool:
-        return self._proc is not None
+        return self._fh is not None
 
     def _start(self, dim: int) -> None:
         self._made = [d for d in (self.directory, *self.directory.parents) if not d.exists()]
         self.directory.mkdir(parents=True, exist_ok=True)
-        fh = open(self.directory / "master.csv", "wb")
-        self._opened = True
+        self._fh = open(self.directory / "master.csv", "wb")
+        if not self._fork:
+            self._table = _MasterTable(self._fh, dim, self.weight)
+            return
         # forked, not spawned, which would import numpy afresh first; fork
         # copies no BLAS thread, and the writer calls no BLAS routine
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         proc = ctx.Process(target=_export_master, daemon=True,
-                           args=(child_end, self._conn, fh, dim, self.weight))
+                           args=(child_end, self._conn, self._fh, dim, self.weight))
         try:
             proc.start()
         finally:
-            fh.close()
+            self._fh.close()
             child_end.close()
         self._proc = proc
 
-    def _send(self, t, rho: np.ndarray) -> None:
-        if self._proc is None:
+    def hook(self, t, rho: np.ndarray) -> None:
+        """solve_master's `on_store`: one stored time and density matrix."""
+        if self._fh is None:
             self._start(rho.shape[0])
+        if self._table is not None:
+            self._table.add(t, rho)
+            return
         # the matrix goes as its own message, straight from its buffer
         self._put(struct.pack("<d", t))
         self._put(np.ascontiguousarray(rho).reshape(-1).view(np.uint8))
@@ -332,8 +375,10 @@ class MasterExport:
         return result
 
     def finish(self) -> dict:
-        """Wait for the writer to write every row sent; master.csv's
-        manifest entry."""
+        """Wait for every row to be written; master.csv's manifest entry."""
+        if self._table is not None:
+            self._fh.close()
+            return self._table.entry
         self._put(b"")
         entry = self._receive()
         self._proc.join()
@@ -349,8 +394,10 @@ class MasterExport:
             self._conn.close()
         if self._proc is not None:
             self._proc.join()
+        if self._fh is not None:
+            self._fh.close()
         if exc_type is not None:
-            if self._opened:
+            if self._fh is not None:
                 (self.directory / "master.csv").unlink(missing_ok=True)
             for d in self._made:
                 with contextlib.suppress(OSError):
@@ -361,14 +408,18 @@ def write_master(out_dir, config_echo: dict, dtraj: DensityTrajectory,
                  export: MasterExport | None = None) -> Path:
     """Write master.csv (one row per stored density matrix) and its
     manifest. With an `export` that ran during the solve, master.csv is
-    already being written: wait for it and seal it."""
+    already written, or being written: wait for it and seal it. Without
+    one, `dtraj` must hold its matrices (no `on_store` hook)."""
     writer = ArtifactWriter(out_dir)
     if export is not None and export.started:
         writer.files["master.csv"] = export.finish()
     else:
-        weight = dtraj.basis.weight
-        rows = (_master_row(t, mat, weight) for t, mat in zip(dtraj.times, dtraj.matrices))
-        writer.write_csv("master.csv", _master_header(dtraj.matrices.shape[1]), rows)
+        matrices = dtraj._history()
+        with open(writer.directory / "master.csv", "wb") as fh:
+            table = _MasterTable(fh, matrices.shape[1], dtraj.basis.weight)
+            for t, mat in zip(dtraj.times, matrices):
+                table.add(t, mat)
+        writer.files["master.csv"] = table.entry
     writer.write_manifest("master", config_echo,
                           {"diagnostics": {"max_trace_drift": dtraj.max_trace_drift}})
     return writer.directory

@@ -868,27 +868,53 @@ def _ensemble_stream(model: ModelSpec, initial: StateVector, dt: float, n_steps:
     and failure. The batches cycle through a ring of n_workers + 1 slots of
     one shared mapping, so a view holds its rows only until the next batch
     is asked for, and memory stays at a few batches whatever n_trajectories
-    is. `_prepare` checks the run when the stream is made; the trajectories
-    advance as it is read."""
+    is. `len()` of the stream is n_trajectories, the rows it will deliver
+    in all. `_prepare` checks the run when the stream is made; the
+    trajectories advance as it is read."""
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    return _drive(run, 0, n_trajectories, (), None, False, stacklevel=1, ring=True)
+    return _Batches(_drive(run, 0, n_trajectories, (), None, False, stacklevel=1, ring=True),
+                    n_trajectories)
+
+
+class _Batches:
+    """An iterator of batch views and `len()`, the rows they hold in all."""
+
+    def __init__(self, batches, n_rows: int):
+        self._batches, self._n_rows = batches, n_rows
+
+    def __iter__(self):
+        return self._batches
+
+    def __len__(self) -> int:
+        return self._n_rows
 
 
 @dataclass
 class DensityTrajectory:
-    """Strided density-matrix history from the averaged equation."""
+    """Strided density-matrix history from the averaged equation.
+
+    `matrices` is (n_stored, dim, dim), or None when `solve_master` handed
+    each stored matrix to its `on_store` hook instead of keeping it; `times`
+    and `max_trace_drift` are kept either way. `density`, `density_at` and
+    `trace_series` read the matrices."""
 
     basis: Basis
     dt: float
     store_stride: int
     times: np.ndarray
-    matrices: np.ndarray  # (n_stored, dim, dim)
+    matrices: np.ndarray | None
     # largest |weighted trace - 1| over the solver's steps; None when the
     # history was not produced by `solve_master`
     max_trace_drift: float | None = None
 
+    def _history(self) -> np.ndarray:
+        if self.matrices is None:
+            raise ValueError("density history was not kept; solve_master handed each "
+                             "stored matrix to its on_store hook")
+        return self.matrices
+
     def density(self, index: int) -> DensityMatrix:
-        return DensityMatrix(self.basis, self.matrices[index])
+        return DensityMatrix(self.basis, self._history()[index])
 
     def index_of_time(self, t: float) -> int:
         return time_index(self.times, t)
@@ -897,7 +923,7 @@ class DensityTrajectory:
         return self.density(self.index_of_time(t))
 
     def trace_series(self) -> np.ndarray:
-        return np.einsum("kii->k", self.matrices).real * self.basis.weight
+        return np.einsum("kii->k", self._history()).real * self.basis.weight
 
 
 def _banded_stage(generator: Operator, channels):
@@ -1011,8 +1037,11 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     overflows fails that check with no numpy warning.
 
     `on_store(t, rho)`, when given, is called with each stored time and
-    density matrix as soon as it is stored, so a caller can export the
-    history while it is solved (`output.MasterExport`).
+    density matrix as soon as it is reached, so a caller can export the
+    history while it is solved (`output.MasterExport`). The matrices then go
+    only to the hook: no history is allocated, and the result's `matrices`
+    is None. `rho` is a read-only view of the solver's own buffer, valid
+    until the hook returns; a hook that keeps a matrix copies it.
     """
     if model.dim > DEFAULT_ORACLE_CAP:
         raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
@@ -1029,16 +1058,24 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
 
     stored_steps = _stored_steps(n_steps, store_stride)
     times = stored_steps * dt
-    matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
+    matrices = None
+    if on_store is None:
+        matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
     weight = model.basis.weight
+
+    def store(i: int, r: np.ndarray) -> None:
+        if matrices is not None:
+            matrices[i] = r
+            return
+        view = r.view()
+        view.flags.writeable = False
+        on_store(times[i], view)
 
     # C order, so every buffer's flat reshape is a view the stages write through
     rho = np.array(rho0.entries, dtype=complex, order="C")
     a, b = np.empty_like(rho), np.empty_like(rho)
     drift = 0.0
-    matrices[0] = rho
-    if on_store is not None:
-        on_store(times[0], matrices[0])
+    store(0, rho)
     ptr = 1
     # an unstable step overflows to inf/nan; the trace check reports it
     with np.errstate(over="ignore", invalid="ignore"):
@@ -1055,9 +1092,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
                 )
             drift = max(drift, abs(tr - 1.0))
             if stored_steps[ptr] == k + 1:
-                matrices[ptr] = rho
-                if on_store is not None:
-                    on_store(times[ptr], matrices[ptr])
+                store(ptr, rho)
                 ptr += 1
     return DensityTrajectory(model.basis, dt, store_stride, times, matrices, drift)
 

@@ -166,6 +166,52 @@ def test_streamed_mean_has_the_bytes_of_the_collected_mean(monkeypatch, threads,
     assert streamed.mean_density.tobytes() == collected.mean_density.tobytes()
 
 
+def _mapped_peak(monkeypatch, run) -> int:
+    """Traced peak bytes of run() plus the shared mappings it makes, which
+    tracemalloc does not trace."""
+    mapped = []
+    real = mmap.mmap
+
+    def counted(*args, **kwargs):
+        region = real(*args, **kwargs)
+        mapped.append(len(region))
+        return region
+
+    with monkeypatch.context() as patch:
+        patch.setattr(mmap, "mmap", counted)
+        tracemalloc.start()
+        try:
+            run()
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return traced + sum(mapped)
+
+
+def test_streamed_mean_shorter_than_a_block_copies_only_its_rows(monkeypatch):
+    """A stream of fewer trajectories than one block peaks no higher than
+    the collected mean plus the bytes of its states: the block buffer holds
+    the rows the stream has left, not a whole block."""
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
+    psi = gaussian_packet(model.basis, x0=1.0)
+    dt, n, stride, count = 1e-3, 50, 5, 16
+    assert count < analysis._STEP_ENTRIES // model.dim
+    args = (model, psi, dt, n, 0, count)
+
+    def collected():
+        return ensemble_average(run_ensemble(*args, record_stride=stride, slim=True))
+
+    def streamed():
+        return ensemble_average(solvers._ensemble_stream(*args, record_stride=stride))
+
+    streamed()  # lazy imports load untraced
+    states = count * (n // stride + 1) * model.dim * 16
+    want = _mapped_peak(monkeypatch, collected)
+    got = _mapped_peak(monkeypatch, streamed)
+    assert got <= want + states, f"streamed {got} bytes, collected {want} + states {states}"
+
+
 def test_streamed_mean_holds_as_much_for_any_ensemble_size(monkeypatch):
     """With one worker, the streamed mean of 512 trajectories peaks within
     one block's bytes of the mean of 64: it holds the ring's slots, one
@@ -179,25 +225,10 @@ def test_streamed_mean_holds_as_much_for_any_ensemble_size(monkeypatch):
     dt, n, rows = 1e-3, 50, 16
     monkeypatch.setattr(solvers, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches
     monkeypatch.setattr(analysis, "_STEP_ENTRIES", rows * model.dim)  # and blocks
-    mapped = []
-    real = mmap.mmap
-
-    def counted(*args, **kwargs):
-        region = real(*args, **kwargs)
-        mapped.append(len(region))
-        return region
-
-    monkeypatch.setattr(mmap, "mmap", counted)
 
     def peak(count: int) -> int:
-        mapped.clear()
-        tracemalloc.start()
-        try:
-            ensemble_average(solvers._ensemble_stream(model, psi, dt, n, 0, count))
-            traced = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        return traced + sum(mapped)
+        return _mapped_peak(monkeypatch, lambda: ensemble_average(
+            solvers._ensemble_stream(model, psi, dt, n, 0, count)))
 
     peak(1)  # lazy imports load untraced
     block = rows * (n + 1) * model.dim * 16

@@ -263,6 +263,27 @@ def test_write_master_streams_the_table(tmp_path):
     qf.verify_artifacts(out)
 
 
+def test_master_header_is_streamed(tmp_path):
+    """A two-row master.csv at 128 points is written while tracing less
+    than a quarter of its header's bytes: the header is formatted a matrix
+    row of names at a time, and each row as it is written."""
+    dim = 128
+    rng = np.random.default_rng(5)
+    mats = rng.standard_normal((2, dim, dim)) + 1j * rng.standard_normal((2, dim, dim))
+    dtraj = qf.DensityTrajectory(qf.Basis.finite(dim), 0.1, 1, np.array([0.0, 0.1]), mats)
+    write_master(tmp_path / "warm", {}, dtraj)  # lazy imports load untraced
+    tracemalloc.start()
+    try:
+        out = write_master(tmp_path / "run", {}, dtraj)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with open(out / "master.csv", "rb") as fh:
+        header = len(fh.readline())
+    assert header > 400_000
+    assert peak < header / 4, f"writer peaked at {peak} bytes for a {header}-byte header"
+
+
 def test_verify_artifacts_streams_each_file(tmp_path):
     """A few MB of master.csv are checked while holding far less than the
     file."""
@@ -316,17 +337,18 @@ def _exported_master(out, case, hook=None):
 
 @pytest.mark.parametrize("name", sorted(MASTER_EXPORT_CASES))
 def test_master_export_bytes_do_not_depend_on_the_worker_count(tmp_path, monkeypatch, name):
-    """master.csv and manifest.json written during the solve (two workers)
-    and after it (one worker) equal write_master on the finished history."""
+    """master.csv and manifest.json written during the solve, by a forked
+    writer (two workers) or in the solving process (one worker), equal
+    write_master on the history of a solve without a hook."""
     case = MASTER_EXPORT_CASES[name]()
-    runs = {}
+    model, rho0, dt, n_steps, stride = case
     for threads in ("1", "2"):
         monkeypatch.setenv("QFILTER_THREADS", threads)
         dtraj, export = _exported_master(tmp_path / threads, case)
-        assert export.started == (threads == "2")
-        runs[threads] = dtraj
-    assert np.array_equal(runs["1"].matrices, runs["2"].matrices)
-    write_master(tmp_path / "library", {"case": "export"}, runs["1"])
+        assert export.started
+        assert dtraj.matrices is None, "a solve with a hook keeps no history"
+    library = qf.solve_master(model, rho0, dt, n_steps, store_stride=stride)
+    write_master(tmp_path / "library", {"case": "export"}, library)
     for relpath in ("master.csv", "manifest.json"):
         want = (tmp_path / "library" / relpath).read_bytes()
         for threads in ("1", "2"):
@@ -353,36 +375,39 @@ def test_master_export_refuses_a_directory_in_place_of_the_table(tmp_path, monke
 
 def test_master_export_is_undone_when_the_solve_fails(tmp_path, monkeypatch):
     """A solve that raises after its first stored row leaves no writer
-    process and no run directory, nor the directories made for it."""
-    monkeypatch.setenv("QFILTER_THREADS", "2")
+    process and no run directory, nor the directories made for it, whether
+    the rows went to a forked writer or were written in this process."""
 
     def fail_after_first_row(export, t, rho):
         export.hook(t, rho)
         assert export.started
         raise RuntimeError("solve stopped")
 
-    with pytest.raises(RuntimeError, match="solve stopped"):
-        _exported_master(tmp_path / "a" / "run", _grid_master_case(), fail_after_first_row)
-    assert multiprocessing.active_children() == []
-    assert list(tmp_path.iterdir()) == []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        with pytest.raises(RuntimeError, match="solve stopped"):
+            _exported_master(tmp_path / "a" / "run", _grid_master_case(), fail_after_first_row)
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == [], threads
 
 
 def test_master_export_writer_failure_reaches_the_caller(tmp_path, monkeypatch):
-    """An error in the writer process is raised by the solving process,
-    which then removes what the export wrote. Every step is stored, more
-    than a pipe holds, so the solver is still sending when the writer
-    stops."""
-    monkeypatch.setenv("QFILTER_THREADS", "2")
+    """An error in writing a row, in the writer process or in the solving
+    process, is raised by the solving process, which then removes what the
+    export wrote. Every step is stored, more than a pipe holds, so the
+    solver is still sending when a forked writer stops."""
 
-    def full_disk(t, mat, weight):  # runs in the forked writer
+    def full_disk(t, mat, weight):  # runs where the rows are written
         raise OSError(28, "No space left on device")
 
     monkeypatch.setattr(output, "_master_row", full_disk)
     model, rho0, dt, n_steps, _ = _grid_master_case()
-    with pytest.raises(OSError, match="No space left on device"):
-        _exported_master(tmp_path / "run", (model, rho0, dt, n_steps, 1))
-    assert multiprocessing.active_children() == []
-    assert list(tmp_path.iterdir()) == []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        with pytest.raises(OSError, match="No space left on device"):
+            _exported_master(tmp_path / "run", (model, rho0, dt, n_steps, 1))
+        assert multiprocessing.active_children() == []
+        assert list(tmp_path.iterdir()) == [], threads
 
 
 def test_report_round_trip(tmp_path):

@@ -1190,6 +1190,54 @@ def test_master_solver_keeps_its_largest_trace_drift(tmp_path):
     assert manifests[0] == manifests[1]
 
 
+def test_master_solver_hands_its_history_to_the_hook():
+    """With `on_store`, each stored matrix goes only to the hook, read-only
+    and with the bits a kept history holds; the result keeps the times and
+    the largest trace drift, and refuses to read matrices it never kept."""
+    model = BANDED_MASTER_MODELS["harmonic16"]
+    rho0 = _packet_density(model)
+    kept = solve_master(model, rho0, 1e-3, 30, store_stride=7)
+    seen = []
+
+    def hook(t, rho):
+        assert not rho.flags.writeable
+        seen.append((t, rho.copy()))
+
+    streamed = solve_master(model, rho0, 1e-3, 30, store_stride=7, on_store=hook)
+    assert streamed.matrices is None
+    assert streamed.times.tobytes() == kept.times.tobytes()
+    assert streamed.max_trace_drift == kept.max_trace_drift
+    assert [t for t, _ in seen] == kept.times.tolist()
+    assert np.stack([rho for _, rho in seen]).tobytes() == kept.matrices.tobytes()
+    for read in (lambda: streamed.density(0), lambda: streamed.density_at(0.0),
+                 streamed.trace_series):
+        with pytest.raises(ValueError, match="on_store"):
+            read()
+
+
+def test_master_solver_with_a_hook_holds_no_history():
+    """With a hook, the traced peak of a 64-point solve that stores every
+    step is within one matrix of one that stores its first and last."""
+    grid = GridSpec(-10.0, 10.0, 64)
+    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0), lam=1.0)
+    rho0 = _packet_density(model)
+    n_steps = 100
+
+    def peak(stride: int) -> int:
+        tracemalloc.start()
+        try:
+            solve_master(model, rho0, 1e-3, n_steps, store_stride=stride,
+                         on_store=lambda t, rho: None)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(n_steps)  # lazy imports load untraced
+    every, ends = peak(1), peak(n_steps)
+    matrix = model.dim ** 2 * 16
+    assert abs(every - ends) < matrix, f"stride 1 peaked at {every} bytes, n_steps at {ends}"
+
+
 def test_unitary_solver_qubit():
     still = build_qubit_model((0.0, 0.0, 0.0), lam=0.0)
     psi = _ket(0.6, 0.8)
