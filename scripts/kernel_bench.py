@@ -46,9 +46,11 @@ sets it, and on as many threads as cores, numpy's default when no
 variable pins it. They then give the peak of one process computing the mean
 of that workload's gauge run (250 steps, stride 12, slim) for two ensemble
 sizes: collected with `run_ensemble` and then averaged, and streamed from
-`solvers._ensemble_stream` through `ensemble_average`. The peak is the
-traced peak plus the bytes of the shared mappings the run makes, which
-tracemalloc does not trace.
+`solvers._ensemble_stream` through `ensemble_average`, which folds each
+block of 128 trajectories where the stream's ring holds it; with the one
+worker here the ring is that one block. The peak is the traced peak plus
+the bytes of the shared mappings the run makes, which tracemalloc does not
+trace.
 
 The master-export table runs `qfilter master` on the model of the
 `master-grid` benchmark workload (a 256-point harmonic grid, 32 points with

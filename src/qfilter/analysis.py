@@ -6,12 +6,12 @@ overlap and the filtering residual act on stacks of any leading shape and
 reduce along the last axis only, so a row gets the same bits alone or in a
 stack. Everything returns plain report dataclasses; nothing mutates its inputs.
 
-The ensemble mean also reads a stream of batches (`solvers._ensemble_stream`)
-as they finish. It sums in fixed blocks of trajectory index, so a stream and
-the collected result give the same bits, and it holds the mean and at most
-one block besides the stream's few batches. BLAS called while the pool's
-workers run uses one thread (`_one_blas_thread`), so the fold does not spin
-a second BLAS thread against them.
+The ensemble mean also reads a stream of fold blocks
+(`solvers._ensemble_stream`) as they finish. It sums per block of trajectory
+index, where the block lies, so a stream and the collected result give the
+same bits, and it holds the mean beside the stream's few blocks. The fold
+runs BLAS on one thread (`_one_blas_thread`), so it does not spin a second
+BLAS thread against the pool's workers.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from .solvers import (
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
+    _block_rows,
     _noise_table,
     _re_rowdot,
     _rowdot,
@@ -148,55 +149,30 @@ def _fold_block(acc: np.ndarray, block: np.ndarray) -> None:
 def ensemble_average(results) -> EnsembleSummary:
     """Mean of |phi><phi| over trajectories, as S^T S* products per snapshot.
 
-    `results` is an `EnsembleResult`, or the batches of one in index order,
-    each read before the next is asked for, whose `len()` is the rows they
-    hold in all (`solvers._ensemble_stream`). S is a block of trajectories
-    at one snapshot, at most _STEP_ENTRIES amplitudes, so each product's
-    operands stay small however large the ensemble. The blocks start at
-    fixed trajectory indices, every _STEP_ENTRIES // dim rows from the
-    first, so the sums and their bits do not depend on how the rows arrive;
-    a block that a batch of a stream leaves unfinished is copied into one
-    buffer, which the next batches fill, sized to the rows the stream has
-    left when it is first needed; the last rows of all are folded where
-    they are. So a stream shorter than a block copies no more than it
-    holds, and one batch copies nothing. A stream is folded with numpy's
-    OpenBLAS on one thread (`_one_blas_thread`), as the pool that advances
-    its batches runs beside the fold.
+    `results` is an `EnsembleResult`, or the fold blocks of one in index
+    order, each read before the next is asked for
+    (`solvers._ensemble_stream`). S is the trajectories of one block
+    (`solvers._block_rows`, at most _STEP_ENTRIES amplitudes) at one
+    snapshot, read where it lies, so each product's operands stay small
+    however large the ensemble, and the sums and their bits do not depend on
+    how the rows arrive. The fold runs numpy's OpenBLAS on one thread
+    (`_one_blas_thread`), as the pool that advances a stream runs beside it.
     """
-    stream = not isinstance(results, EnsembleResult)
-    acc = buf = None
-    n = held = 0
-    with _one_blas_thread() if stream else contextlib.nullcontext():
-        for batch in results if stream else [results]:
-            states = batch.states
+    blocks = results
+    if isinstance(results, EnsembleResult):
+        rows = _block_rows(results.model.dim)
+        blocks = (results._rows(lo, lo + rows, results.first_index + lo)
+                  for lo in range(0, len(results), rows))
+    acc = None
+    n = 0
+    with _one_blas_thread():
+        for block in blocks:
             if acc is None:
-                _, n_snaps, dim = states.shape
-                rows = max(1, _STEP_ENTRIES // dim)
+                _, n_snaps, dim = block.states.shape
                 acc = np.zeros((n_snaps, dim, dim), dtype=complex)
-                basis, times = batch.model.basis, batch.times.copy()
-            n += len(states)
-            lo = 0
-            if held:  # complete the block earlier batches began
-                lo = min(rows - held, len(states))
-                buf[held:held + lo] = states[:lo]
-                held += lo
-                if held < rows:
-                    continue
-                _fold_block(acc, buf)
-                held = 0
-            while len(states) - lo >= rows:
-                _fold_block(acc, states[lo:lo + rows])
-                lo += rows
-            if lo < len(states) and n == len(results):  # the last rows of all
-                _fold_block(acc, states[lo:])
-            elif lo < len(states):  # the first rows of a block later batches end
-                if buf is None:  # no later block holds more rows
-                    left = len(results) - (n - len(states) + lo)
-                    buf = np.empty((min(rows, left),) + states.shape[1:], dtype=complex)
-                held = len(states) - lo
-                buf[:held] = states[lo:]
-        if held:
-            _fold_block(acc, buf[:held])
+                basis, times = block.model.basis, block.times.copy()
+            _fold_block(acc, block.states)
+            n += len(block)
     acc /= n
     return EnsembleSummary(basis, times, acc, n)
 
@@ -212,8 +188,8 @@ def ensemble_vs_master(summary, master: DensityTrajectory,
                        times=None) -> ComparisonReport:
     """Trace distance between the ensemble mean and the averaged equation.
 
-    `summary` is an EnsembleSummary, or an EnsembleResult or the batches of
-    one to average (`ensemble_average`).
+    `summary` is an EnsembleSummary, or an EnsembleResult or the fold blocks
+    of one to average (`ensemble_average`).
     """
     if not isinstance(summary, EnsembleSummary):
         summary = ensemble_average(summary)

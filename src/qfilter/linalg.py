@@ -349,6 +349,13 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        mat = self._freeze()
+        if float(np.linalg.eigvalsh(mat).min()) < -1e-8 / self.basis.weight:
+            raise ValueError("density matrix has an eigenvalue below -1e-8")
+
+    def _freeze(self) -> np.ndarray:
+        """Check the shape, hermiticity and trace of `entries`, and keep them
+        as a read-only complex array, which is returned."""
         mat = np.asarray(self.entries, dtype=complex)
         d = self.basis.dim
         if mat.shape != (d, d):
@@ -359,9 +366,19 @@ class DensityMatrix:
         tr = float(np.trace(mat).real) * self.basis.weight
         if abs(tr - 1.0) > 1e-8:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-8")
-        if float(np.linalg.eigvalsh(mat).min()) < -1e-8 / self.basis.weight:
-            raise ValueError("density matrix has an eigenvalue below -1e-8")
         object.__setattr__(self, "entries", _frozen_array(mat))
+        return self.entries
+
+    @classmethod
+    def _positive(cls, basis: Basis, entries) -> DensityMatrix:
+        """A density matrix of `entries` that are positive by construction,
+        such as |v><v|: the shape, hermiticity and trace checks, without the
+        O(n^3) eigenvalues."""
+        rho = object.__new__(cls)
+        object.__setattr__(rho, "basis", basis)
+        object.__setattr__(rho, "entries", entries)
+        rho._freeze()
+        return rho
 
     def trace(self) -> float:
         return float(np.trace(self.entries).real) * self.basis.weight
@@ -375,10 +392,11 @@ def expectation(state: StateVector, op: Operator) -> complex:
 
 
 def projector(state: StateVector) -> DensityMatrix:
-    """Rank-one density matrix |v><v| of a normalized state."""
+    """Rank-one density matrix |v><v| of a normalized state, positive by
+    construction, so its eigenvalues are not computed."""
     state.require_normalized(1e-6)
     v = state.amplitudes
-    return DensityMatrix(state.basis, np.outer(v, v.conj()))
+    return DensityMatrix._positive(state.basis, np.outer(v, v.conj()))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -49,27 +49,18 @@ _FIELD = "%.17g"
 _PIECE_VALUES = 1 << 13
 
 
-def _csv_pieces(header: list[str], rows):
-    """The header line, then one line per row of floats, each value as
-    `format_float` writes it, as consecutive pieces of text of about
-    _PIECE_VALUES values, each piece one `%` call. `rows` is a 2-D float
-    table, formatted a block of rows at a time, or any iterable of 1-D rows,
-    formatted a row (or a slice of a long row) at a time."""
+def _csv_pieces(header: list[str], table: np.ndarray):
+    """The header line, then one line per row of the 2-D float `table`, each
+    value as `format_float` writes it, as consecutive pieces of text of
+    about _PIECE_VALUES values, each piece one `%` call over a block of
+    rows."""
     yield ",".join(header) + "\n"
-    if isinstance(rows, np.ndarray):
-        table = rows.astype(float, copy=False)
-        line = ",".join([_FIELD] * table.shape[1]) + "\n"
-        step = max(1, _PIECE_VALUES // max(1, table.shape[1]))
-        for lo in range(0, len(table), step):
-            block = table[lo:lo + step]
-            yield (line * len(block)) % tuple(block.ravel().tolist())
-        return
-    for row in rows:
-        vals = np.asarray(row, dtype=float).ravel()
-        for lo in range(0, max(1, vals.size), _PIECE_VALUES):
-            piece = vals[lo:lo + _PIECE_VALUES].tolist()
-            end = "\n" if lo + _PIECE_VALUES >= vals.size else ","
-            yield (",".join([_FIELD] * len(piece)) + end) % tuple(piece)
+    table = table.astype(float, copy=False)
+    line = ",".join([_FIELD] * table.shape[1]) + "\n"
+    step = max(1, _PIECE_VALUES // max(1, table.shape[1]))
+    for lo in range(0, len(table), step):
+        block = table[lo:lo + step]
+        yield (line * len(block)) % tuple(block.ravel().tolist())
 
 
 def _encoded(pieces):
@@ -119,8 +110,8 @@ class ArtifactWriter:
     def write_text(self, relpath: str, text: str) -> None:
         self.write_bytes(relpath, text.encode("utf-8"))
 
-    def write_csv(self, relpath: str, header: list[str], rows) -> None:
-        self._write_pieces(relpath, _encoded(_csv_pieces(header, rows)))
+    def write_csv(self, relpath: str, header: list[str], table: np.ndarray) -> None:
+        self._write_pieces(relpath, _encoded(_csv_pieces(header, table)))
 
     def write_json(self, relpath: str, doc) -> None:
         self.write_text(relpath, json.dumps(doc, indent=2, sort_keys=True) + "\n")

@@ -32,19 +32,21 @@ scheme's own posterior expectation (or replayed from a stored record):
 One kernel advances every scheme: it holds B trajectories as a (B, dim)
 array and makes each numpy call once per step for all of them, so the
 Python overhead of a step is shared by the batch; the step operators are
-built once per run. Each batch writes straight into its slot of one shared
-mapping. `run_ensemble` gives every batch its own slot, so the slots tile
-one `EnsembleResult`, an array per quantity with a row per trajectory, and
-`run_trajectory` is row 0 of a one-row run. `_ensemble_stream` cycles the
-batches through a ring of n_workers + 1 slots, as many as the pool keeps in
-flight, and yields each finished batch as a view of its slot, so its reader
-holds a few batches whatever the ensemble size. Each trajectory keeps its
-own counter-keyed noise stream, and every reduction over amplitudes is taken
-along the last axis row by row (never a matrix product across the batch),
-so a trajectory carries the same bits whatever batch it is advanced in.
-A batch is bounded in entries (`_batch_bounds`); besides its noise table
-it allocates only the per-step series it reads: the step norms and, for the
-gauge scheme, the amplitude growth and reconstruction ln c.
+built once per run. Each batch lies within one fold block of
+`_block_rows(dim)` trajectories counted from the first, the one partition of
+an ensemble, and writes straight into its rows of one shared mapping.
+`run_ensemble` puts trajectory i at row i, so the rows tile one
+`EnsembleResult`, an array per quantity with a row per trajectory, and
+`run_trajectory` is row 0 of a one-row run. `_ensemble_stream` puts it at
+row i mod m of a ring of whole blocks and yields each finished block as a
+view of its rows, so its reader holds a few blocks whatever the ensemble
+size. Each trajectory keeps its own counter-keyed noise
+stream, and every reduction over amplitudes is taken along the last axis row
+by row (never a matrix product across the batch), so a trajectory carries
+the same bits whatever batch it is advanced in. A batch is bounded in
+entries (`_batch_bounds`); besides its noise table it allocates only the
+per-step series it reads: the step norms and, for the gauge scheme, the
+amplitude growth and reconstruction ln c.
 
 Between snapshots, a step on a diagonal or tridiagonal model allocates no
 array the size of the batch. Each batch allocates its buffers once
@@ -150,8 +152,9 @@ _BOUNDARY_WARN = 1e-6
 # benchmark. A step's workspace holds about sixteen such arrays. It also
 # bounds the row block of a banded master stage: at 256 grid points one
 # 16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms for
-# the whole 64 Ki-entry matrix at once. `analysis` stacks as many amplitudes
-# per product of ensemble_average and per block of _filtering_residuals
+# the whole 64 Ki-entry matrix at once. It sets an ensemble's fold blocks
+# (`_block_rows`), and `analysis` stacks as many amplitudes per block of
+# _filtering_residuals
 _STEP_ENTRIES = 1 << 14
 
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
@@ -658,38 +661,44 @@ def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -
 def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
            table: np.ndarray | None, replay: bool, stacklevel: int, ring: bool = False):
     """Generate trajectories `first_index ..`, `n_rows` of them, of the run
-    `_prepare` built, one batch-sized `EnsembleResult` view per batch in
-    index order, each after its warnings and failure (`_report`).
+    `_prepare` built: each batch's warnings and failure (`_report`) in index
+    order, and once a fold block (`_block_rows`) is complete, an
+    `EnsembleResult` view of it whose `first_index` is its first trajectory.
 
-    The batches are contiguous ranges, one per pool task when several
-    workers resolve; each advances its rows of `table` (or noise it draws)
-    straight into a slot of one shared mapping. Without `ring` every batch
-    has its own slot, the slots tile one result of `n_rows` rows, and the
-    generator returns it (`_collect`). With `ring` the batches cycle through
-    n_workers + 1 slots, as many as `pool_map` keeps in flight, so a view's
-    rows are overwritten once the next batch is asked for."""
+    The batches are contiguous ranges within one block each, one per pool
+    task when several workers resolve; each advances its rows of `table` (or
+    noise it draws) straight into one shared mapping, where trajectory
+    first_index + i sits at row i mod m. Without `ring`, m is n_rows and the
+    generator returns the result (`_collect`). With `ring`, m is the fewest
+    whole blocks (at most n_rows) that hold the block being read and the
+    batches `pool_map` keeps in flight past it, which also hold a block
+    still filling, as its next batch ends within it; a view's rows are
+    overwritten once the next block is asked for."""
     if n_rows < 1:
         raise ValueError("n_trajectories must be at least 1")
     model = run["model"]
     n_workers = resolve_workers(None, n_rows)
     bounds = _batch_bounds(n_rows, model.dim, run["n_steps"], model.n_channels, n_workers)
-    width = bounds[0][1]
-    n_slots = min(n_workers + 1, len(bounds)) if ring else len(bounds)
-    out = _allocate(run, first_index, min(n_slots * width, n_rows), keep)
+    block = _block_rows(model.dim)
+    m = n_rows
+    if ring:
+        ahead = n_workers * bounds[0][1] if n_workers > 1 else 0
+        m = min(-(-(block + ahead) // block) * block, n_rows)
+    out = _allocate(run, first_index, m, keep)
 
-    def slot(lo: int) -> int:  # the first row of batch lo's slot
-        return lo // width % n_slots * width
+    def rows(lo: int, hi: int) -> EnsembleResult:
+        return out._rows(lo % m, lo % m + hi - lo, first_index + lo)
 
     def batch(lo: int, hi: int) -> np.ndarray:
-        rows = table[lo:hi] if table is not None else _noise_table(
+        noise = table[lo:hi] if table is not None else _noise_table(
             run["master_seed"], first_index + lo, first_index + hi, run["dt"], run["n_steps"],
             model.n_channels)
-        return _run_batch(run, out, slot(lo), slot(lo) + hi - lo, rows, replay)
+        return _run_batch(run, out, lo % m, lo % m + hi - lo, noise, replay)
 
     for (lo, hi), failure in zip(bounds, pool_map(batch, bounds, n_workers)):
-        view = out._rows(slot(lo), slot(lo) + hi - lo, first_index + lo)
-        _report(view, failure, stacklevel + 1)
-        yield view
+        _report(rows(lo, hi), failure, stacklevel + 1)
+        if hi % block == 0 or hi == n_rows:
+            yield rows(lo - lo % block, hi)
     return out
 
 
@@ -774,18 +783,31 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
+def _block_rows(dim: int) -> int:
+    """Rows of a fold block of an ensemble of `dim` amplitudes: at most
+    _STEP_ENTRIES amplitudes, and at least one row. The blocks start every
+    _block_rows(dim) trajectories from a run's first, whatever the worker
+    count, so a reduction that sums per block has the same bits however the
+    run is split into batches."""
+    return max(1, _STEP_ENTRIES // dim)
+
+
 def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
                   n_workers: int = 1) -> list[tuple[int, int]]:
-    """Contiguous (lo, hi) row ranges of at most _STEP_ENTRIES amplitudes in
-    a state array and _SERIES_ENTRIES entries in a per-step series of
-    n_channels * (n_steps + 1) per row (and of at least one row); for several
-    workers, equal ranges, a whole number per worker."""
-    rows = min(_STEP_ENTRIES // dim, _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
+    """Contiguous (lo, hi) row ranges that tile [0, n_rows), each within one
+    fold block (`_block_rows`): ranges of at most _STEP_ENTRIES amplitudes
+    in a state array and _SERIES_ENTRIES entries in a per-step series of
+    n_channels * (n_steps + 1) per row (and of at least one row), for
+    several workers equal ranges, a whole number per worker, each cut where
+    it crosses the edge of a block."""
+    block = _block_rows(dim)
+    rows = min(block, _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
     rows = min(max(1, rows), n_rows)
     if n_workers > 1:
         n_batches = -(-n_rows // rows)
         rows = -(-n_rows // (-(-n_batches // n_workers) * n_workers))
-    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+    cuts = sorted({*range(0, n_rows, rows), *range(0, n_rows, block)})
+    return list(zip(cuts, cuts[1:] + [n_rows]))
 
 
 def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
@@ -819,7 +841,8 @@ def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_
 
     At most n_workers + 1 ranges are in flight: range i + n_workers + 1 is
     submitted only once the caller has taken value i and asked for the next,
-    so what range i wrote may be reused from then on (`_drive`'s ring)."""
+    so while the caller holds value i, ranges i + 1 .. i + n_workers run, and
+    none with one worker (`_drive`'s ring)."""
     if n_workers <= 1:
         for lo, hi in bounds:
             yield fn(lo, hi)
@@ -863,30 +886,15 @@ def _ensemble_stream(model: ModelSpec, initial: StateVector, dt: float, n_steps:
                      master_seed: int, n_trajectories: int, scheme: str = "nonlinear",
                      observables: dict[str, Operator] | None = None, record_stride: int = 1):
     """The trajectories of `run_ensemble(..., slim=True)`, generated as one
-    batch-sized `EnsembleResult` view per batch, whose `first_index` is the
-    batch's first trajectory, in index order, with the same bits, warnings
-    and failure. The batches cycle through a ring of n_workers + 1 slots of
-    one shared mapping, so a view holds its rows only until the next batch
-    is asked for, and memory stays at a few batches whatever n_trajectories
-    is. `len()` of the stream is n_trajectories, the rows it will deliver
-    in all. `_prepare` checks the run when the stream is made; the
-    trajectories advance as it is read."""
+    `EnsembleResult` view per fold block (`_block_rows`), whose
+    `first_index` is the block's first trajectory, in index order, with the
+    same bits, warnings and failure. The rows cycle through a ring of whole
+    blocks of one shared mapping (`_drive`), so a view holds its rows only
+    until the next block is asked for, and memory stays at a few blocks
+    whatever n_trajectories is. `_prepare` checks the run when the stream
+    is made; the trajectories advance as it is read."""
     run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
-    return _Batches(_drive(run, 0, n_trajectories, (), None, False, stacklevel=1, ring=True),
-                    n_trajectories)
-
-
-class _Batches:
-    """An iterator of batch views and `len()`, the rows they hold in all."""
-
-    def __init__(self, batches, n_rows: int):
-        self._batches, self._n_rows = batches, n_rows
-
-    def __iter__(self):
-        return self._batches
-
-    def __len__(self) -> int:
-        return self._n_rows
+    return _drive(run, 0, n_trajectories, (), None, False, stacklevel=1, ring=True)
 
 
 @dataclass

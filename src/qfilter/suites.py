@@ -143,8 +143,8 @@ def suite_equivalence(cfg: RunConfig):
 def suite_ensemble(cfg: RunConfig):
     """Trajectory average against the averaged-equation solution, plus a
     closed-form decay self-check of the averaged integrator. The average
-    folds each batch as it finishes, so the suite holds a few batches and
-    one block of trajectories whatever the ensemble size."""
+    folds each block of trajectories as it finishes, so the suite holds a
+    few blocks whatever the ensemble size."""
     knobs = _suite_knobs(cfg, "ensemble")
 
     model = build_model(cfg)
@@ -155,10 +155,10 @@ def suite_ensemble(cfg: RunConfig):
     # the averaged equation first, so a model it refuses fails before any
     # trajectory is advanced; it stores the trajectories' snapshot times
     dtraj = solve_master(model, projector(initial), dt, n, store_stride=stride)
-    batches = _ensemble_stream(model, initial, dt, n, cfg.ensemble.master_seed,
-                               cfg.ensemble.n_trajectories, scheme=cfg.sim.scheme,
-                               record_stride=stride)
-    rep = ensemble_vs_master(batches, dtraj, times=dtraj.times[1:])
+    blocks = _ensemble_stream(model, initial, dt, n, cfg.ensemble.master_seed,
+                              cfg.ensemble.n_trajectories, scheme=cfg.sim.scheme,
+                              record_stride=stride)
+    rep = ensemble_vs_master(blocks, dtraj, times=dtraj.times[1:])
 
     deph = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     sup = StateVector(deph.basis, np.array([1.0, 1.0], dtype=complex) / np.sqrt(2.0))

@@ -140,27 +140,32 @@ def test_ensemble_average_matches_the_outer_product_loop():
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("block_rows, batch_rows, spans", [(8, 3, True), (2, 7, False)])
-def test_streamed_mean_has_the_bytes_of_the_collected_mean(monkeypatch, threads, block_rows,
-                                                          batch_rows, spans):
-    """The mean folded from the batch stream has the bytes of
-    `ensemble_average` of the collected run when a block spans several
-    batches and when a batch holds several blocks; in both the ring wraps,
-    with more batches than slots."""
+def test_streamed_mean_has_the_bytes_of_the_collected_mean(monkeypatch, threads):
+    """The mean folded from the block stream has the bytes of
+    `ensemble_average` of the collected run when a block holds several
+    batches, the ring wraps, and the ensemble ends inside a block."""
     monkeypatch.setenv("QFILTER_THREADS", threads)
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
-    dt, n, stride, count, workers = 1e-3, 12, 4, 20, int(threads)
-    monkeypatch.setattr(analysis, "_STEP_ENTRIES", block_rows * model.dim)
-    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", batch_rows * (n + 1))
-    bounds = solvers._batch_bounds(count, model.dim, n, 1, workers)
-    width = bounds[0][1]
-    assert width < block_rows if spans else width >= 2 * block_rows
-    assert len(bounds) > workers + 1
+    dt, n, stride, count, block = 1e-3, 12, 4, 20, 8
+    monkeypatch.setattr(solvers, "_STEP_ENTRIES", block * model.dim)
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 3 * (n + 1))
+    bounds = solvers._batch_bounds(count, model.dim, n, 1, int(threads))
+    assert solvers._block_rows(model.dim) == block
+    assert sum(hi <= block for _, hi in bounds) > 1
     collected = ensemble_average(run_ensemble(model, psi, dt, n, 3, count, scheme="gauge",
                                               record_stride=stride, slim=True))
-    streamed = ensemble_average(solvers._ensemble_stream(model, psi, dt, n, 3, count,
-                                                         scheme="gauge", record_stride=stride))
+    views = []
+
+    def kept(blocks):
+        for view in blocks:
+            views.append(view)
+            yield view
+
+    streamed = ensemble_average(kept(solvers._ensemble_stream(
+        model, psi, dt, n, 3, count, scheme="gauge", record_stride=stride)))
+    assert [(v.first_index, len(v)) for v in views] == [(0, 8), (8, 8), (16, 4)]
+    assert any(np.shares_memory(views[0].states, v.states) for v in views[1:])  # the ring wraps
     assert streamed.n_trajectories == count
     assert streamed.times.tobytes() == collected.times.tobytes()
     assert streamed.mean_density.tobytes() == collected.mean_density.tobytes()
@@ -190,13 +195,13 @@ def _mapped_peak(monkeypatch, run) -> int:
 
 def test_streamed_mean_shorter_than_a_block_copies_only_its_rows(monkeypatch):
     """A stream of fewer trajectories than one block peaks no higher than
-    the collected mean plus the bytes of its states: the block buffer holds
-    the rows the stream has left, not a whole block."""
+    the collected mean plus the bytes of its states: its ring holds the
+    rows of the ensemble, not a whole block."""
     monkeypatch.setenv("QFILTER_THREADS", "1")
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
     dt, n, stride, count = 1e-3, 50, 5, 16
-    assert count < analysis._STEP_ENTRIES // model.dim
+    assert count < solvers._block_rows(model.dim)
     args = (model, psi, dt, n, 0, count)
 
     def collected():

@@ -103,6 +103,33 @@ def test_projector_rejects_unnormalized_state():
         projector(StateVector(B2, np.array([2.0, 0.0], dtype=complex)))
 
 
+def test_projector_skips_the_eigenvalues_a_density_matrix_checks(monkeypatch):
+    """|v><v| is positive by construction, so `projector` computes no
+    eigenvalues (O(n^3)) and still makes the hermiticity and trace checks;
+    `DensityMatrix` itself still rejects a negative eigenvalue."""
+    calls = []
+    real = np.linalg.eigvalsh
+
+    def counted(mat):
+        calls.append(mat.shape)
+        return real(mat)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    psi = qf.gaussian_packet(Basis.from_grid(GridSpec(-8.0, 8.0, 64)), sigma=0.9)
+    rho = projector(psi)
+    assert calls == []
+    v = psi.amplitudes
+    assert rho.entries.tobytes() == np.outer(v, v.conj()).tobytes()
+    assert not rho.entries.flags.writeable
+    with pytest.raises(ValueError, match="eigenvalue"):
+        DensityMatrix(B2, np.diag([1.5, -0.5]).astype(complex))
+    assert calls == [(2, 2)]
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix._positive(B2, np.diag([1.5, 0.5]).astype(complex))
+    with pytest.raises(ValueError, match="hermitian"):
+        DensityMatrix._positive(B2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
 def test_trace_distance_pure_states():
     d = trace_distance(projector(KET0), projector(PLUS))
     assert d == pytest.approx(math.sqrt(0.5), abs=1e-12)

@@ -7,6 +7,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -844,6 +845,52 @@ def test_pool_keeps_one_range_beyond_its_workers_in_flight(monkeypatch):
         values.append(value)
     assert submitted == bounds
     assert values == [10 * lo for lo, _ in bounds]
+
+
+def _uncut_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
+                  n_workers: int) -> list[tuple[int, int]]:
+    """The equal ranges `_batch_bounds` cuts at block edges: at most
+    _STEP_ENTRIES amplitudes and _SERIES_ENTRIES series entries, a whole
+    number per worker."""
+    rows = min(solvers._STEP_ENTRIES // dim,
+               solvers._SERIES_ENTRIES // (n_channels * (n_steps + 1)))
+    rows = min(max(1, rows), n_rows)
+    if n_workers > 1:
+        n_batches = -(-n_rows // rows)
+        rows = -(-n_rows // (-(-n_batches // n_workers) * n_workers))
+    return [(lo, min(lo + rows, n_rows)) for lo in range(0, n_rows, rows)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n_rows=st.integers(1, 300), n_steps=st.integers(1, 30), n_channels=st.integers(1, 3),
+       n_workers=st.integers(1, 4), step_entries=st.integers(1, 64),
+       series_entries=st.integers(1, 2000))
+def test_batches_tile_the_fold_blocks(n_rows, n_steps, n_channels, n_workers, step_entries,
+                                      series_entries):
+    """The batch ranges tile [0, N) and none crosses the edge of a fold
+    block of R rows; a range of the equal-width rule that crosses none is
+    kept as it is. The stream yields exactly the blocks [kR, min((k+1)R,
+    N)) in order (the pool is replaced, so no trajectory is advanced)."""
+    dim = 2
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+
+    def no_run(fn, bounds, workers):  # every range succeeds
+        return (np.full(hi - lo, -1) for lo, hi in bounds)
+
+    with mock.patch.multiple(solvers, _STEP_ENTRIES=step_entries,
+                             _SERIES_ENTRIES=series_entries, pool_map=no_run), \
+            mock.patch.dict(os.environ, {"QFILTER_THREADS": str(n_workers)}):
+        block = solvers._block_rows(dim)
+        bounds = solvers._batch_bounds(n_rows, dim, n_steps, n_channels, n_workers)
+        uncut = _uncut_bounds(n_rows, dim, n_steps, n_channels, n_workers)
+        views = [(v.first_index, len(v)) for v in solvers._ensemble_stream(
+            model, _ket(1.0, 0.0), 1e-3, n_steps, 0, n_rows)]
+    assert block == max(1, step_entries // dim)
+    assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+    assert bounds[-1][1] == n_rows and all(lo < hi for lo, hi in bounds)
+    assert all(lo // block == (hi - 1) // block for lo, hi in bounds)
+    assert {r for r in uncut if r[0] // block == (r[1] - 1) // block} <= set(bounds)
+    assert views == [(lo, min(lo + block, n_rows) - lo) for lo in range(0, n_rows, block)]
 
 
 def test_resolve_workers(monkeypatch):
