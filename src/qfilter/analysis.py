@@ -17,6 +17,7 @@ BLAS thread against the pool's workers.
 from __future__ import annotations
 
 import contextlib
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .linalg import (
 from .models import ModelSpec
 from .noise import _coarsen
 from .solvers import (
-    _STEP_ENTRIES,
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
@@ -373,8 +373,8 @@ def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndar
     (..., n+1, dim) stack of states stored at every step, with its (..., n,
     c) Wiener increments, as a (..., n) array.
 
-    The stack is taken in blocks of whole rows when they fit in
-    _STEP_ENTRIES amplitudes, else of runs of steps of one row, which hold
+    The stack is taken in blocks of whole rows when they fit in a fold block
+    (`solvers._block_rows`), else of runs of steps of one row, which hold
     one state more (the run's end state); so the temporaries stay bounded
     however many rows and steps there are. Every
     reduction runs along the last axis: a row's residuals have the same bits
@@ -388,7 +388,7 @@ def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndar
     n = n1 - 1
     x = states.reshape(-1, n1, dim)
     e = dw.reshape(-1, n, model.n_channels)
-    per_block = max(1, _STEP_ENTRIES // dim)
+    per_block = _block_rows(dim)
     steps = min(n, per_block)
     rows = max(1, per_block // n1)
     res = np.empty((x.shape[0], n))
@@ -432,6 +432,23 @@ def filtering_residual(traj: TrajectoryResult, observable: Operator,
     )
 
 
+def _dt_ladder(dts) -> np.ndarray:
+    """The dt values of a convergence fit, largest first: at least four, positive,
+    distinct, in geometric sequence (else a ValueError says which rule fails)."""
+    if not (isinstance(dts, (list, tuple, np.ndarray)) and len(dts) >= 4 and all(
+            isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+            and 0 < x <= sys.float_info.max for x in dts)):
+        raise ValueError("must list at least four positive dt values")
+    ladder = np.sort(np.asarray(dts, dtype=float))[::-1]
+    with np.errstate(all="ignore"):
+        ratios = ladder[:-1] / ladder[1:]
+        if np.any(ratios <= 1.0 + 1e-9):
+            raise ValueError("dt values must be distinct")
+        if not np.allclose(ratios, ratios[0], rtol=1e-9):
+            raise ValueError("dt values must form a geometric sequence")
+    return ladder
+
+
 @dataclass
 class OrderReport:
     dts: np.ndarray
@@ -446,7 +463,8 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
                           scheme: str = "nonlinear", ref_refine: int = 64) -> OrderReport:
     """Pathwise convergence rate against a refined run on the same noise.
 
-    Each seed draws one fine Wiener path at min(dts)/ref_refine, integrates a
+    `dts` obey `_dt_ladder` (distinct, geometric, held largest first). Each
+    seed draws one fine Wiener path at min(dts)/ref_refine, integrates a
     reference trajectory on it, then reruns at every coarser dt on the summed
     increments of that same path. The error is the plain normed state
     difference at t_final (no phase alignment: the schemes fix the phase, so
@@ -455,12 +473,7 @@ def strong_order_estimate(model: ModelSpec, initial: StateVector, t_final: float
     diagnostic (their scatter is wide, the error distribution has heavy
     tails, so slope_se is a conservative figure).
     """
-    dts = np.sort(np.asarray(dts, dtype=float))[::-1]
-    if dts.size < 4:
-        raise ValueError("need at least four dt values")
-    ratios = dts[:-1] / dts[1:]
-    if not np.allclose(ratios, ratios[0], rtol=1e-9):
-        raise ValueError("dt values must form a geometric sequence")
+    dts = _dt_ladder(dts)
     if n_seeds < 2:
         raise ValueError("need at least two seeds for a slope spread")
     ref_dt = dts[-1] / ref_refine

@@ -21,16 +21,18 @@ default fills a missing key, and the check returns a given value as it is
 stored or says what is wrong with it. The parameters of each potential and
 the knobs of each verification suite are declared the same way. One reader
 applies a table: it rejects unknown keys, checks every given value and fills
-the defaults; `RunConfig.resolved()` echoes the same keys. Only `model`,
+the defaults. The record of each model kind and of `sim`, `ensemble` and
+`output` is built from its table, one field per key, so a new key is one
+entry; `RunConfig.resolved()` echoes the same keys. Only `model`,
 `sim.dt` and `sim.t_final` are required. Code handles what a table cannot
 say: the model kind, amplitudes or gaussian, observable lists and inline
 matrices (with the model's default state and observables), and the rules
 across keys (x_max > x_min, a table potential's length, t_final a multiple
-of dt, csv always among the formats). Every suite's knobs are checked here, whatever the command; the
-suites check only what needs their model or protocol. All validation
-problems are collected and raised together with dotted field paths. `--set`
-style overrides edit the raw JSON tree before validation, values parsed as
-JSON with a plain-string fallback.
+of dt, csv always among the formats). Every suite's knobs are checked here,
+whatever the command; the suites check only what needs their model or
+protocol. All validation problems are collected and raised together with
+dotted field paths. `--set` style overrides edit the raw JSON tree before
+validation, values parsed as JSON with a plain-string fallback.
 """
 
 from __future__ import annotations
@@ -39,11 +41,12 @@ import copy
 import json
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, make_dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .analysis import _dt_ladder
+from .errors import ConfigError, NormalizationError
 from .linalg import GridSpec, Operator, StateVector
 from .models import (
     PAULI,
@@ -105,16 +108,11 @@ def _at_least(n: int):
 
 
 def _dts(v):
-    """At least four positive dt values in geometric sequence, largest first."""
-    if not isinstance(v, (list, tuple)) or len(v) < 4 \
-            or not all(_is_num(x) and x > 0 for x in v):
-        raise _Invalid("must list at least four positive dt values")
-    dts = np.sort(np.asarray(v, dtype=float))[::-1]
-    with np.errstate(all="ignore"):
-        ratios = dts[:-1] / dts[1:]
-        if not np.allclose(ratios, ratios[0], rtol=1e-9):
-            raise _Invalid("dt values must form a geometric sequence")
-    return dts
+    """`analysis._dt_ladder`, its ValueError as a rejected value."""
+    try:
+        return _dt_ladder(v)
+    except ValueError as exc:
+        raise _Invalid(str(exc)) from None
 
 
 _POSITIVE = (lambda v: v > 0, "must be positive")
@@ -307,48 +305,17 @@ class ObservableConfig:
 
 
 @dataclass(frozen=True)
-class QubitModelConfig:
-    h_field: tuple[float, float, float]
-    channel: str
-    kind: str = "qubit"
-
-
-@dataclass(frozen=True)
-class GridModelConfig:
-    x_min: float
-    x_max: float
-    n_points: int
-    potential: str
-    potential_params: dict
-    mass: float
-    kind: str = "grid1d"
-
-
-@dataclass(frozen=True)
 class InitialConfig:
     amplitudes: tuple[complex, ...] | None = None
     gaussian: tuple[float, float, float] | None = None  # (x0, p0, sigma)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    dt: float
-    t_final: float
-    scheme: str
-    record_stride: int
-    observables: tuple[ObservableConfig, ...]
-
-
-@dataclass(frozen=True)
-class EnsembleConfig:
-    n_trajectories: int
-    master_seed: int
-
-
-@dataclass(frozen=True)
-class OutputConfig:
-    directory: str | None
-    formats: tuple[str, ...]
+# the records of the sections a table declares whole, one field per key
+QubitModelConfig, GridModelConfig, SimConfig, EnsembleConfig, OutputConfig = (
+    make_dataclass(name, list(table), frozen=True, namespace={"__module__": __name__})
+    for name, table in (("QubitModelConfig", _MODELS["qubit"]),
+                        ("GridModelConfig", _MODELS["grid1d"]), ("SimConfig", _SIM),
+                        ("EnsembleConfig", _ENSEMBLE), ("OutputConfig", _OUTPUT)))
 
 
 def _plain(v):
@@ -417,7 +384,7 @@ def _parse_model(data: dict, col: _Collector):
         return None
     m = col.read(sec, "model", _MODELS[kind])
     if kind == "qubit":
-        return QubitModelConfig(**m)
+        return QubitModelConfig(kind=kind, **m)
     if m["x_max"] <= m["x_min"]:
         col.add("model.x_max", "must exceed model.x_min")
     # any problem with the potential's parameters is one problem, with its message
@@ -426,7 +393,7 @@ def _parse_model(data: dict, col: _Collector):
     params = pcol.read(m["potential_params"], "model.potential_params", keys)
     if pcol.problems or m["potential"] == "table" and len(params["values"]) != m["n_points"]:
         col.add("model.potential_params", msg)
-    return GridModelConfig(**m)
+    return GridModelConfig(kind=kind, **m)
 
 
 def _parse_initial(data: dict, model, col: _Collector) -> InitialConfig | None:
@@ -626,7 +593,11 @@ def build_initial(cfg: RunConfig, model: ModelSpec) -> StateVector:
                                 f"expected {model.dim} entries, got {amps.size}")])
         return StateVector(model.basis, amps).normalized()
     x0, p0, sigma = cfg.initial.gaussian
-    return gaussian_packet(model.basis, x0=x0, p0=p0, sigma=sigma, hbar=model.hbar)
+    try:
+        return gaussian_packet(model.basis, x0=x0, p0=p0, sigma=sigma, hbar=model.hbar)
+    except NormalizationError:
+        raise ConfigError([("initial.gaussian",
+                            "the packet has no finite weight on the grid")]) from None
 
 
 def build_observables(cfg: RunConfig, model: ModelSpec) -> dict[str, Operator]:

@@ -162,10 +162,10 @@ def _structure_of(matrix: np.ndarray) -> str:
     return "dense"
 
 
-def _detect_flag(matrix: np.ndarray) -> bool:
-    """Whether the matrix is hermitian to 1e-12 relative to its largest entry."""
+def _detect_flag(matrix: np.ndarray, tol: float = _FLAG_TOL) -> bool:
+    """Whether max |M - M^H| <= tol * max(1, max |M|); a NaN entry fails it."""
     scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= _FLAG_TOL * scale)
+    return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= tol * scale)
 
 
 # adding it leaves every complex value as it was, signed zeros included
@@ -360,11 +360,10 @@ class DensityMatrix:
         d = self.basis.dim
         if mat.shape != (d, d):
             raise BasisMismatchError(f"entries shape {mat.shape} does not match dim {d}")
-        scale = max(1.0, float(np.abs(mat).max(initial=0.0)))
-        if np.abs(mat - mat.conj().T).max(initial=0.0) > 1e-10 * scale:
+        if not _detect_flag(mat, 1e-10):
             raise ValueError("density matrix is not hermitian within 1e-10")
         tr = float(np.trace(mat).real) * self.basis.weight
-        if abs(tr - 1.0) > 1e-8:
+        if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-8")
         object.__setattr__(self, "entries", _frozen_array(mat))
         return self.entries

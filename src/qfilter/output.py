@@ -29,6 +29,7 @@ import hashlib
 import itertools
 import json
 import multiprocessing
+import os
 import signal
 import struct
 from pathlib import Path
@@ -439,12 +440,24 @@ def load_manifest(run_dir) -> dict:
         raise ArtifactMismatchError(f"corrupt manifest under {run_dir}: {exc}") from None
 
 
+def _regular_files(top, prefix: str = ""):
+    """`/`-joined relative paths of the regular files under `top`, following no symlink."""
+    for entry in os.scandir(top):
+        if entry.is_dir(follow_symlinks=False):
+            yield from _regular_files(entry.path, f"{prefix}{entry.name}/")
+        elif entry.is_file(follow_symlinks=False):
+            yield prefix + entry.name
+
+
 def verify_artifacts(run_dir) -> dict:
-    """Recompute every checksum in the manifest, 64 KiB at a time; returns the manifest."""
+    """Recompute every checksum in the manifest, 64 KiB at a time; returns the manifest.
+    If a key names no regular file in the run directory (via no symlink), none is opened."""
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir)
-    problems = []
-    for relpath, meta in manifest.get("files", {}).items():
+    files = manifest.get("files", {})
+    present = set(_regular_files(run_dir))
+    problems = [f"{k}: missing from the run directory" for k in files if k not in present]
+    for relpath, meta in files.items() if not problems else ():
         digest = hashlib.sha256()
         try:
             with open(run_dir / relpath, "rb") as fh:

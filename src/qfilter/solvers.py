@@ -153,8 +153,8 @@ _BOUNDARY_WARN = 1e-6
 # bounds the row block of a banded master stage: at 256 grid points one
 # 16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms for
 # the whole 64 Ki-entry matrix at once. It sets an ensemble's fold blocks
-# (`_block_rows`), and `analysis` stacks as many amplitudes per block of
-# _filtering_residuals
+# and `analysis._filtering_residuals`' row blocks too. Only `_block_rows`
+# reads it
 _STEP_ENTRIES = 1 << 14
 
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
@@ -956,7 +956,7 @@ def _banded_stage(generator: Operator, channels):
     n = d.size
     if up is None:
         up = lo = np.zeros(n, dtype=complex)
-    rows = max(1, min(_STEP_ENTRIES // n, n))
+    rows = min(_block_rows(n), n)
     tmp = np.empty(rows * n, dtype=complex)
     coef = np.add.outer(d, d.conj())
     np.negative(coef, out=coef)

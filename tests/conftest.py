@@ -38,64 +38,75 @@ def _safe(fn):
         return exc
 
 
-@pytest.fixture(scope="session")
-def equivalence_run():
-    """Equivalence suite: qubit, x-axis field, full observation, dt=1e-4."""
-    cfg = parse_config_data({
+# Each suite's frozen configuration. scripts/compare_artifacts.py runs them
+# too, the gauge suite at the equivalence one.
+SUITE_CONFIGS = {
+    # qubit, x-axis field, full observation, dt=1e-4
+    "equivalence": {
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"hbar": 1.0, "lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-4, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
-    })
-    return _safe(lambda: run_suite("equivalence", cfg))
-
-
-@pytest.fixture(scope="session")
-def ensemble_run():
-    cfg = parse_config_data({
+    },
+    "ensemble": {
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"n_trajectories": 2000, "master_seed": 2026},
-    })
-    return _safe(lambda: run_suite("ensemble", cfg))
-
-
-@pytest.fixture(scope="session")
-def born_run():
+    },
     # amplitudes are sqrt(0.7), sqrt(0.3)
-    cfg = parse_config_data({
+    "born": {
         "model": {"kind": "qubit", "h_field": [0.0, 0.0, 0.0], "channel": "sigma_z"},
         "initial": {"amplitudes": [0.8366600265340756, 0.5477225575051661]},
         "sim": {"dt": 1e-3, "t_final": 5.0},
         "ensemble": {"n_trajectories": 2000, "master_seed": 7},
-    })
-    return _safe(lambda: run_suite("born", cfg))
-
-
-@pytest.fixture(scope="session")
-def order_run():
+    },
     # the suite pins its own benchmark model; the config only needs to be valid
-    cfg = parse_config_data({
+    "order": {
         "model": {"kind": "qubit"},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
-    })
-    return _safe(lambda: run_suite("order", cfg))
-
-
-@pytest.fixture(scope="session")
-def filtering_run():
-    cfg = parse_config_data({
+    },
+    "filtering": {
         "model": {"kind": "qubit", "h_field": [1.0, 0.0, 0.0], "channel": "sigma_z"},
         "constants": {"lambda": 1.0},
         "initial": {"amplitudes": [1.0, 0.0]},
         "sim": {"dt": 1e-3, "t_final": 1.0},
         "ensemble": {"master_seed": 2026},
-    })
-    return _safe(lambda: run_suite("filtering", cfg))
+    },
+}
+
+
+def _suite_run(suite: str):
+    cfg = parse_config_data(SUITE_CONFIGS[suite])
+    return _safe(lambda: run_suite(suite, cfg))
+
+
+@pytest.fixture(scope="session")
+def equivalence_run():
+    return _suite_run("equivalence")
+
+
+@pytest.fixture(scope="session")
+def ensemble_run():
+    return _suite_run("ensemble")
+
+
+@pytest.fixture(scope="session")
+def born_run():
+    return _suite_run("born")
+
+
+@pytest.fixture(scope="session")
+def order_run():
+    return _suite_run("order")
+
+
+@pytest.fixture(scope="session")
+def filtering_run():
+    return _suite_run("filtering")
 
 
 @pytest.fixture(scope="session")

@@ -228,8 +228,7 @@ def test_streamed_mean_holds_as_much_for_any_ensemble_size(monkeypatch):
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
     dt, n, rows = 1e-3, 50, 16
-    monkeypatch.setattr(solvers, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches
-    monkeypatch.setattr(analysis, "_STEP_ENTRIES", rows * model.dim)  # and blocks
+    monkeypatch.setattr(solvers, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches and blocks
 
     def peak(count: int) -> int:
         return _mapped_peak(monkeypatch, lambda: ensemble_average(
@@ -557,7 +556,7 @@ def test_stacked_kernels_give_each_row_its_own_bits(case, rows, n, entries, quad
     states = rng.standard_normal((rows, n + 1, dim)) + 1j * rng.standard_normal((rows, n + 1, dim))
     dw = 0.03 * rng.standard_normal((rows, n, c))
     # the monkeypatch fixture does not reset between hypothesis examples
-    with mock.patch.object(qf.analysis, "_STEP_ENTRIES", entries):
+    with mock.patch.object(qf.solvers, "_STEP_ENTRIES", entries):
         stacked = _filtering_residuals(model, obs, states, dw, 1e-3, quad)
     assert stacked.shape == (rows, n)
     for i in range(rows):
@@ -607,6 +606,8 @@ def test_strong_order_estimate_structure_and_validation():
         strong_order_estimate(model, KET0, 0.2, [8e-3, 4e-3, 2e-3], 7, 2)
     with pytest.raises(ValueError, match="geometric"):
         strong_order_estimate(model, KET0, 0.2, [8e-3, 4e-3, 2e-3, 1.5e-3], 7, 2)
+    with pytest.raises(ValueError, match="distinct"):
+        strong_order_estimate(model, KET0, 0.2, [2e-3] * 4, 7, 2)
     with pytest.raises(ValueError, match="seeds"):
         strong_order_estimate(model, KET0, 0.2, dts, 7, 1)
     with pytest.raises(ValueError, match="multiple"):

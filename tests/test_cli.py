@@ -300,6 +300,18 @@ def test_bad_suite_knob_exits_2(tmp_path, capsys):
     assert "at least four" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["order", "filtering"])
+def test_equal_dts_exit_2(tmp_path, capsys, suite):
+    """Four equal dt values would fit a slope through one point."""
+    cfg_path = _write_cfg(tmp_path)
+    rc = main(["verify", "--suite", suite, "--config", str(cfg_path),
+               "--set", f"verify.{suite}.dts=[0.002, 0.002, 0.002, 0.002]",
+               "--out", str(tmp_path / "rep")])
+    assert rc == 2
+    assert f"verify.{suite}.dts: dt values must be distinct" in capsys.readouterr().err
+    assert not (tmp_path / "rep").exists()
+
+
 def test_unknown_verify_knob_fails_every_command(tmp_path, capsys):
     cfg_path = _write_cfg(tmp_path)
     rc = main(["simulate", "--config", str(cfg_path), "--set", "verify.born.bogus=1",
@@ -334,6 +346,16 @@ def test_non_numeric_potential_center_exits_2(tmp_path, capsys):
     rc = main(["master", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
     assert rc == 2
     assert "model.potential_params: harmonic needs omega > 0" in capsys.readouterr().err
+
+
+def test_packet_off_the_grid_exits_2(tmp_path, capsys):
+    cfg_path = _write_cfg(tmp_path, model={"kind": "grid1d", "n_points": 16},
+                          initial={"gaussian": {"x0": 1000.0}})
+    rc = main(["simulate", "--config", str(cfg_path), "--out", str(tmp_path / "run")])
+    assert rc == 2
+    assert ("initial.gaussian: the packet has no finite weight on the grid"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "run").exists()
 
 
 def test_export_plot_cli_round_trip(tmp_path, capsys):

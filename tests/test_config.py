@@ -423,6 +423,7 @@ def test_resolved_echo_keeps_its_bytes(name):
     ("order", "ref_refine", 1, "must be an integer of at least 2"),
     ("order", "dts", [2**1100, 4, 2, 1], "must list at least four positive dt values"),
     ("filtering", "dts", [1e-3, 5e-4, 2.5e-4, 1e-4], "dt values must form a geometric sequence"),
+    ("filtering", "dts", [2e-3] * 4, "dt values must be distinct"),
     ("filtering", "include_quadratic_correction", "yes", "must be a boolean"),
     ("gauge", "bogus", 1, "unknown knob"),
 ])

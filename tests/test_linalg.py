@@ -206,6 +206,13 @@ def test_density_matrix_validation():
     negative = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix(basis, negative)
+    for nan_at in ((0, 1), (0, 0)):  # off and on the diagonal
+        entries = np.diag([0.5, 0.5]).astype(complex)
+        entries[nan_at] = entries[nan_at[::-1]] = np.nan
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix(basis, entries)
+        with pytest.raises(ValueError, match="not hermitian"):
+            DensityMatrix._positive(basis, entries)
 
 
 def test_state_vector_validation():

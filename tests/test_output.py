@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 import multiprocessing
+import re
 import tracemalloc
 from unittest import mock
 
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 import qfilter as qf
 from qfilter import output
+from qfilter.cli import main
 from qfilter.config import build_initial, build_model, build_observables, parse_config_data
 from qfilter.output import (
     MasterExport,
@@ -185,6 +187,32 @@ def test_tampering_is_detected(tmp_path, small_run):
     (out / "traj_000001" / "record.csv").unlink()
     with pytest.raises(qf.ArtifactMismatchError, match="missing"):
         qf.verify_artifacts(out)
+
+
+@pytest.mark.parametrize("via", ["dotdot", "absolute", "symlink"])
+def test_manifest_keys_outside_the_run_are_rejected(tmp_path, small_run, capsys, via):
+    """A manifest key that leaves the run directory fails the check, even
+    with the outside file's true sha256, directly and through export-plot."""
+    results, echo = small_run
+    out = write_simulation(tmp_path / "run", echo, results)
+    outside = tmp_path / "outside.txt"
+    outside.write_bytes(b"not part of the run\n")
+    key = {"dotdot": "../outside.txt", "absolute": str(outside), "symlink": "link.txt"}[via]
+    if via == "symlink":
+        (out / key).symlink_to(outside)
+    manifest = json.loads((out / "manifest.json").read_text(encoding="utf-8"))
+    manifest["files"][key] = {"sha256": hashlib.sha256(outside.read_bytes()).hexdigest(),
+                              "bytes": outside.stat().st_size}
+    (out / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+    problem = f"{key}: missing from the run directory"
+    with pytest.raises(qf.ArtifactMismatchError, match=re.escape(problem)):
+        qf.verify_artifacts(out)
+    dest = tmp_path / "plot.csv"
+    rc = main(["export-plot", "--in", str(out), "--what", "expectation:sigma_z",
+               "--out", str(dest)])
+    assert rc == 2
+    assert problem in capsys.readouterr().err
+    assert not dest.exists()
 
 
 def test_manifest_loading_failures(tmp_path):
