@@ -36,7 +36,10 @@ keeping its step norms and record, and replaying that record. The result's
 arrays live in a shared mapping, which tracemalloc does not trace. It then
 lists how `run_ensemble` splits four runs into batches with one worker and
 with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
-is replaced for this so that no trajectory is advanced.
+is replaced for this so that no trajectory is advanced. A batch holds at
+most half a fold block, so the `verify-ensemble-grid` run makes 64-row
+batches, and the two that two workers keep in flight fill one block of the
+stream's ring.
 
 The ensemble-averaging tables time `analysis._fold_block`, the fold of one
 block of trajectories into the mean, at the shape of the
@@ -81,7 +84,8 @@ os.environ["QFILTER_THREADS"] = "1"
 COLUMNS = {"nonlinear = linear": "nonlinear", "gauge": "gauge"}
 
 # name: (dim, trajectories, steps, record stride, dt); qubit batches hold 256
-# rows, the 128-point grid 128 rows and the 512-point grid 32. The 512-point
+# rows, and grid batches half a fold block: 64 rows on the 128-point grid and
+# 16 on the 512-point grid. The 512-point
 # grid steps at dt = 1e-4: at 1e-3 its Euler-type steps are unstable and the
 # packet reaches the walls.
 CASES = {

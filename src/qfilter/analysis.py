@@ -11,7 +11,9 @@ The ensemble mean also reads a stream of fold blocks
 index, where the block lies, so a stream and the collected result give the
 same bits, and it holds the mean beside the stream's few blocks. The fold
 runs BLAS on one thread (`_one_blas_thread`), so it does not spin a second
-BLAS thread against the pool's workers.
+BLAS thread against the pool's workers. `ensemble_vs_master` can then
+compare the mean with the averaged equation while it is solved, each
+checkpoint as the solver stores it, so no master history is held either.
 """
 
 from __future__ import annotations
@@ -42,6 +44,7 @@ from .solvers import (
     _re_rowdot,
     _rowdot,
     _run_rows,
+    _time_hits,
     time_index,
 )
 
@@ -184,23 +187,62 @@ class ComparisonReport:
     max_distance: float
 
 
-def ensemble_vs_master(summary, master: DensityTrajectory,
-                       times=None) -> ComparisonReport:
-    """Trace distance between the ensemble mean and the averaged equation.
+def _distance(summary: EnsembleSummary, t: float, rho: np.ndarray) -> float:
+    """Trace distance between the ensemble mean at time `t` and the
+    averaged-equation matrix `rho`, each checked as a density matrix."""
+    return trace_distance(summary.density_at(t), DensityMatrix(summary.basis, rho))
+
+
+def _replay(dtraj: DensityTrajectory):
+    """A solve function, as `ensemble_vs_master` takes one, that hands the
+    matrices `dtraj` kept to its hook in order and returns `dtraj`."""
+    def solve(hook):
+        for t, rho in zip(dtraj.times, dtraj._history()):
+            hook(t, rho)
+        return dtraj
+    return solve
+
+
+def ensemble_vs_master(summary, master, times=None) -> ComparisonReport:
+    """Trace distance between the ensemble mean and the averaged equation
+    at each of `times`, by default the ensemble's snapshot times.
 
     `summary` is an EnsembleSummary, or an EnsembleResult or the fold blocks
-    of one to average (`ensemble_average`).
+    of one to average (`ensemble_average`). `master` is a function that
+    solves the averaged equation with the `on_store` hook it is handed
+    (`solvers.solve_master`'s) and returns the trajectory, or a
+    DensityTrajectory that kept its matrices, which are handed to the hook
+    in turn. The hook compares the first matrix stored at each of `times`
+    as the solve reaches it, so no history is kept; what a comparison
+    raises is raised once the solve returns, so a solve that turns unstable
+    fails with its own error, as when it runs first.
     """
     if not isinstance(summary, EnsembleSummary):
         summary = ensemble_average(summary)
-    if summary.basis != master.basis:
-        raise BasisMismatchError("ensemble and averaged run use different bases")
-    if times is None:
-        times = summary.times
-    times = np.asarray(times, dtype=float)
+    if isinstance(master, DensityTrajectory):
+        master = _replay(master)
+    times = np.asarray(summary.times if times is None else times, dtype=float)
     dists = np.empty(times.size)
-    for i, t in enumerate(times):
-        dists[i] = trace_distance(summary.density_at(t), master.density_at(t))
+    done = np.zeros(times.size, dtype=bool)
+    failed = []
+
+    def compare(t: float, rho: np.ndarray) -> None:
+        hits = _time_hits(times, t)
+        hits = hits[~done[hits]]
+        if failed or not hits.size:
+            return
+        done[hits] = True
+        try:
+            dists[hits] = _distance(summary, t, rho)
+        except (ValueError, BasisMismatchError) as exc:  # raised after the solve
+            failed.append(exc)
+
+    if master(compare).basis != summary.basis:
+        raise BasisMismatchError("ensemble and averaged run use different bases")
+    if failed:
+        raise failed[0]
+    if not done.all():
+        raise ValueError(f"time {times[~done][0]} is not a stored snapshot")
     return ComparisonReport(times, dists, float(dists.max()))
 
 

@@ -20,6 +20,24 @@ DEFAULT_ORACLE_CAP = 512
 
 _FLAG_TOL = 1e-12
 
+# amplitudes of one block (256 KiB of complex128), the one block size of the
+# package's bounded passes:
+#  - an ensemble's fold blocks, 128 rows at 128 grid points
+#    (`solvers._block_rows`, which also sets the row blocks of
+#    `analysis._filtering_residuals`);
+#  - a trajectory batch, at most half a fold block. Halving it (128 -> 64
+#    rows at 128 points, 32 -> 16 at 512) kept the cost per trajectory-step
+#    within the host's noise (`scripts/kernel_bench.py`, one worker, five
+#    alternated runs each, 2-core host): at 128 points 2.94-5.19 -> 2.51-3.58
+#    us for the map and 7.59-9.52 -> 6.83-9.55 us for the gauge, at 512
+#    points 11.2-15.0 -> 10.7-15.0 and 28.5-35.6 -> 25.1-36.8 us; 512-row
+#    batches ran 25 % slower than 128-row ones at 128 points;
+#  - the row block of a banded master stage: at 256 grid points one
+#    16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms
+#    for the whole 64 Ki-entry matrix at once;
+#  - the row blocks of the hermiticity test `_detect_flag`.
+_STEP_ENTRIES = 1 << 14
+
 # entries of the (rows, dim, dim) product a dense `apply` forms at a time
 # (4 MiB of complex128)
 _DENSE_APPLY_ENTRIES = 1 << 18
@@ -163,9 +181,21 @@ def _structure_of(matrix: np.ndarray) -> str:
 
 
 def _detect_flag(matrix: np.ndarray, tol: float = _FLAG_TOL) -> bool:
-    """Whether max |M - M^H| <= tol * max(1, max |M|); a NaN entry fails it."""
-    scale = max(1.0, float(np.abs(matrix).max(initial=0.0)))
-    return bool(np.abs(matrix - matrix.conj().T).max(initial=0.0) <= tol * scale)
+    """Whether max |M - M^H| <= tol * max(1, max |M|); a NaN entry fails it.
+
+    Both maxima are taken over the row blocks of `solvers._block_rows`,
+    whose rule is written out here as linalg cannot import it, so the test
+    makes a few block-sized temporaries, not n x n ones; a maximum is exact,
+    and np.max keeps a NaN, so the verdict is that of the whole matrix."""
+    n = matrix.shape[0]
+    rows = max(1, _STEP_ENTRIES // n)
+    peaks, skews = [], []
+    for i in range(0, n, rows):
+        block = matrix[i:i + rows]
+        peaks.append(np.abs(block).max(initial=0.0))
+        skews.append(np.abs(block - matrix[:, i:i + rows].conj().T).max(initial=0.0))
+    scale = max(1.0, float(np.max(peaks, initial=0.0)))
+    return bool(np.max(skews, initial=0.0) <= tol * scale)
 
 
 # adding it leaves every complex value as it was, signed zeros included

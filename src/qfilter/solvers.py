@@ -34,7 +34,8 @@ array and makes each numpy call once per step for all of them, so the
 Python overhead of a step is shared by the batch; the step operators are
 built once per run. Each batch lies within one fold block of
 `_block_rows(dim)` trajectories counted from the first, the one partition of
-an ensemble, and writes straight into its rows of one shared mapping.
+an ensemble, holds at most half of one, and writes straight into its rows of
+one shared mapping.
 `run_ensemble` puts trajectory i at row i, so the rows tile one
 `EnsembleResult`, an array per quantity with a row per trajectory, and
 `run_trajectory` is row 0 of a one-row run. `_ensemble_stream` puts it at
@@ -129,6 +130,7 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .linalg import (
+    _STEP_ENTRIES,
     DEFAULT_ORACLE_CAP,
     Basis,
     DensityMatrix,
@@ -146,17 +148,6 @@ SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
 
-# amplitudes in one batch's (B, dim) state array (256 KiB of complex128): at
-# 128 grid points this is 128 rows; 512 rows ran 25 % slower per
-# trajectory-step, and 64 rows ran no faster on the 128-point verify
-# benchmark. A step's workspace holds about sixteen such arrays. It also
-# bounds the row block of a banded master stage: at 256 grid points one
-# 16 Ki-entry block per operand took 4.9 ms per RK4 step against 6.5 ms for
-# the whole 64 Ki-entry matrix at once. It sets an ensemble's fold blocks
-# and `analysis._filtering_residuals`' row blocks too. Only `_block_rows`
-# reads it
-_STEP_ENTRIES = 1 << 14
-
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
 # its noise table and a few whole-run float series trace to 18-45 bytes per
 # row-step with one channel (`scripts/kernel_bench.py`), 47 MB at this bound
@@ -166,9 +157,14 @@ _SERIES_ENTRIES = 1 << 20
 _RECONSTRUCTION, _AMPLITUDE, _STATE = range(3)
 
 
+def _time_hits(times: np.ndarray, t: float) -> np.ndarray:
+    """Indices of the entries of `times` within 1e-9 + 1e-12 |t| of `t`."""
+    return np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
+
+
 def time_index(times: np.ndarray, t: float) -> int:
     """Index of the first stored time within 1e-9 + 1e-12 |t| of `t`."""
-    hits = np.nonzero(np.isclose(times, t, rtol=0.0, atol=1e-9 + 1e-12 * abs(t)))[0]
+    hits = _time_hits(times, t)
     if hits.size == 0:
         raise ValueError(f"time {t} is not a stored snapshot")
     return int(hits[0])
@@ -579,8 +575,10 @@ class EnsembleResult:
 
 
 def _stored_steps(n_steps: int, stride: int) -> np.ndarray:
-    """Steps 0, stride, 2*stride, .. of a run, and the last step n_steps."""
-    return np.union1d(np.arange(0, n_steps + 1, stride), [n_steps])
+    """Steps 0, stride, 2*stride, .. of a run, and the last step n_steps,
+    as int64 (no set routine: `np.union1d` imports numpy.ma)."""
+    steps = np.arange(0, n_steps + 1, stride, dtype=np.int64)
+    return steps if steps[-1] == n_steps else np.append(steps, np.int64(n_steps))
 
 
 def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_steps: int,
@@ -672,7 +670,8 @@ def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
     generator returns the result (`_collect`). With `ring`, m is the fewest
     whole blocks (at most n_rows) that hold the block being read and the
     batches `pool_map` keeps in flight past it, which also hold a block
-    still filling, as its next batch ends within it; a view's rows are
+    still filling, as its next batch ends within it: two blocks with two
+    workers, whose half-block batches in flight fill one. A view's rows are
     overwritten once the next block is asked for."""
     if n_rows < 1:
         raise ValueError("n_trajectories must be at least 1")
@@ -795,13 +794,14 @@ def _block_rows(dim: int) -> int:
 def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
                   n_workers: int = 1) -> list[tuple[int, int]]:
     """Contiguous (lo, hi) row ranges that tile [0, n_rows), each within one
-    fold block (`_block_rows`): ranges of at most _STEP_ENTRIES amplitudes
-    in a state array and _SERIES_ENTRIES entries in a per-step series of
-    n_channels * (n_steps + 1) per row (and of at least one row), for
-    several workers equal ranges, a whole number per worker, each cut where
-    it crosses the edge of a block."""
+    fold block (`_block_rows`): ranges of at most half a block (so the
+    batches two workers keep in flight past a block fill one block, and
+    `_drive`'s ring holds two) and _SERIES_ENTRIES entries in a per-step
+    series of n_channels * (n_steps + 1) per row (and of at least one row),
+    for several workers equal ranges, a whole number per worker, each cut
+    where it crosses the edge of a block."""
     block = _block_rows(dim)
-    rows = min(block, _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
+    rows = min(max(1, block // 2), _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
     rows = min(max(1, rows), n_rows)
     if n_workers > 1:
         n_batches = -(-n_rows // rows)
@@ -1027,6 +1027,23 @@ def _dense_stage(generator: Operator, channels):
     return stage
 
 
+def _check_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
+                  store_stride: int) -> None:
+    """Raise what `solve_master` raises for a run it refuses, before it
+    builds anything: a dimension above the dense cap, a mismatched basis, or
+    a step, step count or stride out of range."""
+    if model.dim > DEFAULT_ORACLE_CAP:
+        raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
+    if rho0.basis != model.basis:
+        raise BasisMismatchError("initial density basis does not match the model")
+    if dt <= 0:
+        raise ValueError("dt must be positive")
+    if n_steps < 1:
+        raise ValueError("n_steps must be at least 1")
+    if store_stride < 1:
+        raise ValueError("store_stride must be at least 1")
+
+
 def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
                  store_stride: int = 1,
                  on_store: Callable[[float, np.ndarray], None] | None = None
@@ -1051,17 +1068,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     is None. `rho` is a read-only view of the solver's own buffer, valid
     until the hook returns; a hook that keeps a matrix copies it.
     """
-    if model.dim > DEFAULT_ORACLE_CAP:
-        raise OracleSizeError(f"dimension {model.dim} exceeds the dense cap")
-    if rho0.basis != model.basis:
-        raise BasisMismatchError("initial density basis does not match the model")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    if store_stride < 1:
-        raise ValueError("store_stride must be at least 1")
-
+    _check_master(model, rho0, dt, n_steps, store_stride)
     stage = (_banded_stage if model._banded else _dense_stage)(model.generator, model.channels)
 
     stored_steps = _stored_steps(n_steps, store_stride)

@@ -285,6 +285,50 @@ def test_ensemble_vs_master_basis_mismatch():
         ensemble_vs_master(runs, master)
 
 
+def test_comparison_while_solved_has_the_bytes_of_the_history_form():
+    """Compared through `solve_master`'s hook, each checkpoint as the solve
+    reaches it, the distances have the bytes of the comparison with the
+    kept history, at every stored time and at a subset; the solve keeps no
+    matrices."""
+    model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
+    psi = gaussian_packet(model.basis, x0=1.0)
+    rho0 = projector(psi)
+    summary = ensemble_average(run_ensemble(model, psi, 1e-3, 40, 5, 12, record_stride=8,
+                                            slim=True))
+    history = solve_master(model, rho0, 1e-3, 40, store_stride=8)
+    kept = []
+
+    def solve(hook):
+        kept.append(solve_master(model, rho0, 1e-3, 40, store_stride=8, on_store=hook))
+        return kept[-1]
+
+    for times in (None, history.times[1:], history.times[[4, 2]]):
+        want = ensemble_vs_master(summary, history, times=times)
+        got = ensemble_vs_master(summary, solve, times=times)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.trace_distances.tobytes() == want.trace_distances.tobytes()
+        assert got.max_distance == want.max_distance
+    assert all(dtraj.matrices is None for dtraj in kept)
+    with pytest.raises(ValueError, match="not a stored snapshot"):
+        ensemble_vs_master(summary, solve, times=[1e-3])
+
+
+def test_unstable_solve_fails_as_such_after_a_failed_comparison():
+    """A solve outside its stability region breaks the density-matrix
+    checks at its first checkpoints, long before its trace overflows; the
+    comparison made while it is solved still raises the solver's
+    InstabilityError, as the comparison of a solved history would."""
+    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    times = np.arange(1, 51) * 1e3
+    rows = np.broadcast_to(np.eye(2, dtype=complex) / 2.0, (times.size, 2, 2))
+    summary = analysis.EnsembleSummary(model.basis, times, rows, 1)
+    with pytest.raises(ValueError):
+        qf.DensityMatrix(model.basis, solve_master(model, projector(PLUS), 1e3, 1).matrices[1])
+    with pytest.raises(qf.InstabilityError, match="trace drifted"):
+        ensemble_vs_master(summary, lambda hook: solve_master(
+            model, projector(PLUS), 1e3, 50, on_store=hook), times=times)
+
+
 def test_collapse_statistics_symmetric_superposition():
     model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
     runs = run_ensemble(model, PLUS, 1e-3, 5000, 42, 300, record_stride=100, slim=True)

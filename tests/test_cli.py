@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import qfilter as qf
-from qfilter import cli
+from qfilter import cli, solvers
 from qfilter.cli import main
 from qfilter.output import load_csv, load_manifest
 
@@ -233,6 +233,46 @@ def test_unstable_master_exits_3_with_one_error_line(tmp_path, threads):
     assert not out.exists()
     with pytest.raises(ProcessLookupError):
         os.killpg(proc.pid, 0)
+
+
+def test_ensemble_suite_over_the_dense_cap_exits_2_before_any_trajectory(
+        tmp_path, monkeypatch, capsys):
+    """A 600-point grid is over the averaged equation's dense cap: the
+    ensemble suite refuses it before it advances a trajectory."""
+    def advance(*args):
+        raise AssertionError("a trajectory advanced")
+
+    monkeypatch.setattr(solvers, "_run_batch", advance)
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    cfg_path = _write_cfg(
+        tmp_path,
+        model={"kind": "grid1d", "x_min": -10.0, "x_max": 10.0, "n_points": 600},
+        initial={"gaussian": {"x0": 0.0, "sigma": 1.0}},
+        sim={"dt": 1e-3, "t_final": 0.01},
+    )
+    out = tmp_path / "rep"
+    rc = main(["verify", "--suite", "ensemble", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: dimension 600 exceeds the dense cap\n"
+    assert not out.exists()
+
+
+def test_master_run_leaves_numpy_ma_unloaded(tmp_path):
+    """`qfilter master` lists its stored steps without numpy's set
+    routines, whose first call imports numpy.ma (14-18 ms and 1.6 MB on
+    numpy 2.x); a fresh process shows what the run imported. numpy 1.x
+    loads numpy.ma with numpy itself, so the run must leave it as the
+    import did."""
+    cfg_path = _write_cfg(tmp_path)
+    code = ("import sys; from qfilter.cli import main; loaded = 'numpy.ma' in sys.modules; "
+            "rc = main(sys.argv[1:]); print(loaded, 'numpy.ma' in sys.modules); sys.exit(rc)")
+    res = subprocess.run(
+        [sys.executable, "-c", code, "master", "--config", str(cfg_path),
+         "--out", str(tmp_path / "run")],
+        capture_output=True, text=True, env=_checkout_env())
+    assert res.returncode == 0, res.stderr
+    at_import, after_run = res.stdout.splitlines()[-1].split()
+    assert after_run == at_import
 
 
 def _gone_or_zombie(pid: int) -> bool:

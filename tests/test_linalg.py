@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,12 +18,13 @@ from qfilter import (
     Operator,
     StateVector,
     expectation,
+    linalg,
     matrix_exp,
     projector,
     trace_distance,
 )
 from qfilter.errors import BasisMismatchError, NormalizationError, OracleSizeError
-from qfilter.linalg import band_apply, padded_rows
+from qfilter.linalg import _detect_flag, band_apply, padded_rows
 
 B2 = Basis.finite(2)
 KET0 = StateVector(B2, np.array([1.0, 0.0], dtype=complex))
@@ -213,6 +215,36 @@ def test_density_matrix_validation():
             DensityMatrix(basis, entries)
         with pytest.raises(ValueError, match="not hermitian"):
             DensityMatrix._positive(basis, entries)
+
+
+def _whole_matrix_flag(m: np.ndarray, tol: float) -> bool:
+    """The hermiticity test on the whole matrix at once."""
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    return bool(np.abs(m - m.conj().T).max(initial=0.0) <= tol * scale)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([1, 2, 3, 7, 16]),
+       kind=st.sampled_from(["random", "hermitian", "near_tolerance", "nan", "inf"]),
+       tol=st.sampled_from([1e-12, 1e-10]), block=st.sampled_from([1, 3, 16, None]))
+def test_hermiticity_in_row_blocks_has_the_whole_matrix_verdict(seed, n, kind, tol, block):
+    """`_detect_flag` takes its maxima over row blocks; on random,
+    hermitian, near-tolerance and non-finite matrices, for blocks of one
+    row up to the whole matrix, its verdict is the whole-matrix one."""
+    rng = np.random.default_rng(seed)
+    m = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) * 10.0 ** rng.integers(-3, 4)
+    if kind != "random":
+        m = m + m.conj().T
+    i, j = rng.integers(0, n, 2)
+    if kind == "near_tolerance":  # a skew at the bound, just under or just over it
+        m[i, j] += tol * max(1.0, np.abs(m).max()) * rng.choice([0.5, 0.999, 1.001, 2.0])
+    elif kind in ("nan", "inf"):
+        m[i, j] = complex(np.nan if kind == "nan" else np.inf, 0.0)
+    entries = linalg._STEP_ENTRIES if block is None else block * n
+    with mock.patch.object(linalg, "_STEP_ENTRIES", entries), np.errstate(invalid="ignore"):
+        assert _detect_flag(m, tol) == _whole_matrix_flag(m, tol)
+    if kind == "nan":
+        assert not _detect_flag(m, tol)
 
 
 def test_state_vector_validation():

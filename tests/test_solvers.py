@@ -849,10 +849,10 @@ def test_pool_keeps_one_range_beyond_its_workers_in_flight(monkeypatch):
 
 def _uncut_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
                   n_workers: int) -> list[tuple[int, int]]:
-    """The equal ranges `_batch_bounds` cuts at block edges: at most
-    _STEP_ENTRIES amplitudes and _SERIES_ENTRIES series entries, a whole
-    number per worker."""
-    rows = min(solvers._STEP_ENTRIES // dim,
+    """The equal ranges `_batch_bounds` cuts at block edges: at most half a
+    fold block of _STEP_ENTRIES amplitudes and _SERIES_ENTRIES series
+    entries, a whole number per worker."""
+    rows = min(max(1, solvers._STEP_ENTRIES // dim // 2),
                solvers._SERIES_ENTRIES // (n_channels * (n_steps + 1)))
     rows = min(max(1, rows), n_rows)
     if n_workers > 1:
@@ -891,6 +891,51 @@ def test_batches_tile_the_fold_blocks(n_rows, n_steps, n_channels, n_workers, st
     assert all(lo // block == (hi - 1) // block for lo, hi in bounds)
     assert {r for r in uncut if r[0] // block == (r[1] - 1) // block} <= set(bounds)
     assert views == [(lo, min(lo + block, n_rows) - lo) for lo in range(0, n_rows, block)]
+
+
+def test_two_workers_stream_through_a_two_block_ring():
+    """Batches hold at most half a fold block, so the batches two workers
+    keep in flight past the block being read fill one block, and the
+    stream's ring is two blocks: 256 rows for the 1024 gauge trajectories
+    of 250 steps on a 128-point grid, with 64-row batches. A qubit run's
+    batches are narrower than half its 8192-row block, so 256 trajectories
+    of 1000 steps still make one batch per worker. The pool is replaced, so
+    no trajectory is advanced."""
+    grid = build_grid_model(GridSpec(-10.0, 10.0, 128), lam=1.0)
+    qubit = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    seen, rings = [], []
+    allocate = solvers._allocate
+
+    def no_run(fn, bounds, workers):
+        seen.append(list(bounds))
+        return (np.full(hi - lo, -1) for lo, hi in bounds)
+
+    def sized(run, first_index, n_rows, keep):
+        rings.append(n_rows)
+        return allocate(run, first_index, n_rows, keep)
+
+    with mock.patch.multiple(solvers, pool_map=no_run, _allocate=sized), \
+            mock.patch.object(os, "cpu_count", return_value=2), \
+            mock.patch.dict(os.environ, {"QFILTER_THREADS": "2"}):
+        for _ in solvers._ensemble_stream(grid, gaussian_packet(grid.basis, x0=1.0), 1e-3, 250,
+                                          0, 1024, scheme="gauge", record_stride=12):
+            pass
+        run_ensemble(qubit, _ket(1.0, 0.0), 1e-3, 1000, 0, 256, record_stride=10)
+    assert solvers._block_rows(grid.dim) == 128
+    assert seen[0] == [(lo, lo + 64) for lo in range(0, 1024, 64)]
+    assert rings[0] == 2 * 128  # the stream's ring
+    assert seen[1] == [(0, 128), (128, 256)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(n_steps=st.integers(1, 5000), stride=st.integers(1, 6000))
+def test_stored_steps_are_the_strided_steps_and_the_last(n_steps, stride):
+    """The stored steps have the int64 bytes of the union of 0, stride, ..
+    and n_steps, without numpy's set routines (they import numpy.ma)."""
+    got = solvers._stored_steps(n_steps, stride)
+    want = np.union1d(np.arange(0, n_steps + 1, stride), [n_steps])
+    assert got.dtype == want.dtype == np.int64
+    assert got.tobytes() == want.tobytes()
 
 
 def test_resolve_workers(monkeypatch):

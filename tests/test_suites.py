@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import qfilter as qf
+from qfilter import solvers, suites
 from qfilter.config import SUITE_NAMES, parse_config_data
 from qfilter.errors import ConfigError
 from qfilter.suites import SUITES, run_suite
@@ -76,6 +77,40 @@ def test_ensemble_report_structure(ensemble_run):
     ])
     _assert_series_shape(series, ["t", "trace_distance"], 10)
     assert report["stats"]["n_trajectories"] == 2000
+
+
+def test_ensemble_suite_solves_the_averaged_equation_after_the_trajectories(monkeypatch):
+    """The dephasing check's solve is the suite's first integrator call;
+    every trajectory advances after it and before the grid's averaged
+    equation is solved, and that solve keeps no history: its checkpoints
+    are compared with the mean as it reaches them."""
+    events, kept = [], []
+    solve, advance = suites.solve_master, solvers._run_batch
+
+    def traced_solve(model, *args, **kwargs):
+        events.append(f"solve {model.dim}")
+        result = solve(model, *args, **kwargs)
+        kept.append((model.dim, result.matrices is None))
+        return result
+
+    def traced_batch(*args):
+        events.append("batch")
+        return advance(*args)
+
+    monkeypatch.setattr(suites, "solve_master", traced_solve)
+    monkeypatch.setattr(solvers, "_run_batch", traced_batch)
+    monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 3 * 51)  # three-row batches
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    _, (_, table) = run_suite("ensemble", parse_config_data({
+        "model": {"kind": "grid1d", "x_min": -10.0, "x_max": 10.0, "n_points": 32},
+        "initial": {"gaussian": {"x0": 1.0, "sigma": 1.0}},
+        "sim": {"dt": 1e-3, "t_final": 0.05},
+        "ensemble": {"n_trajectories": 8, "master_seed": 1},
+    }))
+    assert events[0] == "solve 2" and events[-1] == "solve 32"
+    assert events[1:-1] == ["batch"] * 3
+    assert kept == [(2, False), (32, True)]
+    assert table.shape == (10, 2) and np.isfinite(table).all()
 
 
 def test_born_report_structure(born_run):
