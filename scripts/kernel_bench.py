@@ -62,11 +62,19 @@ The master-export table runs `qfilter master` on the model of the
 stride 1: 51 rows), under QFILTER_THREADS 1 and 2. It gives the peak RSS
 of the solving process (VmHWM) and the `ru_maxrss` of the forked master.csv
 writer, its only child (none with one worker).
+
+The footprint table imports `numpy`, then `qfilter.cli`, each in a fresh
+child process with the package under `--src`, and gives the median wall
+time of the child (interpreter start included), its peak RSS (VmHWM) and
+which of `_hashlib` (OpenSSL), `concurrent.futures` (the process pool) and
+`multiprocessing` the import loaded. The package loads none of them itself:
+only the processes that hash or fork do.
 """
 
 from __future__ import annotations
 
 import argparse
+import compileall
 import json
 import os
 import statistics
@@ -415,6 +423,35 @@ def measure_master_export(src: Path, dim: int, t_final: float, stride: int,
     return own / 1024, writer / 1024
 
 
+FOOTPRINT_MODULES = ("_hashlib", "concurrent.futures", "multiprocessing")
+# imports the module named by its first argument, then prints its peak RSS
+# (VmHWM) in KiB and, for each later argument, whether that module is loaded
+FOOTPRINT_CHILD = """
+import importlib, sys
+importlib.import_module(sys.argv[1])
+with open("/proc/self/status", encoding="utf-8") as fh:
+    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(own, *[m in sys.modules for m in sys.argv[2:]])
+"""
+
+
+def measure_footprint(src: Path, module: str, repeats: int) -> tuple[float, float, list[str]]:
+    """(median wall seconds, median peak RSS in MiB, the FOOTPRINT_MODULES
+    loaded) of a fresh child that imports `module` from the package under
+    `src`."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    walls, peaks = [], []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, module, *FOOTPRINT_MODULES],
+                              env=env, capture_output=True, text=True, check=True)
+        walls.append(time.perf_counter() - start)
+        own, *loaded = done.stdout.split()
+        peaks.append(int(own) / 1024)
+    return (statistics.median(walls), statistics.median(peaks),
+            [m for m, flag in zip(FOOTPRINT_MODULES, loaded) if flag == "True"])
+
+
 def _cell(seconds: float, peak: int) -> str:
     wall = f"{1e3 * seconds:.2f} ms" if seconds < 1.0 else f"{seconds:.2f} s"
     return f"{wall}, {peak / 2**20:.2f} MiB"
@@ -474,6 +511,10 @@ def main(argv=None) -> int:
         collected, streamed = measure_mean(qf, n_traj)
         print(f"| {n_traj} | {collected / 2**20:.2f} MiB | {streamed / 2**20:.2f} MiB |")
 
+    # the child processes below import bytecode compiled here, as perfbench's
+    # do: under PYTHONDONTWRITEBYTECODE a stale cache would be compiled
+    # afresh in each child, which raises its peak by a few MiB
+    compileall.compile_dir(str(args.src / "qfilter"), quiet=1)
     dim = TINY_MASTER_POINTS if args.tiny else MASTER_POINTS
     print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS of the solving"
           " process (VmHWM) / ru_maxrss of the master.csv writer, one child process per run")
@@ -485,6 +526,13 @@ def main(argv=None) -> int:
             own, writer = measure_master_export(args.src, dim, t_final, stride, workers)
             cells.append(f"{own:.1f} / {writer:.1f} MiB" if writer else f"{own:.1f} MiB / none")
         print(f"| {label} | " + " | ".join(cells) + " |")
+
+    print(f"\nimport footprint of a fresh child process: median of {repeats} ({args.src})")
+    print("| import | wall | peak RSS (VmHWM) | which of " + ", ".join(FOOTPRINT_MODULES) + " it loaded |")
+    print("|---|---|---|---|")
+    for module in ("numpy", "qfilter.cli"):
+        wall, peak, loaded = measure_footprint(args.src, module, repeats)
+        print(f"| {module} | {1e3 * wall:.0f} ms | {peak:.1f} MiB | {', '.join(loaded) or 'none'} |")
 
     print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
     print("| points | _banded_stage | held |")

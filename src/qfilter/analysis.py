@@ -30,6 +30,7 @@ from .linalg import (
     DensityMatrix,
     Operator,
     StateVector,
+    _block_rows,
     _check_same_basis,
     trace_distance,
 )
@@ -39,7 +40,6 @@ from .solvers import (
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
-    _block_rows,
     _noise_table,
     _re_rowdot,
     _rowdot,
@@ -155,7 +155,7 @@ def ensemble_average(results) -> EnsembleSummary:
     `results` is an `EnsembleResult`, or the fold blocks of one in index
     order, each read before the next is asked for
     (`solvers._ensemble_stream`). S is the trajectories of one block
-    (`solvers._block_rows`, at most _STEP_ENTRIES amplitudes) at one
+    (`linalg._block_rows`, at most _STEP_ENTRIES amplitudes) at one
     snapshot, read where it lies, so each product's operands stay small
     however large the ensemble, and the sums and their bits do not depend on
     how the rows arrive. The fold runs numpy's OpenBLAS on one thread
@@ -416,7 +416,7 @@ def _filtering_residuals(model: ModelSpec, observable: Operator, states: np.ndar
     c) Wiener increments, as a (..., n) array.
 
     The stack is taken in blocks of whole rows when they fit in a fold block
-    (`solvers._block_rows`), else of runs of steps of one row, which hold
+    (`linalg._block_rows`), else of runs of steps of one row, which hold
     one state more (the run's end state); so the temporaries stay bounded
     however many rows and steps there are. Every
     reduction runs along the last axis: a row's residuals have the same bits

@@ -23,7 +23,7 @@ _FLAG_TOL = 1e-12
 # amplitudes of one block (256 KiB of complex128), the one block size of the
 # package's bounded passes:
 #  - an ensemble's fold blocks, 128 rows at 128 grid points
-#    (`solvers._block_rows`, which also sets the row blocks of
+#    (`_block_rows`, which also sets the row blocks of
 #    `analysis._filtering_residuals`);
 #  - a trajectory batch, at most half a fold block. Halving it (128 -> 64
 #    rows at 128 points, 32 -> 16 at 512) kept the cost per trajectory-step
@@ -37,6 +37,16 @@ _FLAG_TOL = 1e-12
 #    for the whole 64 Ki-entry matrix at once;
 #  - the row blocks of the hermiticity test `_detect_flag`.
 _STEP_ENTRIES = 1 << 14
+
+
+def _block_rows(dim: int) -> int:
+    """Rows of a fold block of an ensemble of `dim` amplitudes: at most
+    _STEP_ENTRIES amplitudes, and at least one row. The blocks start every
+    _block_rows(dim) trajectories from a run's first, whatever the worker
+    count, so a reduction that sums per block has the same bits however the
+    run is split into batches."""
+    return max(1, _STEP_ENTRIES // dim)
+
 
 # entries of the (rows, dim, dim) product a dense `apply` forms at a time
 # (4 MiB of complex128)
@@ -183,12 +193,11 @@ def _structure_of(matrix: np.ndarray) -> str:
 def _detect_flag(matrix: np.ndarray, tol: float = _FLAG_TOL) -> bool:
     """Whether max |M - M^H| <= tol * max(1, max |M|); a NaN entry fails it.
 
-    Both maxima are taken over the row blocks of `solvers._block_rows`,
-    whose rule is written out here as linalg cannot import it, so the test
+    Both maxima are taken over the row blocks of `_block_rows`, so the test
     makes a few block-sized temporaries, not n x n ones; a maximum is exact,
     and np.max keeps a NaN, so the verdict is that of the whole matrix."""
     n = matrix.shape[0]
-    rows = max(1, _STEP_ENTRIES // n)
+    rows = _block_rows(n)
     peaks, skews = [], []
     for i in range(0, n, rows):
         block = matrix[i:i + rows]
@@ -383,9 +392,10 @@ class DensityMatrix:
         if float(np.linalg.eigvalsh(mat).min()) < -1e-8 / self.basis.weight:
             raise ValueError("density matrix has an eigenvalue below -1e-8")
 
-    def _freeze(self) -> np.ndarray:
+    def _freeze(self, fresh: bool = False) -> np.ndarray:
         """Check the shape, hermiticity and trace of `entries`, and keep them
-        as a read-only complex array, which is returned."""
+        as a read-only complex array, which is returned: a copy, or, when
+        `fresh` says nothing else holds them, the array itself."""
         mat = np.asarray(self.entries, dtype=complex)
         d = self.basis.dim
         if mat.shape != (d, d):
@@ -395,18 +405,22 @@ class DensityMatrix:
         tr = float(np.trace(mat).real) * self.basis.weight
         if not abs(tr - 1.0) <= 1e-8:
             raise ValueError(f"density matrix trace {tr!r} deviates from 1 beyond 1e-8")
-        object.__setattr__(self, "entries", _frozen_array(mat))
-        return self.entries
+        if fresh:
+            mat.setflags(write=False)
+        else:
+            mat = _frozen_array(mat)
+        object.__setattr__(self, "entries", mat)
+        return mat
 
     @classmethod
     def _positive(cls, basis: Basis, entries) -> DensityMatrix:
         """A density matrix of `entries` that are positive by construction,
-        such as |v><v|: the shape, hermiticity and trace checks, without the
-        O(n^3) eigenvalues."""
+        such as |v><v|, in a fresh array that it keeps without a copy: the
+        shape, hermiticity and trace checks, without the O(n^3) eigenvalues."""
         rho = object.__new__(cls)
         object.__setattr__(rho, "basis", basis)
         object.__setattr__(rho, "entries", entries)
-        rho._freeze()
+        rho._freeze(fresh=True)
         return rho
 
     def trace(self) -> float:

@@ -20,15 +20,21 @@ forked writer process, or in the solving process with one worker
 matrix row of names at a time. So neither process holds the table, and the
 bytes do not depend on the worker count. `write_master` seals the solver's
 largest trace drift in the manifest under "diagnostics".
+
+Only a process that hashes loads `hashlib` (OpenSSL's libcrypto): it is
+imported where a file is sealed (`_Stream`) or checked
+(`verify_artifacts`), and by `write_simulation` before its pool forks, so
+its workers inherit it. `multiprocessing` is imported only where a process
+forks (`MasterExport` and `solvers.pool_map`). So with two or more workers
+a `qfilter master` solving process loads neither OpenSSL nor the process
+pool (`concurrent.futures`): only its forked writer hashes.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import itertools
 import json
-import multiprocessing
 import os
 import signal
 import struct
@@ -74,6 +80,8 @@ class _Stream:
     entry."""
 
     def __init__(self, fh):
+        import hashlib  # OpenSSL loads only in a process that hashes
+
         self._fh = fh
         self._digest = hashlib.sha256()
         self._size = 0
@@ -187,6 +195,8 @@ def write_simulation(out_dir, config_echo: dict, results: EnsembleResult,
     files and the manifest are byte-identical for any worker count."""
     if results.record is None or results.step_norms is None:
         raise ValueError("trajectory was slimmed; per-step payload is gone")
+    import hashlib  # before the pool forks, so that its workers inherit OpenSSL
+
     writer = ArtifactWriter(out_dir)
     n_workers = resolve_workers(None, len(results))
     size = max(1, -(-len(results) // n_workers))
@@ -327,6 +337,8 @@ class MasterExport:
             return
         # forked, not spawned, which would import numpy afresh first; fork
         # copies no BLAS thread, and the writer calls no BLAS routine
+        import multiprocessing
+
         ctx = multiprocessing.get_context("fork")
         self._conn, child_end = ctx.Pipe()
         proc = ctx.Process(target=_export_master, daemon=True,
@@ -452,6 +464,8 @@ def _regular_files(top, prefix: str = ""):
 def verify_artifacts(run_dir) -> dict:
     """Recompute every checksum in the manifest, 64 KiB at a time; returns the manifest.
     If a key names no regular file in the run directory (via no symlink), none is opened."""
+    import hashlib
+
     run_dir = Path(run_dir)
     manifest = load_manifest(run_dir)
     files = manifest.get("files", {})

@@ -111,12 +111,10 @@ bases, Crank-Nicolson on grids.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 import warnings
 from collections import deque
 from collections.abc import Callable
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -130,13 +128,13 @@ from .errors import (
     UnsupportedConfigurationError,
 )
 from .linalg import (
-    _STEP_ENTRIES,
     DEFAULT_ORACLE_CAP,
     Basis,
     DensityMatrix,
     Operator,
     StateSeries,
     StateVector,
+    _block_rows,
     band_apply,
     matrix_exp,
     padded_rows,
@@ -782,15 +780,6 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
     return max(1, min(cap, n_tasks))
 
 
-def _block_rows(dim: int) -> int:
-    """Rows of a fold block of an ensemble of `dim` amplitudes: at most
-    _STEP_ENTRIES amplitudes, and at least one row. The blocks start every
-    _block_rows(dim) trajectories from a run's first, whatever the worker
-    count, so a reduction that sums per block has the same bits however the
-    run is split into batches."""
-    return max(1, _STEP_ENTRIES // dim)
-
-
 def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
                   n_workers: int = 1) -> list[tuple[int, int]]:
     """Contiguous (lo, hi) row ranges that tile [0, n_rows), each within one
@@ -838,6 +827,9 @@ def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_
     holds, such as a result's arrays; only ranges and return values are
     pickled. Fork is pinned: under spawn or forkserver, workers would write
     into pickled copies and their rows would be lost without an error.
+    `multiprocessing` and `concurrent.futures` are imported here, in the
+    several-worker branch, so a process that forks no pool (a one-worker
+    run, or `qfilter master`) never loads the pool.
 
     At most n_workers + 1 ranges are in flight: range i + n_workers + 1 is
     submitted only once the caller has taken value i and asked for the next,
@@ -847,6 +839,9 @@ def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_
         for lo, hi in bounds:
             yield fn(lo, hi)
         return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("fork"),
                              initializer=_pool_init, initargs=(fn,)) as pool:
         pending = deque()

@@ -39,7 +39,7 @@ from qfilter import (
     trace_distance,
     variance_series,
 )
-from qfilter import analysis, solvers
+from qfilter import analysis, linalg, solvers
 from qfilter.analysis import _filtering_residuals, _pure_overlap
 from qfilter.errors import BasisMismatchError, UnsupportedConfigurationError
 from qfilter.suites import _check
@@ -148,7 +148,7 @@ def test_streamed_mean_has_the_bytes_of_the_collected_mean(monkeypatch, threads)
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
     dt, n, stride, count, block = 1e-3, 12, 4, 20, 8
-    monkeypatch.setattr(solvers, "_STEP_ENTRIES", block * model.dim)
+    monkeypatch.setattr(linalg, "_STEP_ENTRIES", block * model.dim)
     monkeypatch.setattr(solvers, "_SERIES_ENTRIES", 3 * (n + 1))
     bounds = solvers._batch_bounds(count, model.dim, n, 1, int(threads))
     assert solvers._block_rows(model.dim) == block
@@ -228,7 +228,7 @@ def test_streamed_mean_holds_as_much_for_any_ensemble_size(monkeypatch):
     model = build_grid_model(GridSpec(-10.0, 10.0, 32), lam=1.0)
     psi = gaussian_packet(model.basis, x0=1.0)
     dt, n, rows = 1e-3, 50, 16
-    monkeypatch.setattr(solvers, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches and blocks
+    monkeypatch.setattr(linalg, "_STEP_ENTRIES", rows * model.dim)  # 16-row batches and blocks
 
     def peak(count: int) -> int:
         return _mapped_peak(monkeypatch, lambda: ensemble_average(
@@ -600,7 +600,7 @@ def test_stacked_kernels_give_each_row_its_own_bits(case, rows, n, entries, quad
     states = rng.standard_normal((rows, n + 1, dim)) + 1j * rng.standard_normal((rows, n + 1, dim))
     dw = 0.03 * rng.standard_normal((rows, n, c))
     # the monkeypatch fixture does not reset between hypothesis examples
-    with mock.patch.object(qf.solvers, "_STEP_ENTRIES", entries):
+    with mock.patch.object(linalg, "_STEP_ENTRIES", entries):
         stacked = _filtering_residuals(model, obs, states, dw, 1e-3, quad)
     assert stacked.shape == (rows, n)
     for i in range(rows):

@@ -275,6 +275,30 @@ def test_master_run_leaves_numpy_ma_unloaded(tmp_path):
     assert after_run == at_import
 
 
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no master.csv writer")
+def test_two_worker_master_run_loads_neither_openssl_nor_the_pool(tmp_path):
+    """With two workers `qfilter master` hashes only in its forked writer and
+    forks no pool, so the solving process leaves `_hashlib` and
+    `concurrent.futures` as a fresh `import numpy` left them (numpy 1.x may
+    load more itself), and master.csv has the bytes of a one-worker run."""
+    cfg_path = _write_cfg(tmp_path)
+    code = ("import sys, numpy; names = ('_hashlib', 'concurrent.futures'); "
+            "loaded = [m in sys.modules for m in names]; from qfilter.cli import main; "
+            "rc = main(sys.argv[1:]); print(loaded == [m in sys.modules for m in names]); "
+            "sys.exit(rc)")
+    tables = []
+    for threads in ("2", "1"):
+        out = tmp_path / f"run{threads}"
+        res = subprocess.run(
+            [sys.executable, "-c", code, "master", "--config", str(cfg_path), "--out", str(out)],
+            capture_output=True, text=True, env=_checkout_env(QFILTER_THREADS=threads))
+        assert res.returncode == 0, res.stderr
+        if threads == "2":
+            assert res.stdout.splitlines()[-1] == "True"
+        tables.append((out / "master.csv").read_bytes())
+    assert tables[0] == tables[1]
+
+
 def _gone_or_zombie(pid: int) -> bool:
     try:
         stat = Path(f"/proc/{pid}/stat").read_text(encoding="ascii")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -130,6 +131,35 @@ def test_projector_skips_the_eigenvalues_a_density_matrix_checks(monkeypatch):
         DensityMatrix._positive(B2, np.diag([1.5, 0.5]).astype(complex))
     with pytest.raises(ValueError, match="hermitian"):
         DensityMatrix._positive(B2, np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex))
+
+
+def test_projector_holds_one_matrix_at_its_peak():
+    """`projector` freezes the outer product it forms instead of copying it,
+    so on a 256-point grid its traced peak is one n x n matrix plus the
+    block-sized temporaries of the hermiticity test (5/8 of a matrix at 64
+    rows a block), below the two matrices a copy would hold."""
+    n = 256
+    psi = qf.gaussian_packet(Basis.from_grid(GridSpec(-20.0, 20.0, n)), sigma=1.0)
+    projector(psi)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        rho = projector(psi)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert not rho.entries.flags.writeable
+    matrix = n * n * np.dtype(complex).itemsize
+    assert matrix <= peak < 1.75 * matrix
+
+
+def test_density_matrix_keeps_a_copy_of_the_callers_entries():
+    entries = np.eye(2, dtype=complex) / 2
+    rho = DensityMatrix(B2, entries)
+    entries[0, 0] = 1.0
+    assert rho.entries[0, 0] == 0.5
+    assert not np.shares_memory(rho.entries, entries)
+    assert entries.flags.writeable and not rho.entries.flags.writeable
 
 
 def test_trace_distance_pure_states():

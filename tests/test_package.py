@@ -71,6 +71,21 @@ def test_import_leaves_scipy_stats_unloaded():
     assert scipy_modules == "[]"
 
 
+def test_import_loads_neither_openssl_nor_the_process_pool():
+    """`hashlib` (OpenSSL's libcrypto), the process pool and
+    `multiprocessing` load only in the processes that hash or fork, so
+    neither `import qfilter` nor `import qfilter.cli` adds any of them to
+    what a fresh `import numpy` loaded (numpy 1.x may load more itself)."""
+    names = ("_hashlib", "concurrent.futures", "multiprocessing")
+    out = _fresh_import(f"names = {names!r}; import numpy; "
+                        "print(*[m in sys.modules for m in names]); import qfilter; "
+                        "print(*[m in sys.modules for m in names]); import qfilter.cli; "
+                        "print(*[m in sys.modules for m in names])")
+    with_numpy, with_qfilter, with_cli = out.splitlines()
+    assert with_qfilter == with_numpy
+    assert with_cli == with_numpy
+
+
 def test_readme_python_examples_run():
     readme = Path(__file__).resolve().parent.parent / "README.md"
     blocks = re.findall(r"```python\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import math
 import os
 import re
@@ -48,7 +49,7 @@ from qfilter.errors import (
     StepFailureError,
     UnsupportedConfigurationError,
 )
-from qfilter import solvers
+from qfilter import linalg, solvers
 from qfilter.noise import _coarsen
 from qfilter.output import load_manifest, write_master
 from qfilter.solvers import resolve_workers, time_index
@@ -832,12 +833,13 @@ def test_pool_keeps_one_range_beyond_its_workers_in_flight(monkeypatch):
     it yields the values in order."""
     submitted = []
 
-    class Counting(solvers.ProcessPoolExecutor):
+    class Counting(concurrent.futures.ProcessPoolExecutor):
         def submit(self, fn, *args, **kwargs):
             submitted.append(args[0])
             return super().submit(fn, *args, **kwargs)
 
-    monkeypatch.setattr(solvers, "ProcessPoolExecutor", Counting)
+    # pool_map imports the pool where it forks one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
     bounds = [(lo, lo + 1) for lo in range(10)]
     values = []
     for value in solvers.pool_map(lambda lo, hi: 10 * lo, bounds, 2):
@@ -852,7 +854,7 @@ def _uncut_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
     """The equal ranges `_batch_bounds` cuts at block edges: at most half a
     fold block of _STEP_ENTRIES amplitudes and _SERIES_ENTRIES series
     entries, a whole number per worker."""
-    rows = min(max(1, solvers._STEP_ENTRIES // dim // 2),
+    rows = min(max(1, linalg._STEP_ENTRIES // dim // 2),
                solvers._SERIES_ENTRIES // (n_channels * (n_steps + 1)))
     rows = min(max(1, rows), n_rows)
     if n_workers > 1:
@@ -877,8 +879,8 @@ def test_batches_tile_the_fold_blocks(n_rows, n_steps, n_channels, n_workers, st
     def no_run(fn, bounds, workers):  # every range succeeds
         return (np.full(hi - lo, -1) for lo, hi in bounds)
 
-    with mock.patch.multiple(solvers, _STEP_ENTRIES=step_entries,
-                             _SERIES_ENTRIES=series_entries, pool_map=no_run), \
+    with mock.patch.object(linalg, "_STEP_ENTRIES", step_entries), \
+            mock.patch.multiple(solvers, _SERIES_ENTRIES=series_entries, pool_map=no_run), \
             mock.patch.dict(os.environ, {"QFILTER_THREADS": str(n_workers)}):
         block = solvers._block_rows(dim)
         bounds = solvers._batch_bounds(n_rows, dim, n_steps, n_channels, n_workers)
@@ -1258,8 +1260,8 @@ def test_master_solver_bits_do_not_depend_on_the_row_block(monkeypatch, name):
     rho0 = _packet_density(model)
     n = model.dim
     runs = []
-    for entries in (n, 3 * n, solvers._STEP_ENTRIES):
-        monkeypatch.setattr(solvers, "_STEP_ENTRIES", entries)
+    for entries in (n, 3 * n, linalg._STEP_ENTRIES):
+        monkeypatch.setattr(linalg, "_STEP_ENTRIES", entries)
         runs.append(solve_master(model, rho0, 1e-3, 20, store_stride=5).matrices)
     assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
 
