@@ -33,7 +33,10 @@ The batch table gives, for one batch of 8 rows over 20 000 steps (500 with
 `--tiny`) on the README qubit and the 128-point grid, the traced peak of a
 run per row-step: drawing its noise with a slim result, drawing it and
 keeping its step norms and record, and replaying that record. The result's
-arrays live in a shared mapping, which tracemalloc does not trace. It then
+arrays live in a shared mapping, which tracemalloc does not trace, and a
+batch's only per-step array is its noise table: a drawn batch peaks at
+about twice its 8 bytes per row-step, and a replayed one, whose table its
+caller holds, at its workspace spread over the steps. It then
 lists how `run_ensemble` splits four runs into batches with one worker and
 with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
 is replaced for this so that no trajectory is advanced. A batch holds at

@@ -45,9 +45,8 @@ size. Each trajectory keeps its own counter-keyed noise
 stream, and every reduction over amplitudes is taken along the last axis row
 by row (never a matrix product across the batch), so a trajectory carries
 the same bits whatever batch it is advanced in. A batch is bounded in
-entries (`_batch_bounds`); besides its noise table it allocates only the
-per-step series it reads: the step norms and, for the gauge scheme, the
-amplitude growth and reconstruction ln c.
+entries (`_batch_bounds`), and its noise table is its only per-step array:
+each row carries its log sums and its first failure as it steps.
 
 Between snapshots, a step on a diagonal or tridiagonal model allocates no
 array the size of the batch. Each batch allocates its buffers once
@@ -147,8 +146,8 @@ SCHEMES = ("nonlinear", "linear", "gauge")
 _BOUNDARY_WARN = 1e-6
 
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
-# its noise table and a few whole-run float series trace to 18-45 bytes per
-# row-step with one channel (`scripts/kernel_bench.py`), 47 MB at this bound
+# its noise table, its only per-step array, traces to 16 bytes per row-step
+# while drawn with one channel (`scripts/kernel_bench.py`), 17 MB at this bound
 _SERIES_ENTRIES = 1 << 20
 
 # the checks a step makes, in the order it makes them
@@ -326,21 +325,6 @@ def _reconstruct_raw(psi_unit: np.ndarray, ldiag: np.ndarray, y: np.ndarray, wei
     return scaled, ln
 
 
-def _cumulative_logs(values: np.ndarray):
-    """(B, n + 1) running sums of ln values from 0, taken in place; non-finite flags."""
-    out = np.zeros((values.shape[0], values.shape[1] + 1))
-    logs = np.log(values, out=out[:, 1:])
-    bad = ~np.isfinite(logs)
-    np.cumsum(logs, axis=1, out=logs)
-    return out, bad
-
-
-def _first_failure(bad: np.ndarray, check: int) -> np.ndarray:
-    """3 * step + check of each row's first flagged step, or a huge value."""
-    first = np.where(bad.any(axis=1), bad.argmax(axis=1), np.iinfo(np.int64).max // 4)
-    return 3 * first + check
-
-
 def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarray,
                replay: bool) -> np.ndarray:
     """Advance rows `lo .. hi - 1` of `out`, one per row of `table`, through
@@ -351,14 +335,16 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     dW, or with `replay` the record increments dY it replays. `run` is what
     `_prepare` built for the whole run; every row starts from its normalized
     amplitudes `phi0`. A step forms its dY in `ws.dy`, and writes it (or on
-    replay the recovered dW) into `out` only when `out` keeps that series.
+    replay the recovered dW) and its norm into `out` only when `out` keeps
+    that series.
 
-    The loop makes no check and keeps no running sum. It stores each step's
-    pre-renormalization norm (and, for the gauge scheme, the reconstruction
-    ln c and the amplitude growth); the log series are their cumulative sums
-    taken afterwards, in step order. A row that fails goes on with
-    non-finite values, and its first non-finite or zero entry is the check
-    a one-trajectory run stops at.
+    The noise table is the batch's only per-step array. Each row carries the
+    running sum of the logs of its pre-renormalization norms and, for the
+    gauge scheme, of its amplitude growth, each added in step order from
+    0.0, and the code of its first failure: the first step and check whose
+    value is not finite, checked in the order reconstruction ln c, amplitude
+    growth, state norm. A row that fails goes on with non-finite values; its
+    code is the check a one-trajectory run stops at.
     """
     model, observables, snapshot_steps = run["model"], run["observables"], run["snapshot_steps"]
     b, n_steps, c = table.shape
@@ -369,12 +355,11 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     gauge_mode = gauge_euler is not None
     if gauge_mode:
         ldiag = model.channel_diagonals
-        ln_recon = np.empty((b, n_steps + 1))
-        growth = np.empty((b, n_steps))
+        log_growth = np.zeros(b)
         y = np.zeros((b, c))
 
     snap_of_step = {int(s): i for i, s in enumerate(snapshot_steps)}
-    step_norms = np.empty((b, n_steps)) if out.step_norms is None else out.step_norms[lo:hi]
+    step_norms = None if out.step_norms is None else out.step_norms[lo:hi]
     given, formed = (out.record, out.innovations) if replay else (out.innovations, out.record)
     if given is not None:
         given[lo:hi] = table
@@ -383,27 +368,46 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     drift = np.empty((b, c))
     two_w_dt = 2.0 * w * run["dt"]
     ws.phi[1][...] = run["phi0"]
+    # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
+    log_norm, logs = np.zeros(b), np.empty(b)
+    failure = np.full(b, -1, dtype=np.int64)
+
+    def flag(values: np.ndarray, step: int, check: int) -> None:
+        if not np.isfinite(values).all():
+            failure[(failure < 0) & ~np.isfinite(values)] = 3 * step + check
+
+    def add_log(total: np.ndarray, values: np.ndarray, step: int, check: int) -> None:
+        flag(np.log(values, out=logs), step, check)
+        np.add(total, logs, out=total)
 
     def posterior(step: int):
+        """The posterior rows at `step` and, for the gauge scheme, the ln c
+        of their reconstruction."""
         if not gauge_mode:
-            return ws.phi
-        _, ln_recon[:, step] = _reconstruct_raw(ws.phi[1], ldiag, y, w, ws)
-        return ws.post
+            return ws.phi, None
+        _, ln_c = _reconstruct_raw(ws.phi[1], ldiag, y, w, ws)
+        flag(ln_c, step, _RECONSTRUCTION)
+        return ws.post, ln_c
 
-    def store(step: int, post: np.ndarray) -> None:
+    def store(step: int, post: np.ndarray, ln_c: np.ndarray | None) -> None:
         i = snap_of_step[step]
         out.states[lo:hi, i] = post
         for name, op in observables.items():
             out.expectations[name][lo:hi, i] = w * _rowdot(post, op.apply(post))
+        if ln_c is None:
+            out.log_norm[lo:hi, i] = out.log_amplitude[lo:hi, i] = log_norm
+        else:
+            out.log_norm[lo:hi, i] = log_norm + ln_c
+            out.log_amplitude[lo:hi, i] = log_growth
 
     # a non-finite value ends in StepFailureError after the run, so numpy's
     # overflow and invalid-value warnings would only repeat that failure
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
-            post = posterior(k)
+            post, ln_c = posterior(k)
             lposts = [_apply(ch, post, lp, ws) for ch, lp in zip(channels, ws.lposts)]
             if k in snap_of_step:
-                store(k, post[1])
+                store(k, post[1], ln_c)
             for j, lp in enumerate(lposts):
                 np.multiply(two_w_dt, _re_rowdot(post[1], lp, ws.sq, ws.sums), out=drift[:, j])
             if replay:
@@ -419,31 +423,18 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
             if gauge_mode:
                 # amplitude growth of the record-driven map at the posterior,
                 # accumulated for the cross-form identity exp(ln c) = ||chi||
-                growth[:, k] = _row_norms(w, updated, ws)
+                add_log(log_growth, _row_norms(w, updated, ws), k, _AMPLITUDE)
                 _exponent(y + 0.5 * dy, ldiag, ws)
                 updated = _gauge_apply(gauge_euler, ws)
                 y += dy
             nn = _row_norms(w, updated, ws)
-            step_norms[:, k] = nn
+            if step_norms is not None:
+                step_norms[:, k] = nn
+            add_log(log_norm, nn, k, _STATE)
             _normalize(updated, nn, ws)
             ws.phi, ws.new = ws.new, ws.phi
-        store(n_steps, posterior(n_steps)[1])
-
-        # nonlinear: sum ln prenorm; linear: ln ||chi||; gauge: scale offset
-        log_norm, bad_norm = _cumulative_logs(step_norms)
-        log_norm = log_norm[:, snapshot_steps]
-        failure = _first_failure(bad_norm, _STATE)
-        if gauge_mode:
-            log_amp, bad_growth = _cumulative_logs(growth)
-            log_amp = log_amp[:, snapshot_steps]
-            log_norm += ln_recon[:, snapshot_steps]
-            failure = np.minimum(failure, _first_failure(~np.isfinite(ln_recon),
-                                                         _RECONSTRUCTION))
-            failure = np.minimum(failure, _first_failure(bad_growth, _AMPLITUDE))
-        else:
-            log_amp = log_norm.copy()
-    failure[failure >= 3 * (n_steps + 1)] = -1
-    out.log_amplitude[lo:hi], out.log_norm[lo:hi] = log_amp, log_norm
+        post, ln_c = posterior(n_steps)
+        store(n_steps, post[1], ln_c)
     return failure
 
 

@@ -279,6 +279,27 @@ def test_step_failure_names_trajectory_step_and_scheme():
         run_trajectory(model, packet, 1e-3, 10, 0, 5, scheme="gauge")
     err = info.value
     assert (err.trajectory_index, err.step_index, err.scheme) == (5, 0, "gauge")
+    assert str(err) == "gauge step 0 of trajectory 5 produced a non-finite state"
+
+
+@pytest.mark.parametrize("scheme, what", [
+    ("nonlinear", "nonlinear step 3 of trajectory 2 produced a non-finite state"),
+    ("linear", "linear step 3 of trajectory 2 produced a non-finite state"),
+    ("gauge", "gauge step 3 of trajectory 2 produced a degenerate amplitude"),
+])
+def test_nan_record_fails_at_its_step_with_the_scheme_s_check(scheme, what):
+    """A record whose step-3 increment is NaN fails at step 3: at the state
+    norm for the map schemes, and for the gauge scheme at the amplitude
+    growth, which it checks before the state."""
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    increments = generate_noise(0, 2, 1e-3, 8, 1).increments.copy()
+    increments[3, 0] = np.nan
+    record = MeasurementRecord(1e-3, increments, np.cumsum(increments, axis=0))
+    with pytest.raises(StepFailureError) as info:
+        run_trajectory(model, _ket(1.0, 0.0), 1e-3, 8, 0, 2, scheme=scheme, record=record)
+    err = info.value
+    assert str(err) == what
+    assert (err.trajectory_index, err.step_index, err.scheme) == (2, 3, scheme)
 
 
 def test_degenerate_reconstruction_names_trajectory_step_and_scheme():
@@ -750,6 +771,33 @@ def test_batch_holds_a_few_entries_per_row_step(monkeypatch, dim, scheme):
     bound = 8 * (model.n_channels + 5)
     assert max(slim, kept, replayed) <= bound, \
         f"bytes per row-step: slim {slim:.1f}, kept {kept:.1f}, replayed {replayed:.1f}"
+
+
+def test_batch_memory_does_not_grow_with_the_run_length():
+    """A batch carries its log sums and first failure as it steps, so
+    replaying a 16-row gauge table of 4 000 steps peaks within 4 KiB of
+    replaying one of 500: the table and the result are allocated before
+    tracing, and nothing the kernel allocates has a step axis."""
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    psi, rows, dt = _ket(1.0, 0.0), 16, 1e-4
+    # lazy imports and model properties load untraced
+    solvers._run_rows(model, psi, dt, 1, 0, 0, "gauge", np.zeros((1, 1, 1)), replay=True)
+
+    def peak(n: int) -> int:
+        table = np.random.default_rng(n).normal(0.0, math.sqrt(dt), (rows, n, 1))
+        run = solvers._prepare(model, psi, "gauge", dt, n, n, None, 0)
+        out = solvers._allocate(run, 0, rows, ())
+        tracemalloc.start()
+        try:
+            failure = solvers._run_batch(run, out, 0, rows, table, True)
+            traced = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not (failure >= 0).any()
+        return traced
+
+    short, long = peak(500), peak(4000)
+    assert abs(long - short) < 4096, f"traced peaks: {short} B at 500 steps, {long} B at 4 000"
 
 
 @pytest.mark.parametrize("rows", [1, 7, 256])
