@@ -35,8 +35,9 @@ run per row-step: drawing its noise with a slim result, drawing it and
 keeping its step norms and record, and replaying that record. The result's
 arrays live in a shared mapping, which tracemalloc does not trace, and a
 batch's only per-step array is its noise table: a drawn batch peaks at
-about twice its 8 bytes per row-step, and a replayed one, whose table its
-caller holds, at its workspace spread over the steps. It then
+its 8 bytes per row-step plus two rows while one row is drawn (10 B per
+row-step at 8 rows), and a replayed one, whose table its caller holds, at
+its workspace spread over the steps. It then
 lists how `run_ensemble` splits four runs into batches with one worker and
 with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
 is replaced for this so that no trajectory is advanced. A batch holds at
@@ -63,15 +64,19 @@ The master-export table runs `qfilter master` on the model of the
 `--tiny`), each run in a fresh child process, as the workload stores it
 (t_final 0.3, stride 100: 4 rows) and storing every step (t_final 0.05,
 stride 1: 51 rows), under QFILTER_THREADS 1 and 2. It gives the peak RSS
-of the solving process (VmHWM) and the `ru_maxrss` of the forked master.csv
-writer, its only child (none with one worker).
+(VmHWM) of the solving process and that of the forked master.csv writer,
+read by the writer itself once it has written the table (none with one
+worker).
 
 The footprint table imports `numpy`, then `qfilter.cli`, each in a fresh
 child process with the package under `--src`, and gives the median wall
 time of the child (interpreter start included), its peak RSS (VmHWM) and
 which of `_hashlib` (OpenSSL), `concurrent.futures` (the process pool) and
 `multiprocessing` the import loaded. The package loads none of them itself:
-only the processes that hash or fork do.
+only the processes that hash do, and every fork is bare `os.fork` and
+pipes. Two more rows give the same of the solving process and the writer
+of the two-worker `qfilter master` run of the workload: only the writer,
+which hashes the table, loads `_hashlib`.
 """
 
 from __future__ import annotations
@@ -392,49 +397,71 @@ MASTER_GRID = {
 MASTER_POINTS, TINY_MASTER_POINTS = 256, 32
 # label: (t_final, record_stride)
 MASTER_STORES = {"workload (4 rows)": (0.3, 100), "every step (51 rows)": (0.05, 1)}
-# runs the CLI, then prints its exit code, this process's peak RSS and the
-# ru_maxrss of its largest waited-for child, the writer, both in KiB. The
-# peak is VmHWM, the peak of this program image: RUSAGE_SELF would also
-# count the launching process, whose peak an exec keeps in ru_maxrss.
-MASTER_CHILD = """
-import resource, sys
+FOOTPRINT_MODULES = ("_hashlib", "concurrent.futures", "multiprocessing")
+# prints this process's peak RSS (VmHWM) in KiB and, for each module of
+# FOOTPRINT_MODULES, whether it is loaded
+FOOTPRINT = f"""
+import sys
+
+def footprint():
+    with open("/proc/self/status", encoding="utf-8") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    return " ".join([str(peak), *[str(m in sys.modules) for m in {FOOTPRINT_MODULES!r}]])
+"""
+# runs the CLI on argv[2:], then prints its exit code and the footprint of
+# this, the solving process; the forked master.csv writer, if any, writes
+# its own footprint to argv[1] once it has written the table. VmHWM is the
+# peak of this program image: ru_maxrss would also count the launching
+# process, whose peak an exec keeps.
+MASTER_CHILD = FOOTPRINT + """
+from qfilter import output
 from qfilter.cli import main
-code = main(sys.argv[1:])
-with open("/proc/self/status", encoding="utf-8") as fh:
-    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(code, own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+
+body = output._export_master
+
+def export_master(*args):
+    entry = body(*args)
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        fh.write(footprint())
+    return entry
+
+output._export_master = export_master
+code = main(sys.argv[2:])
+print(code, footprint())
 """
 
 
-def measure_master_export(src: Path, dim: int, t_final: float, stride: int,
-                          workers: int) -> tuple[float, float]:
-    """(solving process, writer) peak RSS in MiB of one `qfilter master`
-    run in a child process with QFILTER_THREADS=workers."""
+def _footprint(text: str) -> tuple[float, list[str]]:
+    """(peak RSS in MiB, the FOOTPRINT_MODULES loaded) of a footprint line."""
+    own, *loaded = text.split()
+    return int(own) / 1024, [m for m, flag in zip(FOOTPRINT_MODULES, loaded) if flag == "True"]
+
+
+def measure_master_export(src: Path, dim: int, t_final: float, stride: int, workers: int):
+    """(solving process, writer or None) footprints, each (peak RSS in MiB,
+    the FOOTPRINT_MODULES it loaded), of one `qfilter master` run in a
+    child process with QFILTER_THREADS=workers."""
     cfg = dict(MASTER_GRID, model=dict(MASTER_GRID["model"], n_points=dim),
                sim=dict(MASTER_GRID["sim"], t_final=t_final, record_stride=stride))
     env = dict(os.environ, PYTHONPATH=str(src), QFILTER_THREADS=str(workers))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp, "master.json")
+        path, writer = Path(tmp, "master.json"), Path(tmp, "writer")
         path.write_text(json.dumps(cfg), encoding="utf-8")
         done = subprocess.run(
-            [sys.executable, "-c", MASTER_CHILD, "master", "--config", str(path),
+            [sys.executable, "-c", MASTER_CHILD, str(writer), "master", "--config", str(path),
              "--out", str(Path(tmp, "run"))],
             env=env, capture_output=True, text=True, check=True)
-    code, own, writer = map(int, done.stdout.split("\n")[-2].split())
-    if code != 0:
-        raise RuntimeError(f"qfilter master exited {code}: {done.stderr}")
-    return own / 1024, writer / 1024
+        code, own = done.stdout.split("\n")[-2].split(" ", 1)
+        if code != "0":
+            raise RuntimeError(f"qfilter master exited {code}: {done.stderr}")
+        return _footprint(own), _footprint(writer.read_text()) if writer.exists() else None
 
 
-FOOTPRINT_MODULES = ("_hashlib", "concurrent.futures", "multiprocessing")
-# imports the module named by its first argument, then prints its peak RSS
-# (VmHWM) in KiB and, for each later argument, whether that module is loaded
-FOOTPRINT_CHILD = """
-import importlib, sys
+# imports the module named by argv[1], then prints its footprint
+FOOTPRINT_CHILD = FOOTPRINT + """
+import importlib
 importlib.import_module(sys.argv[1])
-with open("/proc/self/status", encoding="utf-8") as fh:
-    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-print(own, *[m in sys.modules for m in sys.argv[2:]])
+print(footprint())
 """
 
 
@@ -446,13 +473,12 @@ def measure_footprint(src: Path, module: str, repeats: int) -> tuple[float, floa
     walls, peaks = [], []
     for _ in range(repeats):
         start = time.perf_counter()
-        done = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, module, *FOOTPRINT_MODULES],
+        done = subprocess.run([sys.executable, "-c", FOOTPRINT_CHILD, module],
                               env=env, capture_output=True, text=True, check=True)
         walls.append(time.perf_counter() - start)
-        own, *loaded = done.stdout.split()
-        peaks.append(int(own) / 1024)
-    return (statistics.median(walls), statistics.median(peaks),
-            [m for m, flag in zip(FOOTPRINT_MODULES, loaded) if flag == "True"])
+        peak, loaded = _footprint(done.stdout)
+        peaks.append(peak)
+    return statistics.median(walls), statistics.median(peaks), loaded
 
 
 def _cell(seconds: float, peak: int) -> str:
@@ -519,23 +545,34 @@ def main(argv=None) -> int:
     # afresh in each child, which raises its peak by a few MiB
     compileall.compile_dir(str(args.src / "qfilter"), quiet=1)
     dim = TINY_MASTER_POINTS if args.tiny else MASTER_POINTS
-    print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS of the solving"
-          " process (VmHWM) / ru_maxrss of the master.csv writer, one child process per run")
+    print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS (VmHWM) of the"
+          " solving process / of the forked master.csv writer, one child process per run")
     print("| stored | 1 worker | 2 workers |")
     print("|---|---|---|")
+    forked = None  # the two-worker footprints of the first case, the workload
     for label, (t_final, stride) in MASTER_STORES.items():
         cells = []
         for workers in (1, 2):
             own, writer = measure_master_export(args.src, dim, t_final, stride, workers)
-            cells.append(f"{own:.1f} / {writer:.1f} MiB" if writer else f"{own:.1f} MiB / none")
+            cells.append(f"{own[0]:.1f} / {writer[0]:.1f} MiB" if writer
+                         else f"{own[0]:.1f} MiB / none")
+        forked = forked or (own, writer)
         print(f"| {label} | " + " | ".join(cells) + " |")
-
-    print(f"\nimport footprint of a fresh child process: median of {repeats} ({args.src})")
-    print("| import | wall | peak RSS (VmHWM) | which of " + ", ".join(FOOTPRINT_MODULES) + " it loaded |")
+    print(f"\nfootprint of a fresh child process: median of {repeats} ({args.src})")
+    print("| process | wall | peak RSS (VmHWM) | which of " + ", ".join(FOOTPRINT_MODULES)
+          + " it loaded |")
     print("|---|---|---|---|")
     for module in ("numpy", "qfilter.cli"):
         wall, peak, loaded = measure_footprint(args.src, module, repeats)
-        print(f"| {module} | {1e3 * wall:.0f} ms | {peak:.1f} MiB | {', '.join(loaded) or 'none'} |")
+        print(f"| import {module} | {1e3 * wall:.0f} ms | {peak:.1f} MiB"
+              f" | {', '.join(loaded) or 'none'} |")
+    label = next(iter(MASTER_STORES))
+    for name, footprint in zip(("solving process", "writer"), forked):
+        if footprint is None:  # one core: no writer is forked
+            continue
+        peak, loaded = footprint
+        print(f"| qfilter master, {label}, 2 workers: {name} | - | {peak:.1f} MiB"
+              f" | {', '.join(loaded) or 'none'} |")
 
     print(f"\nbanded master stage: median wall time of {repeats}, traced peak, traced held")
     print("| points | _banded_stage | held |")

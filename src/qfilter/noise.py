@@ -69,7 +69,8 @@ def generate_noise(master_seed: int, trajectory_index: int, dt: float,
         )
     key = np.array([seed, index], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    dw = rng.standard_normal((n_steps, n_channels)) * np.sqrt(dt)
+    dw = rng.standard_normal((n_steps, n_channels))
+    dw *= np.sqrt(dt)
     return NoisePath(dt, dw, seed, index)
 
 

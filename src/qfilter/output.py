@@ -12,10 +12,12 @@ included; complex series appear as paired _re/_im columns. The text is
 streamed to disk and hashed piece by piece, so writing a table holds about
 one piece of it at a time. `write_simulation` takes an `EnsembleResult`
 and writes its trajectories, one `TrajectoryResult` row at a time, across
-the same worker processes as `run_ensemble`. `MasterExport` writes
-`master.csv` while `solve_master` runs, which then keeps no history: each
-stored density matrix is formatted as the solver hands it over, by one
-forked writer process, or in the solving process with one worker
+the same worker processes as `run_ensemble` (`solvers.pool_map`), each
+writing a contiguous range and sending back its files' manifest entries.
+`MasterExport` writes `master.csv` while `solve_master` runs, which then
+keeps no history: each stored density matrix is formatted as the solver
+hands it over, by one forked writer process that reads it from a pipe into
+one reused buffer, or in the solving process with one worker
 (QFILTER_THREADS caps this writer too), and the header is streamed one
 matrix row of names at a time. So neither process holds the table, and the
 bytes do not depend on the worker count. `write_master` seals the solver's
@@ -24,10 +26,11 @@ largest trace drift in the manifest under "diagnostics".
 Only a process that hashes loads `hashlib` (OpenSSL's libcrypto): it is
 imported where a file is sealed (`_Stream`) or checked
 (`verify_artifacts`), and by `write_simulation` before its pool forks, so
-its workers inherit it. `multiprocessing` is imported only where a process
-forks (`MasterExport` and `solvers.pool_map`). So with two or more workers
-a `qfilter master` solving process loads neither OpenSSL nor the process
-pool (`concurrent.futures`): only its forked writer hashes.
+its workers inherit it. Every fork is `solvers._Child`: `os.fork` and two
+pipes of length-prefixed frames, so no process loads `multiprocessing` or
+`concurrent.futures`. So with two or more workers a `qfilter master`
+solving process loads neither OpenSSL nor a process framework: only its
+forked writer hashes.
 """
 
 from __future__ import annotations
@@ -44,7 +47,15 @@ import numpy as np
 
 from ._version import __version__
 from .errors import ArtifactMismatchError, ConfigError
-from .solvers import DensityTrajectory, EnsembleResult, TrajectoryResult, pool_map, resolve_workers
+from .solvers import (
+    DensityTrajectory,
+    EnsembleResult,
+    TrajectoryResult,
+    _Child,
+    _reply,
+    pool_map,
+    resolve_workers,
+)
 
 
 # a number at 17 significant digits (round-trip exact for float64); the
@@ -267,35 +278,29 @@ class _MasterTable(_Stream):
         self.write(_encoded(_master_row(t, mat, self.weight)))
 
 
-def _received(conn, dim: int):
-    """(t, matrix) pairs from the messages `MasterExport` sends, a time and
-    then its matrix, until an empty time."""
-    while data := conn.recv_bytes():
-        t, = struct.unpack("<d", data)
-        yield t, np.frombuffer(conn.recv_bytes(), dtype=complex).reshape(dim, dim)
+def _received(frames, dim: int):
+    """(t, matrix) pairs from the frames `MasterExport` sends, a time and
+    then its matrix in each, until an empty frame. Every matrix is read into
+    one buffer, which the next frame overwrites."""
+    t, mat = bytearray(8), np.empty((dim, dim), dtype=complex)
+    while frames.recv_into(t, mat.reshape(-1).view(np.uint8)):
+        yield struct.unpack("<d", t)[0], mat
 
 
-def _export_master(conn, parent_end, fh, dim: int, weight: float) -> None:
+def _export_master(frames, fh, dim: int, weight: float) -> dict:
     """Body of the writer process: write master.csv to `fh` from the rows
-    received on `conn`, then send back its manifest entry, or the exception
-    that stopped it. EOF on `conn` means the solving process is gone."""
-    parent_end.close()  # so that EOF reaches this process when the parent dies
+    received on `frames`; its manifest entry. EOFError means the solving
+    process is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops this process
-    try:
-        with fh:
-            rows = _received(conn, dim)
-            # take the first row before the header is formatted, which takes
-            # a few ms for a wide table while the solver waits on its send
-            first = next(rows)
-            table = _MasterTable(fh, dim, weight)
-            for t, mat in itertools.chain([first], rows):
-                table.add(t, mat)
-    except EOFError:
-        return
-    except Exception as exc:  # reported to the parent, which raises it
-        conn.send(exc)
-        return
-    conn.send(table.entry)
+    with fh:
+        rows = _received(frames, dim)
+        # take the first row before the header is formatted, which takes a
+        # few ms for a wide table while the solver waits on its send
+        first = next(rows)
+        table = _MasterTable(fh, dim, weight)
+        for t, mat in itertools.chain([first], rows):
+            table.add(t, mat)
+    return table.entry
 
 
 class MasterExport:
@@ -306,12 +311,17 @@ class MasterExport:
     solver then keeps no history: each stored matrix goes only to `hook`.
     The first one creates the directory and opens the file. With two or
     more workers (`resolve_workers(None, 2) > 1`) it also forks one writer
-    process, and each row is sent to it through a pipe whose send blocks
-    once the writer falls behind by more than the pipe buffers (for a wide
-    table, one row), so the solver waits for it rather than queueing rows.
-    With one worker, `hook` formats and hashes each row in the solving
-    process as it is stored. Either way `write_master` waits for the last
-    row and seals the file, and the bytes are the same.
+    process (`solvers._Child`), and each row goes to it as one frame, its
+    time and then its matrix written straight from the solver's buffer, on
+    a pipe whose write blocks once the writer falls behind by more than the
+    pipe holds (for a wide table, less than a row), so the solver waits for
+    it rather than queueing rows. The writer reads each matrix into one
+    reused buffer, formats and hashes it, and at an empty frame replies
+    with master.csv's manifest entry, or the exception that stopped it. It
+    ignores SIGINT: the solving process stops it. With one worker, `hook`
+    formats and hashes each row in the solving process as it is stored.
+    Either way `write_master` waits for the last row and seals the file,
+    and the bytes are the same.
 
     If the block raises, the writer is killed and what the export wrote
     (master.csv and the directories it created) is removed.
@@ -321,7 +331,7 @@ class MasterExport:
         self.directory = Path(out_dir)
         self.weight = basis.weight
         self._fork = resolve_workers(None, 2) > 1
-        self._fh = self._table = self._conn = self._proc = None
+        self._fh = self._table = self._proc = None
         self._made: list[Path] = []
 
     @property
@@ -331,24 +341,21 @@ class MasterExport:
     def _start(self, dim: int) -> None:
         self._made = [d for d in (self.directory, *self.directory.parents) if not d.exists()]
         self.directory.mkdir(parents=True, exist_ok=True)
-        self._fh = open(self.directory / "master.csv", "wb")
+        self._fh = fh = open(self.directory / "master.csv", "wb")
         if not self._fork:
-            self._table = _MasterTable(self._fh, dim, self.weight)
+            self._table = _MasterTable(fh, dim, self.weight)
             return
-        # forked, not spawned, which would import numpy afresh first; fork
-        # copies no BLAS thread, and the writer calls no BLAS routine
-        import multiprocessing
 
-        ctx = multiprocessing.get_context("fork")
-        self._conn, child_end = ctx.Pipe()
-        proc = ctx.Process(target=_export_master, daemon=True,
-                           args=(child_end, self._conn, self._fh, dim, self.weight))
+        # forked, so the writer starts from this process's modules, numpy
+        # included; fork copies no BLAS thread, and the writer calls no BLAS
+        # routine
+        def write(frames) -> None:
+            _reply(frames, lambda: _export_master(frames, fh, dim, self.weight))
+
         try:
-            proc.start()
+            self._proc = _Child(write, "master.csv writer")
         finally:
-            self._fh.close()
-            child_end.close()
-        self._proc = proc
+            fh.close()
 
     def hook(self, t, rho: np.ndarray) -> None:
         """solve_master's `on_store`: one stored time and density matrix."""
@@ -357,47 +364,31 @@ class MasterExport:
         if self._table is not None:
             self._table.add(t, rho)
             return
-        # the matrix goes as its own message, straight from its buffer
-        self._put(struct.pack("<d", t))
-        self._put(np.ascontiguousarray(rho).reshape(-1).view(np.uint8))
+        self._put(struct.pack("<d", t), np.ascontiguousarray(rho).reshape(-1).view(np.uint8))
 
-    def _put(self, data: bytes) -> None:
+    def _put(self, *parts) -> None:
         try:
-            self._conn.send_bytes(data)
+            self._proc.frames.send(*parts)
         except OSError:  # the writer stopped; its own exception says why
-            self._receive()
+            self._proc.result()
             raise
-
-    def _receive(self) -> dict:
-        try:
-            result = self._conn.recv()
-        except EOFError:
-            self._proc.join()
-            raise OSError(f"master.csv writer exited with code {self._proc.exitcode}") from None
-        if isinstance(result, Exception):
-            raise result
-        return result
 
     def finish(self) -> dict:
         """Wait for every row to be written; master.csv's manifest entry."""
         if self._table is not None:
             self._fh.close()
             return self._table.entry
-        self._put(b"")
-        entry = self._receive()
-        self._proc.join()
+        self._put()  # an empty frame: no more rows
+        entry = self._proc.result()
+        self._proc.end()
         return entry
 
     def __enter__(self) -> MasterExport:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        if self._proc is not None and exc_type is not None:
-            self._proc.kill()
-        if self._conn is not None:
-            self._conn.close()
         if self._proc is not None:
-            self._proc.join()
+            self._proc.end(kill=exc_type is not None)
         if self._fh is not None:
             self._fh.close()
         if exc_type is not None:

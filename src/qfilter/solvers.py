@@ -109,10 +109,14 @@ bases, Crank-Nicolson on grids.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
+import pickle
+import signal
+import struct
+import sys
 import warnings
-from collections import deque
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
@@ -146,8 +150,8 @@ SCHEMES = ("nonlinear", "linear", "gauge")
 _BOUNDARY_WARN = 1e-6
 
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
-# its noise table, its only per-step array, traces to 16 bytes per row-step
-# while drawn with one channel (`scripts/kernel_bench.py`), 17 MB at this bound
+# its noise table, its only per-step array, traces to 8 bytes per entry plus
+# two rows while drawn (`scripts/kernel_bench.py`), 8.4 MB at this bound
 _SERIES_ENTRIES = 1 << 20
 
 # the checks a step makes, in the order it makes them
@@ -793,59 +797,212 @@ def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
 def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
                  n_channels: int) -> np.ndarray:
     """(hi - lo, n_steps, n_channels) Wiener increments of trajectories
-    lo .. hi - 1, each from its own stream."""
-    return np.stack([generate_noise(master_seed, i, dt, n_steps, n_channels).increments
-                     for i in range(lo, hi)])
+    lo .. hi - 1, each from its own stream (`generate_noise`), written into
+    its row of one table as it is drawn: it holds the table and, while a
+    row is drawn, that row's draw and its `NoisePath` copy."""
+    table = np.empty((hi - lo, n_steps, n_channels))
+    for row, i in zip(table, range(lo, hi)):
+        row[...] = generate_noise(master_seed, i, dt, n_steps, n_channels).increments
+    return table
 
 
-_POOL_TASK = None
+_RANGE = struct.Struct("<qq")  # a pool task: one (lo, hi) range
+_FRAME = struct.Struct("<Q")  # the byte length of the frame that follows
+# this process's ends of the pipes to its live children (`_Child`); each
+# child closes them, so that a pipe reads EOF once its own two processes
+# have closed it, whatever sibling was forked after it
+_PARENT_ENDS: set[int] = set()
 
 
-def _pool_init(fn) -> None:
-    global _POOL_TASK
-    _POOL_TASK = fn
+class _Frames:
+    """Length-prefixed frames over two pipe ends: each frame is its byte
+    length (`_FRAME`) followed by its bytes. EOF on `rfd` raises EOFError."""
+
+    def __init__(self, rfd: int, wfd: int):
+        self.rfd, self.wfd = rfd, wfd
+
+    def send(self, *parts) -> None:
+        """Write one frame of the bytes of `parts` (1-D bytes-like objects),
+        straight from their buffers."""
+        views = [memoryview(p) for p in parts]
+        views.insert(0, memoryview(_FRAME.pack(sum(v.nbytes for v in views))))
+        while views:
+            n = os.writev(self.wfd, views)
+            while views and n >= views[0].nbytes:
+                n -= views.pop(0).nbytes
+            if n:
+                views[0] = views[0][n:]
+
+    def _fill(self, buf) -> None:
+        view = memoryview(buf)
+        while view.nbytes:
+            n = os.readv(self.rfd, [view])
+            if n == 0:
+                raise EOFError("pipe closed")
+            view = view[n:]
+
+    def _size(self) -> int:
+        head = bytearray(_FRAME.size)
+        self._fill(head)
+        return _FRAME.unpack(head)[0]
+
+    def recv(self) -> bytearray:
+        """The bytes of the next frame."""
+        buf = bytearray(self._size())
+        self._fill(buf)
+        return buf
+
+    def recv_into(self, *bufs) -> int:
+        """Read the next frame into the writable 1-D byte buffers `bufs`, in
+        order, which it fills exactly unless it is empty; its length."""
+        n = self._size()
+        for buf in bufs if n else ():
+            self._fill(buf)
+        return n
 
 
-def _pool_run(bounds: tuple[int, int]):
-    return _POOL_TASK(*bounds)
+def _flush_std() -> None:
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except Exception:
+            pass
+
+
+class _Child:
+    """A forked process that runs `body(frames)` and exits, where `frames`
+    are its ends of two pipes to this process, one each way; `frames` here
+    are this process's ends. `body` inherits by fork whatever it refers to,
+    closures and shared mappings included. The child closes every pipe end
+    it does not own, its siblings' ends included, so it reads EOF once this
+    process has closed its end or died. It exits with code 0 once `body`
+    returns, else 1, without unwinding this process's stack or running its
+    exit handlers. `name` names it in errors."""
+
+    def __init__(self, body: Callable[[_Frames], None], name: str):
+        self.name, self.code = name, None
+        _flush_std()  # or the child would write what this process buffered
+        down, up = os.pipe(), os.pipe()  # (read, write) ends: to the child, from it
+        try:
+            pid = os.fork()
+        except OSError:
+            for fd in (*down, *up):
+                os.close(fd)
+            raise
+        if pid == 0:
+            code = 1
+            try:
+                for fd in (down[1], up[0], *_PARENT_ENDS):
+                    os.close(fd)
+                _PARENT_ENDS.clear()
+                body(_Frames(down[0], up[1]))
+                code = 0
+            finally:
+                _flush_std()
+                os._exit(code)
+        os.close(down[0])
+        os.close(up[1])
+        self.pid, self.frames = pid, _Frames(up[0], down[1])
+        _PARENT_ENDS.update((up[0], down[1]))
+
+    def result(self):
+        """The next value the child replied (`_reply`), or raise the
+        exception it replied; OSError naming its exit code if it ended
+        without replying."""
+        try:
+            ok, value = pickle.loads(self.frames.recv())
+        except EOFError:
+            raise OSError(f"{self.name} exited with code {self.wait()}") from None
+        if not ok:
+            raise value
+        return value
+
+    def wait(self) -> int:
+        """Reap the child; its exit code, negative for a signal."""
+        if self.code is None:
+            self.code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.code
+
+    def end(self, kill: bool = False) -> None:
+        """Close this process's pipe ends, which the child reads as EOF, after
+        killing it if `kill`; then reap it."""
+        if self.frames is None:
+            return
+        if kill and self.code is None:
+            os.kill(self.pid, signal.SIGKILL)
+        for fd in (self.frames.rfd, self.frames.wfd):
+            os.close(fd)
+            _PARENT_ENDS.discard(fd)
+        self.frames = None
+        self.wait()
+
+
+def _reply(frames: _Frames, call: Callable[[], object]) -> None:
+    """Send, as one pickled frame, the value of call() or the exception it
+    raised; an exception that does not survive pickling goes as an OSError
+    naming its type."""
+    try:
+        data = pickle.dumps((True, call()))
+    except Exception as exc:
+        try:
+            data = pickle.dumps((False, exc))
+            pickle.loads(data)
+        except Exception:
+            data = pickle.dumps((False, OSError(
+                f"unpicklable {type(exc).__module__}.{type(exc).__qualname__}: {exc}")))
+    frames.send(data)
+
+
+def _serve(frames: _Frames, fn: Callable[[int, int], object]) -> None:
+    """Body of a pool worker: reply fn(lo, hi) to each range frame, in the
+    order received, until EOF."""
+    while True:
+        try:
+            task = frames.recv()
+        except EOFError:
+            return
+        _reply(frames, lambda: fn(*_RANGE.unpack(task)))
 
 
 def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_workers: int):
     """Generate fn(lo, hi) for each range in order: in this process for one
-    worker, else from a pool of n_workers forked processes that lives until
-    the generator ends or is closed. Workers inherit `fn`, which may be a
-    closure, through the pool initializer, and with it any shared memory it
-    holds, such as a result's arrays; only ranges and return values are
-    pickled. Fork is pinned: under spawn or forkserver, workers would write
-    into pickled copies and their rows would be lost without an error.
-    `multiprocessing` and `concurrent.futures` are imported here, in the
-    several-worker branch, so a process that forks no pool (a one-worker
-    run, or `qfilter master`) never loads the pool.
+    worker, else from n = min(n_workers, len(bounds)) forked workers
+    (`_Child`) that live until the generator ends or is closed. Range k goes
+    to worker k mod n as a (lo, hi) frame, and its value comes back pickled,
+    or the exception fn raised, which is raised here in its place. Workers
+    inherit `fn`, which may be a closure, by fork, and with it any shared
+    memory it holds, such as a result's arrays; only ranges and values are
+    pickled. A worker that ends without replying raises OSError naming its
+    exit code. Once the generator ends, its workers read EOF and exit; if it
+    raises or is closed early, they are killed. Either way each is reaped.
+    Only `os.fork` and `os.pipe` are used: no process loads
+    `multiprocessing` or `concurrent.futures`.
 
-    At most n_workers + 1 ranges are in flight: range i + n_workers + 1 is
-    submitted only once the caller has taken value i and asked for the next,
-    so while the caller holds value i, ranges i + 1 .. i + n_workers run, and
-    none with one worker (`_drive`'s ring)."""
+    At most n_workers + 1 ranges are in flight: range k + n + 1 is sent only
+    once the caller has taken value k and asked for the next, so while the
+    caller holds value k, ranges k + 1 .. k + n run, and none with one
+    worker (`_drive`'s ring)."""
     if n_workers <= 1:
         for lo, hi in bounds:
             yield fn(lo, hi)
         return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=n_workers, mp_context=multiprocessing.get_context("fork"),
-                             initializer=_pool_init, initargs=(fn,)) as pool:
-        pending = deque()
-        try:
-            for task in bounds:
-                if len(pending) > n_workers:
-                    yield pending.popleft().result()
-                pending.append(pool.submit(_pool_run, task))
-            while pending:
-                yield pending.popleft().result()
-        finally:
-            for future in pending:
-                future.cancel()
+    workers: list[_Child] = []
+    done = False
+    try:
+        for _ in range(min(n_workers, len(bounds))):
+            workers.append(_Child(lambda frames: _serve(frames, fn), "pool worker"))
+        n = len(workers)
+        for k, (lo, hi) in enumerate(bounds):
+            if k > n:
+                yield workers[(k - n - 1) % n].result()
+            with contextlib.suppress(BrokenPipeError):  # a dead worker fails at its value
+                workers[k % n].frames.send(_RANGE.pack(lo, hi))
+        for k in range(max(0, len(bounds) - n - 1), len(bounds)):
+            yield workers[k % n].result()
+        done = True
+    finally:
+        for worker in workers:
+            worker.end(kill=not done)
 
 
 def run_ensemble(model: ModelSpec, initial: StateVector, dt: float, n_steps: int,
@@ -1053,6 +1210,12 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     only to the hook: no history is allocated, and the result's `matrices`
     is None. `rho` is a read-only view of the solver's own buffer, valid
     until the hook returns; a hook that keeps a matrix copies it.
+
+    The solver copies `rho0`'s entries into that buffer and then drops its
+    reference to `rho0`, so a temporary initial matrix, such as the
+    projector `qfilter master` passes, is freed before the first step
+    (from Python 3.11, where a call's arguments move into the callee's
+    frame; on 3.10 the caller's frame holds it until the call returns).
     """
     _check_master(model, rho0, dt, n_steps, store_stride)
     stage = (_banded_stage if model._banded else _dense_stage)(model.generator, model.channels)
@@ -1074,6 +1237,7 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
 
     # C order, so every buffer's flat reshape is a view the stages write through
     rho = np.array(rho0.entries, dtype=complex, order="C")
+    del rho0  # so a matrix only the call held is freed before the first step
     a, b = np.empty_like(rho), np.empty_like(rho)
     drift = 0.0
     store(0, rho)

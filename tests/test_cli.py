@@ -275,28 +275,89 @@ def test_master_run_leaves_numpy_ma_unloaded(tmp_path):
     assert after_run == at_import
 
 
+# Runs the CLI on argv[2:] in a fresh process. Each forked process that
+# advances a batch or writes master.csv appends "pid F" to the file argv[1]
+# once done, and the CLI process prints "pid H F" at its end: F says that
+# `concurrent.futures` and `multiprocessing` are loaded as a fresh `import
+# numpy` left them (numpy 1.x may load more itself), H the same of
+# `_hashlib`.
+_FRAMEWORK_PROBE = """
+import os, sys, numpy
+names = ('concurrent.futures', 'multiprocessing')
+frameworks, openssl = [m in sys.modules for m in names], '_hashlib' in sys.modules
+from qfilter import output, solvers
+from qfilter.cli import main
+
+def unchanged():
+    return frameworks == [m in sys.modules for m in names]
+
+def marked(fn):
+    def run(*args):
+        value = fn(*args)
+        with open(sys.argv[1], 'a', encoding='utf-8') as fh:
+            fh.write(f"{os.getpid()} {unchanged()}\\n")
+        return value
+    return run
+
+solvers._run_batch = marked(solvers._run_batch)
+output._export_master = marked(output._export_master)
+rc = main(sys.argv[2:])
+print(os.getpid(), openssl == ('_hashlib' in sys.modules), unchanged())
+sys.exit(rc)
+"""
+
+
+def _framework_probe(tmp_path, threads: str, *argv: str):
+    """(exit code, the CLI process's "pid H F" line, the "pid F" lines of the
+    forked processes that advanced a batch or wrote master.csv) of
+    `_FRAMEWORK_PROBE` running the CLI on `argv`."""
+    log = tmp_path / f"forked{threads}.txt"
+    res = subprocess.run([sys.executable, "-c", _FRAMEWORK_PROBE, str(log), *argv],
+                         capture_output=True, text=True, env=_checkout_env(QFILTER_THREADS=threads))
+    forked = log.read_text(encoding="utf-8").splitlines() if log.exists() else []
+    return res.returncode, res.stdout.splitlines()[-1] if res.stdout else res.stderr, forked
+
+
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no master.csv writer")
 def test_two_worker_master_run_loads_neither_openssl_nor_the_pool(tmp_path):
     """With two workers `qfilter master` hashes only in its forked writer and
-    forks no pool, so the solving process leaves `_hashlib` and
-    `concurrent.futures` as a fresh `import numpy` left them (numpy 1.x may
-    load more itself), and master.csv has the bytes of a one-worker run."""
+    forks no pool, so the solving process leaves `_hashlib`,
+    `concurrent.futures` and `multiprocessing` as a fresh `import numpy` left
+    them, the writer loads neither framework, and master.csv has the bytes
+    of a one-worker run, which forks nothing."""
     cfg_path = _write_cfg(tmp_path)
-    code = ("import sys, numpy; names = ('_hashlib', 'concurrent.futures'); "
-            "loaded = [m in sys.modules for m in names]; from qfilter.cli import main; "
-            "rc = main(sys.argv[1:]); print(loaded == [m in sys.modules for m in names]); "
-            "sys.exit(rc)")
     tables = []
     for threads in ("2", "1"):
         out = tmp_path / f"run{threads}"
-        res = subprocess.run(
-            [sys.executable, "-c", code, "master", "--config", str(cfg_path), "--out", str(out)],
-            capture_output=True, text=True, env=_checkout_env(QFILTER_THREADS=threads))
-        assert res.returncode == 0, res.stderr
+        code, own, forked = _framework_probe(tmp_path, threads, "master", "--config",
+                                             str(cfg_path), "--out", str(out))
+        assert code == 0, own
+        pid = own.split()[0]
         if threads == "2":
-            assert res.stdout.splitlines()[-1] == "True"
+            assert own == f"{pid} True True"
+            assert len(forked) == 1 and forked[0].split()[0] != pid
+            assert forked[0].endswith(" True")
+        else:
+            assert forked == []
         tables.append((out / "master.csv").read_bytes())
     assert tables[0] == tables[1]
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no pool")
+def test_two_worker_ensemble_suite_loads_no_process_framework(tmp_path):
+    """With two workers `verify --suite ensemble` forks its pool with bare
+    pipes: neither the suite's process nor any worker that advanced a batch
+    loads `concurrent.futures` or `multiprocessing`, and the suite loads
+    OpenSSL only at `write_report`, after its stream."""
+    cfg_path = _write_cfg(tmp_path, ensemble={"n_trajectories": 4, "master_seed": 3})
+    code, own, forked = _framework_probe(tmp_path, "2", "verify", "--suite", "ensemble",
+                                         "--config", str(cfg_path), "--out", str(tmp_path / "rep"))
+    assert code in (0, 4), own
+    pid, _, frameworks = own.split()  # `_hashlib` is loaded by then, for the report
+    assert frameworks == "True"
+    workers = {line.split()[0] for line in forked}
+    assert len(workers) == 2 and pid not in workers
+    assert all(line.endswith(" True") for line in forked), forked
 
 
 def _gone_or_zombie(pid: int) -> bool:

@@ -3,10 +3,13 @@ import that loads none of the CLI's layers."""
 
 from __future__ import annotations
 
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import qfilter as qf
 
@@ -84,6 +87,30 @@ def test_import_loads_neither_openssl_nor_the_process_pool():
     with_numpy, with_qfilter, with_cli = out.splitlines()
     assert with_qfilter == with_numpy
     assert with_cli == with_numpy
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no master.csv writer")
+def test_forked_processes_load_no_process_framework():
+    """A two-worker `pool_map` and a forked `MasterExport` writer use bare
+    `os.fork` and pipes: neither the forking process nor any child loads
+    `concurrent.futures` or `multiprocessing` beyond what a fresh `import
+    numpy` loaded."""
+    out = _fresh_import(
+        "import os, tempfile, numpy; names = ('concurrent.futures', 'multiprocessing'); "
+        "os.environ['QFILTER_THREADS'] = '2'; "
+        "before = [m in sys.modules for m in names]; "
+        "import qfilter as qf; from qfilter import output, solvers; "
+        "same = lambda: before == [m in sys.modules for m in names]; "
+        "print(*solvers.pool_map(lambda lo, hi: same(), [(0, 1), (1, 2)], 2)); "
+        "body = output._export_master; "
+        "output._export_master = lambda *a: (body(*a), same())[1]; "
+        "tmp = tempfile.TemporaryDirectory(); "
+        "export = output.MasterExport(tmp.name, qf.Basis.finite(2)); "
+        "export.hook(0.0, numpy.eye(2, dtype=complex) / 2); "
+        "print(export.finish(), same()); tmp.cleanup()")
+    workers, writer = out.splitlines()
+    assert workers == "True True"
+    assert writer == "True True"  # the writer's flag, which `finish` returns, and this one
 
 
 def test_readme_python_examples_run():

@@ -2,12 +2,17 @@
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
+import mmap
 import os
 import re
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import warnings
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -875,26 +880,142 @@ def test_stream_warns_and_fails_as_the_collected_run(monkeypatch, rows, workers)
     assert (err.trajectory_index, err.step_index, err.scheme) == (7, 3, "gauge")
 
 
-def test_pool_keeps_one_range_beyond_its_workers_in_flight(monkeypatch):
-    """With two workers, `pool_map` has submitted exactly three ranges ahead
-    of its consumer, or all that are left, whenever it yields a value, and
-    it yields the values in order."""
-    submitted = []
-
-    class Counting(concurrent.futures.ProcessPoolExecutor):
-        def submit(self, fn, *args, **kwargs):
-            submitted.append(args[0])
-            return super().submit(fn, *args, **kwargs)
-
-    # pool_map imports the pool where it forks one
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Counting)
+def test_pool_keeps_one_range_beyond_its_workers_in_flight():
+    """With two workers, `pool_map` has sent exactly three ranges ahead of
+    its consumer, or all that are left, whenever it yields a value, and it
+    yields the values in order. Each worker marks the ranges it receives in
+    a shared mapping; while the consumer holds a value, no range is sent."""
     bounds = [(lo, lo + 1) for lo in range(10)]
+    received = np.frombuffer(mmap.mmap(-1, len(bounds)), np.uint8)
+
+    def fn(lo, hi):
+        received[lo] = 1
+        return 10 * lo
+
     values = []
-    for value in solvers.pool_map(lambda lo, hi: 10 * lo, bounds, 2):
-        assert len(submitted) == min(len(values) + 3, len(bounds))
+    for value in solvers.pool_map(fn, bounds, 2):
+        want = min(len(values) + 3, len(bounds))
+        deadline = time.monotonic() + 30.0
+        while received.sum() < want and time.monotonic() < deadline:
+            time.sleep(0.001)
+        time.sleep(0.02)  # a fourth range would be marked by now
+        assert received.sum() == want
+        assert received[:want].all()
         values.append(value)
-    assert submitted == bounds
     assert values == [10 * lo for lo, _ in bounds]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("not by pickle")
+
+
+def test_pool_raises_a_worker_s_exception_at_its_range():
+    """A worker's exception is raised in the parent with its type and
+    message at its own range, after the values of the ranges before it; one
+    that does not survive pickling arrives as an OSError naming its type.
+    No worker outlives the generator."""
+    def fn(lo, hi):
+        if lo == 3:
+            raise InstabilityError(f"range {lo}..{hi} diverged")
+        if lo == 1:
+            raise _Unpicklable("held a lock")
+        return lo
+
+    got = []
+    with pytest.raises(OSError, match=r"unpicklable .*_Unpicklable: held a lock"):
+        for value in solvers.pool_map(fn, [(0, 1), (1, 2)], 2):
+            got.append(value)
+    assert got == [0]
+    got = []
+    with pytest.raises(InstabilityError, match=r"^range 3\.\.4 diverged$"):
+        for value in solvers.pool_map(fn, [(0, 1), (2, 3), (3, 4), (4, 5), (5, 6)], 2):
+            got.append(value)
+    assert got == [0, 2]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_leaves_no_worker_behind_a_consumer_that_raises():
+    """A consumer that raises after the first value, while the workers
+    still run their ranges, leaves no child process."""
+    def fn(lo, hi):
+        time.sleep(0.05 * lo)
+        return lo
+
+    with pytest.raises(RuntimeError, match="consumer stopped"):
+        for _ in solvers.pool_map(fn, [(lo, lo + 1) for lo in range(8)], 2):
+            raise RuntimeError("consumer stopped")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_reports_a_worker_killed_by_a_signal():
+    """A worker that dies without replying makes `pool_map` raise an error
+    naming its exit status instead of waiting for it."""
+    def fn(lo, hi):
+        if lo == 2:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return lo
+
+    got = []
+    with pytest.raises(OSError, match=r"^pool worker exited with code -9$"):
+        for value in solvers.pool_map(fn, [(lo, lo + 1) for lo in range(6)], 2):
+            got.append(value)
+    assert got == [0, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/stat"), reason="needs /proc")
+def test_pool_workers_hold_only_their_own_pipes():
+    """Each worker holds the two pipes to its parent and none of its
+    siblings', so every worker reads EOF and exits once its parent's ends
+    close, here by a SIGKILL of the parent."""
+    script = (
+        "import os, signal\n"
+        "from qfilter.solvers import pool_map\n"
+        "def pipes():\n"
+        "    links = set()\n"
+        "    for fd in os.listdir('/proc/self/fd'):\n"
+        "        try:\n"
+        "            links.add(os.readlink(f'/proc/self/fd/{fd}'))\n"
+        "        except OSError:\n"
+        "            pass\n"
+        "    return {link for link in links if link.startswith('pipe:')}\n"
+        "before = pipes()\n"
+        "values = pool_map(lambda lo, hi: (os.getpid(), len(pipes() - before)),\n"
+        "                  [(0, 1), (1, 2), (2, 3)], 2)\n"
+        "print(*next(values), *next(values), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [os.path.dirname(os.path.dirname(qf.__file__)),
+                      os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env=env)
+    assert res.returncode == -9, res.stderr
+    first, first_pipes, second, second_pipes = map(int, res.stdout.split())
+    assert first != second
+    assert (first_pipes, second_pipes) == (2, 2)
+    deadline = time.monotonic() + 30.0
+    while time.monotonic() < deadline:
+        alive = [pid for pid in (first, second) if not _gone_or_zombie(pid)]
+        if not alive:
+            break
+        time.sleep(0.05)
+    assert not alive, f"workers {alive} outlived their parent"
+
+
+def _gone_or_zombie(pid: int) -> bool:
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as fh:
+            stat = fh.read()
+    except FileNotFoundError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
 
 
 def _uncut_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
@@ -1070,6 +1191,42 @@ def test_master_solver_flags_blowup():
             solve_master(model, projector(plus), 1e3, 50)
     step, t = re.search(r"step (\d+) \(t = (\d+)\)", str(err.value)).groups()
     assert float(t) == (int(step) + 1) * 1e3
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="on 3.10 the caller's frame holds the arguments of a call")
+def test_master_solver_frees_a_temporary_initial_matrix():
+    """`solve_master` keeps no reference to `rho0` once it has copied it, so
+    an initial matrix that only the call held is gone by its first stored
+    row."""
+    refs = []
+
+    def initial():
+        rho0 = projector(_ket(1.0, 0.0))
+        refs.append(weakref.ref(rho0))
+        return rho0
+
+    alive = []
+    solve_master(_dephasing(), initial(), 1e-3, 4,
+                 on_store=lambda t, rho: alive.append(refs[0]() is not None))
+    assert alive == [False] * 5
+
+
+def test_noise_table_holds_one_table_and_a_draw():
+    """A drawn table peaks near one table: each trajectory's increments go
+    into its row as they are drawn, with the bytes of `generate_noise`."""
+    rows, n, c, dt = 16, 4000, 2, 1e-3
+    solvers._noise_table(5, 0, 1, dt, 2, c)  # lazy imports load untraced
+    tracemalloc.start()
+    try:
+        table = solvers._noise_table(5, 3, 3 + rows, dt, n, c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    for k in range(rows):
+        assert table[k].tobytes() == generate_noise(5, 3 + k, dt, n, c).increments.tobytes()
+    row = n * c * 8
+    assert peak < table.nbytes + 3 * row, f"peak {peak} B for a table of {table.nbytes} B"
 
 
 def _dense_master_rhs(model, r):
