@@ -34,10 +34,10 @@ The batch table gives, for one batch of 8 rows over 20 000 steps (500 with
 run per row-step: drawing its noise with a slim result, drawing it and
 keeping its step norms and record, and replaying that record. The result's
 arrays live in a shared mapping, which tracemalloc does not trace, and a
-batch's only per-step array is its noise table: a drawn batch peaks at
-its 8 bytes per row-step plus two rows while one row is drawn (10 B per
-row-step at 8 rows), and a replayed one, whose table its caller holds, at
-its workspace spread over the steps. It then
+batch's only per-step array is its noise table, drawn in place: a
+replayed batch, whose table its caller holds, peaks at its workspace
+spread over the steps, and a drawn one at that plus the table's 8 bytes
+per row-step. It then
 lists how `run_ensemble` splits four runs into batches with one worker and
 with two, read from the ranges `_drive` hands to `solvers.pool_map`, which
 is replaced for this so that no trajectory is advanced. A batch holds at

@@ -35,12 +35,11 @@ from .linalg import (
     trace_distance,
 )
 from .models import ModelSpec
-from .noise import _coarsen
+from .noise import _coarsen, _noise_table
 from .solvers import (
     DensityTrajectory,
     EnsembleResult,
     TrajectoryResult,
-    _noise_table,
     _re_rowdot,
     _rowdot,
     _run_rows,

@@ -52,11 +52,14 @@ class NoisePath:
         return self.increments.shape[1]
 
 
-def generate_noise(master_seed: int, trajectory_index: int, dt: float,
-                   n_steps: int, n_channels: int = 1) -> NoisePath:
-    """Draw the (n_steps, n_channels) increment table for one trajectory."""
+def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
+                 n_channels: int) -> np.ndarray:
+    """(hi - lo, n_steps, n_channels) Wiener increments of trajectories
+    lo .. hi - 1: row i is the stream keyed on (master_seed, lo + i), drawn
+    straight into it and scaled in place, so the table is all it holds."""
     seed = _check_seed(master_seed, "master_seed")
-    index = _check_seed(trajectory_index, "trajectory_index")
+    lo = _check_seed(lo, "trajectory_index")
+    hi = _check_seed(hi - 1, "trajectory_index") + 1
     if dt <= 0:
         raise ValueError("dt must be positive")
     if n_steps < 1:
@@ -67,11 +70,22 @@ def generate_noise(master_seed: int, trajectory_index: int, dt: float,
         raise ValueError(
             f"refusing to allocate {n_steps * n_channels} increments (cap {MAX_INCREMENTS})"
         )
-    key = np.array([seed, index], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
-    dw = rng.standard_normal((n_steps, n_channels))
-    dw *= np.sqrt(dt)
-    return NoisePath(dt, dw, seed, index)
+    table = np.empty((hi - lo, n_steps, n_channels))
+    scale = np.sqrt(dt)
+    for row, index in zip(table, range(lo, hi)):
+        key = np.array([seed, index], dtype=np.uint64)
+        np.random.Generator(np.random.Philox(key=key)).standard_normal(out=row)
+        row *= scale
+    return table
+
+
+def generate_noise(master_seed: int, trajectory_index: int, dt: float,
+                   n_steps: int, n_channels: int = 1) -> NoisePath:
+    """Draw the (n_steps, n_channels) increment table for one trajectory:
+    the one-row `_noise_table`."""
+    index = _check_seed(trajectory_index, "trajectory_index")
+    table = _noise_table(master_seed, index, index + 1, dt, n_steps, n_channels)
+    return NoisePath(dt, table[0], int(master_seed), index)
 
 
 def _coarsen(table: np.ndarray, factor: int) -> np.ndarray:

@@ -27,10 +27,10 @@ Only a process that hashes loads `hashlib` (OpenSSL's libcrypto): it is
 imported where a file is sealed (`_Stream`) or checked
 (`verify_artifacts`), and by `write_simulation` before its pool forks, so
 its workers inherit it. Every fork is `solvers._Child`: `os.fork` and two
-pipes of length-prefixed frames, so no process loads `multiprocessing` or
-`concurrent.futures`. So with two or more workers a `qfilter master`
-solving process loads neither OpenSSL nor a process framework: only its
-forked writer hashes.
+pipes, each a buffered file that carries pickles, so no process loads
+`multiprocessing` or `concurrent.futures`. So with two or more workers a
+`qfilter master` solving process loads neither OpenSSL nor a process
+framework: only its forked writer hashes.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ import contextlib
 import itertools
 import json
 import os
+import pickle
 import signal
-import struct
 from pathlib import Path
 
 import numpy as np
@@ -278,22 +278,24 @@ class _MasterTable(_Stream):
         self.write(_encoded(_master_row(t, mat, self.weight)))
 
 
-def _received(frames, dim: int):
-    """(t, matrix) pairs from the frames `MasterExport` sends, a time and
-    then its matrix in each, until an empty frame. Every matrix is read into
-    one buffer, which the next frame overwrites."""
-    t, mat = bytearray(8), np.empty((dim, dim), dtype=complex)
-    while frames.recv_into(t, mat.reshape(-1).view(np.uint8)):
-        yield struct.unpack("<d", t)[0], mat
+def _received(reader, dim: int):
+    """(t, matrix) pairs from the rows `MasterExport` sends on `reader`, each
+    a pickled time and then the matrix's raw bytes, until a pickled None.
+    Every matrix is read into one buffer, which the next row overwrites."""
+    mat = np.empty((dim, dim), dtype=complex)
+    while (t := pickle.load(reader)) is not None:
+        if reader.readinto(mat) < mat.nbytes:
+            raise EOFError("pipe closed within a row")
+        yield t, mat
 
 
-def _export_master(frames, fh, dim: int, weight: float) -> dict:
+def _export_master(reader, fh, dim: int, weight: float) -> dict:
     """Body of the writer process: write master.csv to `fh` from the rows
-    received on `frames`; its manifest entry. EOFError means the solving
+    read from `reader`; its manifest entry. EOFError means the solving
     process is gone."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops this process
     with fh:
-        rows = _received(frames, dim)
+        rows = _received(reader, dim)
         # take the first row before the header is formatted, which takes a
         # few ms for a wide table while the solver waits on its send
         first = next(rows)
@@ -311,17 +313,17 @@ class MasterExport:
     solver then keeps no history: each stored matrix goes only to `hook`.
     The first one creates the directory and opens the file. With two or
     more workers (`resolve_workers(None, 2) > 1`) it also forks one writer
-    process (`solvers._Child`), and each row goes to it as one frame, its
-    time and then its matrix written straight from the solver's buffer, on
-    a pipe whose write blocks once the writer falls behind by more than the
-    pipe holds (for a wide table, less than a row), so the solver waits for
-    it rather than queueing rows. The writer reads each matrix into one
-    reused buffer, formats and hashes it, and at an empty frame replies
-    with master.csv's manifest entry, or the exception that stopped it. It
-    ignores SIGINT: the solving process stops it. With one worker, `hook`
-    formats and hashes each row in the solving process as it is stored.
-    Either way `write_master` waits for the last row and seals the file,
-    and the bytes are the same.
+    process (`solvers._Child`), and each row goes to it as its time,
+    pickled, and then its matrix's raw bytes, written straight from the
+    solver's buffer, on a pipe whose write blocks once the writer falls
+    behind by more than the pipe holds (for a wide table, less than a row),
+    so the solver waits for it rather than queueing rows. The writer reads
+    each matrix into one reused buffer, formats and hashes it, and at a
+    pickled None replies with master.csv's manifest entry, or the exception
+    that stopped it. It ignores SIGINT: the solving process stops it. With
+    one worker, `hook` formats and hashes each row in the solving process as
+    it is stored. Either way `write_master` waits for the last row and seals
+    the file, and the bytes are the same.
 
     If the block raises, the writer is killed and what the export wrote
     (master.csv and the directories it created) is removed.
@@ -349,8 +351,8 @@ class MasterExport:
         # forked, so the writer starts from this process's modules, numpy
         # included; fork copies no BLAS thread, and the writer calls no BLAS
         # routine
-        def write(frames) -> None:
-            _reply(frames, lambda: _export_master(frames, fh, dim, self.weight))
+        def write(reader, writer) -> None:
+            _reply(writer, lambda: _export_master(reader, fh, dim, self.weight))
 
         try:
             self._proc = _Child(write, "master.csv writer")
@@ -364,11 +366,15 @@ class MasterExport:
         if self._table is not None:
             self._table.add(t, rho)
             return
-        self._put(struct.pack("<d", t), np.ascontiguousarray(rho).reshape(-1).view(np.uint8))
+        self._put(float(t), np.ascontiguousarray(rho))
 
-    def _put(self, *parts) -> None:
+    def _put(self, t: float | None, mat: np.ndarray | None = None) -> None:
+        writer = self._proc.writer
         try:
-            self._proc.frames.send(*parts)
+            pickle.dump(t, writer)
+            if mat is not None:
+                writer.write(mat)
+            writer.flush()
         except OSError:  # the writer stopped; its own exception says why
             self._proc.result()
             raise
@@ -378,7 +384,7 @@ class MasterExport:
         if self._table is not None:
             self._fh.close()
             return self._table.entry
-        self._put()  # an empty frame: no more rows
+        self._put(None)  # no more rows
         entry = self._proc.result()
         self._proc.end()
         return entry

@@ -110,11 +110,11 @@ bases, Crank-Nicolson on grids.
 from __future__ import annotations
 
 import contextlib
+import io
 import math
 import os
 import pickle
 import signal
-import struct
 import sys
 import warnings
 from collections.abc import Callable
@@ -143,15 +143,15 @@ from .linalg import (
     padded_rows,
 )
 from .models import ModelSpec
-from .noise import MeasurementRecord, NoisePath, generate_noise
+from .noise import MeasurementRecord, NoisePath, _noise_table, generate_noise
 
 SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
 
 # entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
-# its noise table, its only per-step array, traces to 8 bytes per entry plus
-# two rows while drawn (`scripts/kernel_bench.py`), 8.4 MB at this bound
+# its noise table, its only per-step array, traces to 8 bytes per entry
+# (`scripts/kernel_bench.py`), 8.4 MB at this bound
 _SERIES_ENTRIES = 1 << 20
 
 # the checks a step makes, in the order it makes them
@@ -794,71 +794,10 @@ def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
     return list(zip(cuts, cuts[1:] + [n_rows]))
 
 
-def _noise_table(master_seed: int, lo: int, hi: int, dt: float, n_steps: int,
-                 n_channels: int) -> np.ndarray:
-    """(hi - lo, n_steps, n_channels) Wiener increments of trajectories
-    lo .. hi - 1, each from its own stream (`generate_noise`), written into
-    its row of one table as it is drawn: it holds the table and, while a
-    row is drawn, that row's draw and its `NoisePath` copy."""
-    table = np.empty((hi - lo, n_steps, n_channels))
-    for row, i in zip(table, range(lo, hi)):
-        row[...] = generate_noise(master_seed, i, dt, n_steps, n_channels).increments
-    return table
-
-
-_RANGE = struct.Struct("<qq")  # a pool task: one (lo, hi) range
-_FRAME = struct.Struct("<Q")  # the byte length of the frame that follows
 # this process's ends of the pipes to its live children (`_Child`); each
 # child closes them, so that a pipe reads EOF once its own two processes
 # have closed it, whatever sibling was forked after it
 _PARENT_ENDS: set[int] = set()
-
-
-class _Frames:
-    """Length-prefixed frames over two pipe ends: each frame is its byte
-    length (`_FRAME`) followed by its bytes. EOF on `rfd` raises EOFError."""
-
-    def __init__(self, rfd: int, wfd: int):
-        self.rfd, self.wfd = rfd, wfd
-
-    def send(self, *parts) -> None:
-        """Write one frame of the bytes of `parts` (1-D bytes-like objects),
-        straight from their buffers."""
-        views = [memoryview(p) for p in parts]
-        views.insert(0, memoryview(_FRAME.pack(sum(v.nbytes for v in views))))
-        while views:
-            n = os.writev(self.wfd, views)
-            while views and n >= views[0].nbytes:
-                n -= views.pop(0).nbytes
-            if n:
-                views[0] = views[0][n:]
-
-    def _fill(self, buf) -> None:
-        view = memoryview(buf)
-        while view.nbytes:
-            n = os.readv(self.rfd, [view])
-            if n == 0:
-                raise EOFError("pipe closed")
-            view = view[n:]
-
-    def _size(self) -> int:
-        head = bytearray(_FRAME.size)
-        self._fill(head)
-        return _FRAME.unpack(head)[0]
-
-    def recv(self) -> bytearray:
-        """The bytes of the next frame."""
-        buf = bytearray(self._size())
-        self._fill(buf)
-        return buf
-
-    def recv_into(self, *bufs) -> int:
-        """Read the next frame into the writable 1-D byte buffers `bufs`, in
-        order, which it fills exactly unless it is empty; its length."""
-        n = self._size()
-        for buf in bufs if n else ():
-            self._fill(buf)
-        return n
 
 
 def _flush_std() -> None:
@@ -870,16 +809,21 @@ def _flush_std() -> None:
 
 
 class _Child:
-    """A forked process that runs `body(frames)` and exits, where `frames`
-    are its ends of two pipes to this process, one each way; `frames` here
-    are this process's ends. `body` inherits by fork whatever it refers to,
-    closures and shared mappings included. The child closes every pipe end
-    it does not own, its siblings' ends included, so it reads EOF once this
-    process has closed its end or died. It exits with code 0 once `body`
-    returns, else 1, without unwinding this process's stack or running its
-    exit handlers. `name` names it in errors."""
+    """A forked process that runs `body(reader, writer)` and exits, where
+    `reader` and `writer` are buffered binary files over its ends of two
+    pipes to this process, one each way; `reader` and `writer` here are this
+    process's ends. A message is a pickle (`pickle.dump`, then `flush`),
+    read back with `pickle.load`. `body` inherits by fork whatever it refers
+    to, closures and shared mappings included. The child closes every pipe
+    end it does not own, its siblings' ends included, so it reads EOF once
+    this process has closed its end or died. This process's files do not
+    own their fds (`closefd=False`), so the copies a later sibling inherits
+    can close no pipe; `end` closes the files and then the fds. The child
+    exits with code 0 once `body` returns, else 1, without unwinding this
+    process's stack or running its exit handlers. `name` names it in
+    errors."""
 
-    def __init__(self, body: Callable[[_Frames], None], name: str):
+    def __init__(self, body: Callable[[io.BufferedReader, io.BufferedWriter], None], name: str):
         self.name, self.code = name, None
         _flush_std()  # or the child would write what this process buffered
         down, up = os.pipe(), os.pipe()  # (read, write) ends: to the child, from it
@@ -895,23 +839,31 @@ class _Child:
                 for fd in (down[1], up[0], *_PARENT_ENDS):
                     os.close(fd)
                 _PARENT_ENDS.clear()
-                body(_Frames(down[0], up[1]))
+                with open(down[0], "rb") as reader, open(up[1], "wb") as writer:
+                    body(reader, writer)
                 code = 0
             finally:
                 _flush_std()
                 os._exit(code)
         os.close(down[0])
         os.close(up[1])
-        self.pid, self.frames = pid, _Frames(up[0], down[1])
+        self.pid = pid
+        self.reader = open(up[0], "rb", closefd=False)
+        self.writer = open(down[1], "wb", closefd=False)
         _PARENT_ENDS.update((up[0], down[1]))
+
+    def send(self, value) -> None:
+        """Send `value` to the child as one pickle."""
+        pickle.dump(value, self.writer)
+        self.writer.flush()
 
     def result(self):
         """The next value the child replied (`_reply`), or raise the
         exception it replied; OSError naming its exit code if it ended
-        without replying."""
+        before or while replying."""
         try:
-            ok, value = pickle.loads(self.frames.recv())
-        except EOFError:
+            ok, value = pickle.load(self.reader)
+        except (EOFError, pickle.UnpicklingError):
             raise OSError(f"{self.name} exited with code {self.wait()}") from None
         if not ok:
             raise value
@@ -926,21 +878,24 @@ class _Child:
     def end(self, kill: bool = False) -> None:
         """Close this process's pipe ends, which the child reads as EOF, after
         killing it if `kill`; then reap it."""
-        if self.frames is None:
+        if self.reader is None:
             return
         if kill and self.code is None:
             os.kill(self.pid, signal.SIGKILL)
-        for fd in (self.frames.rfd, self.frames.wfd):
+        for file in (self.reader, self.writer):
+            fd = file.fileno()
+            with contextlib.suppress(OSError):  # what a dead child left unread
+                file.close()
             os.close(fd)
             _PARENT_ENDS.discard(fd)
-        self.frames = None
+        self.reader = self.writer = None
         self.wait()
 
 
-def _reply(frames: _Frames, call: Callable[[], object]) -> None:
-    """Send, as one pickled frame, the value of call() or the exception it
-    raised; an exception that does not survive pickling goes as an OSError
-    naming its type."""
+def _reply(writer: io.BufferedWriter, call: Callable[[], object]) -> None:
+    """Send, as one pickle, the value of call() or the exception it raised;
+    an exception that does not survive pickling goes as an OSError naming
+    its type. The pickle is made whole before any of it is sent."""
     try:
         data = pickle.dumps((True, call()))
     except Exception as exc:
@@ -950,33 +905,36 @@ def _reply(frames: _Frames, call: Callable[[], object]) -> None:
         except Exception:
             data = pickle.dumps((False, OSError(
                 f"unpicklable {type(exc).__module__}.{type(exc).__qualname__}: {exc}")))
-    frames.send(data)
+    writer.write(data)
+    writer.flush()
 
 
-def _serve(frames: _Frames, fn: Callable[[int, int], object]) -> None:
-    """Body of a pool worker: reply fn(lo, hi) to each range frame, in the
-    order received, until EOF."""
+def _serve(reader: io.BufferedReader, writer: io.BufferedWriter,
+           fn: Callable[[int, int], object]) -> None:
+    """Body of a pool worker: reply fn(lo, hi) to each pickled (lo, hi)
+    range, in the order received, until EOF."""
     while True:
         try:
-            task = frames.recv()
+            lo, hi = pickle.load(reader)
         except EOFError:
             return
-        _reply(frames, lambda: fn(*_RANGE.unpack(task)))
+        _reply(writer, lambda: fn(lo, hi))
 
 
 def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_workers: int):
     """Generate fn(lo, hi) for each range in order: in this process for one
     worker, else from n = min(n_workers, len(bounds)) forked workers
     (`_Child`) that live until the generator ends or is closed. Range k goes
-    to worker k mod n as a (lo, hi) frame, and its value comes back pickled,
-    or the exception fn raised, which is raised here in its place. Workers
-    inherit `fn`, which may be a closure, by fork, and with it any shared
-    memory it holds, such as a result's arrays; only ranges and values are
-    pickled. A worker that ends without replying raises OSError naming its
-    exit code. Once the generator ends, its workers read EOF and exit; if it
-    raises or is closed early, they are killed. Either way each is reaped.
-    Only `os.fork` and `os.pipe` are used: no process loads
-    `multiprocessing` or `concurrent.futures`.
+    to worker k mod n as a pickled (lo, hi), and its value comes back
+    pickled, or the exception fn raised, which is raised here in its place.
+    Workers inherit `fn`, which may be a closure, by fork, and with it any
+    shared memory it holds, such as a result's arrays; only ranges and
+    values are pickled. A worker that ends without replying, or part way
+    through a reply, raises OSError naming its exit code. Once the generator
+    ends, its workers read EOF and exit; if it raises or is closed early,
+    they are killed. Either way each is reaped. Only `os.fork` and
+    `os.pipe` are used: no process loads `multiprocessing` or
+    `concurrent.futures`.
 
     At most n_workers + 1 ranges are in flight: range k + n + 1 is sent only
     once the caller has taken value k and asked for the next, so while the
@@ -990,13 +948,14 @@ def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_
     done = False
     try:
         for _ in range(min(n_workers, len(bounds))):
-            workers.append(_Child(lambda frames: _serve(frames, fn), "pool worker"))
+            workers.append(_Child(lambda reader, writer: _serve(reader, writer, fn),
+                                  "pool worker"))
         n = len(workers)
         for k, (lo, hi) in enumerate(bounds):
             if k > n:
                 yield workers[(k - n - 1) % n].result()
             with contextlib.suppress(BrokenPipeError):  # a dead worker fails at its value
-                workers[k % n].frames.send(_RANGE.pack(lo, hi))
+                workers[k % n].send((lo, hi))
         for k in range(max(0, len(bounds) - n - 1), len(bounds)):
             yield workers[k % n].result()
         done = True

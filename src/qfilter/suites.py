@@ -35,11 +35,10 @@ from .config import RunConfig, _suite_knobs, build_initial, build_model
 from .errors import ConfigError
 from .linalg import StateVector, projector
 from .models import build_qubit_model, named_observable
-from .noise import _coarsen
+from .noise import _coarsen, _noise_table
 from .solvers import (
     _check_master,
     _ensemble_stream,
-    _noise_table,
     _run_rows,
     run_ensemble,
     run_trajectory,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qfilter as qf
-from qfilter import output
+from qfilter import output, solvers
 from qfilter.cli import main
 from qfilter.config import build_initial, build_model, build_observables, parse_config_data
 from qfilter.output import (
@@ -438,6 +439,43 @@ def test_master_export_writer_failure_reaches_the_caller(tmp_path, monkeypatch):
         with pytest.raises(ChildProcessError):  # no child process is left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
         assert list(tmp_path.iterdir()) == [], threads
+
+
+def _open_pipe_ends() -> int:
+    """How many of this process's fds are pipe ends."""
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        with contextlib.suppress(OSError):  # the fd that listed the directory
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("pipe:")
+    return count
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/fd"), reason="needs /proc")
+def test_no_pipe_end_outlives_a_forked_child(tmp_path, monkeypatch):
+    """The solving process holds no pipe end once a forked master.csv export
+    is sealed by `write_master`, once a solve raises inside `with
+    MasterExport(...)`, or once a consumer closes a `pool_map` early."""
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+    if solvers.resolve_workers(None, 2) < 2:
+        pytest.skip("one core: nothing forks")
+    before = _open_pipe_ends()
+    _, export = _exported_master(tmp_path / "sealed", _grid_master_case())
+    assert export._proc is not None
+    assert _open_pipe_ends() == before
+
+    def fail_after_first_row(export, t, rho):
+        export.hook(t, rho)
+        raise RuntimeError("solve stopped")
+
+    with pytest.raises(RuntimeError, match="solve stopped"):
+        _exported_master(tmp_path / "failed", _grid_master_case(), fail_after_first_row)
+    assert _open_pipe_ends() == before
+
+    values = solvers.pool_map(lambda lo, hi: lo, [(lo, lo + 1) for lo in range(6)], 2)
+    assert next(values) == 0
+    values.close()
+    assert _open_pipe_ends() == before
+    assert solvers._PARENT_ENDS == set()
 
 
 def test_report_round_trip(tmp_path):

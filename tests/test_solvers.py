@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import mmap
 import os
+import pickle
 import re
 import signal
 import subprocess
@@ -813,18 +814,17 @@ def test_batch_failure_names_the_lowest_failing_trajectory(monkeypatch, rows, wo
     monkeypatch.setenv("QFILTER_THREADS", str(workers))
     model = build_grid_model(GridSpec(-10.0, 10.0, 64), lam=1.0)
     packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
-    draw = solvers.generate_noise
+    draw = solvers._noise_table
     kicks = {7: 2, 9: 0}  # trajectory -> step whose dW tilts exp(L.Y) by e^-3600
 
-    def noise(master_seed, index, dt, n_steps, n_channels=1):
-        path = draw(master_seed, index, dt, n_steps, n_channels)
-        if index not in kicks:
-            return path
-        inc = path.increments.copy()
-        inc[kicks[index], 0] = -200.0
-        return NoisePath(dt, inc, master_seed, index)
+    def noise(master_seed, lo, hi, dt, n_steps, n_channels=1):
+        table = draw(master_seed, lo, hi, dt, n_steps, n_channels)
+        for index, step in kicks.items():
+            if lo <= index < hi:
+                table[index - lo, step, 0] = -200.0
+        return table
 
-    monkeypatch.setattr(solvers, "generate_noise", noise)
+    monkeypatch.setattr(solvers, "_noise_table", noise)
     monkeypatch.setattr(solvers, "_SERIES_ENTRIES", rows * (5 + 1))
     with pytest.raises(StepFailureError) as info:
         run_ensemble(model, packet, 1e-3, 5, 0, 12, scheme="gauge")
@@ -845,18 +845,17 @@ def test_stream_warns_and_fails_as_the_collected_run(monkeypatch, rows, workers)
     monkeypatch.setenv("QFILTER_THREADS", str(workers))
     model = build_grid_model(GridSpec(-10.0, 8.5, 64), lam=1.0)
     packet = gaussian_packet(model.basis, x0=8.0, sigma=0.1)
-    draw = solvers.generate_noise
+    draw = solvers._noise_table
     kicks = {7: 2, 9: 0}  # trajectory -> step whose dW tilts exp(L.Y) by e^-3600
 
-    def noise(master_seed, index, dt, n_steps, n_channels=1):
-        path = draw(master_seed, index, dt, n_steps, n_channels)
-        if index not in kicks:
-            return path
-        inc = path.increments.copy()
-        inc[kicks[index], 0] = -200.0
-        return NoisePath(dt, inc, master_seed, index)
+    def noise(master_seed, lo, hi, dt, n_steps, n_channels=1):
+        table = draw(master_seed, lo, hi, dt, n_steps, n_channels)
+        for index, step in kicks.items():
+            if lo <= index < hi:
+                table[index - lo, step, 0] = -200.0
+        return table
 
-    monkeypatch.setattr(solvers, "generate_noise", noise)
+    monkeypatch.setattr(solvers, "_noise_table", noise)
     monkeypatch.setattr(solvers, "_SERIES_ENTRIES", rows * (5 + 1))
     args = (model, packet, 1e-3, 5, 0, 12)
 
@@ -965,6 +964,24 @@ def test_pool_reports_a_worker_killed_by_a_signal():
         for value in solvers.pool_map(fn, [(lo, lo + 1) for lo in range(6)], 2):
             got.append(value)
     assert got == [0, 1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_pool_reports_a_worker_that_dies_within_its_reply(monkeypatch):
+    """A worker that exits part way through writing its reply makes
+    `pool_map` raise an error naming its exit code, not an unpickling
+    error, and leaves no child process."""
+    def half_a_reply(writer, call):
+        data = pickle.dumps((True, call()))
+        writer.write(data[:len(data) // 2])
+        writer.flush()
+        os._exit(3)
+
+    monkeypatch.setattr(solvers, "_reply", half_a_reply)
+    with pytest.raises(OSError, match=r"^pool worker exited with code 3$"):
+        for _ in solvers.pool_map(lambda lo, hi: list(range(lo, hi)), [(0, 50), (50, 100)], 2):
+            pass
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -1213,8 +1230,8 @@ def test_master_solver_frees_a_temporary_initial_matrix():
 
 
 def test_noise_table_holds_one_table_and_a_draw():
-    """A drawn table peaks near one table: each trajectory's increments go
-    into its row as they are drawn, with the bytes of `generate_noise`."""
+    """A drawn table peaks near one table: each trajectory's increments are
+    drawn straight into its row, with the bytes of `generate_noise`."""
     rows, n, c, dt = 16, 4000, 2, 1e-3
     solvers._noise_table(5, 0, 1, dt, 2, c)  # lazy imports load untraced
     tracemalloc.start()
@@ -1226,7 +1243,7 @@ def test_noise_table_holds_one_table_and_a_draw():
     for k in range(rows):
         assert table[k].tobytes() == generate_noise(5, 3 + k, dt, n, c).increments.tobytes()
     row = n * c * 8
-    assert peak < table.nbytes + 3 * row, f"peak {peak} B for a table of {table.nbytes} B"
+    assert peak < table.nbytes + row // 8, f"peak {peak} B for a table of {table.nbytes} B"
 
 
 def _dense_master_rhs(model, r):
