@@ -10,7 +10,10 @@ directory holding `qfilter`) and QFILTER_THREADS set to 1 and to 2:
     gauge suite at the equivalence one;
   - the three `perfbench/run.py` workloads at full size, seed 0;
   - `verify --suite gauge` on perfbench's VERIFY_GRID;
-  - a 24-trajectory gauge `simulate` on VERIFY_GRID, written as csv and bin.
+  - a 24-trajectory gauge `simulate` on VERIFY_GRID, written as csv and bin;
+  - `master` on the model of perfbench's MASTER_GRID at 301 points, storing
+    each of 5 steps: with two workers each stage splits into uneven halves,
+    cut inside a row block.
 
 Every run starts in a fresh directory with relative paths. A case passes
 when all its runs give the same exit codes and the same sha256 for every
@@ -64,6 +67,10 @@ def _cases() -> dict[str, tuple[dict, list[list[str]]]]:
     cases["grid-simulate-gauge"] = (bench.VERIFY_GRID, [[
         "simulate", "--config", "config.json", "--out", "out/sim",
         "--set", "ensemble.n_trajectories=24", "--set", 'output.formats=["csv","bin"]']])
+    odd = dict(bench.MASTER_GRID, model=dict(bench.MASTER_GRID["model"], n_points=301),
+               sim=dict(bench.MASTER_GRID["sim"], t_final=0.005, record_stride=1))
+    cases["grid-master-odd"] = (odd, [["master", "--config", "config.json", "--out",
+                                       "out/master"]])
     return cases
 
 

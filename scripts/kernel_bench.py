@@ -29,6 +29,14 @@ points (`solve_master` refuses more): the median wall time of the runs,
 then, for one more run, its traced peak and the traced memory the built
 stage still holds.
 
+The master-step table gives the median ms per RK4 step of `solve_master`
+on the model of the `master-grid` benchmark workload (a harmonic grid on
+[-20, 20]) at 128, 256 and 512 points (32 and 192 with `--tiny`), under
+QFILTER_THREADS 1 and 2, set for each solve. A step is timed between the
+solve's first and last stored matrix, so neither the stage's set-up nor
+the fork of a stage worker is counted. With two workers a solve of 182
+points or more splits each stage with one forked stage worker.
+
 The batch table gives, for one batch of 8 rows over 20 000 steps (500 with
 `--tiny`) on the README qubit and the 128-point grid, the traced peak of a
 run per row-step: drawing its noise with a slim result, drawing it and
@@ -64,9 +72,10 @@ The master-export table runs `qfilter master` on the model of the
 `--tiny`), each run in a fresh child process, as the workload stores it
 (t_final 0.3, stride 100: 4 rows) and storing every step (t_final 0.05,
 stride 1: 51 rows), under QFILTER_THREADS 1 and 2. It gives the peak RSS
-(VmHWM) of the solving process and that of the forked master.csv writer,
-read by the writer itself once it has written the table (none with one
-worker).
+(VmHWM) of the solving process, that of the forked stage worker, read by
+the worker once the solve has ended, and that of the forked master.csv
+writer, read by the writer itself once it has written the table (neither
+forks with one worker, nor the stage worker below 182 points).
 
 The footprint table imports `numpy`, then `qfilter.cli`, each in a fresh
 child process with the package under `--src`, and gives the median wall
@@ -74,9 +83,9 @@ time of the child (interpreter start included), its peak RSS (VmHWM) and
 which of `_hashlib` (OpenSSL), `concurrent.futures` (the process pool) and
 `multiprocessing` the import loaded. The package loads none of them itself:
 only the processes that hash do, and every fork is bare `os.fork` and
-pipes. Two more rows give the same of the solving process and the writer
-of the two-worker `qfilter master` run of the workload: only the writer,
-which hashes the table, loads `_hashlib`.
+pipes. More rows give the same of the solving process, the stage worker
+and the writer of the two-worker `qfilter master` run of the workload:
+only the writer, which hashes the table, loads `_hashlib`.
 """
 
 from __future__ import annotations
@@ -226,6 +235,31 @@ def measure_stage(qf, dim: int, repeats: int) -> tuple[float, int, int]:
         tracemalloc.stop()
     assert callable(stage)
     return statistics.median(times), peak, held
+
+
+MASTER_STEP_POINTS, TINY_MASTER_STEP_POINTS = (128, 256, 512), (32, 192)
+MASTER_STEPS, TINY_MASTER_STEPS = 50, 5
+
+
+def measure_master_step(qf, dim: int, n_steps: int, workers: int, repeats: int) -> float:
+    """Median ms per RK4 step of `solve_master` on the `dim`-point model of
+    the master-grid workload with QFILTER_THREADS=workers, timed between
+    its first and last stored matrix, after one untimed solve."""
+    grid = qf.GridSpec(-20.0, 20.0, dim)
+    model = qf.build_grid_model(grid, qf.GridPotential.harmonic(grid, 0.5), lam=1.0)
+    rho0 = qf.projector(qf.gaussian_packet(model.basis, x0=0.0, sigma=1.0))
+    marks = []
+    os.environ["QFILTER_THREADS"] = str(workers)
+    try:
+        per_step = []
+        for _ in range(repeats + 1):
+            marks.clear()
+            qf.solve_master(model, rho0, 1e-3, n_steps, store_stride=n_steps,
+                            on_store=lambda t, rho: marks.append(time.perf_counter()))
+            per_step.append((marks[-1] - marks[0]) / n_steps)
+    finally:
+        os.environ["QFILTER_THREADS"] = "1"
+    return 1e3 * statistics.median(per_step[1:])
 
 
 BATCH_ROWS, BATCH_STEPS, TINY_BATCH_STEPS = 8, 20000, 500
@@ -408,16 +442,18 @@ def footprint():
         peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
     return " ".join([str(peak), *[str(m in sys.modules) for m in {FOOTPRINT_MODULES!r}]])
 """
-# runs the CLI on argv[2:], then prints its exit code and the footprint of
+# runs the CLI on argv[3:], then prints its exit code and the footprint of
 # this, the solving process; the forked master.csv writer, if any, writes
-# its own footprint to argv[1] once it has written the table. VmHWM is the
-# peak of this program image: ru_maxrss would also count the launching
-# process, whose peak an exec keeps.
+# its own footprint to argv[1] once it has written the table, and the forked
+# stage worker, if any (the one `_serve` of a `qfilter master` run), to
+# argv[2] once the solve has ended. VmHWM is the peak of this program image:
+# ru_maxrss would also count the launching process, whose peak an exec
+# keeps.
 MASTER_CHILD = FOOTPRINT + """
-from qfilter import output
+from qfilter import output, solvers
 from qfilter.cli import main
 
-body = output._export_master
+body, serve = output._export_master, solvers._serve
 
 def export_master(*args):
     entry = body(*args)
@@ -425,8 +461,13 @@ def export_master(*args):
         fh.write(footprint())
     return entry
 
-output._export_master = export_master
-code = main(sys.argv[2:])
+def stage_worker(*args):
+    serve(*args)
+    with open(sys.argv[2], "w", encoding="utf-8") as fh:
+        fh.write(footprint())
+
+output._export_master, solvers._serve = export_master, stage_worker
+code = main(sys.argv[3:])
 print(code, footprint())
 """
 
@@ -438,23 +479,24 @@ def _footprint(text: str) -> tuple[float, list[str]]:
 
 
 def measure_master_export(src: Path, dim: int, t_final: float, stride: int, workers: int):
-    """(solving process, writer or None) footprints, each (peak RSS in MiB,
-    the FOOTPRINT_MODULES it loaded), of one `qfilter master` run in a
-    child process with QFILTER_THREADS=workers."""
+    """(solving process, stage worker or None, writer or None) footprints,
+    each (peak RSS in MiB, the FOOTPRINT_MODULES it loaded), of one
+    `qfilter master` run in a child process with QFILTER_THREADS=workers."""
     cfg = dict(MASTER_GRID, model=dict(MASTER_GRID["model"], n_points=dim),
                sim=dict(MASTER_GRID["sim"], t_final=t_final, record_stride=stride))
     env = dict(os.environ, PYTHONPATH=str(src), QFILTER_THREADS=str(workers))
     with tempfile.TemporaryDirectory() as tmp:
-        path, writer = Path(tmp, "master.json"), Path(tmp, "writer")
+        path, writer, stage = Path(tmp, "master.json"), Path(tmp, "writer"), Path(tmp, "stage")
         path.write_text(json.dumps(cfg), encoding="utf-8")
         done = subprocess.run(
-            [sys.executable, "-c", MASTER_CHILD, str(writer), "master", "--config", str(path),
-             "--out", str(Path(tmp, "run"))],
+            [sys.executable, "-c", MASTER_CHILD, str(writer), str(stage), "master", "--config",
+             str(path), "--out", str(Path(tmp, "run"))],
             env=env, capture_output=True, text=True, check=True)
         code, own = done.stdout.split("\n")[-2].split(" ", 1)
         if code != "0":
             raise RuntimeError(f"qfilter master exited {code}: {done.stderr}")
-        return _footprint(own), _footprint(writer.read_text()) if writer.exists() else None
+        return _footprint(own), *(_footprint(f.read_text()) if f.exists() else None
+                                  for f in (stage, writer))
 
 
 # imports the module named by argv[1], then prints its footprint
@@ -511,6 +553,14 @@ def main(argv=None) -> int:
         row = measure_setup(qf, dim, repeats)
         print(f"| {dim} | " + " | ".join(_cell(*row[name]) for name in SETUP_STAGES) + " |")
 
+    print(f"\nms per RK4 step of solve_master on the master-grid model, median of {repeats}")
+    print("| points | 1 worker | 2 workers |")
+    print("|---|---|---|")
+    n_steps = TINY_MASTER_STEPS if args.tiny else MASTER_STEPS
+    for dim in TINY_MASTER_STEP_POINTS if args.tiny else MASTER_STEP_POINTS:
+        print(f"| {dim} | " + " | ".join(
+            f"{measure_master_step(qf, dim, n_steps, w, repeats):.3f}" for w in (1, 2)) + " |")
+
     print(f"\nbatch of {BATCH_ROWS} rows: traced bytes per row-step, drawn slim / drawn kept"
           " / replayed")
     print("| case | " + " | ".join(COLUMNS) + " |")
@@ -545,19 +595,17 @@ def main(argv=None) -> int:
     # afresh in each child, which raises its peak by a few MiB
     compileall.compile_dir(str(args.src / "qfilter"), quiet=1)
     dim = TINY_MASTER_POINTS if args.tiny else MASTER_POINTS
-    print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS (VmHWM) of the"
-          " solving process / of the forked master.csv writer, one child process per run")
-    print("| stored | 1 worker | 2 workers |")
-    print("|---|---|---|")
+    print(f"\nqfilter master on the {dim}-point master-grid model: peak RSS (VmHWM) of each"
+          " process, one child process per run")
+    print("| stored | workers | solving process | stage worker | master.csv writer |")
+    print("|---|---|---|---|---|")
     forked = None  # the two-worker footprints of the first case, the workload
     for label, (t_final, stride) in MASTER_STORES.items():
-        cells = []
         for workers in (1, 2):
-            own, writer = measure_master_export(args.src, dim, t_final, stride, workers)
-            cells.append(f"{own[0]:.1f} / {writer[0]:.1f} MiB" if writer
-                         else f"{own[0]:.1f} MiB / none")
-        forked = forked or (own, writer)
-        print(f"| {label} | " + " | ".join(cells) + " |")
+            run = measure_master_export(args.src, dim, t_final, stride, workers)
+            print(f"| {label} | {workers} | " + " | ".join(
+                "none" if f is None else f"{f[0]:.1f} MiB" for f in run) + " |")
+        forked = forked or run
     print(f"\nfootprint of a fresh child process: median of {repeats} ({args.src})")
     print("| process | wall | peak RSS (VmHWM) | which of " + ", ".join(FOOTPRINT_MODULES)
           + " it loaded |")
@@ -567,8 +615,8 @@ def main(argv=None) -> int:
         print(f"| import {module} | {1e3 * wall:.0f} ms | {peak:.1f} MiB"
               f" | {', '.join(loaded) or 'none'} |")
     label = next(iter(MASTER_STORES))
-    for name, footprint in zip(("solving process", "writer"), forked):
-        if footprint is None:  # one core: no writer is forked
+    for name, footprint in zip(("solving process", "stage worker", "writer"), forked):
+        if footprint is None:  # not forked: one core, or below the split's size
             continue
         peak, loaded = footprint
         print(f"| qfilter master, {label}, 2 workers: {name} | - | {peak:.1f} MiB"

@@ -45,8 +45,9 @@ size. Each trajectory keeps its own counter-keyed noise
 stream, and every reduction over amplitudes is taken along the last axis row
 by row (never a matrix product across the batch), so a trajectory carries
 the same bits whatever batch it is advanced in. A batch is bounded in
-entries (`_batch_bounds`), and its noise table is its only per-step array:
-each row carries its log sums and its first failure as it steps.
+entries (`_batch_bounds`), and the noise table it draws is its only
+per-step array (a batch handed its caller's table allocates none): each
+row carries its log sums and its first failure as it steps.
 
 Between snapshots, a step on a diagonal or tridiagonal model allocates no
 array the size of the batch. Each batch allocates its buffers once
@@ -102,7 +103,14 @@ banded model (`ModelSpec._banded`: grid models under position observation,
 and the qubit under a sigma_z channel), it is one elementwise product with a
 precomputed coefficient matrix, its one n x n array, plus the four shifted
 band terms of K, O(n^2) and taken in cache-sized row blocks; any other
-keeps the dense O(n^3) form.
+keeps the dense O(n^3) form. With two workers (`resolve_workers`), a banded
+solve whose halves each hold a row block (n * n >= 2 * _STEP_ENTRIES, so
+n >= 182) splits every stage between two processes: rho and the two stage
+buffers live in one anonymous shared mapping, and one forked stage worker
+(`_Child`) computes rows [n // 2, n) of each stage while the solving
+process computes rows [0, n // 2). The stage is elementwise, so the split
+changes no bit; the trace check, the stored matrices and every error stay
+in the solving process.
 `solve_unitary` covers the lambda = 0 limit: dense exponentiation on finite
 bases, Crank-Nicolson on grids.
 """
@@ -137,6 +145,7 @@ from .linalg import (
     Operator,
     StateSeries,
     StateVector,
+    _STEP_ENTRIES,
     _block_rows,
     band_apply,
     matrix_exp,
@@ -149,9 +158,10 @@ SCHEMES = ("nonlinear", "linear", "gauge")
 
 _BOUNDARY_WARN = 1e-6
 
-# entries of one batch's per-step series, n_channels * (n_steps + 1) per row:
-# its noise table, its only per-step array, traces to 8 bytes per entry
-# (`scripts/kernel_bench.py`), 8.4 MB at this bound
+# entries of the noise table a batch draws, n_channels * (n_steps + 1) per
+# row: its only per-step array, which traces to 8 bytes per entry
+# (`scripts/kernel_bench.py`), 8.4 MB at this bound; a batch handed its
+# caller's table allocates none
 _SERIES_ENTRIES = 1 << 20
 
 # the checks a step makes, in the order it makes them
@@ -626,12 +636,18 @@ def _step_operator(model: ModelSpec, dt: float, gauge: bool = False):
     return (1.0 - dt * d, *(None if row is None else 0.0 - dt * row for row in (up, lo)))
 
 
+def _shared(nbytes: int) -> np.ndarray:
+    """`nbytes` zero bytes in an anonymous shared mapping, which the
+    processes forked after it read and write in place."""
+    import mmap  # loads only in runs that fork or advance trajectories
+
+    return np.frombuffer(mmap.mmap(-1, nbytes), np.uint8)
+
+
 def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -> EnsembleResult:
     """An EnsembleResult of `n_rows` unfilled rows with the per-step arrays
     in `keep`, all in one anonymous shared mapping, so pool workers forked
     after it write their rows straight into them."""
-    import mmap  # loads only in runs that advance trajectories
-
     snaps, steps = (n_rows, run["snapshot_steps"].size), (n_rows, run["n_steps"])
     record = steps + (run["model"].n_channels,)
     per_step = {"step_norms": steps, "record": record, "innovations": record}
@@ -639,7 +655,7 @@ def _allocate(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...]) -
               "log_norm": (snaps, float), **{f: (per_step[f], float) for f in keep}}
     specs = [*fields.values()] + [(snaps, complex)] * len(run["observables"])
     nbytes = [math.prod(shape) * np.dtype(dtype).itemsize for shape, dtype in specs]
-    parts = np.split(np.frombuffer(mmap.mmap(-1, sum(nbytes)), np.uint8), np.cumsum(nbytes)[:-1])
+    parts = np.split(_shared(sum(nbytes)), np.cumsum(nbytes)[:-1])
     arrays = [part.view(dtype).reshape(shape) for part, (shape, dtype) in zip(parts, specs)]
     meta = ("scheme", "dt", "n_steps", "record_stride", "master_seed", "snapshot_steps", "times",
             "model", "initial")
@@ -670,7 +686,8 @@ def _drive(run: dict, first_index: int, n_rows: int, keep: tuple[str, ...],
         raise ValueError("n_trajectories must be at least 1")
     model = run["model"]
     n_workers = resolve_workers(None, n_rows)
-    bounds = _batch_bounds(n_rows, model.dim, run["n_steps"], model.n_channels, n_workers)
+    bounds = _batch_bounds(n_rows, model.dim, run["n_steps"], model.n_channels, n_workers,
+                           drawn=table is None)
     block = _block_rows(model.dim)
     m = n_rows
     if ring:
@@ -776,16 +793,19 @@ def resolve_workers(requested: int | None, n_tasks: int) -> int:
 
 
 def _batch_bounds(n_rows: int, dim: int, n_steps: int, n_channels: int,
-                  n_workers: int = 1) -> list[tuple[int, int]]:
+                  n_workers: int = 1, *, drawn: bool = True) -> list[tuple[int, int]]:
     """Contiguous (lo, hi) row ranges that tile [0, n_rows), each within one
     fold block (`_block_rows`): ranges of at most half a block (so the
     batches two workers keep in flight past a block fill one block, and
-    `_drive`'s ring holds two) and _SERIES_ENTRIES entries in a per-step
-    series of n_channels * (n_steps + 1) per row (and of at least one row),
-    for several workers equal ranges, a whole number per worker, each cut
-    where it crosses the edge of a block."""
+    `_drive`'s ring holds two) and, for batches that draw their noise
+    (`drawn`), _SERIES_ENTRIES entries in a noise table of
+    n_channels * (n_steps + 1) per row (and of at least one row), for
+    several workers equal ranges, a whole number per worker, each cut where
+    it crosses the edge of a block."""
     block = _block_rows(dim)
-    rows = min(max(1, block // 2), _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
+    rows = max(1, block // 2)
+    if drawn:
+        rows = min(rows, _SERIES_ENTRIES // (n_channels * (n_steps + 1)))
     rows = min(max(1, rows), n_rows)
     if n_workers > 1:
         n_batches = -(-n_rows // rows)
@@ -911,14 +931,15 @@ def _reply(writer: io.BufferedWriter, call: Callable[[], object]) -> None:
 
 def _serve(reader: io.BufferedReader, writer: io.BufferedWriter,
            fn: Callable[[int, int], object]) -> None:
-    """Body of a pool worker: reply fn(lo, hi) to each pickled (lo, hi)
-    range, in the order received, until EOF."""
+    """Body of a pool worker or a master stage worker: reply fn(i, j) to
+    each pickled pair (i, j), a (lo, hi) range or a (step, stage), in the
+    order received, until EOF."""
     while True:
         try:
-            lo, hi = pickle.load(reader)
+            i, j = pickle.load(reader)
         except EOFError:
             return
-        _reply(writer, lambda: fn(lo, hi))
+        _reply(writer, lambda: fn(i, j))
 
 
 def pool_map(fn: Callable[[int, int], object], bounds: list[tuple[int, int]], n_workers: int):
@@ -1038,7 +1059,8 @@ class DensityTrajectory:
 
 def _banded_stage(generator: Operator, channels):
     """O(n^2) stage out = base + s * A(r) for a diagonal/tridiagonal K and
-    diagonal L_j.
+    diagonal L_j, written to rows [start, stop) of out (all rows by
+    default).
 
     A(r) = -(K r + r K^dag) + sum_j L_j r L_j^dag is coef * r with
     coef_ik = -(K_ii + conj(K_kk)) + sum_j l_ji conj(l_jk), minus the
@@ -1049,8 +1071,8 @@ def _banded_stage(generator: Operator, channels):
     zero where the shift would wrap into the next row, held for one row
     block, as they repeat every row; `coef` is the only n x n array. Rows go
     in blocks of at most _STEP_ENTRIES entries, so one block's operands stay
-    in cache; every operation is elementwise, so the block size never
-    changes a bit. `coef` is built in place, each channel's outer product
+    in cache; every operation is elementwise, so neither the block size nor
+    the row range changes a bit. `coef` is built in place, each channel's outer product
     one row block at a time, so building the stage peaks at what it holds.
     A diagonal K's off-band rows are zeros here.
     """
@@ -1077,10 +1099,11 @@ def _banded_stage(generator: Operator, channels):
     lo_col, up_col = lo[:, None], up[:, None]
     last = n * n - 1
 
-    def stage(out: np.ndarray, base: np.ndarray, s: float, src: np.ndarray) -> None:
+    def stage(out: np.ndarray, base: np.ndarray, s: float, src: np.ndarray, start: int = 0,
+              stop: int = n) -> None:
         o, b, r = out.reshape(-1), base.reshape(-1), src.reshape(-1)
-        for i0 in range(0, n, rows):
-            i1 = min(i0 + rows, n)
+        for i0 in range(start, stop, rows):
+            i1 = min(i0 + rows, stop)
             j0, j1 = i0 * n, i1 * n
             np.multiply(coef[j0:j1], r[j0:j1], out=o[j0:j1])
             e = min(i1, n - 1)  # K r, upper band: rows i < n - 1 read row i + 1
@@ -1146,6 +1169,17 @@ def _check_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int
         raise ValueError("store_stride must be at least 1")
 
 
+def _rk4_stages(bufs: tuple[np.ndarray, np.ndarray, np.ndarray], k: int, dt: float):
+    """The four Horner stages of RK4 step `k`, as (out, base, s, src), over
+    the buffers (x, a, y): rho is x at even steps and y at odd ones, and the
+    step leaves its result in the other. Both processes of a split solve
+    derive a stage's buffers from (step, stage) by this one rule."""
+    x, a, y = bufs
+    rho, nxt = (x, y) if k % 2 == 0 else (y, x)
+    return ((a, rho, dt / 4.0, rho), (nxt, rho, dt / 3.0, a), (a, rho, dt / 2.0, nxt),
+            (nxt, rho, dt, a))
+
+
 def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
                  store_stride: int = 1,
                  on_store: Callable[[float, np.ndarray], None] | None = None
@@ -1163,6 +1197,18 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     the largest |trace - 1| seen is kept as `max_trace_drift`; a step that
     overflows fails that check with no numpy warning.
 
+    A banded solve with n * n >= 2 * _STEP_ENTRIES (n >= 182), when two
+    workers resolve (`resolve_workers(None, 2)`), splits each stage between
+    this process, rows [0, n // 2), and one stage worker forked before the
+    first stored matrix (`_Child`), rows [n // 2, n), over buffers in one
+    anonymous shared mapping: per stage it sends the worker (step, stage),
+    computes its half and waits for the worker's reply. Every entry is
+    computed as it is unsplit, so the bits do not depend on the worker
+    count. The trace check, the hook and every error stay in this process;
+    a worker that dies raises OSError naming its exit code. The worker is
+    reaped when the solve returns, and killed first when it raises. Any
+    other solve forks nothing.
+
     `on_store(t, rho)`, when given, is called with each stored time and
     density matrix as soon as it is reached, so a caller can export the
     history while it is solved (`output.MasterExport`). The matrices then go
@@ -1178,12 +1224,14 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
     """
     _check_master(model, rho0, dt, n_steps, store_stride)
     stage = (_banded_stage if model._banded else _dense_stage)(model.generator, model.channels)
+    n = model.dim
+    split = model._banded and n * n >= 2 * _STEP_ENTRIES and resolve_workers(None, 2) > 1
 
     stored_steps = _stored_steps(n_steps, store_stride)
     times = stored_steps * dt
     matrices = None
     if on_store is None:
-        matrices = np.empty((stored_steps.size, model.dim, model.dim), dtype=complex)
+        matrices = np.empty((stored_steps.size, n, n), dtype=complex)
     weight = model.basis.weight
 
     def store(i: int, r: np.ndarray) -> None:
@@ -1195,29 +1243,54 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
         on_store(times[i], view)
 
     # C order, so every buffer's flat reshape is a view the stages write through
-    rho = np.array(rho0.entries, dtype=complex, order="C")
+    if split:
+        bufs = tuple(_shared(3 * n * n * np.dtype(complex).itemsize).view(complex)
+                     .reshape(3, n, n))
+        bufs[0][...] = rho0.entries
+    else:
+        rho = np.array(rho0.entries, dtype=complex, order="C")
+        bufs = (rho, np.empty_like(rho), np.empty_like(rho))
     del rho0  # so a matrix only the call held is freed before the first step
-    a, b = np.empty_like(rho), np.empty_like(rho)
-    drift = 0.0
-    store(0, rho)
-    ptr = 1
-    # an unstable step overflows to inf/nan; the trace check reports it
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(n_steps):
-            stage(a, rho, dt / 4.0, rho)
-            stage(b, rho, dt / 3.0, a)
-            stage(a, rho, dt / 2.0, b)
-            stage(b, rho, dt, a)
-            rho, b = b, rho
-            tr = float(np.trace(rho).real) * weight
-            if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
-                raise InstabilityError(
-                    f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
-                )
-            drift = max(drift, abs(tr - 1.0))
-            if stored_steps[ptr] == k + 1:
-                store(ptr, rho)
-                ptr += 1
+    half, worker, done = n // 2, None, False
+    try:
+        if split:
+            def lower(k: int, j: int) -> None:
+                stage(*_rk4_stages(bufs, k, dt)[j], half, n)
+
+            def serve(reader, writer) -> None:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _serve(reader, writer, lower)
+
+            worker = _Child(serve, "master stage worker")
+        drift = 0.0
+        store(0, bufs[0])
+        ptr = 1
+        # an unstable step overflows to inf/nan; the trace check reports it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(n_steps):
+                stages = _rk4_stages(bufs, k, dt)
+                for j, args in enumerate(stages):
+                    if worker is None:
+                        stage(*args)
+                        continue
+                    with contextlib.suppress(BrokenPipeError):  # a dead worker fails at its reply
+                        worker.send((k, j))
+                    stage(*args, 0, half)
+                    worker.result()
+                rho = stages[-1][0]
+                tr = float(np.trace(rho).real) * weight
+                if not np.isfinite(tr) or abs(tr - 1.0) > 1e-6:
+                    raise InstabilityError(
+                        f"trace drifted to {tr!r} at step {k} (t = {(k + 1) * dt:.6g}); reduce dt"
+                    )
+                drift = max(drift, abs(tr - 1.0))
+                if stored_steps[ptr] == k + 1:
+                    store(ptr, rho)
+                    ptr += 1
+        done = True
+    finally:
+        if worker is not None:
+            worker.end(kill=not done)
     return DensityTrajectory(model.basis, dt, store_stride, times, matrices, drift)
 
 

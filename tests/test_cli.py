@@ -393,6 +393,41 @@ def test_master_writer_ends_when_its_parent_is_killed(tmp_path):
     assert _gone_or_zombie(writer), "the writer outlived its parent"
 
 
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: nothing forks")
+def test_master_stage_worker_ends_when_its_parent_is_killed():
+    """A solving process killed between the steps of a split solve leaves
+    no stage worker running: the worker holds no copy of the parent's pipe
+    end, so it reads EOF."""
+    script = (
+        "import os, signal\n"
+        "import qfilter as qf\n"
+        "from qfilter import solvers\n"
+        "grid = qf.GridSpec(-20.0, 20.0, 256)\n"
+        "model = qf.build_grid_model(grid, qf.GridPotential.harmonic(grid, 0.5), lam=1.0)\n"
+        "rho0 = qf.projector(qf.gaussian_packet(model.basis, x0=0.0, sigma=1.0))\n"
+        "child, pids = solvers._Child, []\n"
+        "def recorded(body, name):\n"
+        "    proc = child(body, name)\n"
+        "    pids.append(proc.pid)\n"
+        "    return proc\n"
+        "solvers._Child = recorded\n"
+        "def hook(t, rho):\n"
+        "    if t > 0:\n"
+        "        print(*pids, flush=True)\n"
+        "        os.kill(os.getpid(), signal.SIGKILL)\n"
+        "qf.solve_master(model, rho0, 1e-3, 3, on_store=hook)\n"
+    )
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         timeout=60, env=_checkout_env(QFILTER_THREADS="2"))
+    assert res.returncode == -9, res.stderr
+    (worker,) = map(int, res.stdout.split())
+    deadline = time.monotonic() + 30.0
+    while not _gone_or_zombie(worker) and time.monotonic() < deadline:
+        time.sleep(0.05)
+    assert _gone_or_zombie(worker), "the stage worker outlived its parent"
+
+
 @pytest.mark.parametrize("exc, code", [
     (qf.ConfigError([("sim.dt", "must be positive")]), 2),
     (qf.UnsupportedConfigurationError("unsupported"), 2),

@@ -30,7 +30,7 @@ from qfilter.output import (
     write_report,
     write_simulation,
 )
-from test_solvers import MOMENTUM_CHANNEL_MODEL
+from test_solvers import MOMENTUM_CHANNEL_MODEL, _counted_children, _split_master_case
 
 
 @pytest.fixture(scope="module")
@@ -454,7 +454,9 @@ def _open_pipe_ends() -> int:
 def test_no_pipe_end_outlives_a_forked_child(tmp_path, monkeypatch):
     """The solving process holds no pipe end once a forked master.csv export
     is sealed by `write_master`, once a solve raises inside `with
-    MasterExport(...)`, or once a consumer closes a `pool_map` early."""
+    MasterExport(...)`, once a consumer closes a `pool_map` early, or once a
+    solve split with a stage worker returns, stops at a trace check or
+    stops in its hook; none of them leaves a child process."""
     monkeypatch.setenv("QFILTER_THREADS", "2")
     if solvers.resolve_workers(None, 2) < 2:
         pytest.skip("one core: nothing forks")
@@ -476,6 +478,21 @@ def test_no_pipe_end_outlives_a_forked_child(tmp_path, monkeypatch):
     values.close()
     assert _open_pipe_ends() == before
     assert solvers._PARENT_ENDS == set()
+
+    model, rho0 = _split_master_case(256)
+    split = (model, rho0, 1e-3, 3, 2)
+    forked = _counted_children(monkeypatch)
+    _, export = _exported_master(tmp_path / "split", split)
+    assert export._proc is not None
+    with pytest.raises(qf.InstabilityError, match="reduce dt"):
+        qf.solve_master(model, rho0, 1e3, 3)
+    with pytest.raises(RuntimeError, match="solve stopped"):
+        _exported_master(tmp_path / "split-failed", split, fail_after_first_row)
+    assert forked == ["master stage worker"] * 3
+    assert _open_pipe_ends() == before
+    assert solvers._PARENT_ENDS == set()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_report_round_trip(tmp_path):

@@ -1115,6 +1115,33 @@ def test_two_workers_stream_through_a_two_block_ring():
     assert seen[1] == [(0, 128), (128, 256)]
 
 
+def test_only_a_batch_that_draws_its_noise_is_bounded_by_its_series():
+    """The order suite's reference, 32 paths of 64 000 steps handed as one
+    table, runs as one batch with one worker and as one per worker with
+    two, while drawing the same paths makes 16-row batches, the rows whose
+    noise tables fit _SERIES_ENTRIES. The pool is replaced, so no trajectory
+    is advanced."""
+    model = build_qubit_model((1.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    dt, n, rows = 1e-3 / 64, 64000, 32
+    assert solvers._SERIES_ENTRIES // (n + 1) == 16
+    seen = []
+
+    def no_run(fn, bounds, workers):
+        seen.append(list(bounds))
+        return (np.full(hi - lo, -1) for lo, hi in bounds)
+
+    halves = [(0, 16), (16, 32)]
+    with mock.patch.object(solvers, "pool_map", no_run), \
+            mock.patch.object(os, "cpu_count", return_value=2):
+        for threads, handed in (("1", [(0, rows)]), ("2", halves)):
+            seen.clear()
+            with mock.patch.dict(os.environ, {"QFILTER_THREADS": threads}):
+                solvers._run_rows(model, _ket(1.0, 0.0), dt, n, 0, 0, "nonlinear",
+                                  np.zeros((rows, n, 1)), record_stride=n)
+                run_ensemble(model, _ket(1.0, 0.0), dt, n, 0, rows, record_stride=n, slim=True)
+            assert seen == [handed, halves], threads
+
+
 @settings(max_examples=200, deadline=None)
 @given(n_steps=st.integers(1, 5000), stride=st.integers(1, 6000))
 def test_stored_steps_are_the_strided_steps_and_the_last(n_steps, stride):
@@ -1552,6 +1579,93 @@ def test_master_solver_with_a_hook_holds_no_history():
     every, ends = peak(1), peak(n_steps)
     matrix = model.dim ** 2 * 16
     assert abs(every - ends) < matrix, f"stride 1 peaked at {every} bytes, n_steps at {ends}"
+
+
+def _split_master_case(n_points):
+    grid = GridSpec(-20.0, 20.0, n_points)
+    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=0.5), lam=1.0)
+    return model, projector(gaussian_packet(model.basis, x0=0.5, sigma=1.0))
+
+
+def _counted_children(monkeypatch) -> list[str]:
+    """The names of the `_Child` processes forked from now on."""
+    names, child = [], solvers._Child
+
+    def counted(body, name):
+        names.append(name)
+        return child(body, name)
+
+    monkeypatch.setattr(solvers, "_Child", counted)
+    return names
+
+
+@pytest.mark.parametrize("n_points", [256, 301])
+def test_split_master_solve_has_the_bits_of_one_process(monkeypatch, n_points):
+    """With two workers a 256-point solve, and a 301-point one whose halves
+    are uneven and cut inside a row block, fork one stage worker and keep
+    the matrices, times and largest trace drift of a one-process solve, bit
+    for bit, with and without a hook. No child outlives the solve."""
+    model, rho0 = _split_master_case(n_points)
+    if n_points % 2:  # uneven halves, cut inside a row block
+        assert n_points // 2 % solvers._block_rows(n_points)
+    forked = _counted_children(monkeypatch)
+    runs = {}
+    for threads in ("1", "2"):
+        monkeypatch.setenv("QFILTER_THREADS", threads)
+        kept = solve_master(model, rho0, 1e-3, 12, store_stride=5)
+        seen = []
+        streamed = solve_master(model, rho0, 1e-3, 12, store_stride=5,
+                                on_store=lambda t, rho: seen.append((t, rho.copy())))
+        assert streamed.matrices is None
+        assert [t for t, _ in seen] == streamed.times.tolist()
+        runs[threads] = (kept.matrices.tobytes(), kept.times.tobytes(), kept.max_trace_drift,
+                         np.stack([rho for _, rho in seen]).tobytes(),
+                         streamed.times.tobytes(), streamed.max_trace_drift)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert runs["1"] == runs["2"]
+    assert runs["1"][0] == runs["1"][3]
+    split = resolve_workers(None, 2) > 1
+    assert forked == ["master stage worker"] * (2 if split else 0)
+
+
+def test_master_solve_forks_only_when_it_splits(monkeypatch):
+    """One worker, a model below the size rule (the 128-point grid, the
+    qubit) or a dense model solves in this process."""
+    def refuse(body, name):
+        raise AssertionError(f"solve_master forked a {name}")
+
+    monkeypatch.setattr(solvers, "_Child", refuse)
+    monkeypatch.setenv("QFILTER_THREADS", "1")
+    solve_master(*_split_master_case(256), 1e-3, 2)
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+    for model in (BANDED_MASTER_MODELS["grid128"], _dephasing(), MOMENTUM_CHANNEL_MODEL):
+        solve_master(model, _packet_density(model), 1e-3, 2)
+    assert 181 * 181 < 2 * linalg._STEP_ENTRIES <= 182 * 182
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+def test_split_master_solve_reports_a_stage_worker_that_dies(monkeypatch):
+    """A stage worker that exits mid-solve makes the solve raise an error
+    naming its exit code, and leaves no child process."""
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+    build = solvers._banded_stage
+
+    def dying(generator, channels):
+        stage = build(generator, channels)
+
+        def worker_dies(out, base, s, src, start, stop):
+            if start > 0:  # the worker's half
+                os._exit(3)
+            stage(out, base, s, src, start, stop)
+
+        return worker_dies
+
+    monkeypatch.setattr(solvers, "_banded_stage", dying)
+    with pytest.raises(OSError, match=r"^master stage worker exited with code 3$"):
+        solve_master(*_split_master_case(256), 1e-3, 3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_unitary_solver_qubit():
