@@ -14,11 +14,16 @@ runs BLAS on one thread (`_one_blas_thread`), so it does not spin a second
 BLAS thread against the pool's workers. `ensemble_vs_master` can then
 compare the mean with the averaged equation while it is solved, each
 checkpoint as the solver stores it, so no master history is held either.
+
+The collapse statistics' chi-square tail is a finite series over the
+standard library's `math` (`_chi2_tail`), for the integer degrees of freedom
+a Pearson test has.
 """
 
 from __future__ import annotations
 
 import contextlib
+import math
 import sys
 from dataclasses import dataclass
 
@@ -98,8 +103,8 @@ def _openblas():
     The library is found among the shared objects this process has loaded
     (`/proc/self/maps`, so only on Linux) by its exported thread-count
     symbols, those of the ILP64 builds numpy's wheels bundle: scipy_openblas
-    at numpy 2.x, openblas at numpy 1.x. scipy's own OpenBLAS is an LP64
-    build without the 64_ suffix, so it is never the one found."""
+    at numpy 2.x, openblas at numpy 1.x. An LP64 OpenBLAS that another
+    extension loads has no 64_ suffix, so it is never the one found."""
     import ctypes  # loads only on the calls that need it
 
     try:
@@ -245,6 +250,27 @@ def ensemble_vs_master(summary, master, times=None) -> ComparisonReport:
     return ComparisonReport(times, dists, float(dists.max()))
 
 
+def _chi2_tail(k: int, x: float) -> float:
+    """P(X > x) for X chi-square with k degrees of freedom, a finite series
+    for integer k (Abramowitz & Stegun 26.4.4 and 26.4.5), with h = x / 2:
+        even k:  exp(-h) * sum_{j < k/2} h^j / j!
+        odd k:   erfc(sqrt(h)) + exp(-h) * sum_{j=1}^{(k-1)/2} h^(j-1/2) / Gamma(j+1/2).
+    Each term h^a exp(-h) / Gamma(a + 1) is taken as one exponential of its
+    logarithm and the terms are summed by `math.fsum`, so neither a large x
+    nor a large k overflows, or underflows before the whole tail does. 1.0
+    at k = 0 (a single outcome, whose statistic is 0) and at x = 0."""
+    if k == 0 or x <= 0.0:
+        return 1.0
+    h = 0.5 * x
+    log_h = math.log(h)
+    if k % 2 == 0:
+        powers, head = range(k // 2), []
+    else:
+        powers, head = (j - 0.5 for j in range(1, (k - 1) // 2 + 1)), [math.erfc(math.sqrt(h))]
+    terms = head + [math.exp(-h + a * log_h - math.lgamma(a + 1.0)) for a in powers]
+    return min(1.0, math.fsum(terms))
+
+
 @dataclass
 class CollapseReport:
     """Terminal-state statistics against the spectral projectors."""
@@ -299,13 +325,11 @@ def collapse_statistics(results: EnsembleResult, observable: Operator,
     unresolved = n - resolved
     keep = born > 1e-12
     if resolved > 0 and counts[~keep].sum() == 0 and keep.any():
-        import scipy.special  # scipy loads only on the calls that need it
-
         expected = born[keep] / born[keep].sum() * resolved
         # Pearson's statistic and its chi-square tail, as scipy.stats.chisquare
-        # computes them, without importing scipy.stats
+        # computes them
         stat = np.sum((counts[keep] - expected) ** 2 / expected)
-        chi_p = float(scipy.special.chdtrc(expected.size - 1, stat))
+        chi_p = _chi2_tail(expected.size - 1, float(stat))
     else:
         chi_p = 0.0
 

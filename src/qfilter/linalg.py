@@ -3,7 +3,9 @@
 States and operators carry a basis descriptor. Grid bases weight inner
 products, norms and traces by the grid spacing (rectangle rule), so the
 discrete quantities track their continuum counterparts; finite bases use
-weight 1. All value types are immutable after construction.
+weight 1. All value types are immutable after construction. The dense
+exponential `matrix_exp` takes diagonal and hermitian operators, through
+numpy's elementwise exp and eigendecomposition; it refuses any other.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BasisMismatchError, NormalizationError, OracleSizeError
+from .errors import (
+    BasisMismatchError,
+    NormalizationError,
+    OracleSizeError,
+    UnsupportedConfigurationError,
+)
 
 DEFAULT_ORACLE_CAP = 512
 
@@ -453,7 +460,8 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
     """Dense oracle for exp(scale * op); refuses dimensions above `cap`.
 
     Diagonal operators exponentiate elementwise, hermitian ones through an
-    eigendecomposition, anything else through scipy's scaling-and-squaring.
+    eigendecomposition; any other operator raises
+    `UnsupportedConfigurationError` (a model's hamiltonian is hermitian).
     """
     if op.basis.dim > cap:
         raise OracleSizeError(f"dimension {op.basis.dim} exceeds oracle cap {cap}")
@@ -463,6 +471,4 @@ def matrix_exp(op: Operator, scale: complex = 1.0, cap: int = DEFAULT_ORACLE_CAP
         w, v = np.linalg.eigh(op.matrix)
         mat = (v * np.exp(scale * w)) @ v.conj().T
         return Operator(op.basis, mat)
-    import scipy.linalg  # scipy loads only on the calls that need it
-
-    return Operator(op.basis, scipy.linalg.expm(scale * op.matrix))
+    raise UnsupportedConfigurationError("matrix_exp needs a diagonal or hermitian operator")

@@ -112,7 +112,8 @@ process computes rows [0, n // 2). The stage is elementwise, so the split
 changes no bit; the trace check, the stored matrices and every error stay
 in the solving process.
 `solve_unitary` covers the lambda = 0 limit: dense exponentiation on finite
-bases, Crank-Nicolson on grids.
+bases, Crank-Nicolson on grids, whose tridiagonal system is factored once
+per call and solved by two sweeps per step.
 """
 
 from __future__ import annotations
@@ -1297,7 +1298,14 @@ def solve_master(model: ModelSpec, rho0: DensityMatrix, dt: float, n_steps: int,
 def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
                   dt: float | None = None) -> StateVector:
     """Closed-system evolution: dense exp(-iHt/hbar) on finite bases,
-    Crank-Nicolson on grids."""
+    Crank-Nicolson on grids.
+
+    A Crank-Nicolson step solves (1 + zH) psi' = (1 - zH) psi, z =
+    i dt / (2 hbar). The tridiagonal LU of 1 + zH is built once per call,
+    and each step is one forward and one back sweep. No pivoting is needed:
+    H is hermitian, so the pivots u_0 = 1 + z H_00 and u_i = 1 + z H_ii +
+    (dt/2hbar)^2 |H_i,i-1|^2 / u_(i-1) all have real part at least 1.
+    """
     _require_basis(model, psi0)
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -1308,20 +1316,29 @@ def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
         return StateVector(model.basis, prop.apply(psi0.amplitudes))
     if model.hamiltonian.structure != "tridiagonal":
         raise UnsupportedConfigurationError("grid hamiltonian must be tridiagonal")
-    import scipy.linalg  # scipy loads only on the calls that need it
-
     if dt is None:
         dt = min(1e-3, t / 100.0)
-    n = max(1, round(t / dt))
-    dt = t / n
+    steps = max(1, round(t / dt))
+    dt = t / steps
     d, up, lo = model.hamiltonian._rows
     z = 0.5j * dt / model.hbar
-    ab = np.zeros((3, model.dim), dtype=complex)
-    ab[0, 1:] = z * up[:-1]
-    ab[1, :] = 1.0 + z * d
-    ab[2, :-1] = z * lo[1:]
+    # 1 + zH = LU: L is unit lower bidiagonal with the multipliers `low`
+    # below its diagonal, U upper bidiagonal with the pivots (kept inverted,
+    # `inv`) and the upper band of zH
+    diag, upper, lower = (1.0 + z * d).tolist(), (z * up).tolist(), (z * lo).tolist()
+    n = len(diag)
+    low, inv = [0j] * n, [0j] * n
+    inv[0] = 1.0 / diag[0]
+    for i in range(1, n):
+        low[i] = lower[i] * inv[i - 1]
+        inv[i] = 1.0 / (diag[i] - low[i] * upper[i - 1])
     psi = psi0.amplitudes.astype(complex)
-    for _ in range(n):
-        rhs = psi - z * model.hamiltonian.apply(psi)
-        psi = scipy.linalg.solve_banded((1, 1), ab, rhs)
+    for _ in range(steps):
+        r = (psi - z * model.hamiltonian.apply(psi)).tolist()
+        for i in range(1, n):
+            r[i] -= low[i] * r[i - 1]
+        r[-1] *= inv[-1]
+        for i in range(n - 2, -1, -1):
+            r[i] = (r[i] - upper[i] * r[i + 1]) * inv[i]
+        psi = np.array(r)
     return StateVector(model.basis, psi)

@@ -379,6 +379,41 @@ def test_collapse_statistics_accepts_a_constructed_hermitian_observable():
     assert np.allclose(report.eigenvalues, [-1.0, 1.0], atol=1e-12)
 
 
+def test_chi_square_tail_matches_cephes():
+    chdtrc = pytest.importorskip("scipy.special").chdtrc
+    worst = 0.0
+    for k in [*range(1, 61), 101, 200, 511, 1000, 2000]:
+        for x in np.logspace(-6.0, math.log10(3000.0), 400):
+            ref = float(chdtrc(k, x))
+            if ref > 1e-250:
+                worst = max(worst, abs(analysis._chi2_tail(k, float(x)) - ref) / ref)
+    assert worst <= 1e-12
+
+
+def test_chi_square_tail_closed_forms_and_ends():
+    for x in (1e-6, 0.3, 4.0, 50.0, 700.0):
+        assert analysis._chi2_tail(1, x) == math.erfc(math.sqrt(x / 2.0))
+        assert analysis._chi2_tail(2, x) == pytest.approx(math.exp(-x / 2.0), rel=1e-14)
+        assert analysis._chi2_tail(4, x) == pytest.approx(math.exp(-x / 2.0) * (1.0 + x / 2.0),
+                                                          rel=1e-14)
+    for k in (0, 1, 2, 7, 2000):
+        assert analysis._chi2_tail(k, 0.0) == 1.0
+    # a single outcome: no degree of freedom, whatever the statistic
+    assert analysis._chi2_tail(0, 3.0) == 1.0
+    # far in the tail the terms underflow together, not one by one
+    assert 0.0 < analysis._chi2_tail(2000, 3000.0) < 1e-20
+    assert analysis._chi2_tail(3, 1e5) == 0.0
+
+
+def test_collapse_statistics_of_an_eigenstate_ensemble():
+    # one outcome has all the Born weight: the chi-square p-value is 1, not NaN
+    model = build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+    runs = run_ensemble(model, _ket(1.0, 0.0), 1e-3, 50, 4, 20, slim=True)
+    report = collapse_statistics(runs, named_observable(model, "sigma_z"))
+    assert report.n_unresolved == 0
+    assert report.chi_square_p == 1.0
+
+
 def _collapse_by_loop(results, observable, threshold):
     """Counts, unresolved count and final expectations, one state at a time."""
     w = observable.basis.weight

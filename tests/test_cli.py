@@ -187,6 +187,28 @@ def test_verify_failure_exits_4(tmp_path, capsys):
     assert report["passed"] is False
 
 
+def test_born_report_of_an_eigenstate_is_strict_json(tmp_path, capsys):
+    # only one outcome has Born weight, so the chi-square test has no degree
+    # of freedom: its p-value is 1, and the report holds no NaN
+    cfg_path = _write_cfg(
+        tmp_path,
+        model={"kind": "qubit", "h_field": [0.0, 0.0, 0.0], "channel": "sigma_z"},
+        initial={"amplitudes": [1.0, 0.0]},
+        sim={"dt": 1e-3, "t_final": 0.5},
+        ensemble={"n_trajectories": 50},
+    )
+    out = tmp_path / "rep"
+    rc = main(["verify", "--suite", "born", "--config", str(cfg_path), "--out", str(out)])
+    assert rc == 0, capsys.readouterr().out
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"),
+                        parse_constant=refuse)
+    assert report["stats"]["chi_square_p"] == 1.0
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_step_failure_exits_3_naming_trajectory_step_and_scheme(tmp_path, threads):
     # at lambda=1e4 on a coarse grid the gauge exponent differences overflow

@@ -24,7 +24,12 @@ from qfilter import (
     projector,
     trace_distance,
 )
-from qfilter.errors import BasisMismatchError, NormalizationError, OracleSizeError
+from qfilter.errors import (
+    BasisMismatchError,
+    NormalizationError,
+    OracleSizeError,
+    UnsupportedConfigurationError,
+)
 from qfilter.linalg import _detect_flag, band_apply, padded_rows
 
 B2 = Basis.finite(2)
@@ -216,9 +221,13 @@ def test_matrix_exp_inverse_product():
     for dim in (4, 5):
         basis = Basis.finite(dim)
         m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        op = Operator(basis, m)
-        prod = matrix_exp(op).matrix @ matrix_exp(op, scale=-1.0).matrix
+        op = Operator(basis, m + m.conj().T)
+        theta = 0.7
+        prod = matrix_exp(op, scale=1j * theta).matrix @ matrix_exp(op, scale=-1j * theta).matrix
         assert np.allclose(prod, np.eye(dim), atol=1e-10)
+        # a non-hermitian, non-diagonal operator has no dense exponential here
+        with pytest.raises(UnsupportedConfigurationError):
+            matrix_exp(Operator(basis, m))
 
 
 def test_matrix_exp_size_cap():

@@ -62,16 +62,28 @@ def test_import_leaves_the_cli_layers_unloaded():
     assert not {"qfilter.config", "qfilter.suites", "qfilter.cli"} & set(loaded)
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats was most of the import time, for one chi-square tail
-    out = _fresh_import("import qfilter, qfilter.cli; "
-                        "print('scipy.stats' in sys.modules); "
-                        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    stats_loaded, scipy_modules = out.splitlines()
-    assert stats_loaded == "False"
-    # the rest of scipy was most of what remained, for three calls that load
-    # it themselves (expm, solve_banded, the chi-square tail)
-    assert scipy_modules == "[]"
+def test_no_package_path_imports_scipy():
+    """numpy is the only dependency: with every `import scipy...` made to
+    raise, the calls that once loaded scipy (the collapse statistics'
+    chi-square tail, the grid Crank-Nicolson solve, the dense exponential)
+    still run."""
+    out = _fresh_import("""sys.modules["scipy"] = None
+import numpy as np
+import qfilter as qf, qfilter.cli
+qubit = qf.build_qubit_model((0.0, 0.0, 0.0), channel="sigma_z", lam=1.0)
+plus = qf.StateVector(qubit.basis, np.array([1.0, 1.0]) / np.sqrt(2.0))
+runs = qf.run_ensemble(qubit, plus, 1e-3, 2000, 5, 8, slim=True)
+report = qf.collapse_statistics(runs, qf.named_observable(qubit, "sigma_z"))
+assert report.n_unresolved < 8 and 0.0 < report.chi_square_p <= 1.0, report
+spin = qf.build_qubit_model((0.0, 0.0, 1.0), lam=0.0)
+assert abs(qf.solve_unitary(spin, plus, 1.0).norm() - 1.0) < 1e-12
+grid = qf.build_grid_model(qf.GridSpec(-10.0, 10.0, 128), lam=0.0)
+packet = qf.gaussian_packet(grid.basis, x0=1.0, sigma=1.0)
+assert abs(qf.solve_unitary(grid, packet, 0.25).norm() - 1.0) < 1e-12
+qf.matrix_exp(qf.Operator(qubit.basis, qf.SIGMA_Z), scale=1j)
+qf.matrix_exp(qf.Operator(qubit.basis, qf.SIGMA_X), scale=1j)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))""")
+    assert out.split() == ["['scipy']"]
 
 
 def test_import_loads_neither_openssl_nor_the_process_pool():

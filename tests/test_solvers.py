@@ -1697,6 +1697,26 @@ def test_unitary_solver_free_packet_spread():
     assert abs(var - 2.0) / 2.0 < 0.02, f"free-spread variance {var:.4f}, want 2.0"
 
 
+@pytest.mark.parametrize("n_points", [128, 512, 1024])
+def test_grid_unitary_solve_matches_the_banded_lapack_form(n_points):
+    # the same Crank-Nicolson steps as scipy's banded solve; 1024 points, above
+    # DEFAULT_ORACLE_CAP, shows the grid path has no size cap
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    grid = GridSpec(-10.0, 10.0, n_points)
+    model = build_grid_model(grid, GridPotential.harmonic(grid, omega=1.0), lam=0.0)
+    psi = gaussian_packet(model.basis, x0=1.0, p0=0.5, sigma=1.0)
+    t, steps = 0.25, 250
+    d, up, lo = model.hamiltonian._rows
+    z = 0.5j * (t / steps) / model.hbar
+    ab = np.zeros((3, n_points), dtype=complex)
+    ab[0, 1:], ab[1], ab[2, :-1] = z * up[:-1], 1.0 + z * d, z * lo[1:]
+    ref = psi.amplitudes
+    for _ in range(steps):
+        ref = scipy_linalg.solve_banded((1, 1), ab, ref - z * model.hamiltonian.apply(ref))
+    out = solve_unitary(model, psi, t)
+    assert math.sqrt(model.basis.weight) * np.linalg.norm(out.amplitudes - ref) <= 1e-12
+
+
 def test_unitary_solver_rejects_dense_grid_hamiltonian():
     grid = GridSpec(-5.0, 5.0, 16)
     basis = Basis.from_grid(grid)
