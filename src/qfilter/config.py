@@ -13,7 +13,7 @@ A config is a JSON object of sections (unknown keys rejected):
               "observables": [name | inline, ...]}
              inline = {"name": str, "matrix": {"re": [[...]], "im": [[...]]}}
   ensemble   {"n_trajectories", "master_seed"}
-  output     {"directory", "formats"}
+  output     {"formats"}
   verify     {suite_name: {knob: value, ...}, ...}
 
 Each key is declared once, in the tables below, as (default, check): the
@@ -178,8 +178,6 @@ _ENSEMBLE = {
 }
 _FORMATS = ("csv", "bin")
 _OUTPUT = {
-    "directory": (None, _rule((lambda v: v is None or isinstance(v, str),
-                               "must be a string or null"))),
     "formats": (["csv"], _rule(
         (lambda v: isinstance(v, list) and v and all(f in _FORMATS for f in v),
          f"must be a nonempty list drawn from {list(_FORMATS)}"), convert=tuple)),

@@ -49,20 +49,22 @@ entries (`_batch_bounds`), and the noise table it draws is its only
 per-step array (a batch handed its caller's table allocates none): each
 row carries its log sums and its first failure as it steps.
 
-Between snapshots, a step on a diagonal or tridiagonal model allocates no
-array the size of the batch. Each batch allocates its buffers once
-(`_Workspace`), and every pass over them is contiguous:
+The kernel applies only band rows: `_prepare` refuses a model whose K or
+any channel is tagged dense, under every scheme, before any noise is drawn
+or any worker forked (`solve_master` and `solve_unitary` still take it);
+observables, applied only at snapshots, may be dense. Between snapshots, a
+step allocates no array the size of the batch. Each batch allocates its
+buffers once (`_Workspace`), and every pass over them is contiguous:
   - the state, the next state and the gauge posterior live in flat padded
     buffers of B * dim + 2 entries whose (B, dim) rows start at offset 1,
     so a row's band neighbours are the contiguous (B, dim) views at
     offsets 2 and 0 (`linalg.padded_rows`), and so is the gauge exponent s
     with its differences s[k] - s[k - 1];
   - the step operators 1 - K dt and 1 - G dt are band rows aligned to
-    their columns when K is diagonal or tridiagonal, built by `_prepare`
-    from the rows of K and G with each entry computed as 1.0 - dt k or
-    0.0 - dt k, the bits of the bands of np.eye(n) - dt K; a batch repeats
-    each row B times so a band product is one pass over arrays of one
-    shape. A dense K keeps the dense operators.
+    their columns, built by `_prepare` from the rows of K and G with each
+    entry computed as 1.0 - dt k or 0.0 - dt k, the bits of the bands of
+    np.eye(n) - dt K; a batch repeats each row B times so a band product
+    is one pass over arrays of one shape.
 Operators keep the storage their `structure` tag names: a model whose H is
 diagonal or tridiagonal and whose channels are diagonal stores H, the L_j,
 K and G once each, as the rows `band_apply` reads (`Operator._rows`), so
@@ -268,28 +270,19 @@ def _exponent(y: np.ndarray, ldiag: np.ndarray, ws: _Workspace) -> np.ndarray:
 
 
 def _tiled(op, b: int):
-    """Band rows repeated for b rows, so each band product is one pass over
-    operands of one shape (a product with an (n,) row broadcast over (b, n)
-    runs as b short passes); a dense `Operator` or None as it is."""
-    if op is None or isinstance(op, Operator):
+    """Band rows (`Operator._rows`) repeated for b rows, so each band
+    product is one pass over operands of one shape (a product with an (n,)
+    row broadcast over (b, n) runs as b short passes); None as it is."""
+    if op is None:
         return op
     return tuple(None if band is None else np.tile(band, (b, 1)) for band in op)
-
-
-def _apply(op, src, out: np.ndarray, ws: _Workspace) -> np.ndarray:
-    """`op` applied along `src[1]` into `out`: band rows (`Operator._rows`)
-    through `band_apply` on the padded `src`, or a dense `Operator`."""
-    if isinstance(op, Operator):
-        out[...] = op.apply(src[1])
-        return out
-    return band_apply(op, src, out, ws.tmp)
 
 
 def _record_update(src, euler, lposts, ws: _Workspace) -> np.ndarray:
     """One-step record-driven map (1 - K dt) chi + sum_j dY_j L_j chi of the
     rows of `src` into `ws.new`, with `euler` = 1 - K dt, the L_j chi in
     `lposts` and the dY in `ws.dy`."""
-    out = _apply(euler, src, ws.new[1], ws)
+    out = band_apply(euler, src, ws.new[1], ws.tmp)
     for dy, lchi in zip(ws.dy_cols, lposts):
         np.multiply(dy, lchi, out=ws.tmp)
         np.add(out, ws.tmp, out=out)
@@ -420,7 +413,7 @@ def _run_batch(run: dict, out: EnsembleResult, lo: int, hi: int, table: np.ndarr
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for k in range(n_steps):
             post, ln_c = posterior(k)
-            lposts = [_apply(ch, post, lp, ws) for ch, lp in zip(channels, ws.lposts)]
+            lposts = [band_apply(ch, post, lp, ws.tmp) for ch, lp in zip(channels, ws.lposts)]
             if k in snap_of_step:
                 store(k, post[1], ln_c)
             for j, lp in enumerate(lposts):
@@ -602,37 +595,36 @@ def _prepare(model: ModelSpec, initial: StateVector, scheme: str, dt: float, n_s
     for name, op in observables.items():
         if op.basis != model.basis:
             raise BasisMismatchError(f"observable {name!r} basis does not match the model")
-    gauge_euler = None
     if scheme == "gauge":
         if model.channel_diagonals is None:
             raise UnsupportedConfigurationError("gauge scheme needs diagonal hermitian channels")
         if not model._banded:
             raise UnsupportedConfigurationError(
                 "gauge scheme needs a diagonal or tridiagonal hamiltonian")
-        gauge_euler = _step_operator(model, dt, gauge=True)
+    if "dense" in (model.generator.structure, *(ch.structure for ch in model.channels)):
+        raise UnsupportedConfigurationError(
+            "trajectories need a diagonal or tridiagonal K and channels")
     snapshot_steps = _stored_steps(n_steps, record_stride)
     return {"model": model, "initial": initial, "scheme": scheme, "dt": dt, "n_steps": n_steps,
             "record_stride": record_stride, "master_seed": master_seed,
             "snapshot_steps": snapshot_steps, "times": snapshot_steps * dt,
             "observables": observables,
             "phi0": (initial.amplitudes / initial.norm()).astype(complex),
-            "euler": _step_operator(model, dt), "gauge_euler": gauge_euler,
-            "channels": [ch if ch.structure == "dense" else ch._rows
-                         for ch in model.channels]}
+            "euler": _step_operator(model, dt),
+            "gauge_euler": _step_operator(model, dt, gauge=True) if scheme == "gauge" else None,
+            "channels": [ch._rows for ch in model.channels]}
 
 
 def _step_operator(model: ModelSpec, dt: float, gauge: bool = False):
     """1 - dt K, or with `gauge` 1 - dt G with G = K + sum_j L_j^2 / 2
-    (`ModelSpec.gauge_core`): band rows laid out as the operator's `_rows`
-    when it is diagonal or tridiagonal, else a dense `Operator`.
+    (`ModelSpec.gauge_core`), as band rows laid out as the operator's
+    `_rows`; `_prepare` has refused a dense K.
 
     The band rows carry the bits of the bands of the dense forms
     np.eye(n) - dt * K and np.eye(n) - dt * G: each entry is 1.0 - dt * k or
     0.0 - dt * k in the same complex arithmetic, and the +0 padding stays +0.
     """
     core = model.gauge_core if gauge else model.generator
-    if core.structure == "dense":
-        return Operator(model.basis, np.eye(model.dim) - dt * core.matrix)
     d, up, lo = core._rows
     return (1.0 - dt * d, *(None if row is None else 0.0 - dt * row for row in (up, lo)))
 
@@ -750,6 +742,7 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
     both log series are stored every `record_stride` steps (plus the final
     step); the result keeps its step norms, record and innovations (`noise`).
     """
+    run = _prepare(model, initial, scheme, dt, n_steps, record_stride, observables, master_seed)
     c = model.n_channels
     if record is not None:
         if noise is not None:
@@ -768,15 +761,19 @@ def run_trajectory(model: ModelSpec, initial: StateVector, dt: float, n_steps: i
             if abs(noise.dt - dt) > 1e-12 * max(dt, noise.dt):
                 raise ValueError("supplied noise was generated for a different dt")
         table = noise.increments
-    return _run_rows(model, initial, dt, n_steps, master_seed, trajectory_index, scheme,
-                     table[None], replay=record is not None, observables=observables,
-                     record_stride=record_stride,
-                     keep=("step_norms", "record", "innovations"))[0]
+    return _collect(_drive(run, trajectory_index, 1, ("step_norms", "record", "innovations"),
+                           table[None], record is not None, stacklevel=3))[0]
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, else the cpu count."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def resolve_workers(requested: int | None, n_tasks: int) -> int:
-    """Worker count capped by cpu count, QFILTER_THREADS, and the task count."""
-    cap = os.cpu_count() or 1
+    """Worker count capped by the CPUs this process may run on (`_cpus`),
+    QFILTER_THREADS, and the task count."""
+    cap = _cpus()
     env = os.environ.get("QFILTER_THREADS")
     if env is not None:
         try:
@@ -1318,6 +1315,8 @@ def solve_unitary(model: ModelSpec, psi0: StateVector, t: float,
         raise UnsupportedConfigurationError("grid hamiltonian must be tridiagonal")
     if dt is None:
         dt = min(1e-3, t / 100.0)
+    elif dt <= 0:
+        raise ValueError("dt must be positive")
     steps = max(1, round(t / dt))
     dt = t / steps
     d, up, lo = model.hamiltonian._rows

@@ -583,7 +583,8 @@ def _reference_residuals(traj, observable, include_quadratic_correction=True):
 
 def _two_channel_models():
     """A qubit watched through sigma_z and sigma_x, and a 3-level model with
-    dense H, channels and observable: every cross term C_ij with i != j."""
+    a tridiagonal H, two complex diagonal channels and a dense observable:
+    every cross term C_ij with i != j."""
     qubit = ModelSpec(Operator(B2, qf.models.SIGMA_X + 0.3 * qf.models.SIGMA_Y),
                       (Operator(B2, 1.2 * qf.models.SIGMA_Z),
                        Operator(B2, 0.8 * qf.models.SIGMA_X)))
@@ -593,9 +594,12 @@ def _two_channel_models():
     def dense():
         return rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
+    def diagonal():
+        return Operator.diagonal(b3, 0.4 * (rng.standard_normal(3) + 1j * rng.standard_normal(3)))
+
     h, o = dense(), dense()
-    three = ModelSpec(Operator(b3, h + h.conj().T),
-                      (Operator(b3, 0.4 * dense()), Operator(b3, 0.4 * dense())))
+    three = ModelSpec(Operator(b3, np.triu(np.tril(h + h.conj().T, 1), -1)),
+                      (diagonal(), diagonal()))
     return [(qubit, named_observable(qubit, "sigma_z"), KET0),
             (three, Operator(b3, o + o.conj().T),
              StateVector(b3, np.array([0.6, 0.0, 0.8j])))]

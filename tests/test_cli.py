@@ -340,7 +340,7 @@ def _framework_probe(tmp_path, threads: str, *argv: str):
     return res.returncode, res.stdout.splitlines()[-1] if res.stdout else res.stderr, forked
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no master.csv writer")
+@pytest.mark.skipif(solvers._cpus() < 2, reason="one core forks no master.csv writer")
 def test_two_worker_master_run_loads_neither_openssl_nor_the_pool(tmp_path):
     """With two workers `qfilter master` hashes only in its forked writer and
     forks no pool, so the solving process leaves `_hashlib`,
@@ -365,7 +365,7 @@ def test_two_worker_master_run_loads_neither_openssl_nor_the_pool(tmp_path):
     assert tables[0] == tables[1]
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no pool")
+@pytest.mark.skipif(solvers._cpus() < 2, reason="one core forks no pool")
 def test_two_worker_ensemble_suite_loads_no_process_framework(tmp_path):
     """With two workers `verify --suite ensemble` forks its pool with bare
     pipes: neither the suite's process nor any worker that advanced a batch
@@ -416,7 +416,7 @@ def test_master_writer_ends_when_its_parent_is_killed(tmp_path):
 
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: nothing forks")
+@pytest.mark.skipif(solvers._cpus() < 2, reason="one core: nothing forks")
 def test_master_stage_worker_ends_when_its_parent_is_killed():
     """A solving process killed between the steps of a split solve leaves
     no stage worker running: the worker holds no copy of the parent's pipe

@@ -59,7 +59,6 @@ def test_minimal_qubit_config_fills_every_default():
     assert [o.name for o in cfg.sim.observables] == ["sigma_z"]
     assert cfg.ensemble.n_trajectories == 1
     assert cfg.ensemble.master_seed == 0
-    assert cfg.output.directory is None
     assert cfg.output.formats == ("csv",)
     assert cfg.verify == {}
     assert cfg.n_steps == 500, f"0.5 / 1e-3 should give 500 steps, got {cfg.n_steps}"
@@ -314,8 +313,8 @@ def test_output_section_validation():
         parse_config_data(_minimal(output={"formats": []}))
     with pytest.raises(qf.ConfigError, match="output.formats"):
         parse_config_data(_minimal(output={"formats": ["hdf5"]}))
-    with pytest.raises(qf.ConfigError, match="string or null"):
-        parse_config_data(_minimal(output={"directory": 7}))
+    with pytest.raises(qf.ConfigError, match="unknown key"):
+        parse_config_data(_minimal(output={"directory": "runs/a"}))
 
 
 def test_csv_rides_along_with_binary_output():
@@ -342,7 +341,7 @@ def test_resolved_echo_reparses_to_the_same_config():
         constants={"hbar": 2.0, "lambda": 0.5},
         initial={"amplitudes": [[0.6, 0.0], [0.0, 0.8]]},
         ensemble={"n_trajectories": 4, "master_seed": 11},
-        output={"directory": "runs/a", "formats": ["csv", "bin"]},
+        output={"formats": ["csv", "bin"]},
         verify={"born": {"threshold": 0.05}},
     )
     data["model"] = {"kind": "qubit", "h_field": [0.0, 1.0, 0.0], "channel": "sigma_x"}
@@ -376,21 +375,21 @@ _SX = {"re": [[0, 1], [1, 0]]}
 # config echo every manifest.json seals
 _ECHO_DIGESTS = {
     "minimal_qubit": (
-        _minimal(), "854084e408e7d6164683444651770ccb503c691b251877ee9cf560dc9fe4cde1"),
+        _minimal(), "defe3d6e78527fd4a1468ae8d83346049d7a4d08f1a5780af5ec81c08a1284ca"),
     "readme": (
-        _README_CONFIG, "2eb274cbfbef3f733d1cefeb023ed546049aeaf762301db5adab451737a3b222"),
+        _README_CONFIG, "7d04435c561799a4693fdcaf7d9a9787073811c64f845ca265d7ab715d251f6f"),
     "harmonic_grid": (
         _minimal(model=_grid_model(potential="harmonic", n_points=32, mass=2,
                                    potential_params={"omega": 2, "center": 0.5}),
                  initial={"gaussian": {"x0": 1, "sigma": 0.5}}),
-        "30630f708c707ac53f8ef6de43acfeadcec6116fccd9d99782dda14d7c9a7bb1"),
+        "2799056dca2e343021992ce403b90fe74885f1262144a036a09da4e676f0eeae"),
     "table_grid": (
         _minimal(model=_grid_model(x_min=-4, x_max=4, n_points=8, potential="table",
                                    potential_params={"values": [0, 1, 2, 3, 3, 2, 1, 0.5]})),
-        "0d4f874a06ec85bafef766767e70359e6a37bf5733b2f8365d20acd755084882"),
+        "f750cd98f5a6498d8c5f1e26880280fd32cd012ed196274ea1ad7c126867ebf9"),
     "binary_output": (
-        _minimal(output={"directory": "runs/a", "formats": ["bin"]}),
-        "f58f03615fa95e52d21daece296b33458b3b2ff836954b72a58c3c824e642582"),
+        _minimal(output={"formats": ["bin"]}),
+        "b38b0be0e62418ff23f3be1bbbc75bf9b097e6789a708618acc9341fb2fcb458"),
     "inline_observable": (
         _minimal(model={"kind": "qubit", "h_field": 0.5, "channel": "sigma_x"},
                  constants={"hbar": 2, "lambda": 0.5},
@@ -398,13 +397,13 @@ _ECHO_DIGESTS = {
                  sim={"dt": 1e-3, "t_final": 0.5, "scheme": "gauge", "record_stride": 1,
                       "observables": ["sigma_z", {"name": "my_sx", "matrix": _SX}]},
                  ensemble={"n_trajectories": 3, "master_seed": 2**64 - 1}),
-        "4a9fe353a11fd92b7d7c4647c40bc60a099cb5cac83739806689b4d7b2f38738"),
+        "585cb196fc2e64748e634fb5139776c509975cf9aac4d13d3a891145d432f6c2"),
     "verify_knobs": (
         _minimal(verify={"order": {"dts": [0.01, 0.005, 0.0025, 0.00125], "n_seeds": 4},
                          "born": {"threshold": 0.05, "observable": "sigma_z"},
                          "filtering": {"include_quadratic_correction": False},
                          "gauge": {}}),
-        "67941da91da2439a33037abc63a0e5e482b7208a5c625a788f28300bbf50863b"),
+        "bc5f81cc2747784c7417d14429fccfb58cab2905519f9065994c656327d88ac9"),
 }
 
 
@@ -605,7 +604,7 @@ _SECTION_KEYS = {
     "initial": ["amplitudes", "gaussian"],
     "sim": ["dt", "t_final", "scheme", "record_stride", "observables"],
     "ensemble": ["n_trajectories", "master_seed"],
-    "output": ["directory", "formats"],
+    "output": ["formats"],
     "verify": list(SUITE_NAMES),
 }
 # schema keys with fuzzed values, so most draws get past the section checks

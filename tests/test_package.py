@@ -3,7 +3,6 @@ import that loads none of the CLI's layers."""
 
 from __future__ import annotations
 
-import os
 import re
 import subprocess
 import sys
@@ -101,7 +100,7 @@ def test_import_loads_neither_openssl_nor_the_process_pool():
     assert with_cli == with_numpy
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core forks no master.csv writer")
+@pytest.mark.skipif(qf.solvers._cpus() < 2, reason="one core forks no master.csv writer")
 def test_forked_processes_load_no_process_framework():
     """A two-worker `pool_map` and a forked `MasterExport` writer use bare
     `os.fork` and pipes: neither the forking process nor any child loads

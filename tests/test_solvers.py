@@ -131,13 +131,16 @@ def test_step_linear_scales_channel_eigenstates():
 
 
 def test_step_linear_matches_dense_arithmetic_two_channels():
+    """A 4-level model with a tridiagonal H and two complex diagonal
+    channels, against the dense one-step update."""
     rng = np.random.default_rng(31)
     basis = Basis.finite(4)
-    h_raw = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    ham = Operator(basis, h_raw + h_raw.conj().T)
-    chans = [Operator(basis, rng.standard_normal((4, 4))
-                                  + 1j * rng.standard_normal((4, 4))) for _ in range(2)]
+    off = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    ham = Operator.tridiagonal(basis, rng.standard_normal(4), off, off.conj())
+    chans = [Operator.diagonal(basis, rng.standard_normal(4) + 1j * rng.standard_normal(4))
+             for _ in range(2)]
     model = ModelSpec(ham, chans)
+    assert model.generator.structure == "tridiagonal"
     vec = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     vec /= np.linalg.norm(vec)
     dt = 1e-3
@@ -186,6 +189,39 @@ def test_step_gauge_needs_diagonal_channels():
         assert "generator" not in vars(model)
         with pytest.raises(UnsupportedConfigurationError):
             model.gauge_core
+
+
+@pytest.mark.parametrize("scheme", solvers.SCHEMES)
+def test_trajectories_refuse_a_dense_k_before_drawing_or_forking(monkeypatch, scheme):
+    """A dense H, or a tridiagonal channel on 4 levels (whose L^dag L is
+    pentadiagonal), gives a dense K, which every trajectory entry point
+    refuses under every scheme before it draws noise or forks a worker; the
+    stream refuses when it is made."""
+    rng = np.random.default_rng(5)
+    basis = Basis.finite(4)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    dense_h = ModelSpec(Operator(basis, a + a.conj().T),
+                        (Operator.diagonal(basis, rng.standard_normal(4)),))
+    tri = Operator.tridiagonal(basis, rng.standard_normal(4), rng.standard_normal(3),
+                               rng.standard_normal(3))
+    tri_channel = ModelSpec(Operator.diagonal(basis, rng.standard_normal(4)), (tri,))
+    psi = StateVector(basis, np.full(4, 0.5, dtype=complex))
+    monkeypatch.setenv("QFILTER_THREADS", "2")
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("noise drawn")
+
+    monkeypatch.setattr(solvers, "generate_noise", drawn)
+    monkeypatch.setattr(solvers, "_noise_table", drawn)
+    forked = _counted_children(monkeypatch)
+    for model in (dense_h, tri_channel):
+        assert model.generator.structure == "dense"
+        for run in (run_trajectory, run_ensemble, solvers._ensemble_stream):
+            with pytest.raises(UnsupportedConfigurationError):
+                run(model, psi, 1e-3, 10, 0, 8, scheme=scheme)
+    assert forked == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_reconstruct_posterior_at_zero_record():
@@ -557,9 +593,10 @@ def test_ensemble_slim_and_offset_indices():
         run_ensemble(model, psi, 1e-3, 50, 5, 0)
 
 
-def _structured_model(structure, rng, dim=4):
+def _structured_model(structure, rng, dim):
     """A `dim`-level model with a tridiagonal H, complex off its diagonal,
-    and one channel of the given structure."""
+    and one channel of the given structure: "diagonal", or "tridiagonal" on
+    a qubit, the one size at which a non-diagonal channel leaves K banded."""
     basis = Basis.finite(dim)
     h = np.diag(rng.standard_normal(dim)).astype(complex)
     off = rng.standard_normal(dim - 1) + 1j * rng.standard_normal(dim - 1)
@@ -568,8 +605,6 @@ def _structured_model(structure, rng, dim=4):
         lmat = np.diag(rng.standard_normal(dim))
     else:
         lmat = 0.5 * (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-        if structure == "tridiagonal":
-            lmat = np.triu(np.tril(lmat, 1), -1)
     model = ModelSpec(Operator(basis, h), (Operator(basis, lmat),))
     assert model.channels[0].structure == structure
     return model
@@ -577,19 +612,17 @@ def _structured_model(structure, rng, dim=4):
 
 @settings(max_examples=40, deadline=None)
 @given(scheme=st.sampled_from(solvers.SCHEMES),
-       structure=st.sampled_from(["diagonal", "tridiagonal", "dense"]),
-       replay=st.booleans(), rows=st.integers(1, 12), dim=st.sampled_from([2, 4]),
-       seed=st.integers(0, 2**32 - 1))
-def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure, replay, rows, dim,
+       structure_dim=st.sampled_from([("diagonal", 2), ("diagonal", 4), ("tridiagonal", 2)]),
+       replay=st.booleans(), rows=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_batched_rows_are_bit_identical_to_single_runs(scheme, structure_dim, replay, rows,
                                                        seed):
     """Every row of one kernel call over `rows` trajectories carries the
     bytes of `run_trajectory` on that trajectory alone, driven by its own
     noise or replaying its own record, on a qubit too (where each band of
     a row has one entry)."""
+    structure, dim = structure_dim
     if scheme == "gauge":
         structure = "diagonal"  # the gauge form needs diagonal hermitian channels
-    if dim == 2 and structure == "dense":
-        structure = "tridiagonal"  # every 2 x 2 matrix is tridiagonal
     rng = np.random.default_rng(seed)
     model = _structured_model(structure, rng, dim)
     amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -713,7 +746,7 @@ def test_ensemble_rows_are_views_of_its_arrays(monkeypatch, workers):
         assert row.noise is None
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+@pytest.mark.skipif(solvers._cpus() < 2, reason="needs two worker processes")
 def test_pooled_run_leaves_no_batch_in_the_parent(monkeypatch):
     """Two workers write four batches of 64 README-qubit trajectories into
     the result's shared arrays and send back only failure codes, so this
@@ -1104,6 +1137,7 @@ def test_two_workers_stream_through_a_two_block_ring():
 
     with mock.patch.multiple(solvers, pool_map=no_run, _allocate=sized), \
             mock.patch.object(os, "cpu_count", return_value=2), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True), \
             mock.patch.dict(os.environ, {"QFILTER_THREADS": "2"}):
         for _ in solvers._ensemble_stream(grid, gaussian_packet(grid.basis, x0=1.0), 1e-3, 250,
                                           0, 1024, scheme="gauge", record_stride=12):
@@ -1132,7 +1166,8 @@ def test_only_a_batch_that_draws_its_noise_is_bounded_by_its_series():
 
     halves = [(0, 16), (16, 32)]
     with mock.patch.object(solvers, "pool_map", no_run), \
-            mock.patch.object(os, "cpu_count", return_value=2):
+            mock.patch.object(os, "cpu_count", return_value=2), \
+            mock.patch.object(os, "sched_getaffinity", return_value={0, 1}, create=True):
         for threads, handed in (("1", [(0, rows)]), ("2", halves)):
             seen.clear()
             with mock.patch.dict(os.environ, {"QFILTER_THREADS": threads}):
@@ -1155,7 +1190,7 @@ def test_stored_steps_are_the_strided_steps_and_the_last(n_steps, stride):
 
 def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("QFILTER_THREADS", raising=False)
-    cpus = os.cpu_count() or 1
+    cpus = solvers._cpus()
     assert resolve_workers(None, 1000) == min(cpus, 1000)
     assert resolve_workers(3, 2) == min(cpus, 3, 2)
     monkeypatch.setenv("QFILTER_THREADS", "2")
@@ -1169,6 +1204,17 @@ def test_resolve_workers(monkeypatch):
     monkeypatch.delenv("QFILTER_THREADS")
     with pytest.raises(ValueError):
         resolve_workers(0, 8)
+
+
+def test_resolve_workers_is_capped_by_the_affinity_mask(monkeypatch):
+    """Under a one-CPU affinity mask one worker resolves, however many CPUs
+    the machine has; where the platform has no mask, the cpu count caps."""
+    monkeypatch.delenv("QFILTER_THREADS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert resolve_workers(None, 8) == 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert resolve_workers(None, 8) == 8
 
 
 def test_master_solver_matches_unitary_conjugation():
@@ -1644,7 +1690,7 @@ def test_master_solve_forks_only_when_it_splits(monkeypatch):
     assert 181 * 181 < 2 * linalg._STEP_ENTRIES <= 182 * 182
 
 
-@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="needs two worker processes")
+@pytest.mark.skipif(solvers._cpus() < 2, reason="needs two worker processes")
 def test_split_master_solve_reports_a_stage_worker_that_dies(monkeypatch):
     """A stage worker that exits mid-solve makes the solve raise an error
     naming its exit code, and leaves no child process."""
@@ -1727,3 +1773,10 @@ def test_unitary_solver_rejects_dense_grid_hamiltonian():
     psi = gaussian_packet(basis, sigma=1.0)
     with pytest.raises(UnsupportedConfigurationError):
         solve_unitary(model, psi, 0.1)
+
+
+@pytest.mark.parametrize("dt", [0.0, -1e-3])
+def test_grid_unitary_solve_refuses_a_step_that_is_not_positive(dt):
+    model = build_grid_model(GridSpec(-5.0, 5.0, 32), lam=0.0)
+    with pytest.raises(ValueError, match="dt must be positive"):
+        solve_unitary(model, gaussian_packet(model.basis, sigma=1.0), 0.1, dt=dt)
